@@ -3,6 +3,8 @@ package timingsubg
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +60,37 @@ func feedChunks(t *testing.T, eng Engine, edges []Edge, chunk int) {
 	}
 }
 
+// feedWithStale drives edges through feed in two halves and, between
+// them, offers stale edges — one no query's labels match (a routed fleet
+// routes it to nobody), one a replay of an edge every member has seen —
+// through both Feed and FeedBatch. Every composition must reject them
+// at the ingest boundary with ErrOutOfOrder and touch nothing; the
+// caller's end-of-stream assertions then prove no member applied one.
+func feedWithStale(t *testing.T, eng Engine, edges []Edge, feed func(*testing.T, Engine, []Edge)) {
+	t.Helper()
+	mid := len(edges) / 2
+	feed(t, eng, edges[:mid])
+	// statsFast, not Stats: with Workers > 1 transactions may still be
+	// in flight, and only the counter snapshot is safe to read then.
+	sample := eng.(interface{ statsFast() Stats }).statsFast
+	before := sample()
+	unrouted := Edge{From: 1, To: 2, FromLabel: Label(1 << 20), ToLabel: Label(1<<20 + 1), Time: edges[mid/2].Time}
+	for _, stale := range []Edge{unrouted, edges[mid/2]} {
+		if _, err := eng.Feed(stale); !errors.Is(err, ErrOutOfOrder) {
+			t.Fatalf("Feed(stale @%d) = %v, want ErrOutOfOrder", stale.Time, err)
+		}
+		if n, err := eng.FeedBatch([]Edge{stale}); n != 0 || !errors.Is(err, ErrOutOfOrder) {
+			t.Fatalf("FeedBatch(stale @%d) = (%d, %v), want (0, ErrOutOfOrder)", stale.Time, n, err)
+		}
+	}
+	after := sample()
+	if after.Fed != before.Fed || after.InWindow != before.InWindow || after.WALSeq != before.WALSeq {
+		t.Fatalf("rejected edges left a trace: fed %d→%d, in-window %d→%d, WAL %d→%d",
+			before.Fed, after.Fed, before.InWindow, after.InWindow, before.WALSeq, after.WALSeq)
+	}
+	feed(t, eng, edges[mid:])
+}
+
 func TestConformanceSingleCombinations(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
@@ -105,11 +138,11 @@ func TestConformanceSingleCombinations(t *testing.T) {
 				tc.cfg.Durable.Dir = t.TempDir()
 			}
 			eng := open(t, tc.cfg)
+			feed := feedEach
 			if tc.batch > 0 {
-				feedChunks(t, eng, edges, tc.batch)
-			} else {
-				feedEach(t, eng, edges)
+				feed = func(t *testing.T, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
 			}
+			feedWithStale(t, eng, edges, feed)
 			eng.Close() // drain workers so counters are final
 			if got := snap(eng.Stats()); got != want {
 				t.Fatalf("stats diverge from plain engine: got %+v, want %+v", got, want)
@@ -375,11 +408,11 @@ func TestConformanceFleetCombinations(t *testing.T) {
 						}
 					}
 				}
+				feed := feedEach
 				if tc.batch > 0 {
-					feedChunks(t, fl, edges, tc.batch)
-				} else {
-					feedEach(t, fl, edges)
+					feed = func(t *testing.T, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
 				}
+				feedWithStale(t, fl, edges, feed)
 				fl.Close()
 				st := fl.Stats()
 				if workers > 1 {
@@ -628,6 +661,72 @@ func TestFeedBatchCannotPoisonWAL(t *testing.T) {
 	eng2.Close()
 }
 
+// TestFeedAndFeedBatchLogIdenticalBytes pins that the log stage has one
+// write path: per-edge Feed (a batch of one) and chunked FeedBatch of
+// the same stream leave byte-identical WAL segments, rotation points
+// included.
+func TestFeedAndFeedBatchLogIdenticalBytes(t *testing.T) {
+	labels := NewLabels()
+	q := persistTestQuery(t, labels)
+	edges := persistTestStream(labels, 1500, 8)
+
+	segments := func(t *testing.T, fleet bool, batch int) map[string]string {
+		t.Helper()
+		dir := t.TempDir()
+		cfg := Config{Window: 50, Durable: &Durability{
+			Dir: dir, SyncEvery: 0, SegmentBytes: 4096, CheckpointEvery: 1 << 20,
+		}}
+		if fleet {
+			cfg.Queries = []QuerySpec{{Name: "q", Query: q}}
+		} else {
+			cfg.Query = q
+		}
+		eng, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch > 0 {
+			feedChunks(t, eng, edges, batch)
+		} else {
+			feedEach(t, eng, edges)
+		}
+		// Read before Close: its final checkpoint reclaims the segments.
+		paths, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(paths))
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(p)] = string(b)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, fleet := range []bool{false, true} {
+		t.Run(map[bool]string{false: "single", true: "fleet"}[fleet], func(t *testing.T) {
+			perEdge, batched := segments(t, fleet, 0), segments(t, fleet, 173)
+			if len(perEdge) < 3 {
+				t.Fatalf("only %d segments — rotation not exercised", len(perEdge))
+			}
+			if len(perEdge) != len(batched) {
+				t.Fatalf("per-edge Feed left %d segments, FeedBatch %d", len(perEdge), len(batched))
+			}
+			for name, want := range perEdge {
+				if got, ok := batched[name]; !ok || got != want {
+					t.Fatalf("segment %s differs between per-edge Feed and FeedBatch (present=%v, %d vs %d bytes)",
+						name, ok, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
 func TestErrClosed(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
@@ -693,6 +792,7 @@ func TestOpenValidation(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	spec := QuerySpec{Name: "q", Query: q}
+	par := QuerySpec{Name: "q", Query: q, Options: Options{Workers: 4}}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -709,6 +809,12 @@ func TestOpenValidation(t *testing.T) {
 		{"workers-independent", Config{Query: q, Window: 10, Workers: 4, Storage: Independent}},
 		{"routed-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Routed: true}},
 		{"routed-durable", Config{Queries: []QuerySpec{spec}, Window: 10, Routed: true, Durable: &Durability{Dir: "x"}}},
+		// The same permanent holes, for fleet members (one validation).
+		{"member-adaptive-workers", Config{Queries: []QuerySpec{par}, Window: 10, Adaptive: &Adaptivity{}}},
+		{"member-durable-workers", Config{Queries: []QuerySpec{par}, Window: 10, Durable: &Durability{Dir: "x"}}},
+		{"member-workers-independent", Config{Queries: []QuerySpec{par}, Window: 10, Storage: Independent}},
+		{"member-durable-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Durable: &Durability{Dir: "x"}}},
+		{"durable-fleet-no-dir", Config{Dynamic: true, Window: 10, Durable: &Durability{}}},
 		{"routed-single", Config{Query: q, Window: 10, Routed: true}},
 		{"fleetworkers-single", Config{Query: q, Window: 10, FleetWorkers: 4}},
 		{"fleetworkers-negative", Config{Queries: []QuerySpec{spec}, Window: 10, FleetWorkers: -1}},

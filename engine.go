@@ -43,9 +43,11 @@ type Engine interface {
 	// path: the closed-check, WAL write/sync, fleet lock acquisition and
 	// maintenance cadences are paid once per batch rather than once per
 	// edge. It returns how many leading edges were fed; on error, edges
-	// from the failing one on were not fed. In durable mode the batch is
-	// validated for timestamp monotonicity before anything is logged, so
-	// a bad edge can never poison the WAL.
+	// from the failing one on were not fed. In every composition the
+	// batch is validated for timestamp monotonicity before anything is
+	// logged or evaluated, so a bad edge can never poison the WAL or
+	// reach some members of a fleet and not others. Feed is the same
+	// pipeline with a batch of one.
 	FeedBatch(batch []Edge) (int, error)
 	// Run consumes edges from a channel until it closes or ctx is
 	// cancelled, then closes the engine. It returns the number of edges
@@ -389,6 +391,24 @@ type Config struct {
 // and OpenDynamicPersistentMulti. In fleet mode the returned Engine is
 // a Fleet. In durable mode, if Durable.Dir holds a previous run's WAL
 // and checkpoints, the engine state is recovered before Open returns.
+//
+// Every option composes with every other except four combinations,
+// which Open rejects with ErrBadOptions — for standalone engines and
+// fleet members alike — by design, not as unfinished work:
+//
+//   - Workers > 1 with Adaptive: a rebuild swaps the core engine the
+//     in-flight transactions are still mutating.
+//   - Workers > 1 with Durable: a checkpoint must be exactly the state
+//     after a prefix of the edge sequence, which in-flight transactions
+//     blur.
+//   - Workers > 1 with Storage: Independent: the paper's concurrency
+//     control locks MS-tree items.
+//   - Routed with Durable: recovery replays every logged record to
+//     every member, and a routed member's per-engine edge IDs would
+//     drift from the WAL sequence.
+//
+// FleetWorkers, which parallelizes across members rather than within
+// one, composes with all of them.
 func Open(cfg Config) (Engine, error) {
 	fleetMode := len(cfg.Queries) > 0 || cfg.Dynamic
 	switch {

@@ -30,14 +30,21 @@ import (
 //
 // # Concurrency
 //
-// Sequential mode (FleetWorkers <= 1): Feed, FeedBatch, Checkpoint and
-// Close mutate engine state under the exclusive roster lock and must be
-// serialized by the caller; the read accessors (Stats, Names, HasQuery,
-// CurrentMatches) may run concurrently with them under the read lock.
+// Feed and FeedBatch run the embedded ingest pipeline, which holds its
+// gate — a side of the roster lock mu — across validate → log →
+// execute; the two modes differ in the gate and the executor.
+//
+// Sequential mode (FleetWorkers <= 1): the gate is mu's exclusive side
+// and the executor is the inline loop (runInline over dispatchLocked),
+// so Feed, FeedBatch, Checkpoint and Close mutate engine state under
+// the exclusive roster lock and must be serialized by the caller; the
+// read accessors (Stats, Names, HasQuery, CurrentMatches) may run
+// concurrently with them under the read lock.
 //
 // Sharded mode (FleetWorkers > 1): members are partitioned across N
 // shards by fl.pool, each shard guarded by its own shardMu and
-// evaluated by a pinned worker. The protocol:
+// evaluated by a pinned worker; the gate is mu's read side and the
+// executor is fanOut. The protocol:
 //
 //   - Feeds hold mu.RLock (roster + WAL stability) and the shard
 //     workers take their shard's lock; a barrier per call preserves the
@@ -50,6 +57,11 @@ import (
 //     mutation happens inside a feed's read-critical section. They are
 //     therefore safe to call concurrently with feeding — no quiescing.
 type fleetEngine struct {
+	// ingest is the fleet's feed pipeline: the shared WAL, the fleet
+	// stream clock (clock), the edges-offered counter (fed) and the
+	// closed flag live there.
+	ingest
+
 	mu      sync.RWMutex
 	members []*single // nil entries are retired slots, reusable by AddQuery
 	names   []string  // "" for retired slots
@@ -80,35 +92,28 @@ type fleetEngine struct {
 	allShards []int
 	// Feeder-owned dispatch scratch — Feed/FeedBatch are serialized by
 	// the Engine contract, so one set of buffers suffices.
-	shardErr   []error
+	shardErr   []shardError
 	routeWork  [][]routedItem
 	workShards []int
 
-	fedN     atomic.Int64 // edges offered to the fleet
 	routed   atomic.Int64 // engine feeds actually performed (routed mode)
 	possible atomic.Int64 // Σ per-edge live fleet size (routed mode denominator)
-	walSeq   atomic.Int64 // mirror of log.Seq() so Stats never touches the log
-	lastTime atomic.Int64 // fleet stream clock (durable and sharded modes)
 
 	// anyAdaptive records whether any member composes the reoptimizer
 	// (drives the Stats.Adaptive capability flag).
 	anyAdaptive bool
 
-	// obs is the fleet-wide observability wiring (nil = metrics off).
-	// Members share its pipeline and arrival clock; each keeps a
-	// private detection histogram for per-query attribution.
-	obs *obs
-
 	// Config-level defaults inherited by specs that leave them zero.
 	defaults Config
 
-	// Durability state (shared WAL, per-query checkpoints).
-	dur       *Durability
-	log       *wal.Log
-	replayed  int64
-	sinceCkpt atomic.Int64
+	replayed int64 // WAL records replayed by the most recent open
+}
 
-	closed atomic.Bool
+// shardError is one shard's first member feed error and the batch
+// position of the edge that raised it.
+type shardError struct {
+	edge int
+	err  error
 }
 
 // routedItem is one (edge, member) evaluation in a shard's work list.
@@ -203,27 +208,24 @@ func (fl *fleetEngine) groupHist(group string) *stats.AtomicHistogram {
 }
 
 // validateFleetSpec checks the per-query constraints of fleet
-// membership under the fleet's own options.
+// membership: the member's own option combination (validateSingle, under
+// the fleet's durability) plus the rules only a fleet has.
 func (fl *fleetEngine) validateFleetSpec(spec QuerySpec) error {
-	o := fl.memberOptions(spec)
 	if spec.Name == "" {
 		return fmt.Errorf("timingsubg: query name must be non-empty: %w", ErrBadOptions)
+	}
+	o := fl.memberOptions(spec)
+	if err := validateSingle(spec.Query, o, fl.memberAdaptivity(spec), fl.defaults.Durable); err != nil {
+		return fmt.Errorf("timingsubg: query %q: %w", spec.Name, err)
 	}
 	if fl.route != nil && o.CountWindow > 0 {
 		return fmt.Errorf("timingsubg: query %q: routing requires time-based windows (count windows measure fed edges): %w",
 			spec.Name, ErrBadOptions)
 	}
-	if fl.dur != nil {
-		switch {
-		case spec.Name == "." || spec.Name == ".." || strings.ContainsAny(spec.Name, "/\\"):
-			// Names become directory components under Dir/ck/; "." and ".."
-			// would alias (and on removal, destroy) other state.
-			return fmt.Errorf("timingsubg: query name %q must be non-empty and path-safe: %w", spec.Name, ErrBadOptions)
-		case o.Workers > 1:
-			return fmt.Errorf("timingsubg: query %q: persistent mode requires Workers <= 1: %w", spec.Name, ErrBadOptions)
-		case o.Window <= 0 || o.CountWindow > 0:
-			return fmt.Errorf("timingsubg: query %q: persistent mode supports time-based windows only: %w", spec.Name, ErrBadOptions)
-		}
+	if fl.defaults.Durable != nil && (spec.Name == "." || spec.Name == ".." || strings.ContainsAny(spec.Name, "/\\")) {
+		// Names become directory components under Dir/ck/; "." and ".."
+		// would alias (and on removal, destroy) other state.
+		return fmt.Errorf("timingsubg: query name %q must be non-empty and path-safe: %w", spec.Name, ErrBadOptions)
 	}
 	return nil
 }
@@ -243,7 +245,8 @@ func openFleet(cfg Config) (*fleetEngine, error) {
 	if sink := configSink(cfg); sink != nil {
 		fl.disp.SubscribeFunc(sink)
 	}
-	fl.lastTime.Store(int64(minTimestamp))
+	fl.clock.Store(int64(minTimestamp))
+	fl.checkpoint = fl.Checkpoint
 	if cfg.Routed {
 		fl.route = router.New()
 	}
@@ -258,9 +261,16 @@ func openFleet(cfg Config) (*fleetEngine, error) {
 		for s := range fl.allShards {
 			fl.allShards[s] = s
 		}
-		fl.shardErr = make([]error, cfg.FleetWorkers)
+		fl.shardErr = make([]shardError, cfg.FleetWorkers)
 		fl.routeWork = make([][]routedItem, cfg.FleetWorkers)
 		fl.workShards = make([]int, 0, cfg.FleetWorkers)
+		fl.gate, fl.exec = fl.mu.RLocker(), fl.fanOut
+	} else {
+		step := fl.dispatchLocked
+		fl.gate = &fl.mu
+		fl.exec = func(batch []Edge, start time.Time) (int, error) {
+			return runInline(fl.obs, batch, start, step)
+		}
 	}
 	fail := func(err error) (*fleetEngine, error) {
 		if fl.pool != nil {
@@ -268,55 +278,39 @@ func openFleet(cfg Config) (*fleetEngine, error) {
 		}
 		return nil, err
 	}
-	if cfg.Durable != nil {
-		if cfg.Routed {
-			// Recovery replay fans every logged record to every member
-			// (and a routed member's per-engine edge IDs would drift
-			// from the WAL sequence), so a routed fleet cannot recover
-			// deterministically. The durable fleet broadcasts.
-			return fail(errors.Join(ErrBadOptions, errors.New("durable fleets broadcast: Routed does not compose with Durable")))
-		}
-		dur := *cfg.Durable
-		if dur.Dir == "" {
-			return fail(errors.Join(ErrBadOptions, errors.New("persistent mode requires Dir")))
-		}
-		if dur.CheckpointEvery <= 0 {
-			dur.CheckpointEvery = 4096
-		}
-		fl.dur = &dur
-		if err := fl.openDurable(cfg.Queries); err != nil {
-			return fail(err)
-		}
-		return fl, nil
+	if cfg.Durable != nil && cfg.Routed {
+		// Recovery replay fans every logged record to every member (and
+		// a routed member's per-engine edge IDs would drift from the WAL
+		// sequence), so a routed fleet cannot recover deterministically.
+		// The durable fleet broadcasts.
+		return fail(errors.Join(ErrBadOptions, errors.New("durable fleets broadcast: Routed does not compose with Durable")))
 	}
 	seen := map[string]bool{}
 	for _, spec := range cfg.Queries {
+		if err := fl.validateFleetSpec(spec); err != nil {
+			return fail(err)
+		}
 		if seen[spec.Name] {
 			return fail(fmt.Errorf("timingsubg: duplicate query name %q: %w", spec.Name, ErrBadOptions))
 		}
 		seen[spec.Name] = true
-		if err := fl.addMember(spec); err != nil {
+	}
+	if cfg.Durable != nil {
+		if err := fl.openDurable(*cfg.Durable, cfg.Queries); err != nil {
 			return fail(err)
 		}
+		return fl, nil
+	}
+	// The in-memory join; the durable one is pinned by checkpoints (see
+	// openDurable and AddQuery).
+	for _, spec := range cfg.Queries {
+		en, err := fl.newMember(spec)
+		if err != nil {
+			return fail(err)
+		}
+		fl.installLocked(spec, en)
 	}
 	return fl, nil
-}
-
-// addMember builds and registers one member engine at open time (the
-// in-memory join; the durable join point is pinned by AddQuery's
-// initial checkpoint).
-func (fl *fleetEngine) addMember(spec QuerySpec) error {
-	if err := fl.validateFleetSpec(spec); err != nil {
-		return err
-	}
-	en, err := fl.newMember(spec)
-	if err != nil {
-		return err
-	}
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	fl.installLocked(spec, en)
-	return nil
 }
 
 // installLocked places en in a free slot (or a new one) and, in sharded
@@ -362,34 +356,11 @@ func (fl *fleetEngine) ckDir(name string) string {
 // log record: history reclaimed by earlier checkpoints is gone, exactly
 // as a newly deployed pattern cannot see traffic that predates its
 // deployment.
-func (fl *fleetEngine) openDurable(specs []QuerySpec) error {
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		if err := fl.validateFleetSpec(spec); err != nil {
-			return err
-		}
-		if seen[spec.Name] {
-			return fmt.Errorf("timingsubg: duplicate query name %q: %w", spec.Name, ErrBadOptions)
-		}
-		seen[spec.Name] = true
-	}
-	var syncHist, gcHist *stats.AtomicHistogram
-	if fl.obs != nil {
-		syncHist = &fl.obs.pipe.WALSync
-		gcHist = &fl.obs.pipe.WALGroupCommit
-	}
-	log, err := wal.Open(fl.dur.Dir, wal.Options{
-		SegmentBytes:    fl.dur.SegmentBytes,
-		SyncEvery:       fl.dur.SyncEvery,
-		SyncInterval:    fl.dur.SyncInterval,
-		OpenFile:        fl.dur.openFile,
-		SyncHist:        syncHist,
-		GroupCommitHist: gcHist,
-	})
-	if err != nil {
+func (fl *fleetEngine) openDurable(dur Durability, specs []QuerySpec) error {
+	if err := fl.openLog(dur); err != nil {
 		return err
 	}
-	fl.log = log
+	log := fl.log
 	fail := func(err error) error {
 		log.Close()
 		return err
@@ -455,20 +426,15 @@ func (fl *fleetEngine) openDurable(specs []QuerySpec) error {
 	// One replay pass over the whole retained log: each record goes to
 	// every member whose cursor has reached it. The walk starts at the
 	// retained horizon — not at the oldest query cursor — because the
-	// stream clock (lastTime) must recover from every record, including
+	// stream clock (clock) must recover from every record, including
 	// ones no current query needs; otherwise a post-restart ingest could
 	// reuse a timestamp already in the log and break its monotonicity.
 	end, err := wal.Replay(fl.dur.Dir, logStart, func(seq int64, e graph.Edge) error {
-		clean := graph.Edge{
-			From: e.From, To: e.To,
-			FromLabel: e.FromLabel, ToLabel: e.ToLabel, EdgeLabel: e.EdgeLabel,
-			Time: e.Time,
-		}
 		for i, m := range fl.members {
 			if seq < froms[i] {
 				continue
 			}
-			if err := m.replayRecord(seq, clean); err != nil {
+			if err := m.replayRecord(seq, e); err != nil {
 				return fmt.Errorf("query %q: %w", fl.names[i], err)
 			}
 			m.replayed-- // the fleet counts replay once, below
@@ -485,7 +451,7 @@ func (fl *fleetEngine) openDurable(specs []QuerySpec) error {
 	if end != log.Seq() {
 		return fail(fmt.Errorf("timingsubg: recovery replay ended at %d, log at %d", end, log.Seq()))
 	}
-	fl.lastTime.Store(int64(lastT))
+	fl.clock.Store(int64(lastT))
 	fl.walSeq.Store(log.Seq())
 	return nil
 }
@@ -619,9 +585,10 @@ func (fl *fleetEngine) Names() []string {
 	return out
 }
 
-// dispatchLocked fans one edge out to the members sequentially (or, in
-// routed mode, to the interested members). Caller holds the exclusive
-// roster lock (sequential mode only).
+// dispatchLocked is the sequential fleet's inline executor step: it
+// fans one edge out to the members (or, in routed mode, to the
+// interested members) on the feeder. Caller holds the exclusive roster
+// lock.
 func (fl *fleetEngine) dispatchLocked(e Edge) error {
 	if fl.route != nil {
 		// The saved-work denominator accrues the fleet size *as of this
@@ -634,8 +601,8 @@ func (fl *fleetEngine) dispatchLocked(e Edge) error {
 				return
 			}
 			fl.routed.Add(1)
-			if err := fl.members[i].memberFeed(e); err != nil {
-				ferr = fmt.Errorf("timingsubg: query %q: %w", fl.names[i], err)
+			if _, err := fl.members[i].memberFeed(e); err != nil {
+				ferr = fmt.Errorf("query %q: %w", fl.names[i], err)
 			}
 		})
 		return ferr
@@ -644,24 +611,32 @@ func (fl *fleetEngine) dispatchLocked(e Edge) error {
 		if m == nil {
 			continue
 		}
-		if err := m.memberFeed(e); err != nil {
-			return fmt.Errorf("timingsubg: query %q: %w", fl.names[i], err)
+		if _, err := m.memberFeed(e); err != nil {
+			return fmt.Errorf("query %q: %w", fl.names[i], err)
 		}
 	}
 	return nil
 }
 
-// fanOutLocked fans a monotone-validated batch out to the shards and
-// waits for all of them — the per-call barrier. Caller holds the roster
-// read lock (sharded mode only). Each member sees its edges in batch
-// order because a member lives on exactly one shard and a shard
-// evaluates its work list sequentially. Member feed errors are
-// structurally unreachable here — monotonicity was already enforced at
-// the fleet boundary, and ErrOutOfOrder is the only per-edge feed
-// error — but are still collected and surfaced defensively.
-func (fl *fleetEngine) fanOutLocked(batch []Edge) error {
+// fanOut is the sharded executor: it fans a validated, logged batch out
+// to the shards and waits for all of them — the per-call barrier.
+// Caller holds the roster read lock. Each member sees its edges in
+// batch order because a member lives on exactly one shard and a shard
+// evaluates its work list sequentially. Shards interleave the batch's
+// edges, so per-edge ingest attribution is not possible here: the batch
+// is one ingest observation and the arrival clock holds the batch entry
+// time (detection latency is then measured from batch entry — a
+// documented approximation of the sharded fast path). Member feed
+// errors are structurally unreachable — the pipeline validated
+// monotonicity at the fleet boundary, and ErrOutOfOrder is the only
+// per-edge feed error — but are still collected and surfaced
+// defensively.
+func (fl *fleetEngine) fanOut(batch []Edge, start time.Time) (int, error) {
+	if fl.obs != nil {
+		fl.obs.arrival.Store(start.UnixNano())
+	}
 	for s := range fl.shardErr {
-		fl.shardErr[s] = nil
+		fl.shardErr[s] = shardError{}
 	}
 	if fl.route == nil {
 		fl.pool.Run(fl.allShards, func(s int) {
@@ -673,8 +648,8 @@ func (fl *fleetEngine) fanOutLocked(batch []Edge) error {
 					if m == nil {
 						continue
 					}
-					if err := m.memberFeed(batch[i]); err != nil {
-						fl.shardErr[s] = fmt.Errorf("timingsubg: edge %d: query %q: %w", i, fl.names[slot], err)
+					if _, err := m.memberFeed(batch[i]); err != nil {
+						fl.shardErr[s] = shardError{i, fmt.Errorf("query %q: %w", fl.names[slot], err)}
 						return
 					}
 				}
@@ -713,30 +688,22 @@ func (fl *fleetEngine) fanOutLocked(batch []Edge) error {
 			fl.shardMu[s].Lock()
 			defer fl.shardMu[s].Unlock()
 			for _, it := range work[s] {
-				if err := fl.members[it.slot].memberFeed(batch[it.edge]); err != nil {
-					fl.shardErr[s] = fmt.Errorf("timingsubg: edge %d: query %q: %w", it.edge, fl.names[it.slot], err)
+				if _, err := fl.members[it.slot].memberFeed(batch[it.edge]); err != nil {
+					fl.shardErr[s] = shardError{it.edge, fmt.Errorf("query %q: %w", fl.names[it.slot], err)}
 					return
 				}
 			}
 		})
 	}
-	for _, err := range fl.shardErr {
-		if err != nil {
-			return err
+	if fl.obs != nil {
+		fl.obs.pipe.Ingest.Observe(time.Since(start))
+	}
+	for _, se := range fl.shardErr {
+		if se.err != nil {
+			return se.edge, se.err
 		}
 	}
-	return nil
-}
-
-// memberFeed is the fleet fan-out feed step of one member: push plus
-// adaptivity cadence, with no WAL and no closed-check (the fleet owns
-// both).
-func (en *single) memberFeed(e Edge) error {
-	if _, err := en.push(e); err != nil {
-		return err
-	}
-	en.tickAdaptive(1)
-	return nil
+	return len(batch), nil
 }
 
 // Feed implements Engine. In durable mode the returned ID is the WAL
@@ -744,274 +711,15 @@ func (en *single) memberFeed(e Edge) error {
 // routed mode member engines assign their own per-engine IDs, so the
 // same data edge may carry different IDs in matches of different
 // queries.)
-func (fl *fleetEngine) Feed(e Edge) (EdgeID, error) {
-	if fl.closed.Load() {
-		return 0, ErrClosed
-	}
-	if fl.pool != nil {
-		return fl.feedSharded(e)
-	}
-	o := fl.obs
-	var start time.Time
-	var walNs int64
-	if o != nil {
-		start = time.Now()
-		o.arrival.Store(start.UnixNano())
-	}
-	// The whole mutation — WAL append, fan-out, clock — runs under the
-	// exclusive roster lock, so concurrent Stats sampling (which reads
-	// member windows under RLock) never races it.
-	fl.mu.Lock()
-	if fl.closed.Load() {
-		fl.mu.Unlock()
-		return 0, ErrClosed
-	}
-	id := EdgeID(fl.fedN.Load())
-	if fl.log != nil {
-		// The monotonicity check runs before the WAL append, so an
-		// out-of-order edge can never poison the log (replay requires a
-		// monotone record sequence).
-		if last := Timestamp(fl.lastTime.Load()); e.Time <= last {
-			fl.mu.Unlock()
-			return 0, fmt.Errorf("timingsubg: %w: got %d after %d", graph.ErrOutOfOrder, e.Time, last)
-		}
-		var seq int64
-		var err error
-		if o != nil {
-			t := time.Now()
-			seq, err = fl.log.Append(e)
-			d := time.Since(t)
-			walNs = int64(d)
-			o.pipe.WALAppend.Observe(d)
-		} else {
-			seq, err = fl.log.Append(e)
-		}
-		if err != nil {
-			fl.mu.Unlock()
-			return 0, err
-		}
-		fl.walSeq.Store(fl.log.Seq())
-		id = EdgeID(seq)
-	}
-	err := fl.dispatchLocked(e)
-	if err == nil && fl.log != nil {
-		fl.lastTime.Store(int64(e.Time))
-	}
-	fl.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if o != nil {
-		total := time.Since(start)
-		o.pipe.Ingest.Observe(total)
-		o.slowFeed("feed", 1, total, time.Duration(walNs))
-	}
-	fl.fedN.Add(1)
-	return id, fl.tick(1)
-}
-
-// feedSharded is the sharded Feed path: monotonicity enforced at the
-// fleet boundary, WAL append (durable mode), then concurrent fan-out
-// with a barrier before the call returns.
-func (fl *fleetEngine) feedSharded(e Edge) (EdgeID, error) {
-	o := fl.obs
-	var start time.Time
-	var walNs int64
-	if o != nil {
-		start = time.Now()
-		o.arrival.Store(start.UnixNano())
-	}
-	fl.mu.RLock()
-	if fl.closed.Load() {
-		fl.mu.RUnlock()
-		return 0, ErrClosed
-	}
-	// A sharded fleet rejects an out-of-order edge before any member
-	// sees it: shards advance concurrently, so a per-member rejection
-	// could not keep the members aligned.
-	if last := Timestamp(fl.lastTime.Load()); e.Time <= last {
-		fl.mu.RUnlock()
-		return 0, fmt.Errorf("timingsubg: %w: got %d after %d", graph.ErrOutOfOrder, e.Time, last)
-	}
-	id := EdgeID(fl.fedN.Load())
-	if fl.log != nil {
-		var seq int64
-		var err error
-		if o != nil {
-			t := time.Now()
-			seq, err = fl.log.Append(e)
-			d := time.Since(t)
-			walNs = int64(d)
-			o.pipe.WALAppend.Observe(d)
-		} else {
-			seq, err = fl.log.Append(e)
-		}
-		if err != nil {
-			fl.mu.RUnlock()
-			return 0, err
-		}
-		fl.walSeq.Store(fl.log.Seq())
-		id = EdgeID(seq)
-	}
-	err := fl.fanOutLocked([]Edge{e})
-	if err == nil {
-		fl.lastTime.Store(int64(e.Time))
-	}
-	fl.mu.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	if o != nil {
-		total := time.Since(start)
-		o.pipe.Ingest.Observe(total)
-		o.slowFeed("feed", 1, total, time.Duration(walNs))
-	}
-	fl.fedN.Add(1)
-	return id, fl.tick(1)
-}
+func (fl *fleetEngine) Feed(e Edge) (EdgeID, error) { return fl.feedEdge(e) }
 
 // FeedBatch implements Engine: one closed-check, one WAL write and at
 // most one sync, one lock acquisition and one maintenance tick for the
 // whole batch. On a sharded fleet the batch is validated and logged
 // once up front, then fanned out to all shards concurrently.
 func (fl *fleetEngine) FeedBatch(batch []Edge) (int, error) {
-	if fl.closed.Load() {
-		return 0, ErrClosed
-	}
-	if fl.pool != nil {
-		return fl.feedBatchSharded(batch)
-	}
-	o := fl.obs
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
-	n := len(batch)
-	var batchErr error
-	var walD time.Duration
-	fl.mu.Lock()
-	if fl.closed.Load() {
-		fl.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if fl.log != nil {
-		n, batchErr = monotonePrefix(batch, Timestamp(fl.lastTime.Load()))
-		// On a WAL failure, dispatch exactly the records that were
-		// durably appended — fleet state must never diverge from the
-		// shared log (see single.FeedBatch).
-		if o != nil {
-			t := time.Now()
-			_, appended, werr := fl.log.AppendBatch(batch[:n])
-			walD = time.Since(t)
-			o.pipe.WALAppend.Observe(walD)
-			if werr != nil {
-				n, batchErr = appended, werr
-			}
-		} else if _, appended, werr := fl.log.AppendBatch(batch[:n]); werr != nil {
-			n, batchErr = appended, werr
-		}
-		fl.walSeq.Store(fl.log.Seq())
-	}
-	// One clock read per edge: each iteration's end time is the next
-	// one's arrival stamp (see single.FeedBatch).
-	prev := start
-	i := 0
-	for ; i < n; i++ {
-		if o != nil {
-			o.arrival.Store(prev.UnixNano())
-		}
-		if err := fl.dispatchLocked(batch[i]); err != nil {
-			batchErr = fmt.Errorf("timingsubg: edge %d: %w", i, err)
-			break
-		}
-		if fl.log != nil {
-			fl.lastTime.Store(int64(batch[i].Time))
-		}
-		if o != nil {
-			now := time.Now()
-			o.pipe.Ingest.Observe(now.Sub(prev))
-			prev = now
-		}
-	}
-	fl.mu.Unlock()
-	if o != nil {
-		o.slowFeed("feed_batch", i, time.Since(start), walD)
-	}
-	fl.fedN.Add(int64(i))
-	if err := fl.tick(i); err != nil {
-		return i, err
-	}
-	return i, batchErr
-}
-
-// feedBatchSharded is the sharded FeedBatch path: the whole batch is
-// validated against the fleet clock and (in durable mode) appended to
-// the WAL exactly once before fan-out, so shards only ever see edges
-// the log already holds — the WAL/engine no-divergence invariant.
-func (fl *fleetEngine) feedBatchSharded(batch []Edge) (int, error) {
-	o := fl.obs
-	var start time.Time
-	var walD time.Duration
-	if o != nil {
-		// Shards interleave the batch's edges, so per-edge ingest
-		// attribution is not possible here: the batch is one ingest
-		// observation and the arrival clock holds the batch entry time
-		// (detection latency is then measured from batch entry — a
-		// documented approximation of the sharded fast path).
-		start = time.Now()
-		o.arrival.Store(start.UnixNano())
-	}
-	fl.mu.RLock()
-	if fl.closed.Load() {
-		fl.mu.RUnlock()
-		return 0, ErrClosed
-	}
-	// Validation must precede dispatch entirely: shards advance
-	// concurrently, so "stop at the bad edge" can only be enforced
-	// before fan-out, not during it.
-	n, batchErr := monotonePrefix(batch, Timestamp(fl.lastTime.Load()))
-	if fl.log != nil && n > 0 {
-		if o != nil {
-			t := time.Now()
-			_, appended, werr := fl.log.AppendBatch(batch[:n])
-			walD = time.Since(t)
-			o.pipe.WALAppend.Observe(walD)
-			if werr != nil {
-				n, batchErr = appended, werr
-			}
-		} else if _, appended, werr := fl.log.AppendBatch(batch[:n]); werr != nil {
-			n, batchErr = appended, werr
-		}
-		fl.walSeq.Store(fl.log.Seq())
-	}
-	if n > 0 {
-		if err := fl.fanOutLocked(batch[:n]); err != nil && batchErr == nil {
-			batchErr = err
-		}
-		fl.lastTime.Store(int64(batch[n-1].Time))
-	}
-	fl.mu.RUnlock()
-	if o != nil && n > 0 {
-		total := time.Since(start)
-		o.pipe.Ingest.Observe(total)
-		o.slowFeed("feed_batch", n, total, walD)
-	}
-	fl.fedN.Add(int64(n))
-	if err := fl.tick(n); err != nil {
-		return n, err
-	}
-	return n, batchErr
-}
-
-// tick advances the checkpoint cadence by n fed edges.
-func (fl *fleetEngine) tick(n int) error {
-	if fl.dur == nil || n == 0 {
-		return nil
-	}
-	if fl.sinceCkpt.Add(int64(n)) >= int64(fl.dur.CheckpointEvery) {
-		return fl.Checkpoint()
-	}
-	return nil
+	_, n, err := fl.feed(batch, opFeedBatch)
+	return n, err
 }
 
 // Checkpoint forces per-query checkpoints now and reclaims WAL segments
@@ -1034,39 +742,19 @@ func (fl *fleetEngine) Checkpoint() error {
 }
 
 func (fl *fleetEngine) checkpointLocked() error {
-	fl.sinceCkpt.Store(0)
-	if err := fl.log.Sync(); err != nil {
-		return err
-	}
-	next := fl.log.Seq()
-	for i, m := range fl.members {
-		if m == nil {
-			continue
+	// Every member gets a durable checkpoint at the same LSN, so that
+	// LSN is the shared log's new truncation gate.
+	return fl.checkpointLog(func(next int64) error {
+		for i, m := range fl.members {
+			if m == nil {
+				continue
+			}
+			if err := m.saveCheckpoint(fl.ckDir(fl.names[i]), next); err != nil {
+				return fmt.Errorf("timingsubg: query %q: %w", fl.names[i], err)
+			}
 		}
-		st, ok := m.stream.(*graph.Stream)
-		if !ok {
-			return fmt.Errorf("timingsubg: query %q: not a time-window stream", fl.names[i])
-		}
-		ck := checkpoint.Checkpoint{
-			NextSeq:   next,
-			Window:    m.opts.Window,
-			Matches:   m.matches(),
-			Discarded: m.discarded(),
-			Edges:     st.InWindow(),
-		}
-		dir := fl.ckDir(fl.names[i])
-		if err := checkpoint.Save(dir, ck); err != nil {
-			return err
-		}
-		if err := checkpoint.GC(dir, 2); err != nil {
-			return err
-		}
-	}
-	// Every member now has a durable checkpoint at next, so next is the
-	// new truncation gate: segments wholly below it are reclaimable and
-	// the shared log stays bounded by window span plus one segment.
-	fl.log.SetCheckpointLSN(next)
-	return fl.log.TruncateFront(next)
+		return nil
+	})
 }
 
 // Run implements Engine.
@@ -1099,14 +787,7 @@ func (fl *fleetEngine) Close() error {
 	// Members are drained: no further publishes. Ending the
 	// subscriptions closes every consumer channel.
 	fl.disp.Close()
-	if fl.log == nil {
-		return nil
-	}
-	if err := fl.checkpointLocked(); err != nil {
-		fl.log.Close()
-		return err
-	}
-	return fl.log.Close()
+	return fl.closeLog(fl.checkpointLocked)
 }
 
 // routedFraction reports, in routed mode, the ratio of engine feeds
@@ -1122,26 +803,6 @@ func (fl *fleetEngine) routedFraction() float64 {
 	return float64(fl.routed.Load()) / float64(possible)
 }
 
-// fleetLastTimeLocked returns the fleet stream clock: the maintained
-// clock when journaling or sharded, else the newest member edge.
-func (fl *fleetEngine) fleetLastTimeLocked() Timestamp {
-	lt := Timestamp(fl.lastTime.Load())
-	if fl.log == nil && fl.pool == nil {
-		for _, m := range fl.members {
-			if m == nil {
-				continue
-			}
-			if mt := m.stream.LastTime(); mt > lt {
-				lt = mt
-			}
-		}
-	}
-	if lt <= minTimestamp {
-		return 0
-	}
-	return lt
-}
-
 // withMemberLocked runs fn with slot's member evaluation state stable:
 // under the member's shard lock in sharded mode (the caller already
 // holds the roster read lock, which pins the roster itself).
@@ -1155,6 +816,21 @@ func (fl *fleetEngine) withMemberLocked(slot int, fn func()) {
 	fn()
 }
 
+// addMember folds one member snapshot's summable counters into st (the
+// fleet aggregate, or a group's).
+func (st *Stats) addMember(ms Stats) {
+	st.Matches += ms.Matches
+	st.Discarded += ms.Discarded
+	st.InWindow += ms.InWindow
+	st.PartialMatches += ms.PartialMatches
+	st.SpaceBytes += ms.SpaceBytes
+	st.JoinScanned += ms.JoinScanned
+	st.JoinCandidates += ms.JoinCandidates
+	st.ExpiryBatches += ms.ExpiryBatches
+	st.ExpiryEvicted += ms.ExpiryEvicted
+	st.Reoptimizations += ms.Reoptimizations
+}
+
 // stats aggregates member snapshots; memberStats selects the cheap or
 // walking per-member sampler, and withQueries controls whether the
 // per-member map is materialized (scalar gauges don't need it). On a
@@ -1165,10 +841,10 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 	fl.mu.RLock()
 	defer fl.mu.RUnlock()
 	st := Stats{
-		Fed:                   fl.fedN.Load(),
+		Fed:                   fl.fed.Load(),
 		Replayed:              fl.replayed,
 		RoutedFraction:        fl.routedFraction(),
-		LastTime:              fl.fleetLastTimeLocked(),
+		LastTime:              sinceStart(Timestamp(fl.clock.Load())),
 		Adaptive:              fl.anyAdaptive,
 		Durable:               fl.log != nil,
 		Fleet:                 true,
@@ -1191,16 +867,7 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 	}
 	add := func(slot int, m *single) {
 		ms := memberStats(m)
-		st.Matches += ms.Matches
-		st.Discarded += ms.Discarded
-		st.InWindow += ms.InWindow
-		st.PartialMatches += ms.PartialMatches
-		st.SpaceBytes += ms.SpaceBytes
-		st.JoinScanned += ms.JoinScanned
-		st.JoinCandidates += ms.JoinCandidates
-		st.ExpiryBatches += ms.ExpiryBatches
-		st.ExpiryEvicted += ms.ExpiryEvicted
-		st.Reoptimizations += ms.Reoptimizations
+		st.addMember(ms)
 		if withQueries {
 			// Per-query delivery attribution comes from the shared
 			// dispatcher — members publish into the fleet's results plane.
@@ -1211,16 +878,7 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 					st.Groups = make(map[string]Stats)
 				}
 				gs := st.Groups[g]
-				gs.Matches += ms.Matches
-				gs.Discarded += ms.Discarded
-				gs.InWindow += ms.InWindow
-				gs.PartialMatches += ms.PartialMatches
-				gs.SpaceBytes += ms.SpaceBytes
-				gs.JoinScanned += ms.JoinScanned
-				gs.JoinCandidates += ms.JoinCandidates
-				gs.ExpiryBatches += ms.ExpiryBatches
-				gs.ExpiryEvicted += ms.ExpiryEvicted
-				gs.Reoptimizations += ms.Reoptimizations
+				gs.addMember(ms)
 				gs.SubscriptionDelivered += ms.SubscriptionDelivered
 				gs.SubscriptionDropped += ms.SubscriptionDropped
 				st.Groups[g] = gs

@@ -8,18 +8,47 @@ import (
 	"testing"
 )
 
-// The sharded-fleet stress suite: hammer the full Fleet surface —
-// AddQuery, RemoveQuery, Stats, CurrentMatches, Names, HasQuery —
-// concurrently with FeedBatch ingest, then assert the accounting
-// invariants the shard fan-out must preserve: no lost edges (every
-// accepted edge reaches every broadcast member exactly once), no
-// double-routing, and ErrClosed from every mutator after Close. The CI
-// race job runs this under -race, which is where the locking protocol
-// (roster RWMutex + per-shard locks + per-call barrier) earns its keep.
+// The fleet stress suite: hammer the full Fleet surface — AddQuery,
+// RemoveQuery, Stats, CurrentMatches, Names, HasQuery — concurrently
+// with ingest through both pipeline entry points (FeedBatch, and
+// per-edge Feed as a batch of one) on both executors (FleetWorkers 1 =
+// inline, 4 = sharded fan-out), then assert the accounting invariants
+// the fan-out must preserve: no lost edges (every accepted edge reaches
+// every broadcast member exactly once), no double-routing, and
+// ErrClosed from every mutator after Close. The CI race job runs this
+// under -race, which is where the locking protocol (roster RWMutex +
+// per-shard locks + per-call barrier) earns its keep.
 
-// stressFleet runs the churn/sample/ingest storm against fl and returns
-// the total number of edges accepted by FeedBatch.
+// feedDriver feeds one chunk of the stream and reports how many leading
+// edges the engine accepted — the table input selecting the pipeline's
+// entry point.
+type feedDriver func(eng Engine, chunk []Edge) (int, error)
+
+var feedDrivers = []struct {
+	name string
+	feed feedDriver
+}{
+	{"feedbatch", func(eng Engine, chunk []Edge) (int, error) { return eng.FeedBatch(chunk) }},
+	{"feed", func(eng Engine, chunk []Edge) (int, error) {
+		for i, e := range chunk {
+			if _, err := eng.Feed(e); err != nil {
+				return i, err
+			}
+		}
+		return len(chunk), nil
+	}},
+}
+
+// stressFleet is stressFleetVia through FeedBatch.
 func stressFleet(t *testing.T, fl Fleet, edges []Edge, q *Query) int64 {
+	t.Helper()
+	return stressFleetVia(t, fl, edges, q, feedDrivers[0].feed)
+}
+
+// stressFleetVia runs the churn/sample/ingest storm against fl, feeding
+// through feed, and returns the total number of edges it reported
+// accepted.
+func stressFleetVia(t *testing.T, fl Fleet, edges []Edge, q *Query, feed feedDriver) int64 {
 	t.Helper()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -85,12 +114,12 @@ func stressFleet(t *testing.T, fl Fleet, edges []Edge, q *Query) int64 {
 		if end > len(edges) {
 			end = len(edges)
 		}
-		n, err := fl.FeedBatch(edges[off:end])
+		n, err := feed(fl, edges[off:end])
 		if err != nil {
-			t.Fatalf("FeedBatch at %d: %v", off, err)
+			t.Fatalf("feed at %d: %v", off, err)
 		}
 		if n != end-off {
-			t.Fatalf("FeedBatch at %d: fed %d of %d", off, n, end-off)
+			t.Fatalf("feed at %d: fed %d of %d", off, n, end-off)
 		}
 		accepted.Add(int64(n))
 	}
@@ -104,16 +133,21 @@ func TestShardedFleetStress(t *testing.T) {
 	q := persistTestQuery(t, labels)
 	edges := persistTestStream(labels, 8000, 77)
 
-	run := func(t *testing.T, cfg Config) {
+	run := func(t *testing.T, cfg Config, workers int, feed feedDriver) {
 		cfg.Dynamic = true
-		cfg.FleetWorkers = 4
+		cfg.FleetWorkers = workers
 		cfg.Window = 50
 		cfg.Queries = []QuerySpec{{Name: "pinned", Query: q}}
+		if cfg.Durable != nil {
+			d := *cfg.Durable
+			d.Dir = t.TempDir()
+			cfg.Durable = &d
+		}
 		fl, err := OpenFleet(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		accepted := stressFleet(t, fl, edges, q)
+		accepted := stressFleetVia(t, fl, edges, q, feed)
 
 		st := fl.Stats()
 		// No lost edges: every accepted edge is visible in the fleet
@@ -156,11 +190,22 @@ func TestShardedFleetStress(t *testing.T) {
 		}
 	}
 
-	t.Run("broadcast", func(t *testing.T) { run(t, Config{}) })
-	t.Run("routed", func(t *testing.T) { run(t, Config{Routed: true}) })
-	t.Run("durable", func(t *testing.T) {
-		run(t, Config{Durable: &Durability{Dir: t.TempDir(), CheckpointEvery: 1000}})
-	})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"broadcast", Config{}},
+		{"routed", Config{Routed: true}},
+		{"durable", Config{Durable: &Durability{CheckpointEvery: 1000}}},
+	} {
+		for _, workers := range []int{1, 4} {
+			for _, d := range feedDrivers {
+				t.Run(fmt.Sprintf("%s/workers-%d/%s", tc.name, workers, d.name), func(t *testing.T) {
+					run(t, tc.cfg, workers, d.feed)
+				})
+			}
+		}
+	}
 }
 
 // TestShardedFleetConcurrentClose races Close against an active feeder:

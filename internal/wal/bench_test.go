@@ -24,7 +24,7 @@ func BenchmarkAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Time = graph.Timestamp(i + 1)
-		if _, err := l.Append(e); err != nil {
+		if _, err := appendOne(l, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func BenchmarkAppendSynced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Time = graph.Timestamp(i + 1)
-		if _, err := l.Append(e); err != nil {
+		if _, err := appendOne(l, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func BenchmarkReplay(b *testing.B) {
 	const n = 100_000
 	for i := 0; i < n; i++ {
 		e.Time = graph.Timestamp(i + 1)
-		if _, err := l.Append(e); err != nil {
+		if _, err := appendOne(l, e); err != nil {
 			b.Fatal(err)
 		}
 	}

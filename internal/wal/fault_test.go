@@ -123,7 +123,7 @@ func TestAppendBatchTornWriteRecovery(t *testing.T) {
 
 	// The reopened log keeps working: appends continue at the recovered
 	// cursor and survive another replay.
-	if seq, err := l2.Append(testEdge(9999)); err != nil || seq != replayed {
+	if seq, err := appendOne(l2, testEdge(9999)); err != nil || seq != replayed {
 		t.Fatalf("append after recovery = (%d, %v), want seq %d", seq, err, replayed)
 	}
 	if err := l2.Sync(); err != nil {
@@ -148,7 +148,7 @@ func TestAppendAfterTornWriteSticky(t *testing.T) {
 	}
 	var acked int64
 	for i := 0; i < 64; i++ {
-		if _, err := l.Append(testEdge(int64(i))); err != nil {
+		if _, err := appendOne(l, testEdge(int64(i))); err != nil {
 			if !errors.Is(err, errInjectedWrite) {
 				t.Fatalf("fault surfaced as %v", err)
 			}
@@ -161,7 +161,7 @@ func TestAppendAfterTornWriteSticky(t *testing.T) {
 	}
 	// Every write-path entry point is now closed, each still naming the
 	// original fault, and none moves the cursor.
-	if _, err := l.Append(testEdge(500)); !errors.Is(err, errInjectedWrite) {
+	if _, err := appendOne(l, testEdge(500)); !errors.Is(err, errInjectedWrite) {
 		t.Fatalf("Append after torn write: %v, want sticky injected fault", err)
 	}
 	if _, n, err := l.AppendBatch([]graph.Edge{testEdge(501), testEdge(502)}); !errors.Is(err, errInjectedWrite) || n != 0 {
@@ -248,7 +248,7 @@ func TestFailedSyncKeepsDebt(t *testing.T) {
 	}
 	// First append: the cadence fsync fails; the record is written but
 	// not durable, and the failure is reported.
-	if _, err := l.Append(testEdge(0)); !errors.Is(err, errInjectedSync) {
+	if _, err := appendOne(l, testEdge(0)); !errors.Is(err, errInjectedSync) {
 		t.Fatalf("append with failing fsync: %v, want injected failure", err)
 	}
 	if l.Seq() != 1 {
@@ -259,7 +259,7 @@ func TestFailedSyncKeepsDebt(t *testing.T) {
 	}
 	// Second append: fsync now works and must cover BOTH records —
 	// durability debt from the failed fsync was not forgotten.
-	if _, err := l.Append(testEdge(1)); err != nil {
+	if _, err := appendOne(l, testEdge(1)); err != nil {
 		t.Fatalf("append after fsync recovered: %v", err)
 	}
 	if d := l.DurableLSN(); d != 2 {
@@ -298,7 +298,7 @@ func TestTornWriteUnderConcurrentFeeders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				seq, err := l.Append(testEdge(int64(g*1000 + i)))
+				seq, err := appendOne(l, testEdge(int64(g*1000+i)))
 				if err != nil {
 					if !errors.Is(err, errInjectedWrite) {
 						t.Errorf("feeder %d: %v", g, err)
@@ -357,7 +357,7 @@ func TestAppendTornWriteSingle(t *testing.T) {
 	}
 	var acked int64
 	for i := 0; i < 64; i++ {
-		if _, err := l.Append(testEdge(int64(i))); err != nil {
+		if _, err := appendOne(l, testEdge(int64(i))); err != nil {
 			if !errors.Is(err, errInjectedWrite) {
 				t.Fatalf("Append failed with %v", err)
 			}

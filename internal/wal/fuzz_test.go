@@ -53,7 +53,7 @@ func FuzzReplaySegment(f *testing.F) {
 		if rerr == nil && l.Seq() != end {
 			t.Fatalf("Open continued at %d, replay ended at %d", l.Seq(), end)
 		}
-		if _, err := l.Append(testEdge(n)); err != nil {
+		if _, err := appendOne(l, testEdge(n)); err != nil {
 			t.Fatalf("append to repaired log: %v", err)
 		}
 		if err := l.Close(); err != nil {

@@ -59,7 +59,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if _, err := l.Append(testEdge(next.Add(1))); err != nil {
+				if _, err := appendOne(l, testEdge(next.Add(1))); err != nil {
 					errs <- err
 					return
 				}
@@ -140,7 +140,7 @@ func TestConcurrentAppendersRace(t *testing.T) {
 			batch := make([]graph.Edge, 7)
 			for i := 0; i < 40; i++ {
 				if g%2 == 0 {
-					if _, err := l.Append(testEdge(int64(g*1000 + i))); err != nil {
+					if _, err := appendOne(l, testEdge(int64(g*1000+i))); err != nil {
 						errs <- err
 						return
 					}

@@ -129,7 +129,7 @@ type Options struct {
 	OpenFile OpenFileFunc
 	// SyncHist, when non-nil, observes the duration of every successful
 	// fsync the log performs. The fsync happens inside the commit path —
-	// callers timing Append from outside cannot separate it — so the
+	// callers timing AppendBatch from outside cannot separate it — so the
 	// log itself attributes it. Nil disables the measurement.
 	SyncHist *stats.AtomicHistogram
 	// GroupCommitHist, when non-nil, observes each committer's total
@@ -339,42 +339,13 @@ func (l *Log) failLocked(err error) error {
 	return err
 }
 
-// Append logs one edge and returns its LSN.
-func (l *Log) Append(e graph.Edge) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.usableLocked(); err != nil {
-		return 0, err
-	}
-	if err := l.maybeRotateLocked(); err != nil {
-		return 0, err
-	}
-	l.buf = l.buf[:0]
-	payload := appendEdge(nil, e)
-	l.buf = binary.AppendUvarint(l.buf, uint64(len(payload)))
-	l.buf = append(l.buf, payload...)
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.Checksum(payload, crcTable))
-	if _, err := l.f.Write(l.buf); err != nil {
-		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
-	}
-	l.fileLen += int64(len(l.buf))
-	seq := l.seq
-	l.seq++
-	if l.opts.SyncEvery > 0 && l.seq-l.durable >= int64(l.opts.SyncEvery) {
-		if err := l.commitLocked(l.seq); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
-}
-
 // AppendBatch logs a batch of edges and returns the LSN of the first
-// plus how many were appended. It is the amortized fast path behind
-// Engine.FeedBatch: records are encoded into one buffer and written
-// with one syscall per segment chunk (Append pays one write per
-// record), and the commit cadence is charged once for the whole batch —
-// the batch is one durability unit, committing at most once, after the
-// last record. On error, appended reports the records that landed
+// plus how many were appended. It is the log's one append path
+// (Engine.Feed appends a batch of one): records are encoded into one
+// buffer and written with one syscall per segment chunk, and the commit
+// cadence is charged once for the whole batch — the batch is one
+// durability unit, committing at most once, after the last record. On
+// error, appended reports the records that landed
 // before the failure; the log's cursor reflects exactly those, so the
 // caller can keep engine state consistent with the log.
 func (l *Log) AppendBatch(edges []graph.Edge) (first int64, appended int, err error) {

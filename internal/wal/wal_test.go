@@ -11,6 +11,13 @@ import (
 	"timingsubg/internal/graph"
 )
 
+// appendOne logs one record the way Engine.Feed does: as a batch of
+// one.
+func appendOne(l *Log, e graph.Edge) (int64, error) {
+	seq, _, err := l.AppendBatch([]graph.Edge{e})
+	return seq, err
+}
+
 func testEdge(i int64) graph.Edge {
 	return graph.Edge{
 		From:      graph.VertexID(i * 3),
@@ -25,7 +32,7 @@ func testEdge(i int64) graph.Edge {
 func appendN(t *testing.T, l *Log, from, n int64) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		seq, err := l.Append(testEdge(i))
+		seq, err := appendOne(l, testEdge(i))
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -251,7 +258,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := l.Append(testEdge(0)); err == nil {
+	if _, err := appendOne(l, testEdge(0)); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 }

@@ -133,7 +133,7 @@ func (ms *MultiSearcher) RoutedFraction() float64 { return ms.fl.routedFraction(
 
 // Fed returns how many edges have been offered to the fleet. Safe to
 // call while edges are being fed.
-func (ms *MultiSearcher) Fed() int64 { return ms.fl.fedN.Load() }
+func (ms *MultiSearcher) Fed() int64 { return ms.fl.fed.Load() }
 
 // Close drains all engines.
 func (ms *MultiSearcher) Close() { ms.fl.Close() }

@@ -18,8 +18,11 @@ type LatencySnapshot = stats.Snapshot
 // Config.DisableMetrics is set; stages an engine composition does not
 // exercise (e.g. WAL stages on an in-memory engine) stay empty.
 type StageStats struct {
-	// Ingest is end-to-end Feed latency per edge (per batch, on a
-	// sharded fleet's FeedBatch — shards interleave edges there).
+	// Ingest is end-to-end feed latency, observed by the ingest
+	// pipeline's executor: per edge on the inline executor (single
+	// engines and FleetWorkers <= 1 fleets, Feed and FeedBatch alike),
+	// per call on a sharded fleet's fan-out — shards interleave a
+	// batch's edges there, so one edge has no latency of its own.
 	Ingest LatencySnapshot `json:"ingest"`
 	// WALAppend times each durable append (including any cadence fsync
 	// it triggered); WALSync times each fsync alone.
@@ -137,12 +140,16 @@ func (o *obs) stages() *StageStats {
 	}
 }
 
-// slowFeed fires the slow-op hook when a feed exceeded the threshold.
-func (o *obs) slowFeed(op string, edges int, total, walD time.Duration) {
-	if o.slowNs <= 0 || int64(total) <= o.slowNs {
+// slowFeed fires the slow-op hook when a feed that began at start
+// exceeded the threshold. The clock is read only when a threshold is
+// configured.
+func (o *obs) slowFeed(op string, edges int, start time.Time, walD time.Duration) {
+	if o.slowNs <= 0 {
 		return
 	}
-	o.onSlow(SlowOp{Op: op, Edges: edges, Total: total, WAL: walD, Fanout: total - walD})
+	if total := time.Since(start); int64(total) > o.slowNs {
+		o.onSlow(SlowOp{Op: op, Edges: edges, Total: total, WAL: walD, Fanout: total - walD})
+	}
 }
 
 // onMatch records detection latency and event-time lag for one emitted

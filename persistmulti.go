@@ -119,7 +119,7 @@ func (pm *PersistentMultiSearcher) Names() []string { return pm.fl.Names() }
 // seen, across restarts (recovered from checkpoints and log replay), or
 // a very small value if the log is empty. Feeding must continue with
 // strictly greater timestamps.
-func (pm *PersistentMultiSearcher) LastTime() Timestamp { return Timestamp(pm.fl.lastTime.Load()) }
+func (pm *PersistentMultiSearcher) LastTime() Timestamp { return Timestamp(pm.fl.clock.Load()) }
 
 // Feed durably logs one edge and feeds it to every query. The edge's
 // timestamp must exceed every previously fed edge's — enforced before

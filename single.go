@@ -22,10 +22,15 @@ import (
 // than distinct wrapper types. All five deprecated façades delegate
 // here.
 type single struct {
+	// ingest is the feed pipeline of a standalone engine (its executor
+	// is the inline push loop). A fleet member's stays idle — the fleet
+	// owns the pipeline, the WAL and the closed-check, and reaches the
+	// member through memberFeed — except for obs and the fed counter.
+	ingest
+
 	q     *Query
 	opts  Options     // normalized; OnMatch field unused (see onMatch)
 	adapt *Adaptivity // nil = adaptivity off; normalized copy otherwise
-	dur   *Durability // nil = no owned WAL (fleet members stay nil even in durable fleets)
 
 	stream graph.Windower
 	eng    *core.Engine
@@ -42,24 +47,13 @@ type single struct {
 	// adaptive rebuilds).
 	muted bool
 
-	// obs is the observability wiring (nil = metrics off). Fleet
-	// members share the fleet's pipeline and arrival clock but keep a
-	// private detection histogram — the per-query attribution.
-	obs *obs
-	// lastWALNs is the most recent Feed's WAL-append duration, for the
-	// slow-op breakdown. Plain field: the feed path is single-caller by
-	// the Engine contract, and it is only read within the same call.
-	lastWALNs int64
-
 	// Adaptivity state.
 	picked     []*query.TCSubquery
 	sinceCheck int
 	rebuilds   atomic.Int64
 
 	// Durability state.
-	log       *wal.Log
-	sinceCkpt int
-	replayed  int64
+	replayed int64
 
 	// Counter baselines translate engine counters — which restart from
 	// zero on recovery and on adaptive rebuilds — into durable totals:
@@ -83,12 +77,12 @@ type single struct {
 	// restarts both at zero).
 	baseExpiryBatches atomic.Int64
 	baseExpiryEvicted atomic.Int64
-
-	fed    atomic.Int64
-	closed bool
 }
 
-// validateSingle checks one engine's option combination.
+// validateSingle checks one engine's option combination — a standalone
+// engine's, or (via validateFleetSpec) one fleet member's under the
+// fleet's durability. The Workers > 1 rejections are permanent, not
+// unfinished (see Open).
 func validateSingle(q *Query, o Options, adapt *Adaptivity, dur *Durability) error {
 	switch {
 	case q == nil:
@@ -106,8 +100,6 @@ func validateSingle(q *Query, o Options, adapt *Adaptivity, dur *Durability) err
 		switch {
 		case o.Workers > 1:
 			return errors.Join(ErrBadOptions, errors.New("persistent mode requires Workers <= 1"))
-		case dur.Dir == "":
-			return errors.Join(ErrBadOptions, errors.New("persistent mode requires Dir"))
 		case o.Window <= 0 || o.CountWindow > 0:
 			return errors.Join(ErrBadOptions, errors.New("persistent mode supports time-based windows only"))
 		}
@@ -144,6 +136,17 @@ func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*si
 	if o.pipe != nil {
 		en.obs = newObs(o.pipe, o.eventUnitNs, o.slowOpNs, o.onSlowOp)
 	}
+	en.clock.Store(int64(minTimestamp))
+	step := func(e Edge) error {
+		_, err := en.push(e)
+		return err
+	}
+	en.exec = func(batch []Edge, start time.Time) (int, error) {
+		n, err := runInline(en.obs, batch, start, step)
+		en.tickAdaptive(n)
+		return n, err
+	}
+	en.checkpoint = en.checkpointNow
 	if sink != nil {
 		en.disp.SubscribeFunc(sink)
 	}
@@ -174,63 +177,55 @@ func openDurableSingle(q *Query, o Options, adapt *Adaptivity, dur Durability, s
 	if err := validateSingle(q, o, adapt, &dur); err != nil {
 		return nil, err
 	}
-	if dur.CheckpointEvery <= 0 {
-		dur.CheckpointEvery = 4096
-	}
-	log, err := wal.Open(dur.Dir, wal.Options{
-		SegmentBytes:    dur.SegmentBytes,
-		SyncEvery:       dur.SyncEvery,
-		SyncInterval:    dur.SyncInterval,
-		OpenFile:        dur.openFile,
-		SyncHist:        pipeSync(o.pipe),
-		GroupCommitHist: pipeGroupCommit(o.pipe),
-	})
-	if err != nil {
-		return nil, err
-	}
-	ck, haveCk, err := checkpoint.Load(dur.Dir)
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	if haveCk && ck.Window != o.Window {
-		log.Close()
-		return nil, fmt.Errorf("timingsubg: checkpoint window %d != configured window %d: %w",
-			ck.Window, o.Window, ErrBadOptions)
-	}
 	en, err := newSingle(q, o, adapt, sink)
 	if err != nil {
-		log.Close()
 		return nil, err
 	}
-	en.dur, en.log = &dur, log
-	if haveCk {
-		en.restoreCheckpoint(ck)
-		// The loaded checkpoint gates truncation from the start: the log
-		// may reclaim segments below its LSN and nothing above.
-		log.SetCheckpointLSN(ck.LSN())
-		// If fsync was off and the WAL tail was lost in the crash, the
-		// checkpoint may be ahead of the log; fast-forward the log so
-		// future sequence numbers continue at the checkpoint cursor.
-		if err := log.SkipTo(ck.NextSeq); err != nil {
-			log.Close()
-			return nil, err
-		}
+	if err := en.openLog(dur); err != nil {
+		return nil, err
+	}
+	if err := en.recoverState(); err != nil {
+		en.log.Close()
+		return nil, err
+	}
+	return en, nil
+}
+
+// recoverState rebuilds the previous run's state from en.dur.Dir and seeds
+// the pipeline's boundary clock and WAL cursor from it.
+func (en *single) recoverState() error {
+	ck, haveCk, err := checkpoint.Load(en.dur.Dir)
+	if err != nil {
+		return err
 	}
 	from := int64(0)
 	if haveCk {
+		if ck.Window != en.opts.Window {
+			return fmt.Errorf("timingsubg: checkpoint window %d != configured window %d: %w",
+				ck.Window, en.opts.Window, ErrBadOptions)
+		}
+		en.restoreCheckpoint(ck)
+		// The loaded checkpoint gates truncation from the start: the log
+		// may reclaim segments below its LSN and nothing above.
+		en.log.SetCheckpointLSN(ck.LSN())
+		// If fsync was off and the WAL tail was lost in the crash, the
+		// checkpoint may be ahead of the log; fast-forward the log so
+		// future sequence numbers continue at the checkpoint cursor.
+		if err := en.log.SkipTo(ck.NextSeq); err != nil {
+			return err
+		}
 		from = ck.NextSeq
 	}
-	end, err := wal.Replay(dur.Dir, from, en.replayRecord)
+	end, err := wal.Replay(en.dur.Dir, from, en.replayRecord)
 	if err != nil {
-		log.Close()
-		return nil, fmt.Errorf("timingsubg: recovery replay: %w", err)
+		return fmt.Errorf("timingsubg: recovery replay: %w", err)
 	}
-	if end != log.Seq() {
-		log.Close()
-		return nil, fmt.Errorf("timingsubg: recovery replay ended at %d, log at %d", end, log.Seq())
+	if end != en.log.Seq() {
+		return fmt.Errorf("timingsubg: recovery replay ended at %d, log at %d", end, en.log.Seq())
 	}
-	return en, nil
+	en.clock.Store(int64(en.stream.LastTime()))
+	en.walSeq.Store(end)
+	return nil
 }
 
 // restoreCheckpoint rebuilds derived engine state from a checkpointed
@@ -258,7 +253,7 @@ func (en *single) restoreCheckpoint(ck checkpoint.Checkpoint) {
 // (reporting matches), and verifies the stream reassigns the sequence
 // number the record had before the crash.
 func (en *single) replayRecord(seq int64, e graph.Edge) error {
-	id, err := en.push(graph.Edge{
+	id, err := en.memberFeed(graph.Edge{
 		From: e.From, To: e.To,
 		FromLabel: e.FromLabel, ToLabel: e.ToLabel, EdgeLabel: e.EdgeLabel,
 		Time: e.Time,
@@ -269,7 +264,6 @@ func (en *single) replayRecord(seq int64, e graph.Edge) error {
 	if int64(id) != seq {
 		return fmt.Errorf("timingsubg: recovery drift: edge seq %d got ID %d", seq, id)
 	}
-	en.tickAdaptive(1)
 	en.replayed++
 	return nil
 }
@@ -319,8 +313,8 @@ func (en *single) subscriptionCounters() (int, int64, int64) {
 }
 
 // push advances the window and processes one edge transaction. It is
-// the innermost feed step, shared by Feed, FeedBatch, fleet fan-out and
-// recovery replay.
+// the innermost feed step: the standalone engine's inline executor
+// step, and the core of memberFeed.
 func (en *single) push(e Edge) (EdgeID, error) {
 	stored, expired, err := en.stream.Push(e)
 	if err != nil {
@@ -336,33 +330,21 @@ func (en *single) push(e Edge) (EdgeID, error) {
 	default:
 		en.eng.ProcessBatch(stored, expired)
 	}
-	en.fed.Add(1)
 	return stored.ID, nil
 }
 
-// feedOne logs (in durable mode) and pushes one edge, without cadence
-// work. The monotonicity check runs before the WAL append so an
-// out-of-order edge can never poison the log.
-func (en *single) feedOne(e Edge) (EdgeID, error) {
-	en.lastWALNs = 0
-	if en.log != nil {
-		if e.Time <= en.stream.LastTime() {
-			return 0, fmt.Errorf("timingsubg: %w: got %d after %d", graph.ErrOutOfOrder, e.Time, en.stream.LastTime())
-		}
-		if en.obs != nil {
-			t := time.Now()
-			_, err := en.log.Append(e)
-			d := time.Since(t)
-			en.lastWALNs = int64(d)
-			en.obs.pipe.WALAppend.Observe(d)
-			if err != nil {
-				return 0, err
-			}
-		} else if _, err := en.log.Append(e); err != nil {
-			return 0, err
-		}
+// memberFeed feeds one edge from outside the engine's own pipeline — a
+// fleet's fan-out, or recovery replay: push plus the per-edge share of
+// the accounting the pipeline does for a standalone engine (fed,
+// adaptivity cadence). No WAL and no closed-check; the caller owns both.
+func (en *single) memberFeed(e Edge) (EdgeID, error) {
+	id, err := en.push(e)
+	if err != nil {
+		return 0, err
 	}
-	return en.push(e)
+	en.fed.Add(1)
+	en.tickAdaptive(1)
+	return id, nil
 }
 
 // tickAdaptive advances the reoptimization cadence by n fed edges.
@@ -377,115 +359,14 @@ func (en *single) tickAdaptive(n int) {
 	}
 }
 
-// tick advances both maintenance cadences after n successfully fed
-// edges, returning any checkpoint error.
-func (en *single) tick(n int) error {
-	en.tickAdaptive(n)
-	if en.dur == nil {
-		return nil
-	}
-	en.sinceCkpt += n
-	if en.sinceCkpt >= en.dur.CheckpointEvery {
-		return en.checkpointNow()
-	}
-	return nil
-}
-
 // Feed implements Engine.
-func (en *single) Feed(e Edge) (EdgeID, error) {
-	if en.closed {
-		return 0, ErrClosed
-	}
-	o := en.obs
-	if o == nil {
-		id, err := en.feedOne(e)
-		if err != nil {
-			return 0, err
-		}
-		return id, en.tick(1)
-	}
-	start := time.Now()
-	o.arrival.Store(start.UnixNano())
-	id, err := en.feedOne(e)
-	if err != nil {
-		return 0, err
-	}
-	total := time.Since(start)
-	o.pipe.Ingest.Observe(total)
-	o.slowFeed("feed", 1, total, time.Duration(en.lastWALNs))
-	return id, en.tick(1)
-}
+func (en *single) Feed(e Edge) (EdgeID, error) { return en.feedEdge(e) }
 
 // FeedBatch implements Engine. The WAL write and sync, the adaptivity
 // check and the checkpoint cadence are amortized across the batch.
 func (en *single) FeedBatch(batch []Edge) (int, error) {
-	if en.closed {
-		return 0, ErrClosed
-	}
-	o := en.obs
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
-	n := len(batch)
-	var batchErr error
-	var walD time.Duration
-	if en.log != nil {
-		n, batchErr = monotonePrefix(batch, en.stream.LastTime())
-		// On a WAL failure, feed exactly the records that were durably
-		// appended — engine state must never diverge from the log (a
-		// logged-but-unfed edge would leave LastTime behind the log
-		// tail and let a later feed append non-monotonically).
-		if o != nil {
-			t := time.Now()
-			_, appended, werr := en.log.AppendBatch(batch[:n])
-			walD = time.Since(t)
-			o.pipe.WALAppend.Observe(walD)
-			if werr != nil {
-				n, batchErr = appended, werr
-			}
-		} else if _, appended, werr := en.log.AppendBatch(batch[:n]); werr != nil {
-			n, batchErr = appended, werr
-		}
-	}
-	// One clock read per edge: each iteration's end time is the next
-	// one's arrival stamp, so per-edge ingest latency and the detection
-	// arrival clock cost a single time.Now together.
-	prev := start
-	for i := 0; i < n; i++ {
-		if o != nil {
-			o.arrival.Store(prev.UnixNano())
-		}
-		if _, err := en.push(batch[i]); err != nil {
-			en.tick(i)
-			return i, fmt.Errorf("timingsubg: edge %d: %w", i, err)
-		}
-		if o != nil {
-			now := time.Now()
-			o.pipe.Ingest.Observe(now.Sub(prev))
-			prev = now
-		}
-	}
-	if o != nil {
-		o.slowFeed("feed_batch", n, time.Since(start), walD)
-	}
-	if err := en.tick(n); err != nil {
-		return n, err
-	}
-	return n, batchErr
-}
-
-// monotonePrefix returns the length of the longest strictly-increasing
-// timestamp prefix of batch after last, and an error describing the
-// first violation (nil when the whole batch is monotone).
-func monotonePrefix(batch []Edge, last Timestamp) (int, error) {
-	for i, e := range batch {
-		if e.Time <= last {
-			return i, fmt.Errorf("timingsubg: edge %d: %w: got %d after %d", i, graph.ErrOutOfOrder, e.Time, last)
-		}
-		last = e.Time
-	}
-	return len(batch), nil
+	_, n, err := en.feed(batch, opFeedBatch)
+	return n, err
 }
 
 // Run implements Engine.
@@ -501,56 +382,43 @@ func (en *single) Run(ctx context.Context, edges <-chan Edge) (int64, error) {
 // Idempotent. A fleet member shares the fleet's dispatcher and leaves
 // it alone — the fleet owns its results plane.
 func (en *single) Close() error {
-	if en.closed {
+	if en.closed.Swap(true) {
 		return nil
 	}
-	en.closed = true
 	if en.par != nil {
 		en.par.Wait()
 	}
 	if en.ownsDisp {
 		en.disp.Close()
 	}
-	if en.log == nil {
-		return nil
-	}
-	if err := en.checkpointNow(); err != nil {
-		en.log.Close()
-		return err
-	}
-	return en.log.Close()
+	return en.closeLog(en.checkpointNow)
 }
 
 // checkpointNow forces a checkpoint: the WAL is synced, the in-window
 // state and counters are written atomically, old checkpoints and WAL
 // segments are reclaimed.
 func (en *single) checkpointNow() error {
-	en.sinceCkpt = 0
-	if err := en.log.Sync(); err != nil {
-		return err
-	}
+	return en.checkpointLog(func(next int64) error { return en.saveCheckpoint(en.dur.Dir, next) })
+}
+
+// saveCheckpoint writes the engine's in-window state and counters under
+// dir as the checkpoint at LSN next, keeping the two newest.
+func (en *single) saveCheckpoint(dir string, next int64) error {
 	st, ok := en.stream.(*graph.Stream)
 	if !ok {
 		return errors.New("timingsubg: checkpoint requires a time-window stream")
 	}
 	ck := checkpoint.Checkpoint{
-		NextSeq:   en.log.Seq(),
+		NextSeq:   next,
 		Window:    en.opts.Window,
 		Matches:   en.matches(),
 		Discarded: en.discarded(),
 		Edges:     st.InWindow(),
 	}
-	if err := checkpoint.Save(en.dur.Dir, ck); err != nil {
+	if err := checkpoint.Save(dir, ck); err != nil {
 		return err
 	}
-	if err := checkpoint.GC(en.dur.Dir, 2); err != nil {
-		return err
-	}
-	// The save succeeded, so the checkpoint's LSN is the new truncation
-	// gate; reclaiming up to it bounds the on-disk log to the records
-	// the checkpoint does not cover plus the open segment.
-	en.log.SetCheckpointLSN(ck.LSN())
-	return en.log.TruncateFront(ck.NextSeq)
+	return checkpoint.GC(dir, 2)
 }
 
 // maybeReoptimize re-scores the join order under observed cardinalities
@@ -625,10 +493,11 @@ func (en *single) discarded() int64 {
 // minTimestamp mirrors the graph stream "nothing seen yet" sentinel.
 const minTimestamp Timestamp = -1 << 62
 
-// lastTime normalizes the stream's "nothing seen yet" sentinel to 0.
-func (en *single) lastTime() Timestamp {
-	if lt := en.stream.LastTime(); lt > minTimestamp {
-		return lt
+// sinceStart normalizes a stream clock's "nothing seen yet" sentinel
+// to 0.
+func sinceStart(t Timestamp) Timestamp {
+	if t > minTimestamp {
+		return t
 	}
 	return 0
 }
@@ -642,7 +511,7 @@ func (en *single) statsFast() Stats {
 		Discarded:       en.discarded(),
 		Fed:             en.fed.Load(),
 		InWindow:        en.stream.Len(),
-		LastTime:        en.lastTime(),
+		LastTime:        sinceStart(en.stream.LastTime()),
 		JoinScanned:     en.baseJoinScanned.Load() + en.eng.Stats().JoinScanned.Load(),
 		JoinCandidates:  en.baseJoinCandidates.Load() + en.eng.Stats().JoinCandidates.Load(),
 		ExpiryBatches:   en.baseExpiryBatches.Load() + en.eng.Stats().ExpiryBatches.Load(),
@@ -655,7 +524,7 @@ func (en *single) statsFast() Stats {
 		Durable:         en.log != nil,
 	}
 	if en.log != nil {
-		st.WALSeq = en.log.Seq()
+		st.WALSeq = en.walSeq.Load()
 		st.WALSyncs = en.log.Syncs()
 	}
 	if en.ownsDisp {
