@@ -1,7 +1,8 @@
 // Package client is the Go client for a tsserved server (cmd/tsserved):
 // the network serving layer of timingsubg. It also defines the wire
 // types of the HTTP protocol, which the server side (internal/server)
-// shares, so the JSON contract lives in exactly one place.
+// shares, so the JSON contract lives in exactly one place — for the
+// stats snapshot that place is the engine's own struct, aliased here.
 //
 // The protocol is plain HTTP + JSON:
 //
@@ -35,6 +36,8 @@
 // (HTTP 429) carrying the server's Retry-After hint; SubscribeOptions
 // .Reconnect honors it when re-establishing a stream.
 package client
+
+import "timingsubg/internal/stats"
 
 // QueryRequest registers a continuous query with the server.
 type QueryRequest struct {
@@ -142,114 +145,22 @@ type Health struct {
 	Status string `json:"status"`
 }
 
-// LatencySnapshot is the wire form of one latency-histogram summary.
-// Every duration field is in nanoseconds; an empty histogram is all
-// zeros.
-type LatencySnapshot struct {
-	Count uint64 `json:"count"`
-	Sum   int64  `json:"sum_ns"`
-	Mean  int64  `json:"mean_ns"`
-	P50   int64  `json:"p50_ns"`
-	P90   int64  `json:"p90_ns"`
-	P99   int64  `json:"p99_ns"`
-	P999  int64  `json:"p999_ns"`
-	Max   int64  `json:"max_ns"`
-}
-
-// StageStats is the wire form of the engine's per-stage ingest-pipeline
-// latency breakdown (timingsubg.StageStats): one summary per stage.
-// Stages the server's engine composition does not exercise stay empty.
-type StageStats struct {
-	Ingest    LatencySnapshot `json:"ingest"`
-	WALAppend LatencySnapshot `json:"wal_append"`
-	WALSync   LatencySnapshot `json:"wal_sync"`
-	// GroupCommit is each committer's wait for group-commit durability
-	// (batch-coalescing latency under concurrent feeders).
-	GroupCommit  LatencySnapshot `json:"wal_group_commit"`
-	QueueWait    LatencySnapshot `json:"shard_queue_wait"`
-	ShardExec    LatencySnapshot `json:"shard_exec"`
-	Join         LatencySnapshot `json:"join"`
-	Expiry       LatencySnapshot `json:"expiry"`
-	Dispatch     LatencySnapshot `json:"dispatch"`
-	Detection    LatencySnapshot `json:"detection"`
-	EventTimeLag LatencySnapshot `json:"event_time_lag"`
-}
-
-// EngineStats is the wire form of the engine's unified Stats snapshot,
-// served under the "fleet.stats" key of GET /stats. Fields a given
-// composition does not use stay zero; the adaptive/durable/fleet flags
-// say which sections apply. Per-query snapshots (never themselves
-// fleets) sit under Queries.
-type EngineStats struct {
-	Matches        int64 `json:"matches"`
-	Discarded      int64 `json:"discarded"`
-	Fed            int64 `json:"fed"`
-	InWindow       int   `json:"in_window"`
-	PartialMatches int64 `json:"partial_matches"`
-	SpaceBytes     int64 `json:"space_bytes"`
-	LastTime       int64 `json:"last_time"`
-	// JoinScanned / JoinCandidates expose the engine's join-index
-	// selectivity: stored partial matches visited by INSERT probes vs.
-	// those passing the join-key filter. Equal when the MS-tree vertex
-	// join indexes are doing all the narrowing; the gap is scan work.
-	JoinScanned    int64 `json:"join_scanned,omitempty"`
-	JoinCandidates int64 `json:"join_candidates,omitempty"`
-	// ExpiryBatches / ExpiryEvicted expose the batched expiry plane:
-	// window slides processed as single eviction transactions, and the
-	// expired edges they covered — their ratio is the mean eviction
-	// batch size. Zero under the per-edge expiry ablation.
-	ExpiryBatches   int64 `json:"expiry_batches,omitempty"`
-	ExpiryEvicted   int64 `json:"expiry_evicted,omitempty"`
-	K               int   `json:"k,omitempty"`
-	Reoptimizations int   `json:"reoptimizations,omitempty"`
-	WALSeq          int64 `json:"wal_seq,omitempty"`
-	// WALSyncs counts WAL fsyncs this process performed — feeds per
-	// fsync is the group-commit coalescing ratio.
-	WALSyncs       int64   `json:"wal_syncs,omitempty"`
-	Replayed       int64   `json:"replayed,omitempty"`
-	RoutedFraction float64 `json:"routed_fraction,omitempty"`
-	// FleetWorkers is the number of evaluation shards of a sharded
-	// fleet (0 when evaluation is sequential); ShardMembers is the live
-	// member count per shard — together the shape of the server's
-	// parallel fan-out (tsserved -fleet-workers).
-	FleetWorkers int   `json:"fleet_workers,omitempty"`
-	ShardMembers []int `json:"shard_members,omitempty"`
-	// ShardBusyNs is each shard's cumulative busy time in nanoseconds —
-	// per-shard utilization for spotting skew across the fan-out.
-	ShardBusyNs []int64 `json:"shard_busy_ns,omitempty"`
-
-	// Subscriptions is the number of live match subscriptions (one per
-	// SSE consumer); SubscriptionDelivered/SubscriptionDropped are the
-	// results-plane delivery and load-shedding ledgers. On per-query
-	// snapshots under Queries, the delivered/dropped pair is that
-	// query's share of the fleet's results plane.
-	Subscriptions         int   `json:"subscriptions,omitempty"`
-	SubscriptionDelivered int64 `json:"subscription_delivered,omitempty"`
-	SubscriptionDropped   int64 `json:"subscription_dropped,omitempty"`
-
-	// Stages is the fleet-wide per-stage latency breakdown (nil when
-	// the engine runs with metrics disabled).
-	Stages *StageStats `json:"stages,omitempty"`
-	// Detection is this engine's detection-latency summary — match emit
-	// wallclock minus triggering-edge arrival wallclock. Per-query
-	// snapshots under Queries carry their own (the per-query
-	// attribution).
-	Detection *LatencySnapshot `json:"detection,omitempty"`
-	// WatermarkLagNs is now minus the stream clock mapped through the
-	// configured event-time unit, in nanoseconds (0 when no unit is
-	// set).
-	WatermarkLagNs int64 `json:"watermark_lag_ns,omitempty"`
-
-	Queries map[string]EngineStats `json:"queries,omitempty"`
-	// Groups aggregates queries sharing a group (the serving layer
-	// groups by owning tenant): summed counters plus a group-wide
-	// Detection histogram that survives query retirement.
-	Groups map[string]EngineStats `json:"groups,omitempty"`
-
-	Adaptive bool `json:"adaptive,omitempty"`
-	Durable  bool `json:"durable,omitempty"`
-	Fleet    bool `json:"fleet,omitempty"`
-}
+// The stats snapshot on the wire is the engine's own declaration
+// (internal/stats): the server marshals the struct the engine fills and
+// these aliases decode it, so a field, its JSON key and its
+// documentation exist once and cannot drift.
+type (
+	// LatencySnapshot is one latency-histogram summary. Every duration
+	// marshals as nanoseconds; an empty histogram is all zeros.
+	LatencySnapshot = stats.Snapshot
+	// StageStats is the per-stage ingest-pipeline latency breakdown.
+	// Stages the server's engine composition does not exercise stay empty.
+	StageStats = stats.StageStats
+	// EngineStats is the engine's unified snapshot, served under the
+	// "fleet.stats" key of GET /stats, with per-query snapshots under
+	// Queries and per-tenant aggregates under Groups.
+	EngineStats = stats.Stats
+)
 
 // TenantKey declares one API key of a tenant: the bearer credential
 // and its role ("write" — the default — or "read").

@@ -184,7 +184,7 @@ func main() {
 
 	var srv *server.Server
 	if *walDir != "" {
-		srv, err = server.NewDurable(cfg, timingsubg.PersistentMultiOptions{
+		srv, err = server.NewDurable(cfg, timingsubg.Durability{
 			Dir:             *walDir,
 			CheckpointEvery: *ckEvery,
 			SyncEvery:       *syncEvery,

@@ -1,6 +1,6 @@
 // Command tsvet is the repo's own invariant checker: a multichecker
 // in the spirit of `go vet -vettool`, built on internal/analysis,
-// running the four custom analyzers that encode documented engine
+// running the three custom analyzers that encode documented engine
 // invariants generic linters cannot see:
 //
 //	lockhold   no blocking call (fsync, channel ops, net I/O,
@@ -10,8 +10,6 @@
 //	hotclock   no raw time.Now()/time.Since() in the hot-path
 //	           packages internal/core, internal/explist,
 //	           internal/mstree
-//	statswire  the unified Stats snapshot, the client wire structs
-//	           and the Prometheus stage family list agree
 //
 // Usage:
 //
@@ -34,7 +32,6 @@ import (
 	"timingsubg/internal/analysis/hotclock"
 	"timingsubg/internal/analysis/lockhold"
 	"timingsubg/internal/analysis/poolpair"
-	"timingsubg/internal/analysis/statswire"
 )
 
 // analyzers is the tsvet suite, in diagnostic-prefix order.
@@ -42,7 +39,6 @@ var analyzers = []*analysis.Analyzer{
 	lockhold.Analyzer,
 	poolpair.Analyzer,
 	hotclock.Analyzer,
-	statswire.Analyzer,
 }
 
 func main() {

@@ -99,126 +99,12 @@ type Fleet interface {
 }
 
 // Stats is the unified live-counter snapshot of any Engine — one struct
-// replacing the per-type accessor sets of the deprecated façades. Fields
-// that a composition does not use stay at their zero value; the
-// Adaptive, Durable and Fleet flags say which sections apply.
-type Stats struct {
-	// Matches is the number of complete matches reported so far, durable
-	// across restarts and engine rebuilds.
-	Matches int64 `json:"matches"`
-	// Discarded counts fed edges filtered as discardable (matched a
-	// query edge label but could never complete a match).
-	Discarded int64 `json:"discarded"`
-	// Fed counts edges pushed through this engine in this process
-	// (including recovery replay; fleets count edges offered, not the
-	// per-member fan-out).
-	Fed int64 `json:"fed"`
-	// InWindow is the number of edges currently inside the window
-	// (summed over members, for fleets).
-	InWindow int `json:"in_window"`
-	// PartialMatches is the number of stored partial matches.
-	PartialMatches int64 `json:"partial_matches"`
-	// SpaceBytes estimates resident bytes of maintained partial matches.
-	SpaceBytes int64 `json:"space_bytes"`
-	// LastTime is the timestamp of the most recent edge seen (across
-	// restarts, in durable mode), or 0 before any edge.
-	LastTime Timestamp `json:"last_time"`
-
-	// JoinScanned counts stored partial matches visited by INSERT probe
-	// loops; JoinCandidates counts the visited matches that passed the
-	// join-key filter (equal connecting-vertex binding, or equal shared
-	// bindings in the global cascade). With the MS-tree backend's vertex
-	// join indexes every visited match is a candidate — the two are
-	// equal — while scan-mode and independent-storage engines visit
-	// whole expansion-list items, so candidates/scanned is the index's
-	// observed selectivity. Process-local (reset by a restart, and
-	// including re-joins performed by adaptive rebuilds and checkpoint
-	// restores, which do real work).
-	JoinScanned    int64 `json:"join_scanned,omitempty"`
-	JoinCandidates int64 `json:"join_candidates,omitempty"`
-
-	// ExpiryBatches counts window slides processed through the batched
-	// expiry path — one delete transaction sweeping the slide's whole
-	// eviction set; ExpiryEvicted counts the expired edges those
-	// batches covered. Their ratio is the mean eviction batch size,
-	// the factor by which batching divides per-item lock round-trips
-	// relative to edge-at-a-time expiry. Process-local, accumulated
-	// across adaptive rebuilds like the join counters. Zero when the
-	// per-edge ablation path is in use.
-	ExpiryBatches int64 `json:"expiry_batches,omitempty"`
-	ExpiryEvicted int64 `json:"expiry_evicted,omitempty"`
-
-	// K is the size of the TC decomposition in use (0 for fleets; see
-	// Queries for the per-member value).
-	K int `json:"k,omitempty"`
-	// Reoptimizations counts adaptive engine rebuilds.
-	Reoptimizations int `json:"reoptimizations,omitempty"`
-	// WALSeq is the write-ahead log's next sequence number (= edges
-	// logged across all runs).
-	WALSeq int64 `json:"wal_seq,omitempty"`
-	// WALSyncs counts WAL fsyncs this process has performed — the
-	// denominator of the group-commit coalescing ratio: concurrent
-	// feeders sharing fsyncs show WALSyncs growing slower than feeds.
-	WALSyncs int64 `json:"wal_syncs,omitempty"`
-	// Replayed is how many WAL edges were replayed by the most recent
-	// Open (0 on a cold start).
-	Replayed int64 `json:"replayed,omitempty"`
-	// RoutedFraction is the ratio of engine feeds performed to feeds a
-	// naive fan-out would have performed (1 when routing is off).
-	RoutedFraction float64 `json:"routed_fraction,omitempty"`
-	// FleetWorkers is the number of evaluation shards of a sharded
-	// fleet (0 when the fleet evaluates sequentially; fleets only).
-	FleetWorkers int `json:"fleet_workers,omitempty"`
-	// ShardMembers is the number of live members assigned to each
-	// evaluation shard (sharded fleets only).
-	ShardMembers []int `json:"shard_members,omitempty"`
-	// ShardBusyNs is each evaluation shard's cumulative task execution
-	// time in nanoseconds — the per-shard utilization ledger whose skew
-	// shows how evenly member work spreads across FleetWorkers (sharded
-	// fleets with metrics enabled only).
-	ShardBusyNs []int64 `json:"shard_busy_ns,omitempty"`
-	// Queries holds per-member snapshots, keyed by query name (fleets
-	// only).
-	Queries map[string]Stats `json:"queries,omitempty"`
-	// Groups aggregates members sharing a QuerySpec.Group, keyed by
-	// group name: summed counters plus a group-wide Detection histogram
-	// that survives member retirement — the serving layer's per-tenant
-	// slice. Nil when no member declares a group (fleets only).
-	Groups map[string]Stats `json:"groups,omitempty"`
-
-	// Stages is the per-stage latency breakdown of the ingest pipeline
-	// (nil when Config.DisableMetrics is set; engine/fleet-level only —
-	// per-member snapshots carry Detection instead).
-	Stages *StageStats `json:"stages,omitempty"`
-	// Detection is this engine's detection-latency histogram snapshot —
-	// match emit wallclock minus triggering-edge arrival wallclock. On
-	// fleets every member snapshot in Queries carries its own (the
-	// per-query attribution); the fleet-wide aggregate is
-	// Stages.Detection.
-	Detection *LatencySnapshot `json:"detection,omitempty"`
-	// WatermarkLagNs is now minus the stream clock mapped through
-	// Config.EventTimeUnit, in nanoseconds (0 when no unit is set;
-	// negative when producer timestamps run ahead of this host).
-	WatermarkLagNs int64 `json:"watermark_lag_ns,omitempty"`
-
-	// Subscriptions is the number of live Subscribe consumers attached
-	// to this engine (fleet-level on fleets; per-member snapshots
-	// report zero — members share the fleet's results plane).
-	Subscriptions int `json:"subscriptions,omitempty"`
-	// SubscriptionDelivered counts matches buffered to subscription
-	// channels, summed over all subscriptions past and present.
-	SubscriptionDelivered int64 `json:"subscription_delivered,omitempty"`
-	// SubscriptionDropped counts matches lost to subscription overflow
-	// policies (DropOldest/DropNewest) — the load-shedding ledger. A
-	// Block subscriber never contributes here.
-	SubscriptionDropped int64 `json:"subscription_dropped,omitempty"`
-
-	// Adaptive, Durable and Fleet report which composable capabilities
-	// this engine was opened with, making the snapshot self-describing.
-	Adaptive bool `json:"adaptive,omitempty"`
-	Durable  bool `json:"durable,omitempty"`
-	Fleet    bool `json:"fleet,omitempty"`
-}
+// replacing the per-type accessor sets of the deprecated façades, and
+// the same declaration the serving layer marshals on GET /stats
+// (client.EngineStats). Fields that a composition does not use stay at
+// their zero value; the Adaptive, Durable and Fleet flags say which
+// sections apply.
+type Stats = stats.Stats
 
 // Adaptivity composes the feedback join-order reoptimizer onto an
 // engine. The paper selects the join order once, from the static

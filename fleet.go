@@ -816,21 +816,6 @@ func (fl *fleetEngine) withMemberLocked(slot int, fn func()) {
 	fn()
 }
 
-// addMember folds one member snapshot's summable counters into st (the
-// fleet aggregate, or a group's).
-func (st *Stats) addMember(ms Stats) {
-	st.Matches += ms.Matches
-	st.Discarded += ms.Discarded
-	st.InWindow += ms.InWindow
-	st.PartialMatches += ms.PartialMatches
-	st.SpaceBytes += ms.SpaceBytes
-	st.JoinScanned += ms.JoinScanned
-	st.JoinCandidates += ms.JoinCandidates
-	st.ExpiryBatches += ms.ExpiryBatches
-	st.ExpiryEvicted += ms.ExpiryEvicted
-	st.Reoptimizations += ms.Reoptimizations
-}
-
 // stats aggregates member snapshots; memberStats selects the cheap or
 // walking per-member sampler, and withQueries controls whether the
 // per-member map is materialized (scalar gauges don't need it). On a
@@ -860,14 +845,16 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 		st.WALSyncs = fl.log.Syncs()
 	}
 	if fl.obs != nil {
-		st.Stages = fl.obs.stages()
+		st.Stages = fl.obs.pipe.Snapshot()
 		st.WatermarkLagNs = watermarkLag(st.LastTime, fl.obs.eventUnitNs)
 		det := fl.obs.pipe.Detection.Snapshot()
 		st.Detection = &det
 	}
 	add := func(slot int, m *single) {
+		// A member snapshot carries no delivery counters (the fleet owns
+		// the results plane), so the dispatcher totals above stay intact.
 		ms := memberStats(m)
-		st.addMember(ms)
+		stats.Sum(&st, &ms)
 		if withQueries {
 			// Per-query delivery attribution comes from the shared
 			// dispatcher — members publish into the fleet's results plane.
@@ -878,9 +865,7 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 					st.Groups = make(map[string]Stats)
 				}
 				gs := st.Groups[g]
-				gs.addMember(ms)
-				gs.SubscriptionDelivered += ms.SubscriptionDelivered
-				gs.SubscriptionDropped += ms.SubscriptionDropped
+				stats.Sum(&gs, &ms)
 				st.Groups[g] = gs
 			}
 		}

@@ -6,15 +6,8 @@
 // produced by `go list -export` (no module downloads, no third-party
 // dependency).
 //
-// Two kinds of analyzers exist:
-//
-//   - Per-package analyzers (the default): Run is called once per
-//     loaded package with that package's syntax and type information.
-//   - Whole-program analyzers (WholeProgram: true): Run is called
-//     exactly once with Pass.Files/Pkg nil; the analyzer reaches
-//     every loaded package through Pass.Program. The statswire
-//     checker uses this to cross-reference struct fields and metric
-//     family lists that live in different packages.
+// Analyzers are per-package: Run is called once per loaded package
+// with that package's syntax and type information.
 //
 // Diagnostics are suppressible at the offending line (or the line
 // directly above it) with a
@@ -44,22 +37,16 @@ type Analyzer struct {
 	Doc string
 	// Run performs the check, reporting findings via pass.Reportf.
 	Run func(*Pass) error
-	// WholeProgram marks analyzers that need every loaded package at
-	// once; they run once per Program instead of once per package.
-	WholeProgram bool
 }
 
 // A Pass carries one analyzer invocation's view of the code.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Files and Pkg/TypesInfo describe the package under analysis;
-	// they are nil for WholeProgram analyzers, which use Program.
+	// Files and Pkg/TypesInfo describe the package under analysis.
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Program is the full set of loaded packages.
-	Program *Program
 
 	report func(Diagnostic)
 }

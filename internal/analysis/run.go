@@ -7,25 +7,17 @@ import (
 	"strings"
 )
 
-// Run executes every analyzer over the program: per-package analyzers
-// once per package, whole-program analyzers once. Diagnostics come
-// back position-sorted with //tsvet:allow suppressions already
-// applied.
+// Run executes every analyzer over every package of the program.
+// Diagnostics come back position-sorted with //tsvet:allow
+// suppressions already applied.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	collect := func(d Diagnostic) { diags = append(diags, d) }
 	var errs []error
 	for _, a := range analyzers {
-		if a.WholeProgram {
-			pass := &Pass{Analyzer: a, Fset: prog.Fset, Program: prog, report: collect}
-			if err := a.Run(pass); err != nil {
-				errs = append(errs, fmt.Errorf("%s: %v", a.Name, err))
-			}
-			continue
-		}
 		for _, pkg := range prog.Packages {
 			pass := &Pass{
-				Analyzer: a, Fset: prog.Fset, Program: prog,
+				Analyzer: a, Fset: prog.Fset,
 				Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info,
 				report: collect,
 			}

@@ -54,7 +54,7 @@ func contractServer(t *testing.T, b *strings.Builder) {
 		AdminKey:      "root",
 		FleetWorkers:  2,
 		EventTimeUnit: time.Millisecond,
-	}, timingsubg.PersistentMultiOptions{Dir: filepath.Join(t.TempDir(), "state"), SyncEvery: 1})
+	}, timingsubg.Durability{Dir: filepath.Join(t.TempDir(), "state"), SyncEvery: 1})
 	if err != nil {
 		t.Fatalf("open durable: %v", err)
 	}

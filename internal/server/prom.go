@@ -1,49 +1,58 @@
 package server
 
 import (
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 
 	"timingsubg"
 	"timingsubg/internal/monitor"
+	"timingsubg/internal/stats"
+	"timingsubg/internal/tenant"
 )
 
-// stageOrder fixes the exposition order of the per-stage latency
-// histograms — stable output is what the golden-format test (and any
-// diff-based scrape tooling) keys on.
-var stageOrder = []string{
-	"ingest", "wal_append", "wal_sync", "wal_group_commit",
-	"shard_queue_wait", "shard_exec", "join", "expiry", "dispatch",
-	"detection", "event_time_lag",
+// tenantUsage lists the per-tenant admission and ownership series,
+// read from the tenant's own buckets rather than the engine snapshot.
+var tenantUsage = []struct {
+	name  string
+	gauge bool
+	get   func(tenant.Usage) float64
+}{
+	{"timingsubg_tenant_admitted_edges_total", false, func(u tenant.Usage) float64 { return float64(u.AdmittedEdges) }},
+	{"timingsubg_tenant_rejected_edges_total", false, func(u tenant.Usage) float64 { return float64(u.RejectedEdges) }},
+	{"timingsubg_tenant_admitted_batches_total", false, func(u tenant.Usage) float64 { return float64(u.AdmittedBatches) }},
+	{"timingsubg_tenant_rejected_batches_total", false, func(u tenant.Usage) float64 { return float64(u.RejectedBatches) }},
+	{"timingsubg_tenant_ingest_bytes_total", false, func(u tenant.Usage) float64 { return float64(u.IngestBytes) }},
+	{"timingsubg_tenant_queries", true, func(u tenant.Usage) float64 { return float64(u.Queries) }},
+	{"timingsubg_tenant_subscriptions", true, func(u tenant.Usage) float64 { return float64(u.Subscriptions) }},
 }
 
-// stageSnapshot selects one stage's summary from the breakdown.
-func stageSnapshot(st *timingsubg.StageStats, stage string) timingsubg.LatencySnapshot {
-	switch stage {
-	case "ingest":
-		return st.Ingest
-	case "wal_append":
-		return st.WALAppend
-	case "wal_sync":
-		return st.WALSync
-	case "wal_group_commit":
-		return st.GroupCommit
-	case "shard_queue_wait":
-		return st.QueueWait
-	case "shard_exec":
-		return st.ShardExec
-	case "join":
-		return st.Join
-	case "expiry":
-		return st.Expiry
-	case "dispatch":
-		return st.Dispatch
-	case "detection":
-		return st.Detection
-	case "event_time_lag":
-		return st.EventTimeLag
+// sample emits one counter or gauge sample; an empty label is none.
+func sample(pw *monitor.PromWriter, name string, gauge bool, label, value string, v float64) {
+	var labels map[string]string
+	if label != "" {
+		labels = map[string]string{label: value}
 	}
-	return timingsubg.LatencySnapshot{}
+	if gauge {
+		pw.Gauge(name, labels, v)
+	} else {
+		pw.Counter(name, labels, v)
+	}
+}
+
+// writeCounters emits every counter-table row exposed in scope, one
+// family at a time with a sample per name found in snaps — family
+// outer, label inner, so each family's samples form the one contiguous
+// group the text format requires.
+func writeCounters(pw *monitor.PromWriter, scope stats.Scope, label string, names []string, snaps map[string]timingsubg.Stats) {
+	for i := range stats.Counters {
+		c := &stats.Counters[i]
+		for _, name := range names {
+			if st, ok := snaps[name]; ok && c.In(scope, &st) {
+				sample(pw, c.PromName(scope), c.Gauge, label, name, c.Float(&st))
+			}
+		}
+	}
 }
 
 // handleProm serves GET /metrics in the Prometheus text format. Unlike
@@ -56,84 +65,56 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	st := timingsubg.FastStats(s.fl)
 	pw := monitor.NewPromWriter()
 
-	// Fleet-wide counters and gauges.
+	// Fleet-wide counters and gauges: the engine's from the counter
+	// table, then the ones only the server knows.
+	writeCounters(pw, stats.Engine, "", []string{""}, map[string]timingsubg.Stats{"": st})
 	pw.Counter("timingsubg_ingested_edges_total", nil, float64(s.ingested.Load()))
-	pw.Counter("timingsubg_fed_edges_total", nil, float64(st.Fed))
-	pw.Counter("timingsubg_matches_total", nil, float64(st.Matches))
-	pw.Counter("timingsubg_discarded_edges_total", nil, float64(st.Discarded))
-	pw.Counter("timingsubg_subscription_delivered_total", nil, float64(st.SubscriptionDelivered))
-	pw.Counter("timingsubg_subscription_dropped_total", nil, float64(st.SubscriptionDropped))
-	pw.Gauge("timingsubg_window_edges", nil, float64(st.InWindow))
 	pw.Gauge("timingsubg_queries", nil, float64(len(st.Queries)))
-	pw.Gauge("timingsubg_subscriptions", nil, float64(st.Subscriptions))
 	pw.Gauge("timingsubg_queue_depth", nil, float64(s.sched.Len()))
-	if st.Durable {
-		pw.Counter("timingsubg_wal_seq", nil, float64(st.WALSeq))
-		pw.Counter("timingsubg_wal_syncs_total", nil, float64(st.WALSyncs))
-		pw.Counter("timingsubg_replayed_edges_total", nil, float64(st.Replayed))
-	}
 	if st.WatermarkLagNs != 0 {
 		pw.Gauge("timingsubg_watermark_lag_seconds", nil, float64(st.WatermarkLagNs)/1e9)
 	}
 
 	// Per-query attribution, sorted for deterministic output.
-	names := make([]string, 0, len(st.Queries))
-	for name := range st.Queries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		qs := st.Queries[name]
-		l := map[string]string{"query": name}
-		pw.Counter("timingsubg_query_matches_total", l, float64(qs.Matches))
-		pw.Counter("timingsubg_query_delivered_total", l, float64(qs.SubscriptionDelivered))
-		pw.Counter("timingsubg_query_dropped_total", l, float64(qs.SubscriptionDropped))
-		pw.Counter("timingsubg_query_join_scanned_total", l, float64(qs.JoinScanned))
-		pw.Counter("timingsubg_query_join_candidates_total", l, float64(qs.JoinCandidates))
-		pw.Counter("timingsubg_query_expiry_batches_total", l, float64(qs.ExpiryBatches))
-		pw.Counter("timingsubg_query_expiry_evicted_total", l, float64(qs.ExpiryEvicted))
-		pw.Gauge("timingsubg_query_window_edges", l, float64(qs.InWindow))
-	}
+	names := slices.Sorted(maps.Keys(st.Queries))
+	writeCounters(pw, stats.Query, "query", names, st.Queries)
 
 	// Per-tenant control-plane series — emitted only when tenancy is
-	// enabled, so a single-tenant server's exposition stays
-	// byte-identical to versions that predate the control plane.
+	// enabled, so a single-tenant server's exposition carries none.
 	// Tenant names come sorted from the registry; admission counters
 	// come from the tenant's buckets, engine counters and the
 	// tenant-wide detection histogram from the group aggregation
 	// (QuerySpec.Group = tenant), which survives query retirement.
 	if s.tenants != nil {
-		for _, name := range s.tenants.Names() {
-			tn, ok := s.tenants.Get(name)
-			if !ok {
-				continue
+		tenants := s.tenants.Names()
+		usage := make(map[string]tenant.Usage, len(tenants))
+		for _, name := range tenants {
+			if tn, ok := s.tenants.Get(name); ok {
+				usage[name] = tn.Usage()
 			}
-			u := tn.Usage()
-			l := map[string]string{"tenant": name}
-			pw.Counter("timingsubg_tenant_admitted_edges_total", l, float64(u.AdmittedEdges))
-			pw.Counter("timingsubg_tenant_rejected_edges_total", l, float64(u.RejectedEdges))
-			pw.Counter("timingsubg_tenant_admitted_batches_total", l, float64(u.AdmittedBatches))
-			pw.Counter("timingsubg_tenant_rejected_batches_total", l, float64(u.RejectedBatches))
-			pw.Counter("timingsubg_tenant_ingest_bytes_total", l, float64(u.IngestBytes))
-			pw.Gauge("timingsubg_tenant_queries", l, float64(u.Queries))
-			pw.Gauge("timingsubg_tenant_subscriptions", l, float64(u.Subscriptions))
-			if gs, ok := st.Groups[name]; ok {
-				pw.Counter("timingsubg_tenant_matches_total", l, float64(gs.Matches))
-				pw.Counter("timingsubg_tenant_delivered_total", l, float64(gs.SubscriptionDelivered))
-				pw.Counter("timingsubg_tenant_dropped_total", l, float64(gs.SubscriptionDropped))
-				if gs.Detection != nil {
-					pw.Histogram("timingsubg_tenant_detection_latency_seconds", l, *gs.Detection)
+		}
+		for _, f := range tenantUsage {
+			for _, name := range tenants {
+				if u, ok := usage[name]; ok {
+					sample(pw, f.name, f.gauge, "tenant", name, f.get(u))
 				}
+			}
+		}
+		writeCounters(pw, stats.Tenant, "tenant", tenants, st.Groups)
+		for _, name := range tenants {
+			if det := st.Groups[name].Detection; det != nil {
+				pw.Histogram("timingsubg_tenant_detection_latency_seconds", map[string]string{"tenant": name}, *det)
 			}
 		}
 	}
 
-	// Per-stage latency histograms (absent when metrics are disabled).
+	// Per-stage latency histograms (absent when metrics are disabled),
+	// in the stage list's order — stable output is what diff-based
+	// scrape tooling keys on.
 	if st.Stages != nil {
-		for _, stage := range stageOrder {
-			pw.Histogram("timingsubg_stage_latency_seconds",
-				map[string]string{"stage": stage}, stageSnapshot(st.Stages, stage))
-		}
+		stats.EachStage(st.Stages, func(stage string, snap *stats.Snapshot) {
+			pw.Histogram("timingsubg_stage_latency_seconds", map[string]string{"stage": stage}, *snap)
+		})
 	}
 	// Per-query detection latency — the paper's end-to-end metric,
 	// attributed to the query that matched.

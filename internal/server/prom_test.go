@@ -237,3 +237,55 @@ func findLine(t *testing.T, out, prefix string) string {
 	t.Fatalf("series %q not found", prefix)
 	return ""
 }
+
+// TestMetricsFamiliesContiguous: the text format requires all samples
+// of a family to form one group under a single # TYPE line, so with two
+// queries and two tenants every per-query and per-tenant family must
+// list both label values back to back rather than once per entity.
+func TestMetricsFamiliesContiguous(t *testing.T) {
+	srv := server.New(server.Config{Tenants: twoTenantRegistry(t), AdminKey: "root"})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := testCtx(t)
+	for _, key := range []string{"k-acme", "k-bmart"} {
+		c := client.New(ts.URL, nil).WithAPIKey(key)
+		if err := c.AddQuery(ctx, client.QueryRequest{Name: "pp", Text: pingPong, Window: 100}); err != nil {
+			t.Fatalf("register as %s: %v", key, err)
+		}
+	}
+
+	out := scrape(t, ts.URL)
+	closed := map[string]bool{}
+	current := ""
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var family string
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(rest, " ")
+			if family == current {
+				t.Fatalf("family %s has a second # TYPE line", family)
+			}
+		} else {
+			family = line[:strings.IndexAny(line, "{ ")]
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if strings.TrimSuffix(family, suffix) == current {
+					family = current
+				}
+			}
+		}
+		if family == current {
+			continue
+		}
+		if closed[family] {
+			t.Fatalf("family %s resumes at %q after other families intervened:\n%s", family, line, out)
+		}
+		closed[current] = true
+		current = family
+	}
+	for _, series := range []string{
+		`timingsubg_query_matches_total{query="acme:pp"}`, `timingsubg_query_matches_total{query="bmart:pp"}`,
+		`timingsubg_tenant_queries{tenant="acme"}`, `timingsubg_tenant_queries{tenant="bmart"}`,
+	} {
+		sampleValue(t, out, series)
+	}
+}

@@ -238,7 +238,7 @@ func New(cfg Config) *Server {
 // the registry under Dir/queries), its window state and its stream
 // clock, then continues matching. Delivery across a restart is
 // at-least-once.
-func NewDurable(cfg Config, opts timingsubg.PersistentMultiOptions) (*Server, error) {
+func NewDurable(cfg Config, opts timingsubg.Durability) (*Server, error) {
 	cfg.norm()
 	s := newServer(cfg)
 	s.queryDir = filepath.Join(opts.Dir, "queries")
@@ -315,13 +315,7 @@ func NewDurable(cfg Config, opts timingsubg.PersistentMultiOptions) (*Server, er
 		EventTimeUnit:   cfg.EventTimeUnit,
 		SlowOpThreshold: cfg.SlowOpThreshold,
 		OnSlowOp:        s.slowOp(),
-		Durable: &timingsubg.Durability{
-			Dir:             opts.Dir,
-			CheckpointEvery: opts.CheckpointEvery,
-			SyncEvery:       opts.SyncEvery,
-			SyncInterval:    opts.SyncInterval,
-			SegmentBytes:    opts.SegmentBytes,
-		},
+		Durable:         &opts,
 		// OnDelivery is installed before recovery, so WAL replay rebuilds
 		// the resume rings with the pre-crash sequence numbers.
 		OnDelivery: s.record,
@@ -401,7 +395,7 @@ func (s *Server) finish() {
 	// scalar gauges are kept for scrapers that want flat metrics and
 	// sample the counter-only FastStats so a scrape doesn't walk
 	// partial-match state once per gauge on the op loop.
-	s.reg.MustRegister("fleet.stats", func() any { return clientStats(s.fl.Stats()) })
+	s.reg.MustRegister("fleet.stats", func() any { return s.fl.Stats() })
 	s.reg.MustRegister("fleet.matches", func() any {
 		st := timingsubg.FastStats(s.fl)
 		out := make(map[string]int64, len(st.Queries))
@@ -580,88 +574,6 @@ func (s *Server) persistLabels() error {
 	}
 	s.persistedLabels = n
 	return nil
-}
-
-// clientStats converts the engine's unified snapshot to its wire form.
-func clientStats(st timingsubg.Stats) client.EngineStats {
-	out := client.EngineStats{
-		Matches:         st.Matches,
-		Discarded:       st.Discarded,
-		Fed:             st.Fed,
-		InWindow:        st.InWindow,
-		PartialMatches:  st.PartialMatches,
-		SpaceBytes:      st.SpaceBytes,
-		LastTime:        int64(st.LastTime),
-		JoinScanned:     st.JoinScanned,
-		JoinCandidates:  st.JoinCandidates,
-		ExpiryBatches:   st.ExpiryBatches,
-		ExpiryEvicted:   st.ExpiryEvicted,
-		K:               st.K,
-		Reoptimizations: st.Reoptimizations,
-		WALSeq:          st.WALSeq,
-		WALSyncs:        st.WALSyncs,
-		Replayed:        st.Replayed,
-		RoutedFraction:  st.RoutedFraction,
-		FleetWorkers:    st.FleetWorkers,
-		ShardMembers:    st.ShardMembers,
-		ShardBusyNs:     st.ShardBusyNs,
-
-		Subscriptions:         st.Subscriptions,
-		SubscriptionDelivered: st.SubscriptionDelivered,
-		SubscriptionDropped:   st.SubscriptionDropped,
-
-		WatermarkLagNs: st.WatermarkLagNs,
-
-		Adaptive: st.Adaptive,
-		Durable:  st.Durable,
-		Fleet:    st.Fleet,
-	}
-	if st.Stages != nil {
-		out.Stages = &client.StageStats{
-			Ingest:       clientLatency(st.Stages.Ingest),
-			WALAppend:    clientLatency(st.Stages.WALAppend),
-			WALSync:      clientLatency(st.Stages.WALSync),
-			GroupCommit:  clientLatency(st.Stages.GroupCommit),
-			QueueWait:    clientLatency(st.Stages.QueueWait),
-			ShardExec:    clientLatency(st.Stages.ShardExec),
-			Join:         clientLatency(st.Stages.Join),
-			Expiry:       clientLatency(st.Stages.Expiry),
-			Dispatch:     clientLatency(st.Stages.Dispatch),
-			Detection:    clientLatency(st.Stages.Detection),
-			EventTimeLag: clientLatency(st.Stages.EventTimeLag),
-		}
-	}
-	if st.Detection != nil {
-		d := clientLatency(*st.Detection)
-		out.Detection = &d
-	}
-	if len(st.Queries) > 0 {
-		out.Queries = make(map[string]client.EngineStats, len(st.Queries))
-		for name, qs := range st.Queries {
-			out.Queries[name] = clientStats(qs)
-		}
-	}
-	if len(st.Groups) > 0 {
-		out.Groups = make(map[string]client.EngineStats, len(st.Groups))
-		for name, gs := range st.Groups {
-			out.Groups[name] = clientStats(gs)
-		}
-	}
-	return out
-}
-
-// clientLatency converts one latency summary to its wire form.
-func clientLatency(s timingsubg.LatencySnapshot) client.LatencySnapshot {
-	return client.LatencySnapshot{
-		Count: s.Count,
-		Sum:   int64(s.Sum),
-		Mean:  int64(s.Mean),
-		P50:   int64(s.P50),
-		P90:   int64(s.P90),
-		P99:   int64(s.P99),
-		P999:  int64(s.P999),
-		Max:   int64(s.Max),
-	}
 }
 
 // record is the engine's synchronous delivery hook: serialize the

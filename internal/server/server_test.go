@@ -181,7 +181,7 @@ func TestServerEndToEnd(t *testing.T) {
 func TestServerDurableRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	ctx := testCtx(t)
-	popts := timingsubg.PersistentMultiOptions{Dir: dir, SyncEvery: 1}
+	popts := timingsubg.Durability{Dir: dir, SyncEvery: 1}
 
 	srv1, err := server.NewDurable(server.Config{}, popts)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"timingsubg"
 	"timingsubg/client"
 	"timingsubg/internal/tenant"
 )
@@ -148,18 +149,7 @@ func (s *Server) requireAdmin(w http.ResponseWriter, r *http.Request) bool {
 
 // tenantSpec converts the wire form of a tenant declaration.
 func tenantSpec(w client.TenantSpec) tenant.Spec {
-	spec := tenant.Spec{
-		Name: w.Name,
-		Limits: tenant.Limits{
-			EdgesPerSec:      w.Limits.EdgesPerSec,
-			EdgeBurst:        w.Limits.EdgeBurst,
-			BatchesPerSec:    w.Limits.BatchesPerSec,
-			BatchBurst:       w.Limits.BatchBurst,
-			MaxQueries:       w.Limits.MaxQueries,
-			MaxSubscriptions: w.Limits.MaxSubscriptions,
-			Weight:           w.Limits.Weight,
-		},
-	}
+	spec := tenant.Spec{Name: w.Name, Limits: tenant.Limits(w.Limits)}
 	for _, k := range w.Keys {
 		spec.Keys = append(spec.Keys, tenant.KeySpec{Key: k.Key, Role: tenant.Role(k.Role)})
 	}
@@ -169,27 +159,12 @@ func tenantSpec(w client.TenantSpec) tenant.Spec {
 // tenantInfo is a tenant's admin-facing snapshot: declared limits plus
 // live usage (keys are never echoed back).
 func tenantInfo(t *tenant.Tenant) client.TenantInfo {
-	l, u := t.Limits(), t.Usage()
+	// Conversions, not copies: the wire structs and the tenant package's
+	// must stay field-identical for this to compile.
 	return client.TenantInfo{
-		Name: t.Name(),
-		Limits: client.TenantLimits{
-			EdgesPerSec:      l.EdgesPerSec,
-			EdgeBurst:        l.EdgeBurst,
-			BatchesPerSec:    l.BatchesPerSec,
-			BatchBurst:       l.BatchBurst,
-			MaxQueries:       l.MaxQueries,
-			MaxSubscriptions: l.MaxSubscriptions,
-			Weight:           l.Weight,
-		},
-		Usage: client.TenantUsage{
-			AdmittedEdges:   u.AdmittedEdges,
-			RejectedEdges:   u.RejectedEdges,
-			AdmittedBatches: u.AdmittedBatches,
-			RejectedBatches: u.RejectedBatches,
-			IngestBytes:     u.IngestBytes,
-			Queries:         u.Queries,
-			Subscriptions:   u.Subscriptions,
-		},
+		Name:   t.Name(),
+		Limits: client.TenantLimits(t.Limits()),
+		Usage:  client.TenantUsage(t.Usage()),
 	}
 }
 
@@ -257,13 +232,13 @@ func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request, t *te
 			"usage":  t.Usage(),
 		}
 		if g, ok := st.Groups[t.Name()]; ok {
-			payload["stats"] = clientStats(g)
+			payload["stats"] = g
 		}
 		prefix := t.Name() + ":"
-		queries := make(map[string]client.EngineStats)
+		queries := make(map[string]timingsubg.Stats)
 		for name, qs := range st.Queries {
 			if strings.HasPrefix(name, prefix) {
-				queries[strings.TrimPrefix(name, prefix)] = clientStats(qs)
+				queries[strings.TrimPrefix(name, prefix)] = qs
 			}
 		}
 		if len(queries) > 0 {

@@ -455,7 +455,7 @@ func TestDefaultTenantCompat(t *testing.T) {
 func TestDurableTenantPersistence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	ctx := testCtx(t)
-	popts := timingsubg.PersistentMultiOptions{Dir: dir, SyncEvery: 1}
+	popts := timingsubg.Durability{Dir: dir, SyncEvery: 1}
 
 	srv1, err := server.NewDurable(server.Config{Tenants: tenant.NewRegistry(), AdminKey: "root"}, popts)
 	if err != nil {

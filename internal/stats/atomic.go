@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -98,3 +99,92 @@ type Pipeline struct {
 
 // NewPipeline returns an empty stage-histogram set.
 func NewPipeline() *Pipeline { return &Pipeline{} }
+
+// StageStats is the per-stage latency breakdown of the ingest pipeline,
+// one Snapshot per Pipeline histogram, and it is the stage list: a
+// field's JSON tag is the stage's wire name (its GET /stats key and its
+// GET /metrics stage label), declaration order is exposition order, and
+// each field snapshots the Pipeline histogram of the same name (the
+// hist tag names it where the two differ). Engines populate it unless
+// Config.DisableMetrics is set; stages an engine composition does not
+// exercise (e.g. WAL stages on an in-memory engine) stay empty.
+type StageStats struct {
+	// Ingest is end-to-end feed latency, observed by the ingest
+	// pipeline's executor: per edge on the inline executor (single
+	// engines and FleetWorkers <= 1 fleets, Feed and FeedBatch alike),
+	// per call on a sharded fleet's fan-out — shards interleave a
+	// batch's edges there, so one edge has no latency of its own.
+	Ingest Snapshot `json:"ingest"`
+	// WALAppend times each durable append (including any cadence fsync
+	// it triggered); WALSync times each fsync alone.
+	WALAppend Snapshot `json:"wal_append"`
+	WALSync   Snapshot `json:"wal_sync"`
+	// GroupCommit times each committer's wait for group-commit
+	// durability — the batch-coalescing latency paid when an fsync is
+	// shared with (or queued behind) concurrent committers.
+	GroupCommit Snapshot `json:"wal_group_commit" hist:"WALGroupCommit"`
+	// QueueWait is the time a shard task waits for a fleet-pool worker;
+	// ShardExec is the task's execution time (sharded fleets only).
+	QueueWait Snapshot `json:"shard_queue_wait"`
+	ShardExec Snapshot `json:"shard_exec"`
+	// Join times core insert work per edge; Expiry times each
+	// window-expiry sweep.
+	Join   Snapshot `json:"join"`
+	Expiry Snapshot `json:"expiry"`
+	// Dispatch times synchronous match delivery (subscriber fan-out,
+	// including Block-policy backpressure).
+	Dispatch Snapshot `json:"dispatch"`
+	// Detection is the paper's detection latency — match emit wallclock
+	// minus triggering edge arrival wallclock — engine-wide. Per-query
+	// histograms are in Stats.Queries[name].Detection.
+	Detection Snapshot `json:"detection"`
+	// EventTimeLag is match emit wallclock minus the triggering edge's
+	// event timestamp mapped through Config.EventTimeUnit (empty when
+	// no unit is configured).
+	EventTimeLag Snapshot `json:"event_time_lag"`
+}
+
+// stages resolves the stage list once: per StageStats field, its wire
+// name and the index of its Pipeline histogram.
+var stages = func() []stage {
+	st, pt := reflect.TypeOf(StageStats{}), reflect.TypeOf(Pipeline{})
+	out := make([]stage, st.NumField())
+	for i := range out {
+		f := st.Field(i)
+		name := f.Tag.Get("hist")
+		if name == "" {
+			name = f.Name
+		}
+		h, ok := pt.FieldByName(name)
+		if !ok {
+			panic("stats: stage " + f.Name + " has no Pipeline histogram " + name)
+		}
+		out[i] = stage{name: f.Tag.Get("json"), hist: h.Index[0]}
+	}
+	return out
+}()
+
+type stage struct {
+	name string
+	hist int
+}
+
+// Snapshot snapshots every stage histogram.
+func (p *Pipeline) Snapshot() *StageStats {
+	out := new(StageStats)
+	pv, sv := reflect.ValueOf(p).Elem(), reflect.ValueOf(out).Elem()
+	for i, s := range stages {
+		h := pv.Field(s.hist).Addr().Interface().(*AtomicHistogram)
+		*sv.Field(i).Addr().Interface().(*Snapshot) = h.Snapshot()
+	}
+	return out
+}
+
+// EachStage calls fn with every stage's wire name and snapshot, in
+// exposition order.
+func EachStage(s *StageStats, fn func(name string, snap *Snapshot)) {
+	sv := reflect.ValueOf(s).Elem()
+	for i, st := range stages {
+		fn(st.name, sv.Field(i).Addr().Interface().(*Snapshot))
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"net/http"
 
 	"timingsubg/internal/monitor"
+	"timingsubg/internal/stats"
 )
 
 // MetricsRegistry collects named live metrics and serves them over
@@ -81,91 +82,66 @@ func scalarStats(eng Engine) Stats {
 	return FastStats(eng)
 }
 
-// cheapGauges maps metric names to counter-only Stats fields — safe to
-// sample per gauge, per scrape. Every engine gets the base set;
-// composition-specific gauges are added by capability, read off the
-// self-describing snapshot.
-func cheapGauges(st Stats) map[string]func(Stats) any {
-	gauges := map[string]func(Stats) any{
-		"matches":         func(s Stats) any { return s.Matches },
-		"discarded":       func(s Stats) any { return s.Discarded },
-		"window_edges":    func(s Stats) any { return s.InWindow },
-		"join_scanned":    func(s Stats) any { return s.JoinScanned },
-		"join_candidates": func(s Stats) any { return s.JoinCandidates },
-		"expiry_batches":  func(s Stats) any { return s.ExpiryBatches },
-		"expiry_evicted":  func(s Stats) any { return s.ExpiryEvicted },
-	}
-	if !st.Fleet {
-		gauges["decomposition_k"] = func(s Stats) any { return s.K }
-	}
-	if st.Adaptive {
-		gauges["reoptimizations"] = func(s Stats) any { return s.Reoptimizations }
-	}
-	if st.Durable {
-		gauges["wal_seq"] = func(s Stats) any { return s.WALSeq }
-		gauges["wal_syncs"] = func(s Stats) any { return s.WALSyncs }
-		gauges["replayed"] = func(s Stats) any { return s.Replayed }
-	}
-	if st.Detection != nil {
-		gauges["detection_p99_ns"] = func(s Stats) any {
-			if s.Detection == nil {
-				return int64(0)
-			}
-			return int64(s.Detection.P99)
+// registerCounters registers, under prefix, every counter-table row
+// that applies to probe's composition, plus the detection p99 derived
+// from its histogram. sample takes the snapshot a gauge reads — the
+// full one when the row walks partial-match state; those rows are
+// skipped unless walks is set.
+func registerCounters(r *MetricsRegistry, prefix string, probe Stats, walks bool, sample func(walk bool) Stats) error {
+	for i := range stats.Counters {
+		c := &stats.Counters[i]
+		if !c.In(stats.Registry, &probe) || c.Walk && !walks {
+			continue
+		}
+		err := r.Register(prefix+"."+c.Metric, func() any {
+			st := sample(c.Walk)
+			return c.Value(&st)
+		})
+		if err != nil {
+			return err
 		}
 	}
-	if st.WatermarkLagNs != 0 || st.Detection != nil {
-		gauges["watermark_lag_ns"] = func(s Stats) any { return s.WatermarkLagNs }
+	if probe.Detection == nil {
+		return nil
 	}
-	return gauges
-}
-
-// walkGauges maps metric names to the Stats fields that walk
-// partial-match state (one walk per sample — keep these few).
-func walkGauges() map[string]func(Stats) any {
-	return map[string]func(Stats) any{
-		"partial_matches": func(s Stats) any { return s.PartialMatches },
-		"space_bytes":     func(s Stats) any { return s.SpaceBytes },
-	}
+	return r.Register(prefix+".detection_p99_ns", func() any {
+		if st := sample(false); st.Detection != nil {
+			return int64(st.Detection.P99)
+		}
+		return int64(0)
+	})
 }
 
 // RegisterMetrics registers eng's live counters under prefix.<metric>,
-// generically from its unified Stats snapshot — one registration path
-// for every engine composition. Fleets additionally get
-// prefix.<query-name>.<metric> per query live at registration time
-// (gauges resolve the query by name at sample time, so a retired query
-// reports zero; queries added after registration are not picked up — a
-// dynamic serving layer should sample Stats directly) plus
-// prefix.routed_fraction and prefix.space_bytes_total aggregates.
-// Counter gauges are safe to sample while edges are being fed.
+// generically from its unified Stats snapshot and the counter table —
+// one registration path for every engine composition. Fleets
+// additionally get prefix.<query-name>.<metric> per query live at
+// registration time (gauges resolve the query by name at sample time,
+// so a retired query reports zero; queries added after registration are
+// not picked up — a dynamic serving layer should sample Stats directly)
+// plus a prefix.space_bytes_total aggregate. Counter gauges are safe to
+// sample while edges are being fed.
 func RegisterMetrics(r *MetricsRegistry, prefix string, eng Engine) error {
-	fast := func() Stats { return scalarStats(eng) }
-	st := fast()
-	for name, field := range cheapGauges(st) {
-		field := field
-		if err := r.Register(prefix+"."+name, func() any { return field(fast()) }); err != nil {
-			return err
+	sample := func(walk bool) Stats {
+		if walk {
+			return eng.Stats()
 		}
+		return scalarStats(eng)
+	}
+	st := sample(false)
+	// Fleets get per-member walk gauges plus the space_bytes_total
+	// aggregate below; a fleet-level copy of each walking gauge would
+	// double the partial-match walks per scrape.
+	if err := registerCounters(r, prefix, st, !st.Fleet, sample); err != nil {
+		return err
 	}
 	if st.Stages != nil {
 		// The whole per-stage latency breakdown as one structured gauge:
 		// the JSON registry serves nested histogram summaries without a
 		// metric name per quantile.
-		if err := r.Register(prefix+".stages", func() any { return fast().Stages }); err != nil {
+		if err := r.Register(prefix+".stages", func() any { return sample(false).Stages }); err != nil {
 			return err
 		}
-	}
-	if !st.Fleet {
-		// Fleets get per-member walk gauges plus a space_bytes_total
-		// aggregate below; a fleet-level copy of each walking gauge
-		// would double the partial-match walks per scrape.
-		for name, field := range walkGauges() {
-			field := field
-			if err := r.Register(prefix+"."+name, func() any { return field(eng.Stats()) }); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	fl, ok := eng.(Fleet)
 	if !ok {
@@ -173,34 +149,20 @@ func RegisterMetrics(r *MetricsRegistry, prefix string, eng Engine) error {
 	}
 	src, _ := eng.(statsSource)
 	for _, name := range fl.Names() {
-		name := name
-		sample := func(fastSample bool) Stats {
+		member := func(walk bool) Stats {
 			if src == nil {
 				return eng.Stats().Queries[name]
 			}
-			qs, _ := src.queryStats(name, fastSample)
+			qs, _ := src.queryStats(name, !walk)
 			return qs
 		}
-		// Per-member snapshots are never fleets, so probe with a
-		// non-fleet snapshot to get the single-engine gauge set.
-		probe := sample(true)
-		for metric, field := range cheapGauges(probe) {
-			field := field
-			if err := r.Register(prefix+"."+name+"."+metric, func() any { return field(sample(true)) }); err != nil {
-				return err
-			}
-		}
-		for metric, field := range walkGauges() {
-			field := field
-			if err := r.Register(prefix+"."+name+"."+metric, func() any { return field(sample(false)) }); err != nil {
-				return err
-			}
+		// Per-member snapshots are never fleets, so they get the
+		// single-engine gauge set.
+		if err := registerCounters(r, prefix+"."+name, member(false), true, member); err != nil {
+			return err
 		}
 	}
-	if err := r.Register(prefix+".space_bytes_total", func() any { return eng.Stats().SpaceBytes }); err != nil {
-		return err
-	}
-	return r.Register(prefix+".routed_fraction", func() any { return fast().RoutedFraction })
+	return r.Register(prefix+".space_bytes_total", func() any { return eng.Stats().SpaceBytes })
 }
 
 // RegisterMetrics registers this searcher's live counters under

@@ -17,41 +17,7 @@ type LatencySnapshot = stats.Snapshot
 // one LatencySnapshot per stage. Engines populate it unless
 // Config.DisableMetrics is set; stages an engine composition does not
 // exercise (e.g. WAL stages on an in-memory engine) stay empty.
-type StageStats struct {
-	// Ingest is end-to-end feed latency, observed by the ingest
-	// pipeline's executor: per edge on the inline executor (single
-	// engines and FleetWorkers <= 1 fleets, Feed and FeedBatch alike),
-	// per call on a sharded fleet's fan-out — shards interleave a
-	// batch's edges there, so one edge has no latency of its own.
-	Ingest LatencySnapshot `json:"ingest"`
-	// WALAppend times each durable append (including any cadence fsync
-	// it triggered); WALSync times each fsync alone.
-	WALAppend LatencySnapshot `json:"wal_append"`
-	WALSync   LatencySnapshot `json:"wal_sync"`
-	// GroupCommit times each committer's wait for group-commit
-	// durability — the batch-coalescing latency paid when an fsync is
-	// shared with (or queued behind) concurrent committers.
-	GroupCommit LatencySnapshot `json:"wal_group_commit"`
-	// QueueWait is the time a shard task waits for a fleet-pool worker;
-	// ShardExec is the task's execution time (sharded fleets only).
-	QueueWait LatencySnapshot `json:"shard_queue_wait"`
-	ShardExec LatencySnapshot `json:"shard_exec"`
-	// Join times core insert work per edge; Expiry times each
-	// window-expiry sweep.
-	Join   LatencySnapshot `json:"join"`
-	Expiry LatencySnapshot `json:"expiry"`
-	// Dispatch times synchronous match delivery (subscriber fan-out,
-	// including Block-policy backpressure).
-	Dispatch LatencySnapshot `json:"dispatch"`
-	// Detection is the paper's detection latency — match emit wallclock
-	// minus triggering edge arrival wallclock — engine-wide. Per-query
-	// histograms are in Stats.Queries[name].Detection.
-	Detection LatencySnapshot `json:"detection"`
-	// EventTimeLag is match emit wallclock minus the triggering edge's
-	// event timestamp mapped through Config.EventTimeUnit (empty when
-	// no unit is configured).
-	EventTimeLag LatencySnapshot `json:"event_time_lag"`
-}
+type StageStats = stats.StageStats
 
 // SlowOp describes one pipeline operation that exceeded
 // Config.SlowOpThreshold, with its stage breakdown.
@@ -117,27 +83,6 @@ func newObs(p *stats.Pipeline, eventUnitNs, slowNs int64, onSlow func(SlowOp)) *
 	}
 	o.arrival = &o.arrivalOwn
 	return o
-}
-
-// stages snapshots every stage histogram. Nil-safe.
-func (o *obs) stages() *StageStats {
-	if o == nil {
-		return nil
-	}
-	p := o.pipe
-	return &StageStats{
-		Ingest:       p.Ingest.Snapshot(),
-		WALAppend:    p.WALAppend.Snapshot(),
-		WALSync:      p.WALSync.Snapshot(),
-		GroupCommit:  p.WALGroupCommit.Snapshot(),
-		QueueWait:    p.QueueWait.Snapshot(),
-		ShardExec:    p.ShardExec.Snapshot(),
-		Join:         p.Join.Snapshot(),
-		Expiry:       p.Expiry.Snapshot(),
-		Dispatch:     p.Dispatch.Snapshot(),
-		Detection:    p.Detection.Snapshot(),
-		EventTimeLag: p.EventTimeLag.Snapshot(),
-	}
 }
 
 // slowFeed fires the slow-op hook when a feed that began at start

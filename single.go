@@ -539,7 +539,7 @@ func (en *single) statsFast() Stats {
 			// Standalone engines carry the full stage view; fleet
 			// members leave it to the fleet aggregate (they share one
 			// pipeline).
-			st.Stages = o.stages()
+			st.Stages = o.pipe.Snapshot()
 			st.WatermarkLagNs = watermarkLag(st.LastTime, o.eventUnitNs)
 		}
 	}
