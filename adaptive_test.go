@@ -1,6 +1,7 @@
 package timingsubg
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -59,18 +60,28 @@ func skewedStream(n int, seed int64, hot int) []Edge {
 	return out
 }
 
+// joinOrder returns the masks of the TC-subqueries in eng's current
+// join order.
+func joinOrder(eng Engine) []uint64 {
+	var out []uint64
+	for _, s := range eng.(*single).eng.Decomposition().Subqueries {
+		out = append(out, s.Mask)
+	}
+	return out
+}
+
 func TestAdaptiveRejectsBadOptions(t *testing.T) {
 	q := starQuery(t)
-	if _, err := NewAdaptiveSearcher(q, AdaptiveOptions{Options: Options{Window: 10, Workers: 2}}); err == nil {
-		t.Fatal("workers > 1 accepted")
+	if _, err := Open(Config{Query: q, Window: 10, Workers: 2, Adaptive: &Adaptivity{}}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("workers > 1 accepted: %v", err)
 	}
-	if _, err := NewAdaptiveSearcher(q, AdaptiveOptions{}); err == nil {
-		t.Fatal("no window accepted")
+	if _, err := Open(Config{Query: q, Adaptive: &Adaptivity{}}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("no window accepted: %v", err)
 	}
 }
 
 // TestAdaptiveMatchesPlain: adaptation must never change results. Run
-// with an aggressive reoptimizer against a plain searcher on streams
+// with an aggressive reoptimizer against a plain engine on streams
 // that force at least one rebuild.
 func TestAdaptiveMatchesPlain(t *testing.T) {
 	q := starQuery(t)
@@ -84,32 +95,19 @@ func TestAdaptiveMatchesPlain(t *testing.T) {
 				edges = append(edges, e)
 			}
 
-			plain := map[string]bool{}
-			s, err := NewSearcher(q, Options{Window: 90, OnMatch: func(m *Match) { plain[matchKey(m)] = true }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range edges {
-				if _, err := s.Feed(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.Close()
+			plain := runPlain(t, q, 90, edges)
 
 			adapt := map[string]bool{}
-			a, err := NewAdaptiveSearcher(q, AdaptiveOptions{
-				Options:         Options{Window: 90, OnMatch: func(m *Match) { adapt[matchKey(m)] = true }},
-				ReoptimizeEvery: 50,
-				MinGain:         1.1,
+			a, err := Open(Config{
+				Query:    q,
+				Window:   90,
+				Adaptive: &Adaptivity{ReoptimizeEvery: 50, MinGain: 1.1},
+				OnMatch:  func(_ string, m *Match) { adapt[matchKey(m)] = true },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range edges {
-				if _, err := a.Feed(e); err != nil {
-					t.Fatal(err)
-				}
-			}
+			feedEach(t, a, edges)
 			a.Close()
 
 			if len(plain) == 0 {
@@ -123,8 +121,8 @@ func TestAdaptiveMatchesPlain(t *testing.T) {
 					t.Fatalf("adaptive missed %s", k)
 				}
 			}
-			if a.MatchCount() != int64(len(plain)) {
-				t.Fatalf("adaptive MatchCount %d, want %d", a.MatchCount(), len(plain))
+			if got := a.Stats().Matches; got != int64(len(plain)) {
+				t.Fatalf("adaptive Matches %d, want %d", got, len(plain))
 			}
 		})
 	}
@@ -135,16 +133,16 @@ func TestAdaptiveMatchesPlain(t *testing.T) {
 // the join order (small-first ordering).
 func TestAdaptiveReordersUnderDrift(t *testing.T) {
 	q := starQuery(t)
-	a, err := NewAdaptiveSearcher(q, AdaptiveOptions{
-		Options:         Options{Window: 200},
-		ReoptimizeEvery: 100,
-		MinGain:         1.2,
+	a, err := Open(Config{
+		Query:    q,
+		Window:   200,
+		Adaptive: &Adaptivity{ReoptimizeEvery: 100, MinGain: 1.2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.K() != 3 {
-		t.Fatalf("k = %d, want 3 (test assumes 3 subqueries)", a.K())
+	if k := a.Stats().K; k != 3 {
+		t.Fatalf("k = %d, want 3 (test assumes 3 subqueries)", k)
 	}
 
 	// Phase 1: kind 0 floods. Phase 2: kind 2 floods.
@@ -159,13 +157,13 @@ func TestAdaptiveReordersUnderDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 999 {
-			orderAfterPhase1 = a.JoinOrder()
+			orderAfterPhase1 = joinOrder(a)
 		}
 	}
-	orderAfterPhase2 := a.JoinOrder()
+	orderAfterPhase2 := joinOrder(a)
 	a.Close()
 
-	if a.Reoptimizations() == 0 {
+	if a.Stats().Reoptimizations == 0 {
 		t.Fatal("no reoptimization under heavy drift")
 	}
 	same := len(orderAfterPhase1) == len(orderAfterPhase2)
@@ -226,7 +224,7 @@ func BenchmarkAdaptiveVsStatic(b *testing.B) {
 	}
 	b.Run("static", func(b *testing.B) {
 		edges := mkEdges(4096)
-		s, err := NewSearcher(q, Options{Window: 300})
+		s, err := Open(Config{Query: q, Window: 300})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,10 +239,10 @@ func BenchmarkAdaptiveVsStatic(b *testing.B) {
 	})
 	b.Run("adaptive", func(b *testing.B) {
 		edges := mkEdges(4096)
-		a, err := NewAdaptiveSearcher(q, AdaptiveOptions{
-			Options:         Options{Window: 300},
-			ReoptimizeEvery: 512,
-			MinGain:         1.5,
+		a, err := Open(Config{
+			Query:    q,
+			Window:   300,
+			Adaptive: &Adaptivity{ReoptimizeEvery: 512, MinGain: 1.5},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -34,17 +34,13 @@
 // Results are consumed through the subscription plane: Subscribe
 // attaches any number of consumers at runtime, each with its own
 // query-name filter, buffer and overflow policy (see SubscribeOptions);
-// Config.OnMatch remains as a synchronous shim fixed at Open. The
-// former per-capability façades (Searcher, AdaptiveSearcher,
-// PersistentSearcher, MultiSearcher, PersistentMultiSearcher) remain as
-// deprecated shims over the same core.
+// Config.OnMatch remains as a synchronous shim fixed at Open.
 //
 // See examples/ for runnable scenarios and DESIGN.md for architecture.
 package timingsubg
 
 import (
 	"errors"
-	"io"
 
 	"timingsubg/internal/core"
 	"timingsubg/internal/graph"
@@ -111,9 +107,9 @@ const (
 	AllLocks = core.AllLocks
 )
 
-// Options configures a Searcher (and, embedded in QuerySpec, one fleet
-// member). New code should set the equivalent fields on Config and call
-// Open.
+// Options is the per-member override set of a fleet: QuerySpec.Options
+// fields left zero inherit the fleet Config's value. (Open normalizes a
+// single-query Config into the same struct internally.)
 type Options struct {
 	// Window is the time-based sliding-window duration |W| (the
 	// paper's model). Exactly one of Window and CountWindow must be
@@ -124,9 +120,6 @@ type Options struct {
 	// time-based one. Timing-order match semantics are unchanged;
 	// only the expiry rule differs.
 	CountWindow int
-	// OnMatch receives every complete match; it may be nil when only
-	// counters are needed. The callback is serialized.
-	OnMatch func(*Match)
 	// Storage selects the partial-match backend (default MSTree).
 	Storage Storage
 	// Workers > 1 enables concurrent execution with that many in-flight
@@ -137,27 +130,11 @@ type Options struct {
 	// Decomposition overrides the automatic TC decomposition.
 	Decomposition *Decomposition
 
-	// scanProbes disables the MS-tree vertex join indexes on the INSERT
-	// probe paths (core.Config.ScanProbes): every probe scans its whole
-	// expansion-list item. Results are identical; only JoinScanned and
-	// wall clock change. Internal — the equivalence suite and benchmarks
-	// A/B the index against the scan engine with it.
-	scanProbes bool
-
-	// perEdgeExpiry disables batched window-slide eviction: each expired
-	// edge runs as its own delete pass (core.Engine.Process /
-	// Parallel.Process) instead of one DeleteBatch sweep per slide.
-	// Results are identical; only lock traffic, level walks and the
-	// Expiry* counters change. Internal — the expiry equivalence suite
-	// and BenchmarkExpiryIngest A/B the two paths with it.
-	perEdgeExpiry bool
-
 	// Observability wiring (internal): Open threads Config.EventTimeUnit
 	// and the slow-op hook through these, and fleet members inherit the
 	// fleet's stage pipeline so every member's join/expiry/detection
 	// work lands in one fleet-wide view. A nil pipe disables
-	// instrumentation (Config.DisableMetrics, and the deprecated
-	// façades).
+	// instrumentation (Config.DisableMetrics).
 	pipe        *stats.Pipeline
 	eventUnitNs int64
 	slowOpNs    int64
@@ -173,75 +150,3 @@ var ErrBadOptions = errors.New("timingsubg: invalid options")
 // feed error; any other Feed/FeedBatch error is environmental (e.g. a
 // WAL write failure).
 var ErrOutOfOrder = graph.ErrOutOfOrder
-
-// Searcher is a continuous time-constrained subgraph searcher over one
-// query and one sliding window. Feed edges in timestamp order; matches
-// are delivered to OnMatch as they complete.
-//
-// Deprecated: Searcher is a thin shim over the unified engine. Use
-// Open with Config{Query: q, ...}, which exposes the same engine with
-// composable durability, adaptivity and fleet options.
-type Searcher struct {
-	en *single
-}
-
-// NewSearcher builds a Searcher for q.
-//
-// Deprecated: use Open.
-func NewSearcher(q *Query, opts Options) (*Searcher, error) {
-	en, err := newSingle(q, opts, nil, matchSink(opts.OnMatch))
-	if err != nil {
-		return nil, err
-	}
-	return &Searcher{en: en}, nil
-}
-
-// Feed pushes one edge into the stream. The edge's Time must exceed the
-// previous edge's; its ID is assigned by the stream and returned. Expired
-// edges are retired and the new edge is matched before Feed returns (in
-// concurrent mode, before the transaction completes asynchronously).
-// After Close, Feed returns ErrClosed.
-func (s *Searcher) Feed(e Edge) (EdgeID, error) { return s.en.Feed(e) }
-
-// FeedBatch pushes a batch of edges; see Engine.FeedBatch.
-func (s *Searcher) FeedBatch(batch []Edge) (int, error) { return s.en.FeedBatch(batch) }
-
-// Close drains in-flight work (concurrent mode) and finalizes counters.
-// The Searcher must not be fed after Close.
-func (s *Searcher) Close() { s.en.Close() }
-
-// Stats returns the unified counter snapshot.
-func (s *Searcher) Stats() Stats { return s.en.Stats() }
-
-// MatchCount returns the number of matches reported so far. In concurrent
-// mode call Close (or accept a lower bound) before reading.
-func (s *Searcher) MatchCount() int64 { return s.en.matches() }
-
-// Discarded returns how many fed edges were filtered as discardable
-// (matched a query edge label but could never complete a match).
-func (s *Searcher) Discarded() int64 { return s.en.discarded() }
-
-// SpaceBytes estimates resident bytes of maintained partial matches.
-// Call while no Feed is in flight.
-func (s *Searcher) SpaceBytes() int64 { return s.en.eng.SpaceBytes() }
-
-// PartialMatches returns the number of stored partial matches.
-func (s *Searcher) PartialMatches() int64 { return s.en.eng.PartialMatchCount() }
-
-// K returns the size of the TC decomposition in use.
-func (s *Searcher) K() int { return s.en.eng.K() }
-
-// InWindow returns the number of edges currently inside the window.
-func (s *Searcher) InWindow() int { return s.en.stream.Len() }
-
-// WriteState dumps the engine's live expansion-list populations and
-// counters for diagnostics. Call while no Feed is in flight.
-func (s *Searcher) WriteState(w io.Writer) { s.en.writeState(w) }
-
-// CurrentMatches enumerates the matches standing in the current window
-// (reported and not yet expired). The Match passed to fn is scratch —
-// Clone to retain. Call while no Feed is in flight.
-func (s *Searcher) CurrentMatches(fn func(*Match) bool) { s.en.CurrentMatches(fn) }
-
-// CurrentMatchCount returns the number of standing matches.
-func (s *Searcher) CurrentMatchCount() int { return s.en.currentMatchCount() }

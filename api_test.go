@@ -2,12 +2,65 @@ package timingsubg_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"timingsubg"
 )
+
+// TestNoDeprecatedAPI keeps Open the only way in: the package carries
+// no deprecation marker (a deprecated identifier is a second API kept
+// alive) and exports nothing named after the deleted per-capability
+// façades or their delivery helpers.
+func TestNoDeprecatedAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := "Deprecated" + ":" // split so this file carries no marker itself
+	facade := regexp.MustCompile(`Searcher|MatchChannel|MatchDeduper`)
+	exported := func(pos token.Pos, name string) {
+		if ast.IsExported(name) && facade.MatchString(name) {
+			t.Errorf("%s: exported identifier %s revives a deleted façade", fset.Position(pos), name)
+		}
+	}
+	for _, pkg := range pkgs {
+		for path, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				if strings.Contains(cg.Text(), marker) {
+					t.Errorf("%s: deprecation marker", fset.Position(cg.Pos()))
+				}
+			}
+			if strings.HasSuffix(path, "_test.go") {
+				continue // Test*/Example* names are not package API
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					exported(d.Pos(), d.Name.Name)
+				case *ast.GenDecl:
+					for _, sp := range d.Specs {
+						switch sp := sp.(type) {
+						case *ast.TypeSpec:
+							exported(sp.Pos(), sp.Name.Name)
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								exported(n.Pos(), n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
 
 // buildTwoHop builds the query a→b→c with (a→b) ≺ (b→c).
 func buildTwoHop(t *testing.T) (*timingsubg.Query, *timingsubg.Labels, []timingsubg.Label) {
@@ -29,9 +82,10 @@ func buildTwoHop(t *testing.T) (*timingsubg.Query, *timingsubg.Labels, []timings
 func TestSearcherBasics(t *testing.T) {
 	q, _, ls := buildTwoHop(t)
 	var got []string
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{
+	s, err := timingsubg.Open(timingsubg.Config{
+		Query:   q,
 		Window:  10,
-		OnMatch: func(m *timingsubg.Match) { got = append(got, m.Key()) },
+		OnMatch: func(_ string, m *timingsubg.Match) { got = append(got, m.Key()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,23 +106,24 @@ func TestSearcherBasics(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("want 2 matches, got %v", got)
 	}
-	if s.MatchCount() != 2 {
-		t.Errorf("MatchCount: want 2, got %d", s.MatchCount())
+	st := s.Stats()
+	if st.Matches != 2 {
+		t.Errorf("Matches: want 2, got %d", st.Matches)
 	}
-	if s.InWindow() != 3 {
-		t.Errorf("InWindow: want 3, got %d", s.InWindow())
+	if st.InWindow != 3 {
+		t.Errorf("InWindow: want 3, got %d", st.InWindow)
 	}
-	if s.K() != 1 {
-		t.Errorf("two ordered edges are one TC-query; got k=%d", s.K())
+	if st.K != 1 {
+		t.Errorf("two ordered edges are one TC-query; got k=%d", st.K)
 	}
-	if s.SpaceBytes() <= 0 || s.PartialMatches() <= 0 {
+	if st.SpaceBytes <= 0 || st.PartialMatches <= 0 {
 		t.Error("space accounting must be positive with live partials")
 	}
 }
 
 func TestSearcherTimingOrderFilters(t *testing.T) {
 	q, _, ls := buildTwoHop(t)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 10})
+	s, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +135,17 @@ func TestSearcherTimingOrderFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if s.MatchCount() != 0 {
+	if s.Stats().Matches != 0 {
 		t.Error("reversed arrivals must not match under the timing order")
 	}
-	if s.Discarded() == 0 {
+	if s.Stats().Discarded == 0 {
 		t.Error("the b→c edge is discardable (no a→b precedes it)")
 	}
 }
 
 func TestSearcherWindowExpiry(t *testing.T) {
 	q, _, ls := buildTwoHop(t)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 3})
+	s, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +160,18 @@ func TestSearcherWindowExpiry(t *testing.T) {
 	must(timingsubg.Edge{From: 9, To: 9, FromLabel: ls[2], ToLabel: ls[2], Time: 5})
 	must(timingsubg.Edge{From: 2, To: 3, FromLabel: ls[1], ToLabel: ls[2], Time: 6})
 	s.Close()
-	if s.MatchCount() != 0 {
+	if s.Stats().Matches != 0 {
 		t.Error("expired prefix must not contribute to matches")
 	}
 }
 
 func TestSearcherOptionValidation(t *testing.T) {
 	q, _, _ := buildTwoHop(t)
-	if _, err := timingsubg.NewSearcher(q, timingsubg.Options{}); !errors.Is(err, timingsubg.ErrBadOptions) {
+	if _, err := timingsubg.Open(timingsubg.Config{Query: q}); !errors.Is(err, timingsubg.ErrBadOptions) {
 		t.Errorf("zero window must be rejected, got %v", err)
 	}
-	_, err := timingsubg.NewSearcher(q, timingsubg.Options{
-		Window: 5, Workers: 4, Storage: timingsubg.Independent,
+	_, err := timingsubg.Open(timingsubg.Config{
+		Query: q, Window: 5, Workers: 4, Storage: timingsubg.Independent,
 	})
 	if !errors.Is(err, timingsubg.ErrBadOptions) {
 		t.Errorf("concurrent independent storage must be rejected, got %v", err)
@@ -125,15 +180,15 @@ func TestSearcherOptionValidation(t *testing.T) {
 
 func TestSearcherRejectsOutOfOrderFeeds(t *testing.T) {
 	q, _, ls := buildTwoHop(t)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 5})
+	s, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: ls[0], ToLabel: ls[1], Time: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: ls[0], ToLabel: ls[1], Time: 5}); err == nil {
-		t.Error("non-increasing timestamps must be rejected")
+	if _, err := s.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: ls[0], ToLabel: ls[1], Time: 5}); !errors.Is(err, timingsubg.ErrOutOfOrder) {
+		t.Errorf("non-increasing timestamps must be rejected with ErrOutOfOrder, got %v", err)
 	}
 }
 
@@ -155,11 +210,12 @@ func TestSearcherConcurrentMatchesSerial(t *testing.T) {
 	runWith := func(workers int, scheme timingsubg.LockScheme) []string {
 		var mu sync.Mutex
 		var keys []string
-		s, err := timingsubg.NewSearcher(q, timingsubg.Options{
+		s, err := timingsubg.Open(timingsubg.Config{
+			Query:      q,
 			Window:     30,
 			Workers:    workers,
 			LockScheme: scheme,
-			OnMatch: func(m *timingsubg.Match) {
+			OnMatch: func(_ string, m *timingsubg.Match) {
 				mu.Lock()
 				keys = append(keys, m.Key())
 				mu.Unlock()

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// Ablation benches for the post-paper extensions: what durability,
-// count windows, and channel delivery cost relative to the plain
-// in-memory searcher on the same stream and query.
+// Ablation benches for the post-paper extensions: what durability and
+// count windows cost relative to the plain in-memory engine on the same
+// stream and query.
 
 func extBenchStream(b *testing.B, n int) ([]Edge, *Query) {
 	b.Helper()
@@ -15,10 +15,10 @@ func extBenchStream(b *testing.B, n int) ([]Edge, *Query) {
 	return persistTestStream(labels, n, 51), q
 }
 
-// BenchmarkFeedPlain is the baseline: in-memory searcher, time window.
+// BenchmarkFeedPlain is the baseline: in-memory engine, time window.
 func BenchmarkFeedPlain(b *testing.B) {
 	edges, q := extBenchStream(b, 4096)
-	s, err := NewSearcher(q, Options{Window: 50})
+	s, err := Open(Config{Query: q, Window: 50})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func BenchmarkFeedPlain(b *testing.B) {
 // BenchmarkFeedCountWindow swaps in the count-based window.
 func BenchmarkFeedCountWindow(b *testing.B) {
 	edges, q := extBenchStream(b, 4096)
-	s, err := NewSearcher(q, Options{CountWindow: 50})
+	s, err := Open(Config{Query: q, CountWindow: 50})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,14 +55,7 @@ func BenchmarkFeedCountWindow(b *testing.B) {
 // checkpointing — the full durability tax per edge.
 func BenchmarkFeedDurable(b *testing.B) {
 	edges, q := extBenchStream(b, 4096)
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 50},
-		Dir:             b.TempDir(),
-		CheckpointEvery: 4096,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ps := openDurable(b, q, 50, Durability{Dir: b.TempDir(), CheckpointEvery: 4096}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,14 +75,8 @@ func BenchmarkFeedDurable(b *testing.B) {
 // window (write + GC + WAL truncation).
 func BenchmarkCheckpoint(b *testing.B) {
 	edges, q := extBenchStream(b, 4096)
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 500},
-		Dir:             b.TempDir(),
-		CheckpointEvery: 1 << 30, // manual only
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	// CheckpointEvery 1<<30: manual checkpoints only.
+	ps := openDurable(b, q, 500, Durability{Dir: b.TempDir(), CheckpointEvery: 1 << 30}, nil)
 	for i, e := range edges {
 		e.Time = Timestamp(i + 1)
 		if _, err := ps.Feed(e); err != nil {
@@ -98,7 +85,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ps.Checkpoint(); err != nil {
+		if err := ps.checkpointNow(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,18 +95,12 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures OpenPersistent against a directory with a
+// BenchmarkRecovery measures a durable Open against a directory with a
 // populated checkpoint — the restart cost a deployment pays.
 func BenchmarkRecovery(b *testing.B) {
 	edges, q := extBenchStream(b, 4096)
 	dir := b.TempDir()
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options: Options{Window: 500},
-		Dir:     dir,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ps := openDurable(b, q, 500, Durability{Dir: dir}, nil)
 	for i, e := range edges {
 		e.Time = Timestamp(i + 1)
 		if _, err := ps.Feed(e); err != nil {
@@ -131,13 +112,7 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps, err := OpenPersistent(q, PersistentOptions{
-			Options: Options{Window: 500},
-			Dir:     dir,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		ps := openDurable(b, q, 500, Durability{Dir: dir}, nil)
 		b.StopTimer()
 		// Close writes a checkpoint; keep it out of the recovery timing.
 		if err := ps.Close(); err != nil {

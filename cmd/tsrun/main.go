@@ -9,12 +9,15 @@
 //	tsrun -stream stream.csv -query query.txt -count-window 5000
 //	tsrun -stream stream.csv -query query.txt -window 10000 -durable ./state
 //	tsrun -stream stream.csv -query query.txt -window 10000 -adaptive
+//	tsrun -stream stream.csv -query query.txt -window 10000 -durable ./state -adaptive
 //	tsrun -stream stream.csv -query query.txt -window 10000 -metrics 127.0.0.1:9090
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -27,60 +30,59 @@ import (
 	"timingsubg/internal/stats"
 )
 
-// runner is the common surface of the searcher variants tsrun can drive.
-type runner interface {
-	Feed(e timingsubg.Edge) (timingsubg.EdgeID, error)
-	MatchCount() int64
-	Discarded() int64
-	PartialMatches() int64
-	SpaceBytes() int64
-	K() int
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
-func main() {
-	streamPath := flag.String("stream", "", "stream file (CSV from tsgen, or SNAP with -snap)")
-	snap := flag.Bool("snap", false, "stream file is SNAP temporal format: 'src dst unixtime' lines")
-	queryPath := flag.String("query", "", "query file (see internal/query/parse.go format)")
-	window := flag.Int64("window", 10000, "time-based sliding window |W| in stream time units")
-	countWindow := flag.Int("count-window", 0, "count-based window of the latest N edges (overrides -window)")
-	workers := flag.Int("workers", 1, "concurrent edge transactions (>1 enables the Section V scheduler)")
-	allLocks := flag.Bool("alllocks", false, "use the All-locks baseline scheme instead of fine-grained")
-	ind := flag.Bool("independent", false, "use independent partial-match storage (Timing-IND)")
-	durable := flag.String("durable", "", "durability directory: WAL + checkpoints with crash recovery")
-	adaptive := flag.Bool("adaptive", false, "enable adaptive join-order reoptimization")
-	metricsAddr := flag.String("metrics", "", "serve live JSON metrics on this address during the run")
-	printMatches := flag.Bool("print", false, "print each match")
-	explain := flag.Bool("explain", false, "print the compiled query plan before running")
-	state := flag.Bool("state", false, "dump engine state (per-item populations) after the run")
-	flag.Parse()
-
-	if *streamPath == "" || *queryPath == "" {
-		fmt.Fprintln(os.Stderr, "both -stream and -query are required")
-		os.Exit(2)
+// run is the whole command: it parses args, drives the stream through
+// one engine and prints the summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tsrun", flag.ContinueOnError)
+	streamPath := fs.String("stream", "", "stream file (CSV from tsgen, or SNAP with -snap)")
+	snap := fs.Bool("snap", false, "stream file is SNAP temporal format: 'src dst unixtime' lines")
+	queryPath := fs.String("query", "", "query file (see internal/query/parse.go format)")
+	window := fs.Int64("window", 10000, "time-based sliding window |W| in stream time units")
+	countWindow := fs.Int("count-window", 0, "count-based window of the latest N edges (overrides -window)")
+	workers := fs.Int("workers", 1, "concurrent edge transactions (>1 enables the Section V scheduler)")
+	allLocks := fs.Bool("alllocks", false, "use the All-locks baseline scheme instead of fine-grained")
+	ind := fs.Bool("independent", false, "use independent partial-match storage (Timing-IND)")
+	durable := fs.String("durable", "", "durability directory: WAL + checkpoints with crash recovery")
+	adaptive := fs.Bool("adaptive", false, "enable adaptive join-order reoptimization")
+	metricsAddr := fs.String("metrics", "", "serve live JSON metrics on this address during the run")
+	printMatches := fs.Bool("print", false, "print each match")
+	explain := fs.Bool("explain", false, "print the compiled query plan before running")
+	state := fs.Bool("state", false, "dump engine state (per-item populations) after the run")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *durable != "" && *adaptive {
-		fmt.Fprintln(os.Stderr, "-durable and -adaptive are mutually exclusive")
-		os.Exit(2)
+	if *streamPath == "" || *queryPath == "" {
+		return errors.New("both -stream and -query are required")
 	}
 
 	labels := graph.NewLabels()
 	qf, err := os.Open(*queryPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	q, err := query.Parse(qf, labels)
 	qf.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *explain {
-		query.Explain(os.Stdout, labels, q, query.Decompose(q))
+		query.Explain(stdout, labels, q, query.Decompose(q))
 	}
 
 	sf, err := os.Open(*streamPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var edges []graph.Edge
 	if *snap {
@@ -90,112 +92,85 @@ func main() {
 	}
 	sf.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	opts := timingsubg.Options{
+	// Every flag is one Config field; which combinations compose is
+	// Open's decision, and its error is the diagnostic.
+	cfg := timingsubg.Config{
+		Query:   q,
 		Window:  timingsubg.Timestamp(*window),
 		Workers: *workers,
 	}
 	if *countWindow > 0 {
-		opts.Window = 0
-		opts.CountWindow = *countWindow
+		cfg.Window = 0
+		cfg.CountWindow = *countWindow
 	}
 	if *allLocks {
-		opts.LockScheme = timingsubg.AllLocks
+		cfg.LockScheme = timingsubg.AllLocks
 	}
 	if *ind {
-		opts.Storage = timingsubg.Independent
+		cfg.Storage = timingsubg.Independent
+	}
+	if *adaptive {
+		cfg.Adaptive = &timingsubg.Adaptivity{}
+	}
+	if *durable != "" {
+		cfg.Durable = &timingsubg.Durability{Dir: *durable}
 	}
 	if *printMatches {
-		opts.OnMatch = func(m *timingsubg.Match) { fmt.Printf("match %s\n", m) }
+		cfg.OnMatch = func(_ string, m *timingsubg.Match) { fmt.Fprintf(stdout, "match %s\n", m) }
 	}
-
-	reg := timingsubg.NewMetricsRegistry()
-	var r runner
-	var plain *timingsubg.Searcher
-	var closeRun func()
-	switch {
-	case *durable != "":
-		ps, err := timingsubg.OpenPersistent(q, timingsubg.PersistentOptions{
-			Options: opts,
-			Dir:     *durable,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if ps.Replayed() > 0 || ps.MatchCount() > 0 {
-			fmt.Printf("recovered: %d durable matches, %d WAL edges replayed, window holds %d edges\n",
-				ps.MatchCount(), ps.Replayed(), ps.InWindow())
-		}
-		if err := ps.RegisterMetrics(reg, "tsrun"); err != nil {
-			fatal(err)
-		}
-		r = ps
-		closeRun = func() {
-			if err := ps.Close(); err != nil {
-				fatal(err)
-			}
-		}
-	case *adaptive:
-		a, err := timingsubg.NewAdaptiveSearcher(q, timingsubg.AdaptiveOptions{Options: opts})
-		if err != nil {
-			fatal(err)
-		}
-		if err := a.RegisterMetrics(reg, "tsrun"); err != nil {
-			fatal(err)
-		}
-		r = a
-		closeRun = func() {
-			a.Close()
-			fmt.Printf("join-order reoptimizations: %d\n", a.Reoptimizations())
-		}
-	default:
-		s, err := timingsubg.NewSearcher(q, opts)
-		if err != nil {
-			fatal(err)
-		}
-		if err := s.RegisterMetrics(reg, "tsrun"); err != nil {
-			fatal(err)
-		}
-		r, plain = s, s
-		closeRun = s.Close
+	eng, err := timingsubg.Open(cfg)
+	if err != nil {
+		return err
+	}
+	defer eng.Close() // error paths; Close is idempotent
+	if st := eng.Stats(); st.Replayed > 0 || st.Matches > 0 {
+		fmt.Fprintf(stdout, "recovered: %d durable matches, %d WAL edges replayed, window holds %d edges\n",
+			st.Matches, st.Replayed, st.InWindow)
 	}
 
 	if *metricsAddr != "" {
+		reg := timingsubg.NewMetricsRegistry()
+		if err := timingsubg.RegisterMetrics(reg, "tsrun", eng); err != nil {
+			return err
+		}
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer ln.Close()
 		go http.Serve(ln, timingsubg.MetricsHandler(reg))
-		fmt.Printf("metrics: http://%s\n", ln.Addr())
+		fmt.Fprintf(stdout, "metrics: http://%s\n", ln.Addr())
 	}
 
 	var hist stats.Histogram
 	start := time.Now()
 	for _, e := range edges {
 		t0 := time.Now()
-		if _, err := r.Feed(e); err != nil {
-			fatal(err)
+		if _, err := eng.Feed(e); err != nil {
+			return err
 		}
 		hist.Observe(time.Since(t0))
 	}
 	elapsed := time.Since(start)
-	closeRun()
-
-	fmt.Printf("query: %d edges, decomposition k=%d\n", q.NumEdges(), r.K())
-	fmt.Printf("edges: %d  elapsed: %v  throughput: %.0f edges/sec\n",
-		len(edges), elapsed.Round(time.Millisecond), float64(len(edges))/elapsed.Seconds())
-	fmt.Printf("matches: %d  discardable filtered: %d  partial matches held: %d  space: %d KB\n",
-		r.MatchCount(), r.Discarded(), r.PartialMatches(), r.SpaceBytes()/1024)
-	fmt.Printf("per-edge latency: %s\n", hist.Snapshot())
-	if *state && plain != nil {
-		plain.WriteState(os.Stdout)
+	if err := eng.Close(); err != nil {
+		return err
 	}
-}
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	st := eng.Stats()
+	if st.Adaptive {
+		fmt.Fprintf(stdout, "join-order reoptimizations: %d\n", st.Reoptimizations)
+	}
+	fmt.Fprintf(stdout, "query: %d edges, decomposition k=%d\n", q.NumEdges(), st.K)
+	fmt.Fprintf(stdout, "edges: %d  elapsed: %v  throughput: %.0f edges/sec\n",
+		len(edges), elapsed.Round(time.Millisecond), float64(len(edges))/elapsed.Seconds())
+	fmt.Fprintf(stdout, "matches: %d  discardable filtered: %d  partial matches held: %d  space: %d KB\n",
+		st.Matches, st.Discarded, st.PartialMatches, st.SpaceBytes/1024)
+	fmt.Fprintf(stdout, "per-edge latency: %s\n", hist.Snapshot())
+	if *state {
+		timingsubg.WriteState(stdout, eng)
+	}
+	return nil
 }

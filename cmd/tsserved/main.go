@@ -100,8 +100,8 @@ func parseLogLevel(s string) (*slog.Logger, error) {
 
 func main() {
 	listen := flag.String("listen", ":8080", "HTTP listen address")
-	routed := flag.Bool("routed", false, "label-based routing: dispatch each edge only to interested queries (in-memory mode)")
-	fleetWorkers := flag.Int("fleet-workers", 0, "shard query evaluation across this many workers (0 or 1 = sequential; composable with -routed, -adaptive, -wal)")
+	routed := flag.Bool("routed", false, "label-based routing: dispatch each edge only to interested queries (in-memory only: ignored with a start-up warning under -wal, where the fleet broadcasts)")
+	fleetWorkers := flag.Int("fleet-workers", 0, "shard query evaluation across this many workers (0 or 1 = sequential; composable with -routed, -adaptive and -wal, though not with -routed and -wal together)")
 	adaptive := flag.Bool("adaptive", false, "adaptive join orders: reoptimize each query's TC decomposition from observed stream statistics (composable with -wal)")
 	reoptEvery := flag.Int("reoptimize-every", 0, "adaptive mode: check join orders after every n ingested edges (0 = 1024)")
 	minGain := flag.Float64("min-gain", 0, "adaptive mode: estimated cost ratio required before a rebuild (0 = 2.0)")

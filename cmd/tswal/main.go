@@ -1,5 +1,5 @@
-// Command tswal inspects a PersistentSearcher durability directory:
-// its write-ahead-log segments and checkpoints.
+// Command tswal inspects a durability directory (Durability.Dir): its
+// write-ahead-log segments and checkpoints.
 //
 // Usage:
 //

@@ -12,12 +12,11 @@ import (
 	"timingsubg/internal/graph"
 )
 
-// The cross-façade conformance suite: every option combination Open can
-// express is driven through the same scripted stream and must report
-// the same counters as the plain single-query engine — composition
-// changes capabilities and performance, never results. This includes
-// the combinations the old per-capability façades could not express at
-// all: adaptive+durable, and adaptive members inside a (durable) fleet.
+// The conformance suite: every option combination Open can express is
+// driven through the same scripted stream and must report the same
+// counters as the plain single-query engine — composition changes
+// capabilities and performance, never results. This includes
+// adaptive+durable, and adaptive members inside a (durable) fleet.
 
 // confSnap is the result-determining slice of a Stats snapshot. Fields
 // like Fed, WALSeq or Replayed legitimately differ across compositions;
@@ -33,7 +32,7 @@ func snap(st Stats) confSnap {
 }
 
 // feedEach drives edges one Feed at a time.
-func feedEach(t *testing.T, eng Engine, edges []Edge) {
+func feedEach(t testing.TB, eng Engine, edges []Edge) {
 	t.Helper()
 	for i, e := range edges {
 		if _, err := eng.Feed(e); err != nil {
@@ -43,7 +42,7 @@ func feedEach(t *testing.T, eng Engine, edges []Edge) {
 }
 
 // feedChunks drives edges through FeedBatch in uneven chunks.
-func feedChunks(t *testing.T, eng Engine, edges []Edge, chunk int) {
+func feedChunks(t testing.TB, eng Engine, edges []Edge, chunk int) {
 	t.Helper()
 	for off := 0; off < len(edges); off += chunk {
 		end := off + chunk
@@ -66,7 +65,7 @@ func feedChunks(t *testing.T, eng Engine, edges []Edge, chunk int) {
 // through both Feed and FeedBatch. Every composition must reject them
 // at the ingest boundary with ErrOutOfOrder and touch nothing; the
 // caller's end-of-stream assertions then prove no member applied one.
-func feedWithStale(t *testing.T, eng Engine, edges []Edge, feed func(*testing.T, Engine, []Edge)) {
+func feedWithStale(t *testing.T, eng Engine, edges []Edge, feed func(testing.TB, Engine, []Edge)) {
 	t.Helper()
 	mid := len(edges) / 2
 	feed(t, eng, edges[:mid])
@@ -140,7 +139,7 @@ func TestConformanceSingleCombinations(t *testing.T) {
 			eng := open(t, tc.cfg)
 			feed := feedEach
 			if tc.batch > 0 {
-				feed = func(t *testing.T, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
+				feed = func(t testing.TB, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
 			}
 			feedWithStale(t, eng, edges, feed)
 			eng.Close() // drain workers so counters are final
@@ -410,7 +409,7 @@ func TestConformanceFleetCombinations(t *testing.T) {
 				}
 				feed := feedEach
 				if tc.batch > 0 {
-					feed = func(t *testing.T, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
+					feed = func(t testing.TB, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
 				}
 				feedWithStale(t, fl, edges, feed)
 				fl.Close()
@@ -538,9 +537,8 @@ func TestFleetStatsConcurrentWithAdaptiveFeed(t *testing.T) {
 }
 
 // TestRunWrapsErrorsIdentically pins the shared Run loop contract:
-// every engine shape (and façade) wraps a feed error with the
-// offending edge's stream index the same way. MultiSearcher.Run used
-// to return the error bare.
+// every engine shape wraps a feed error with the offending edge's
+// stream index the same way.
 func TestRunWrapsErrorsIdentically(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
@@ -577,22 +575,6 @@ func TestRunWrapsErrorsIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, err := fl.Run(t.Context(), badStream())
-		check(t, n, err)
-	})
-	t.Run("searcher-shim", func(t *testing.T) {
-		s, err := NewSearcher(q, Options{Window: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := s.Run(t.Context(), badStream())
-		check(t, n, err)
-	})
-	t.Run("multi-shim", func(t *testing.T) {
-		ms, err := NewMultiSearcher([]QuerySpec{{Name: "q", Query: q, Options: Options{Window: 10}}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := ms.Run(t.Context(), badStream())
 		check(t, n, err)
 	})
 }
@@ -774,16 +756,6 @@ func TestErrClosed(t *testing.T) {
 		}
 		if err := fl.AddQuery(QuerySpec{Name: "late", Query: q}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("AddQuery after Close = %v, want ErrClosed", err)
-		}
-	})
-	t.Run("deprecated-shims", func(t *testing.T) {
-		s, err := NewSearcher(q, Options{Window: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if _, err := s.Feed(e); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Searcher.Feed after Close = %v, want ErrClosed", err)
 		}
 	})
 }

@@ -1,19 +1,20 @@
 package timingsubg
 
 import (
+	"errors"
 	"testing"
 )
 
 func TestCountWindowOptionsValidation(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	if _, err := NewSearcher(q, Options{}); err == nil {
-		t.Fatal("no window accepted")
+	if _, err := Open(Config{Query: q}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("no window accepted: %v", err)
 	}
-	if _, err := NewSearcher(q, Options{Window: 5, CountWindow: 5}); err == nil {
-		t.Fatal("both windows accepted")
+	if _, err := Open(Config{Query: q, Window: 5, CountWindow: 5}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("both windows accepted: %v", err)
 	}
-	if _, err := NewSearcher(q, Options{CountWindow: 5}); err != nil {
+	if _, err := Open(Config{Query: q, CountWindow: 5}); err != nil {
 		t.Fatalf("count window rejected: %v", err)
 	}
 }
@@ -26,24 +27,21 @@ func TestCountWindowEqualsTimeWindowOnUnitSpacing(t *testing.T) {
 	q := persistTestQuery(t, labels)
 	edges := persistTestStream(labels, 500, 21) // times are 1..500
 
-	run := func(opts Options) map[string]bool {
+	run := func(cfg Config) map[string]bool {
 		got := map[string]bool{}
-		opts.OnMatch = func(m *Match) { got[matchKey(m)] = true }
-		s, err := NewSearcher(q, opts)
+		cfg.Query = q
+		cfg.OnMatch = func(_ string, m *Match) { got[matchKey(m)] = true }
+		s, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range edges {
-			if _, err := s.Feed(e); err != nil {
-				t.Fatal(err)
-			}
-		}
+		feedEach(t, s, edges)
 		s.Close()
 		return got
 	}
 
-	timeMatches := run(Options{Window: 60})
-	countMatches := run(Options{CountWindow: 60})
+	timeMatches := run(Config{Window: 60})
+	countMatches := run(Config{CountWindow: 60})
 	if len(timeMatches) == 0 {
 		t.Fatal("no matches at all; test stream too sparse")
 	}
@@ -65,9 +63,14 @@ func TestCountWindowExpiryDropsMatches(t *testing.T) {
 	la, lb := labels.Intern("a"), labels.Intern("b")
 	lc, ld := labels.Intern("c"), labels.Intern("d")
 
-	s, err := NewSearcher(q, Options{CountWindow: 4})
+	s, err := Open(Config{Query: q, CountWindow: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	standing := func() int {
+		n := 0
+		s.CurrentMatches(func(*Match) bool { n++; return true })
+		return n
 	}
 	feed := func(from, to int64, fl, tl Label, ts int64) {
 		if _, err := s.Feed(Edge{From: VertexID(from), To: VertexID(to), FromLabel: fl, ToLabel: tl, Time: Timestamp(ts)}); err != nil {
@@ -79,14 +82,14 @@ func TestCountWindowExpiryDropsMatches(t *testing.T) {
 	feed(1, 2, la, lb, 1)
 	feed(2, 3, lb, lc, 2)
 	feed(3, 4, lc, ld, 3)
-	if s.CurrentMatchCount() != 1 {
-		t.Fatalf("standing matches = %d, want 1", s.CurrentMatchCount())
+	if n := standing(); n != 1 {
+		t.Fatalf("standing matches = %d, want 1", n)
 	}
 	// Two unrelated edges push the first chain edge out of the window.
 	feed(9, 9, la, la, 4)
 	feed(9, 9, la, la, 5)
-	if s.CurrentMatchCount() != 0 {
-		t.Fatalf("standing matches after expiry = %d, want 0", s.CurrentMatchCount())
+	if n := standing(); n != 0 {
+		t.Fatalf("standing matches after expiry = %d, want 0", n)
 	}
 	s.Close()
 }
@@ -96,7 +99,7 @@ func TestCountWindowExpiryDropsMatches(t *testing.T) {
 func TestCountWindowBoundsState(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	s, err := NewSearcher(q, Options{CountWindow: 32})
+	s, err := Open(Config{Query: q, CountWindow: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +107,8 @@ func TestCountWindowBoundsState(t *testing.T) {
 		if _, err := s.Feed(e); err != nil {
 			t.Fatal(err)
 		}
-		if s.InWindow() > 32 {
-			t.Fatalf("edge %d: window holds %d > 32 edges", i, s.InWindow())
+		if n := FastStats(s).InWindow; n > 32 {
+			t.Fatalf("edge %d: window holds %d > 32 edges", i, n)
 		}
 	}
 	s.Close()

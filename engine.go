@@ -98,9 +98,8 @@ type Fleet interface {
 	Names() []string
 }
 
-// Stats is the unified live-counter snapshot of any Engine — one struct
-// replacing the per-type accessor sets of the deprecated façades, and
-// the same declaration the serving layer marshals on GET /stats
+// Stats is the unified live-counter snapshot of any Engine — the same
+// declaration the serving layer marshals on GET /stats
 // (client.EngineStats). Fields that a composition does not use stay at
 // their zero value; the Adaptive, Durable and Fleet flags say which
 // sections apply.
@@ -126,7 +125,9 @@ type Adaptivity struct {
 // recovery onto an engine. Every fed edge is logged before it is
 // matched; Open rebuilds the exact engine state after a crash or
 // restart and resumes. Delivery across a restart is at-least-once for
-// matches completed after the last checkpoint (see MatchDeduper).
+// matches completed after the last checkpoint; sequence numbers are
+// restart-stable, so a consumer resuming with SubscribeOptions.AfterSeq
+// sees each match once.
 type Durability struct {
 	// Dir is the durability directory (WAL segments + checkpoints). In
 	// fleet mode the edge log is shared by all queries; each query keeps
@@ -161,9 +162,8 @@ type Durability struct {
 
 // Config configures Open. Exactly one of Query (single-query mode) and
 // Queries/Dynamic (fleet mode) selects the engine shape; every other
-// option is orthogonal and composable — including combinations the old
-// façades could not express, such as adaptive+durable engines and
-// adaptive members inside a fleet.
+// option is orthogonal and composable — adaptive+durable engines and
+// adaptive members inside a fleet included.
 type Config struct {
 	// Query selects single-query mode.
 	Query *Query
@@ -218,16 +218,6 @@ type Config struct {
 	// Durable composes write-ahead logging and checkpointed recovery.
 	Durable *Durability
 
-	// scanProbes forces full-item INSERT probe scans (see
-	// Options.scanProbes); fleet members inherit it. Internal ablation
-	// knob for the join-index equivalence suite.
-	scanProbes bool
-
-	// perEdgeExpiry disables batched slide eviction (see
-	// Options.perEdgeExpiry); fleet members inherit it. Internal
-	// ablation knob for the expiry equivalence suite and benchmarks.
-	perEdgeExpiry bool
-
 	// DisableMetrics turns the pipeline latency instrumentation off:
 	// Stats.Stages and the per-query detection histograms stay nil and
 	// the feed path performs no clock reads. The instrumentation costs
@@ -255,7 +245,7 @@ type Config struct {
 	// and, in durable mode, sees matches re-reported by recovery
 	// replay (at-least-once).
 	//
-	// OnMatch is now a thin shim over the subscription results plane —
+	// OnMatch is a thin shim over the subscription results plane —
 	// an internal synchronous subscription installed at Open. Runtime
 	// consumers should prefer Engine.Subscribe, which attaches and
 	// detaches while the stream runs, filters by query, and cannot
@@ -271,12 +261,31 @@ type Config struct {
 	OnDelivery func(d Delivery)
 }
 
-// Open builds an Engine from cfg — the single entry point replacing
-// NewSearcher, NewAdaptiveSearcher, OpenPersistent, NewMultiSearcher,
-// NewRoutedMultiSearcher, NewDynamicMultiSearcher, OpenPersistentMulti
-// and OpenDynamicPersistentMulti. In fleet mode the returned Engine is
-// a Fleet. In durable mode, if Durable.Dir holds a previous run's WAL
-// and checkpoints, the engine state is recovered before Open returns.
+// QuerySpec names one fleet member.
+type QuerySpec struct {
+	// Name tags the member's matches (Delivery.Query, the OnMatch query
+	// argument) and keys Stats.Queries.
+	Name string
+	// Query is the pattern to monitor.
+	Query *Query
+	// Options configures this query's engine. Fields left zero inherit
+	// the fleet Config's defaults.
+	Options Options
+	// Adaptive composes the feedback join-order reoptimizer onto this
+	// member. Nil inherits the fleet Config's Adaptive setting.
+	Adaptive *Adaptivity
+	// Group tags this member with a statistics group — the serving
+	// layer's tenant attribution hook. Members sharing a group are
+	// aggregated into Stats.Groups[group]: summed counters plus a
+	// group-wide detection histogram that survives member retirement.
+	// Empty joins no group.
+	Group string
+}
+
+// Open builds an Engine from cfg — the package's one constructor. In
+// fleet mode the returned Engine is a Fleet. In durable mode, if
+// Durable.Dir holds a previous run's WAL and checkpoints, the engine
+// state is recovered before Open returns.
 //
 // Every option composes with every other except four combinations,
 // which Open rejects with ErrBadOptions — for standalone engines and
@@ -321,8 +330,6 @@ func Open(cfg Config) (Engine, error) {
 		Workers:       cfg.Workers,
 		LockScheme:    cfg.LockScheme,
 		Decomposition: cfg.Decomposition,
-		scanProbes:    cfg.scanProbes,
-		perEdgeExpiry: cfg.perEdgeExpiry,
 	}
 	if !cfg.DisableMetrics {
 		opts.pipe = stats.NewPipeline()
@@ -352,11 +359,11 @@ func OpenFleet(cfg Config) (Fleet, error) {
 	return fl, nil
 }
 
-// runLoop is the one Run implementation behind every engine and façade:
-// consume until the channel closes or ctx is cancelled, close the
-// engine, and wrap any feed error with the offending edge's stream
-// index. A Close failure (e.g. the final durable checkpoint) surfaces
-// when the loop itself finished cleanly — it must not be swallowed.
+// runLoop is the one Run implementation behind every engine: consume
+// until the channel closes or ctx is cancelled, close the engine, and
+// wrap any feed error with the offending edge's stream index. A Close
+// failure (e.g. the final durable checkpoint) surfaces when the loop
+// itself finished cleanly — it must not be swallowed.
 func runLoop(ctx context.Context, edges <-chan Edge, feed func(Edge) error, closeEng func() error) (n int64, err error) {
 	defer func() {
 		if cerr := closeEng(); err == nil {

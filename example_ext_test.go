@@ -23,9 +23,9 @@ func chainABC(labels *timingsubg.Labels) *timingsubg.Query {
 	return q
 }
 
-// ExampleOpenPersistent shows durable search: edges are logged before
+// ExampleOpen_durable shows durable search: edges are logged before
 // matching, and reopening the same directory resumes with all state.
-func ExampleOpenPersistent() {
+func ExampleOpen_durable() {
 	dir, err := os.MkdirTemp("", "timingsubg-example-*")
 	if err != nil {
 		panic(err)
@@ -36,27 +36,29 @@ func ExampleOpenPersistent() {
 	q := chainABC(labels)
 	la, lb, lc := labels.Intern("a"), labels.Intern("b"), labels.Intern("c")
 
-	open := func() *timingsubg.PersistentSearcher {
-		ps, err := timingsubg.OpenPersistent(q, timingsubg.PersistentOptions{
-			Options: timingsubg.Options{Window: 100},
-			Dir:     dir,
+	open := func() timingsubg.Engine {
+		eng, err := timingsubg.Open(timingsubg.Config{
+			Query:   q,
+			Window:  100,
+			Durable: &timingsubg.Durability{Dir: dir},
 		})
 		if err != nil {
 			panic(err)
 		}
-		return ps
+		return eng
 	}
 
-	ps := open()
-	ps.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1})
-	ps.Feed(timingsubg.Edge{From: 2, To: 3, FromLabel: lb, ToLabel: lc, Time: 2})
-	fmt.Println("run 1 matches:", ps.MatchCount())
-	ps.Close()
+	eng := open()
+	eng.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1})
+	eng.Feed(timingsubg.Edge{From: 2, To: 3, FromLabel: lb, ToLabel: lc, Time: 2})
+	fmt.Println("run 1 matches:", eng.Stats().Matches)
+	eng.Close()
 
-	ps2 := open() // restart: counters and window state are recovered
-	fmt.Println("run 2 recovered matches:", ps2.MatchCount())
-	fmt.Println("run 2 window edges:", ps2.InWindow())
-	ps2.Close()
+	eng2 := open() // restart: counters and window state are recovered
+	st := eng2.Stats()
+	fmt.Println("run 2 recovered matches:", st.Matches)
+	fmt.Println("run 2 window edges:", st.InWindow)
+	eng2.Close()
 
 	// Output:
 	// run 1 matches: 1
@@ -64,37 +66,39 @@ func ExampleOpenPersistent() {
 	// run 2 window edges: 2
 }
 
-// ExampleMatchChannel adapts callback delivery to a channel consumer.
-func ExampleMatchChannel() {
+// ExampleSubscription_C consumes matches from a subscription's channel.
+func ExampleSubscription_C() {
 	labels := timingsubg.NewLabels()
 	q := chainABC(labels)
 	la, lb, lc := labels.Intern("a"), labels.Intern("b"), labels.Intern("c")
 
-	onMatch, matches, done := timingsubg.MatchChannel(16)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 100, OnMatch: onMatch})
+	eng, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 100})
+	if err != nil {
+		panic(err)
+	}
+	sub, err := eng.Subscribe(timingsubg.SubscribeOptions{Buffer: 16})
 	if err != nil {
 		panic(err)
 	}
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
-		for m := range matches {
-			fmt.Println("got match with", len(m.Edges), "edges")
+		for dv := range sub.C() {
+			fmt.Println("got match with", len(dv.Match.Edges), "edges")
 		}
 	}()
-	s.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1})
-	s.Feed(timingsubg.Edge{From: 2, To: 3, FromLabel: lb, ToLabel: lc, Time: 2})
-	s.Close()
-	done()
+	eng.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1})
+	eng.Feed(timingsubg.Edge{From: 2, To: 3, FromLabel: lb, ToLabel: lc, Time: 2})
+	eng.Close() // ends the subscription: its channel closes
 	<-consumed
 
 	// Output:
 	// got match with 2 edges
 }
 
-// ExampleNewRoutedMultiSearcher monitors two patterns over one stream;
+// ExampleOpen_routedFleet monitors two patterns over one stream;
 // routing dispatches each edge only to interested queries.
-func ExampleNewRoutedMultiSearcher() {
+func ExampleOpen_routedFleet() {
 	labels := timingsubg.NewLabels()
 	lx, ly := labels.Intern("x"), labels.Intern("y")
 
@@ -108,33 +112,40 @@ func ExampleNewRoutedMultiSearcher() {
 		}
 		return q
 	}
-	ms, err := timingsubg.NewRoutedMultiSearcher([]timingsubg.QuerySpec{
-		{Name: "xy", Query: single(lx, ly), Options: timingsubg.Options{Window: 10}},
-		{Name: "yx", Query: single(ly, lx), Options: timingsubg.Options{Window: 10}},
-	}, func(name string, m *timingsubg.Match) {
-		fmt.Println("alert from", name)
+	fl, err := timingsubg.Open(timingsubg.Config{
+		Queries: []timingsubg.QuerySpec{
+			{Name: "xy", Query: single(lx, ly)},
+			{Name: "yx", Query: single(ly, lx)},
+		},
+		Window: 10,
+		Routed: true,
+		OnMatch: func(name string, m *timingsubg.Match) {
+			fmt.Println("alert from", name)
+		},
 	})
 	if err != nil {
 		panic(err)
 	}
-	ms.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: lx, ToLabel: ly, Time: 1})
-	ms.Feed(timingsubg.Edge{From: 2, To: 1, FromLabel: ly, ToLabel: lx, Time: 2})
-	ms.Close()
+	fl.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: lx, ToLabel: ly, Time: 1})
+	fl.Feed(timingsubg.Edge{From: 2, To: 1, FromLabel: ly, ToLabel: lx, Time: 2})
+	fl.Close()
 
 	// Output:
 	// alert from xy
 	// alert from yx
 }
 
-// ExampleNewAdaptiveSearcher runs with join-order feedback enabled;
-// on short streams it behaves exactly like a plain Searcher.
-func ExampleNewAdaptiveSearcher() {
+// ExampleOpen_adaptive runs with join-order feedback enabled; on short
+// streams it behaves exactly like a plain engine.
+func ExampleOpen_adaptive() {
 	labels := timingsubg.NewLabels()
 	q := chainABC(labels)
 	la, lb, lc := labels.Intern("a"), labels.Intern("b"), labels.Intern("c")
 
-	a, err := timingsubg.NewAdaptiveSearcher(q, timingsubg.AdaptiveOptions{
-		Options: timingsubg.Options{Window: 100},
+	a, err := timingsubg.Open(timingsubg.Config{
+		Query:    q,
+		Window:   100,
+		Adaptive: &timingsubg.Adaptivity{},
 	})
 	if err != nil {
 		panic(err)
@@ -142,7 +153,8 @@ func ExampleNewAdaptiveSearcher() {
 	a.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1})
 	a.Feed(timingsubg.Edge{From: 2, To: 3, FromLabel: lb, ToLabel: lc, Time: 2})
 	a.Close()
-	fmt.Println("matches:", a.MatchCount(), "reoptimizations:", a.Reoptimizations())
+	st := a.Stats()
+	fmt.Println("matches:", st.Matches, "reoptimizations:", st.Reoptimizations)
 
 	// Output:
 	// matches: 1 reoptimizations: 0

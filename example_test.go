@@ -27,9 +27,10 @@ func Example() {
 		panic(err)
 	}
 
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{
+	s, err := timingsubg.Open(timingsubg.Config{
+		Query:  q,
 		Window: 100,
-		OnMatch: func(m *timingsubg.Match) {
+		OnMatch: func(_ string, m *timingsubg.Match) {
 			fmt.Printf("victim=%d c&c=%d (reg@%d cmd@%d)\n",
 				m.Vtx[victim], m.Vtx[cc], m.Edges[reg].Time, m.Edges[cmd].Time)
 		},

@@ -9,9 +9,8 @@
 //   - no checkpointed match is re-reported,
 //   - the total match set equals an uninterrupted run.
 //
-// The durable engine also composes Adaptivity — a combination the old
-// per-capability façades could not express — and the totals still agree
-// with the plain run.
+// The durable engine also composes Adaptivity, and the totals still
+// agree with the plain run.
 package main
 
 import (

@@ -2,59 +2,26 @@ package timingsubg
 
 import (
 	"errors"
-	"sort"
-	"sync"
 	"testing"
 
 	"timingsubg/internal/datagen"
 )
 
 // The batch-expiry equivalence suite at the composition layer: window
-// slides run through the batched eviction plane by default (one
-// transaction sweeping every expired edge of the slide over the
-// per-level expiry order) with the internal perEdgeExpiry knob as the
-// edge-at-a-time ablation. Batching is pure performance — every public
-// composition must report identical per-query match sets and result
-// counters either way. Deeper counter equivalence (PartialIns/
+// slides run through the batched eviction plane (one transaction
+// sweeping every expired edge of the slide over the per-level expiry
+// order). Batching is pure performance — every public composition must
+// report the per-query match sets and result counters of coreReference,
+// which deletes edge-at-a-time. Deeper counter equivalence (PartialIns/
 // PartialDel/EdgesOut) is asserted per stream in internal/core's
-// TestExpiryBatchEquivalence; this layer proves the facades — including
-// sharded fleets, where shard workers run slides concurrently — inherit
-// it, and that the batch-plane counters surface through the unified
-// snapshot.
-
-// expiryFleetRun is equivFleetRun with a caller-chosen (small, high-
-// churn) window, so slides carry multi-edge eviction batches.
-func expiryFleetRun(t *testing.T, cfg Config, specs []QuerySpec, edges []Edge, batch int, window Timestamp) (map[string][]string, Stats) {
-	t.Helper()
-	var mu sync.Mutex
-	got := map[string][]string{}
-	cfg.Queries = specs
-	cfg.Window = window
-	cfg.OnMatch = func(query string, m *Match) {
-		mu.Lock()
-		got[query] = append(got[query], m.Key())
-		mu.Unlock()
-	}
-	eng, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch > 0 {
-		feedChunks(t, eng, edges, batch)
-	} else {
-		feedEach(t, eng, edges)
-	}
-	st := eng.Stats()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for name := range got {
-		sort.Strings(got[name])
-	}
-	return got, st
-}
+// TestExpiryBatchEquivalence; this layer proves the compositions —
+// including sharded fleets, where shard workers run slides concurrently
+// — inherit it, and that the batch-plane counters surface through the
+// unified snapshot.
 
 func TestExpiryEquivalenceFleet(t *testing.T) {
+	// A small, high-churn window, so slides carry multi-edge batches.
+	const window = 120
 	for _, ds := range datagen.Datasets() {
 		t.Run(ds.String(), func(t *testing.T) {
 			labels := NewLabels()
@@ -62,67 +29,30 @@ func TestExpiryEquivalenceFleet(t *testing.T) {
 			edges := gen.Take(1500)
 			specs := equivSpecs(t, edges)
 
-			refKeys, refStats := expiryFleetRun(t, Config{}, specs, edges, 0, 120)
-			total := 0
-			for _, ks := range refKeys {
-				total += len(ks)
-			}
-			if total == 0 {
+			refKeys, ref := coreReference(t, specs, edges, window)
+			if ref.Matches == 0 {
 				t.Skip("degenerate workload: no matches")
 			}
-			if refStats.ExpiryEvicted == 0 {
+			if ref.ExpiryEvicted == 0 {
 				t.Skip("degenerate workload: window never slid")
 			}
-			if refStats.ExpiryBatches == 0 {
-				t.Error("batched fleet evicted edges without counting a batch")
-			}
-			if refStats.ExpiryEvicted < refStats.ExpiryBatches {
-				t.Errorf("evicted %d < batches %d", refStats.ExpiryEvicted, refStats.ExpiryBatches)
-			}
 
-			for _, tc := range []struct {
-				name  string
-				cfg   Config
-				batch int
-			}{
-				{name: "peredge", cfg: Config{perEdgeExpiry: true}},
-				{name: "independent", cfg: Config{Storage: Independent}},
-				{name: "independent-peredge", cfg: Config{Storage: Independent, perEdgeExpiry: true}},
-				{name: "scan-peredge", cfg: Config{scanProbes: true, perEdgeExpiry: true}},
-				{name: "workers4", cfg: Config{FleetWorkers: 4}, batch: 128},
-				{name: "workers4-peredge", cfg: Config{FleetWorkers: 4, perEdgeExpiry: true}, batch: 128},
-			} {
+			for _, tc := range equivRows {
 				t.Run(tc.name, func(t *testing.T) {
-					keys, st := expiryFleetRun(t, tc.cfg, specs, edges, tc.batch, 120)
-					if len(keys) != len(refKeys) {
-						t.Fatalf("per-query sets: got %d queries, want %d", len(keys), len(refKeys))
-					}
-					for name, want := range refKeys {
-						got := keys[name]
-						if len(got) != len(want) {
-							t.Errorf("query %s: %d matches, want %d", name, len(got), len(want))
-							continue
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Errorf("query %s: match set diverges at %d: %s != %s", name, i, got[i], want[i])
-								break
-							}
-						}
-					}
-					if st.Matches != refStats.Matches || st.PartialMatches != refStats.PartialMatches {
+					keys, st := equivFleetRun(t, tc.cfg, specs, edges, tc.batch, window)
+					requireSameKeys(t, keys, refKeys)
+					if st.Matches != ref.Matches || st.PartialMatches != ref.PartialMatches {
 						t.Errorf("counters diverge: matches=%d partials=%d, want matches=%d partials=%d",
-							st.Matches, st.PartialMatches, refStats.Matches, refStats.PartialMatches)
+							st.Matches, st.PartialMatches, ref.Matches, ref.PartialMatches)
 					}
-					if tc.cfg.perEdgeExpiry {
-						if st.ExpiryBatches != 0 || st.ExpiryEvicted != 0 {
-							t.Errorf("per-edge run reported batch counters: batches=%d evicted=%d",
-								st.ExpiryBatches, st.ExpiryEvicted)
-						}
-					} else if st.ExpiryEvicted != refStats.ExpiryEvicted {
-						// The eviction tally is a property of the stream and
-						// window, not of storage backend or worker count.
-						t.Errorf("evicted %d edges, want %d", st.ExpiryEvicted, refStats.ExpiryEvicted)
+					// The eviction tally is a property of the stream and
+					// window, not of storage backend, worker count or sweep.
+					if st.ExpiryEvicted != ref.ExpiryEvicted {
+						t.Errorf("evicted %d edges, want %d", st.ExpiryEvicted, ref.ExpiryEvicted)
+					}
+					if st.ExpiryBatches == 0 || st.ExpiryEvicted < st.ExpiryBatches {
+						t.Errorf("batch plane: batches=%d evicted=%d, want 0 < batches <= evicted",
+							st.ExpiryBatches, st.ExpiryEvicted)
 					}
 				})
 			}
@@ -131,25 +61,23 @@ func TestExpiryEquivalenceFleet(t *testing.T) {
 }
 
 // TestExpiryBatchStatsSurfaced checks the batch-plane counters flow
-// through the unified snapshot on a plain single engine: the default
-// run reports batches > 0 with evicted ≥ batches, the per-edge ablation
-// reports zero for both, and the result counters agree.
+// through the unified snapshot on a plain single engine: batches > 0
+// with evicted ≥ batches, and matches and evictions equal to the
+// per-edge reference's.
 func TestExpiryBatchStatsSurfaced(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	edges := persistTestStream(labels, 2000, 23)
 
-	run := func(perEdge bool) Stats {
-		eng, err := Open(Config{Query: q, Window: 60, perEdgeExpiry: perEdge})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedEach(t, eng, edges)
-		st := eng.Stats()
-		eng.Close()
-		return st
+	eng, err := Open(Config{Query: q, Window: 60})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bat, per := run(false), run(true)
+	feedEach(t, eng, edges)
+	bat := eng.Stats()
+	eng.Close()
+	_, per := coreReference(t, []QuerySpec{{Query: q}}, edges, 60)
+
 	if bat.ExpiryBatches == 0 || bat.ExpiryEvicted == 0 {
 		t.Fatalf("workload slid no eviction batches: batches=%d evicted=%d",
 			bat.ExpiryBatches, bat.ExpiryEvicted)
@@ -157,15 +85,14 @@ func TestExpiryBatchStatsSurfaced(t *testing.T) {
 	if bat.ExpiryEvicted < bat.ExpiryBatches {
 		t.Errorf("evicted %d < batches %d", bat.ExpiryEvicted, bat.ExpiryBatches)
 	}
-	if per.ExpiryBatches != 0 || per.ExpiryEvicted != 0 {
-		t.Errorf("per-edge run reported batch counters: batches=%d evicted=%d",
-			per.ExpiryBatches, per.ExpiryEvicted)
+	if bat.ExpiryEvicted != per.ExpiryEvicted {
+		t.Errorf("evictions diverge: batched %d, per-edge %d", bat.ExpiryEvicted, per.ExpiryEvicted)
 	}
 	if bat.Matches != per.Matches {
 		t.Errorf("matches diverge: batched %d, per-edge %d", bat.Matches, per.Matches)
 	}
-	if bat.InWindow != per.InWindow {
-		t.Errorf("window population diverges: batched %d, per-edge %d", bat.InWindow, per.InWindow)
+	if bat.PartialMatches != per.PartialMatches {
+		t.Errorf("standing partials diverge: batched %d, per-edge %d", bat.PartialMatches, per.PartialMatches)
 	}
 }
 
@@ -173,68 +100,47 @@ func TestExpiryBatchStatsSurfaced(t *testing.T) {
 // Fleet surface under -race: a tight window makes nearly every FeedBatch
 // chunk slide the window on some shard while other goroutines churn the
 // roster and sample Stats. The pinned member's results must match a
-// serial fleet fed the same stream, batched and per-edge alike.
+// serial fleet fed the same stream.
 func TestExpiryShardedChurn(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	edges := persistTestStream(labels, 6000, 77)
 
-	serialPinned := func(perEdge bool) Stats {
+	serial, err := OpenFleet(Config{Queries: []QuerySpec{{Name: "pinned", Query: q}}, Window: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedEach(t, serial, edges)
+	want := serial.Stats().Queries["pinned"]
+	serial.Close()
+
+	t.Run("batched", func(t *testing.T) {
 		fl, err := OpenFleet(Config{
-			Queries:       []QuerySpec{{Name: "pinned", Query: q}},
-			Window:        50,
-			perEdgeExpiry: perEdge,
+			Dynamic:      true,
+			FleetWorkers: 4,
+			Window:       50,
+			Queries:      []QuerySpec{{Name: "pinned", Query: q}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedEach(t, fl, edges)
-		st := fl.Stats().Queries["pinned"]
-		fl.Close()
-		return st
-	}
-
-	for _, tc := range []struct {
-		name    string
-		perEdge bool
-	}{
-		{"batched", false},
-		{"peredge", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want := serialPinned(tc.perEdge)
-			fl, err := OpenFleet(Config{
-				Dynamic:       true,
-				FleetWorkers:  4,
-				Window:        50,
-				Queries:       []QuerySpec{{Name: "pinned", Query: q}},
-				perEdgeExpiry: tc.perEdge,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			accepted := stressFleet(t, fl, edges, q)
-			if accepted != int64(len(edges)) {
-				t.Fatalf("accepted %d of %d edges", accepted, len(edges))
-			}
-			got := fl.Stats().Queries["pinned"]
-			if got.Matches != want.Matches {
-				t.Errorf("pinned matches %d != serial %d", got.Matches, want.Matches)
-			}
-			if got.ExpiryBatches != want.ExpiryBatches || got.ExpiryEvicted != want.ExpiryEvicted {
-				t.Errorf("pinned batch counters (batches=%d evicted=%d) != serial (batches=%d evicted=%d)",
-					got.ExpiryBatches, got.ExpiryEvicted, want.ExpiryBatches, want.ExpiryEvicted)
-			}
-			if !tc.perEdge && got.ExpiryBatches == 0 {
-				t.Error("sharded batched run slid no eviction batches; the churn test is vacuous")
-			}
-			if tc.perEdge && (got.ExpiryBatches != 0 || got.ExpiryEvicted != 0) {
-				t.Errorf("per-edge run reported batch counters: batches=%d evicted=%d",
-					got.ExpiryBatches, got.ExpiryEvicted)
-			}
-			if err := fl.Close(); err != nil && !errors.Is(err, ErrClosed) {
-				t.Fatalf("Close: %v", err)
-			}
-		})
-	}
+		accepted := stressFleet(t, fl, edges, q)
+		if accepted != int64(len(edges)) {
+			t.Fatalf("accepted %d of %d edges", accepted, len(edges))
+		}
+		got := fl.Stats().Queries["pinned"]
+		if got.Matches != want.Matches {
+			t.Errorf("pinned matches %d != serial %d", got.Matches, want.Matches)
+		}
+		if got.ExpiryBatches != want.ExpiryBatches || got.ExpiryEvicted != want.ExpiryEvicted {
+			t.Errorf("pinned batch counters (batches=%d evicted=%d) != serial (batches=%d evicted=%d)",
+				got.ExpiryBatches, got.ExpiryEvicted, want.ExpiryBatches, want.ExpiryEvicted)
+		}
+		if got.ExpiryBatches == 0 {
+			t.Error("sharded run slid no eviction batches; the churn test is vacuous")
+		}
+		if err := fl.Close(); err != nil && !errors.Is(err, ErrClosed) {
+			t.Fatalf("Close: %v", err)
+		}
+	})
 }

@@ -125,8 +125,8 @@ func BenchmarkFleetFeedBatch(b *testing.B) {
 // standing queries over one stream, broadcast and routed, with the
 // fan-out evaluated sequentially (workers-1) and sharded (workers-2/4).
 // The workers-4/workers-1 ratio on a multi-core runner is the headline
-// number the sharded fleet exists for; scripts/bench_fleet.sh emits it
-// as BENCH_fleet.json so the perf trajectory has data points.
+// number the sharded fleet exists for; served, tsbench's
+// fleetpool.serial_over_sharded on wiki_fleet tracks it.
 func BenchmarkFleetFan(b *testing.B) {
 	const fanQueries = 64
 	const fanStreamLen = 20_000

@@ -25,8 +25,7 @@ import (
 // shape of the paper's motivating scenarios, where all of, e.g.,
 // Verizon's ten attack patterns are monitored at once. Routing,
 // dynamics, durability, per-member adaptivity and sharded execution are
-// orthogonal options of this one type; the deprecated MultiSearcher and
-// PersistentMultiSearcher façades delegate here.
+// orthogonal options of this one type.
 //
 // # Concurrency
 //
@@ -125,7 +124,6 @@ type routedItem struct {
 // memberOptions merges the fleet defaults under a spec's own Options.
 func (fl *fleetEngine) memberOptions(spec QuerySpec) Options {
 	o := spec.Options
-	o.OnMatch = nil // fleet members report through the fleet callback
 	if o.Window == 0 && o.CountWindow == 0 {
 		o.Window, o.CountWindow = fl.defaults.Window, fl.defaults.CountWindow
 	}
@@ -137,12 +135,6 @@ func (fl *fleetEngine) memberOptions(spec QuerySpec) Options {
 	}
 	if o.LockScheme == FineGrained {
 		o.LockScheme = fl.defaults.LockScheme
-	}
-	if fl.defaults.scanProbes {
-		o.scanProbes = true
-	}
-	if fl.defaults.perEdgeExpiry {
-		o.perEdgeExpiry = true
 	}
 	if fl.obs != nil {
 		// Members share the fleet's stage pipeline so every member's
@@ -975,32 +967,6 @@ func (fl *fleetEngine) CurrentMatches(fn func(*Match) bool) {
 			})
 		})
 	}
-}
-
-// matchCounts returns per-query match counts, keyed by query name.
-func (fl *fleetEngine) matchCounts() map[string]int64 {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	out := make(map[string]int64, fl.live)
-	for i, m := range fl.members {
-		if m != nil {
-			fl.withMemberLocked(i, func() { out[fl.names[i]] += m.matches() })
-		}
-	}
-	return out
-}
-
-// spaceBytes sums the partial-match space of all members.
-func (fl *fleetEngine) spaceBytes() int64 {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	var b int64
-	for i, m := range fl.members {
-		if m != nil {
-			fl.withMemberLocked(i, func() { b += m.eng.SpaceBytes() })
-		}
-	}
-	return b
 }
 
 // Compile-time interface checks.

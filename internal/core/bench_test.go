@@ -86,11 +86,12 @@ func BenchmarkInsertPlan(b *testing.B) {
 }
 
 // BenchmarkInsertIngest measures the full INSERT/DELETE hot path on the
-// paper's datagen workloads, one cell per dataset × probe mode: a fixed
+// paper's datagen workloads, one cell per dataset × mode: a fixed
 // stream is driven through a sliding window per iteration, so ns/op is
-// end-to-end stream time. The indexed/scan pair is the join-index A/B —
-// scripts/bench_core.sh runs it and emits BENCH_core.json with the
-// per-dataset speedup, the CI artifact tracking the ingest trajectory.
+// end-to-end stream time. The indexed/independent pair is the
+// join-index A/B — the MS-tree engine probes its vertex indexes, the
+// Independent backend (Timing-IND) scans whole items; served, tsbench's
+// core.join_scanned_per_edge tracks the same quantity.
 // The indexed/metrics pair is the instrumentation-overhead A/B: metrics
 // is the indexed engine with the join and expiry stage histograms
 // attached, so its ns/op gap to indexed is the full observability cost
@@ -110,12 +111,12 @@ func BenchmarkInsertIngest(b *testing.B) {
 		}
 		for _, mode := range []struct {
 			name    string
-			scan    bool
+			storage Storage
 			metrics bool
-		}{{"indexed", false, false}, {"scan", true, false}, {"metrics", false, true}} {
+		}{{"indexed", MSTree, false}, {"independent", Independent, false}, {"metrics", MSTree, true}} {
 			b.Run(fmt.Sprintf("%s/%s", ds, mode.name), func(b *testing.B) {
 				b.ReportAllocs()
-				cfg := Config{ScanProbes: mode.scan}
+				cfg := Config{Storage: mode.storage}
 				if mode.metrics {
 					cfg.JoinHist = &stats.AtomicHistogram{}
 					cfg.ExpiryHist = &stats.AtomicHistogram{}
@@ -150,8 +151,8 @@ func BenchmarkInsertIngest(b *testing.B) {
 // into bursts — B edges a tick apart, then a gap of a full window — so
 // every burst's first push evicts the whole previous burst in one
 // slide. The edges/s gap on the eviction-dominated stream is the
-// batching win; scripts/bench_core.sh runs both and emits the
-// per-dataset speedup into BENCH_core.json. (Serially the A/B is near
+// batching win; served, tsbench's core.expiry_ns_per_slide on
+// social_burst tracks the sweep. (Serially the A/B is near
 // parity: per-edge deletes are already O(1) bucket lookups under the
 // live-only join indexes, and the NopLocker makes lock amortization
 // free — see DESIGN.md §15.)

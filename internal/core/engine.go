@@ -44,12 +44,6 @@ type Config struct {
 	// The match is owned by the callback. In concurrent mode the callback
 	// is serialized by the engine.
 	OnMatch func(*match.Match)
-	// ScanProbes disables the vertex join indexes on the probe paths:
-	// every INSERT probe scans the whole expansion-list item, as the
-	// engine did before the indexes existed. It is the index ablation
-	// switch — equivalence tests and the bench harness A/B the two modes;
-	// results are identical, only JoinScanned (and wall clock) differ.
-	ScanProbes bool
 	// JoinHist, when non-nil, observes the insert-side join work;
 	// ExpiryHist observes the window-expiry sweep (the batch of deletes
 	// one Process evicts). One Process call in statSampleStride is
@@ -80,12 +74,11 @@ type Stats struct {
 	// JoinCandidates counts the visited matches that pass the join-key
 	// filter (equal connecting-vertex binding, or equal shared bindings
 	// in the global cascade) and therefore get a full compatibility
-	// evaluation. With the vertex join indexes on (MSTree storage,
-	// ScanProbes off) every visited match is a candidate — scanned ==
-	// candidates, the probe cost the index reduces from O(item) to
-	// O(candidates); scan-mode and independent-storage engines visit
-	// whole items, so the gap between the two is exactly the work the
-	// index saves.
+	// evaluation. Under MSTree storage the vertex join indexes make
+	// every visited match a candidate — scanned == candidates, the
+	// probe cost the index reduces from O(item) to O(candidates);
+	// independent-storage engines visit whole items, so the gap between
+	// the two is exactly the work the index saves.
 	JoinScanned    atomic.Int64
 	JoinCandidates atomic.Int64
 
@@ -95,7 +88,7 @@ type Stats struct {
 	// edges those batches covered. Their ratio is the mean eviction
 	// batch size — the factor by which batching divides per-level lock
 	// acquisitions and level walks relative to edge-at-a-time expiry.
-	// Zero when the per-edge ablation path is in use.
+	// Zero on the per-edge Process path.
 	ExpiryBatches atomic.Int64
 	ExpiryEvicted atomic.Int64
 }
@@ -129,9 +122,6 @@ type Engine struct {
 	probes []insertProbe      // indexed by query.EdgeID; valid for pos > 1
 	joins  []levelJoin        // join metadata for global items 2..k
 
-	// scanProbes forces full-item probe scans (Config.ScanProbes).
-	scanProbes bool
-
 	// joinHist/expiryHist are Config.JoinHist/ExpiryHist (nil = off);
 	// sampleTick counts Process calls for their sampling stride.
 	joinHist   *stats.AtomicHistogram
@@ -156,7 +146,7 @@ func New(q *query.Query, cfg Config) *Engine {
 	if dec == nil {
 		dec = query.Decompose(q)
 	}
-	e := &Engine{q: q, dec: dec, onMatch: cfg.OnMatch, scanProbes: cfg.ScanProbes,
+	e := &Engine{q: q, dec: dec, onMatch: cfg.OnMatch,
 		joinHist: cfg.JoinHist, expiryHist: cfg.ExpiryHist}
 	e.loc = make([]edgeLoc, q.NumEdges())
 	e.probes = make([]insertProbe, q.NumEdges())
@@ -306,10 +296,11 @@ func (e *Engine) tickSample() bool {
 
 // Process handles one window slide serially with edge-at-a-time expiry:
 // expired edges are removed in chronological order, then the incoming
-// edge is inserted. This is the per-edge ablation path — ProcessBatch
-// is the batched production path. When Config.JoinHist/ExpiryHist are
-// set, one call in statSampleStride has its insert and expiry sweep
-// timed as the pipeline's join and expiry stages.
+// edge is inserted — the paper's deletion algorithm, which the Fig.
+// 15–25 harness and the oracles run; ProcessBatch is the batched
+// production path. When Config.JoinHist/ExpiryHist are set, one call in
+// statSampleStride has its insert and expiry sweep timed as the
+// pipeline's join and expiry stages.
 func (e *Engine) Process(d graph.Edge, expired []graph.Edge) {
 	sampled := e.tickSample()
 	timed := sampled && e.expiryHist != nil && len(expired) > 0
@@ -442,8 +433,8 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 			// The incoming edge pins the connecting query vertex's
 			// binding to one of its endpoints: only stored prefixes with
 			// that exact binding can extend, so probe by key instead of
-			// scanning the whole item (the flat backend, and scan mode,
-			// still visit everything — the key check then filters).
+			// scanning the whole item (the flat backend still visits
+			// everything — the key check then filters).
 			pb := e.probes[qe]
 			key := d.To
 			if pb.useFrom {
@@ -462,11 +453,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 				return true
 			}
 			lk.Acquire(item(s, p-1), lock.S)
-			if e.scanProbes {
-				sub.Each(p-1, probe)
-			} else {
-				sub.EachCandidate(p-1, key, probe)
-			}
+			sub.EachCandidate(p-1, key, probe)
 			lk.Release(item(s, p-1), lock.S)
 
 			lk.Acquire(item(s, p), lock.X)
@@ -564,26 +551,12 @@ func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker,
 			}
 		}
 		lk.Acquire(ri, lock.S)
-		if e.scanProbes {
-			// One pass over the stored item, delta rows inner — each
-			// stored match is materialized once, so the scan ablation
-			// measures scan cost, not redundant re-materialization.
-			if len(deltaG) > 0 {
-				e.eachGlobal(s-1, func(lh explist.Handle, left *match.Match) bool {
-					for _, d := range deltaG {
-						consider(lh, left, d)
-					}
-					return true
-				})
-			}
-		} else {
-			for _, d := range deltaG {
-				fp := explist.JoinFingerprint(d.m, j.shared)
-				e.eachGlobalCandidate(s-1, fp, func(lh explist.Handle, left *match.Match) bool {
-					consider(lh, left, d)
-					return true
-				})
-			}
+		for _, d := range deltaG {
+			fp := explist.JoinFingerprint(d.m, j.shared)
+			e.eachGlobalCandidate(s-1, fp, func(lh explist.Handle, left *match.Match) bool {
+				consider(lh, left, d)
+				return true
+			})
 		}
 		lk.Release(ri, lock.S)
 
@@ -612,23 +585,12 @@ func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker,
 			}
 		}
 		lk.Acquire(ri, lock.S)
-		if e.scanProbes {
-			if len(deltaG) > 0 {
-				e.subs[x-1].Each(e.subs[x-1].Depth(), func(rh explist.Handle, right *match.Match) bool {
-					for _, d := range deltaG {
-						consider(rh, right, d)
-					}
-					return true
-				})
-			}
-		} else {
-			for _, d := range deltaG {
-				fp := explist.JoinFingerprint(d.m, j.shared)
-				e.subs[x-1].EachJoinCandidate(fp, func(rh explist.Handle, right *match.Match) bool {
-					consider(rh, right, d)
-					return true
-				})
-			}
+		for _, d := range deltaG {
+			fp := explist.JoinFingerprint(d.m, j.shared)
+			e.subs[x-1].EachJoinCandidate(fp, func(rh explist.Handle, right *match.Match) bool {
+				consider(rh, right, d)
+				return true
+			})
 		}
 		lk.Release(ri, lock.S)
 
@@ -659,17 +621,8 @@ func (e *Engine) insertJoined(lvl int, pairs []joined) []pair {
 	return out
 }
 
-// eachGlobal iterates global item lvl, resolving the L₀¹ alias.
-func (e *Engine) eachGlobal(lvl int, fn func(explist.Handle, *match.Match) bool) {
-	if lvl == 1 {
-		e.subs[0].Each(e.subs[0].Depth(), fn)
-		return
-	}
-	e.global.Each(lvl, fn)
-}
-
-// eachGlobalCandidate is eachGlobal restricted to stored matches whose
-// shared-binding fingerprint equals fp, resolving the L₀¹ alias.
+// eachGlobalCandidate iterates the stored matches of global item lvl
+// whose shared-binding fingerprint equals fp, resolving the L₀¹ alias.
 func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, fn func(explist.Handle, *match.Match) bool) {
 	if lvl == 1 {
 		e.subs[0].EachJoinCandidate(fp, fn)

@@ -18,13 +18,14 @@ import (
 // order instead of cascading edge-at-a-time deletes. That is pure
 // performance — a slide must produce identical match sets and identical
 // Matches/PartialIns/PartialDel/EdgesOut counters either way, on both
-// storage backends and both probe modes. Only the batch-plane counters
+// storage backends (MS-tree with its join indexes, and Independent,
+// which scans whole items). Only the batch-plane counters
 // (ExpiryBatches/ExpiryEvicted) are allowed to differ: zero on the
-// per-edge ablation path, the slide/edge tallies on the batched path.
+// per-edge path, the slide/edge tallies on the batched path.
 
 // expiryRun drives one datagen stream through an engine with a small
 // (high-churn) window and returns sorted match keys plus counters.
-func expiryRun(t *testing.T, storage core.Storage, scanProbes, batched bool, ds datagen.Dataset, trial int) ([]string, *core.Stats, bool) {
+func expiryRun(t *testing.T, storage core.Storage, batched bool, ds datagen.Dataset, trial int) ([]string, *core.Stats, bool) {
 	t.Helper()
 	labels := graph.NewLabels()
 	gen := datagen.New(ds, labels, datagen.Config{Vertices: 80, Seed: int64(trial*31 + 5)})
@@ -36,9 +37,8 @@ func expiryRun(t *testing.T, storage core.Storage, scanProbes, batched bool, ds 
 	}
 	var keys []string
 	eng := core.New(q, core.Config{
-		Storage:    storage,
-		ScanProbes: scanProbes,
-		OnMatch:    func(m *match.Match) { keys = append(keys, m.Key()) },
+		Storage: storage,
+		OnMatch: func(m *match.Match) { keys = append(keys, m.Key()) },
 	})
 	proc := eng.Process
 	if batched {
@@ -50,26 +50,22 @@ func expiryRun(t *testing.T, storage core.Storage, scanProbes, batched bool, ds 
 }
 
 func TestExpiryBatchEquivalence(t *testing.T) {
-	type mode struct {
-		name       string
-		storage    core.Storage
-		scanProbes bool
-	}
-	modes := []mode{
-		{"mstree-indexed", core.MSTree, false},
-		{"mstree-scan", core.MSTree, true},
-		{"independent-indexed", core.Independent, false},
-		{"independent-scan", core.Independent, true},
+	modes := []struct {
+		name    string
+		storage core.Storage
+	}{
+		{"mstree", core.MSTree},
+		{"independent", core.Independent},
 	}
 	anyBatches := false
 	for _, ds := range datagen.Datasets() {
 		for trial := 0; trial < 3; trial++ {
 			for _, m := range modes {
-				perKeys, perStats, ok := expiryRun(t, m.storage, m.scanProbes, false, ds, trial)
+				perKeys, perStats, ok := expiryRun(t, m.storage, false, ds, trial)
 				if !ok {
 					continue
 				}
-				batKeys, batStats, _ := expiryRun(t, m.storage, m.scanProbes, true, ds, trial)
+				batKeys, batStats, _ := expiryRun(t, m.storage, true, ds, trial)
 				name := fmt.Sprintf("%s/%d/%s", ds, trial, m.name)
 				diffKeys(t, name, perKeys, batKeys)
 				if batStats.Matches.Load() != perStats.Matches.Load() ||

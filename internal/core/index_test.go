@@ -13,9 +13,10 @@ import (
 	"timingsubg/internal/querygen"
 )
 
-// indexRun drives one datagen stream through an engine configuration
-// and returns its sorted match keys plus the final counters.
-func indexRun(t *testing.T, storage core.Storage, scanProbes bool, ds datagen.Dataset, trial int) ([]string, *core.Stats, bool) {
+// indexRun drives one datagen stream through an engine on the given
+// storage backend and returns its sorted match keys plus the final
+// counters.
+func indexRun(t *testing.T, storage core.Storage, ds datagen.Dataset, trial int) ([]string, *core.Stats, bool) {
 	t.Helper()
 	labels := graph.NewLabels()
 	gen := datagen.New(ds, labels, datagen.Config{Vertices: 80, Seed: int64(trial*31 + 5)})
@@ -27,9 +28,8 @@ func indexRun(t *testing.T, storage core.Storage, scanProbes bool, ds datagen.Da
 	}
 	var keys []string
 	eng := core.New(q, core.Config{
-		Storage:    storage,
-		ScanProbes: scanProbes,
-		OnMatch:    func(m *match.Match) { keys = append(keys, m.Key()) },
+		Storage: storage,
+		OnMatch: func(m *match.Match) { keys = append(keys, m.Key()) },
 	})
 	runStream(t, edges, 300, eng.Process)
 	sort.Strings(keys)
@@ -37,64 +37,53 @@ func indexRun(t *testing.T, storage core.Storage, scanProbes bool, ds datagen.Da
 }
 
 // TestIndexEquivalenceAndSelectivity is the join-index acceptance
-// property: across both storage backends and both probe modes the
-// engines must report identical match sets and identical
-// Matches/PartialIns/PartialDel/JoinCandidates counters — the
-// index changes which stored matches are *visited*, never which are
-// candidates or how results form. On the indexed MS-tree engine every
-// visited match must be a genuine candidate (scanned == candidates);
-// the scan engines quantify what the index skips (scanned ≥
-// candidates, strictly greater whenever any probe had non-candidates).
+// property. The reference is the Independent backend (the paper's
+// Timing-IND), whose flat items have no index and are scanned whole on
+// every probe; the indexed MS-tree engine must report the identical
+// match set and identical Matches/PartialIns/PartialDel/JoinCandidates
+// counters — the index changes which stored matches are *visited*,
+// never which are candidates or how results form. On the MS-tree
+// engine every visited match must be a genuine candidate (scanned ==
+// candidates); the reference quantifies what the index skips (scanned
+// ≥ candidates, strictly greater whenever any probe had
+// non-candidates).
 func TestIndexEquivalenceAndSelectivity(t *testing.T) {
-	type mode struct {
-		name       string
-		storage    core.Storage
-		scanProbes bool
-	}
-	modes := []mode{
-		{"mstree-indexed", core.MSTree, false},
-		{"mstree-scan", core.MSTree, true},
-		{"independent-indexed", core.Independent, false}, // flat backend keeps scan semantics
-		{"independent-scan", core.Independent, true},
-	}
 	anySelective := false
 	for _, ds := range datagen.Datasets() {
 		for trial := 0; trial < 3; trial++ {
-			refKeys, refStats, ok := indexRun(t, modes[0].storage, modes[0].scanProbes, ds, trial)
+			refKeys, ref, ok := indexRun(t, core.Independent, ds, trial)
 			if !ok {
 				continue
 			}
-			if refStats.JoinScanned.Load() != refStats.JoinCandidates.Load() {
-				t.Errorf("%s/%d: indexed engine visited non-candidates: scanned=%d candidates=%d",
-					ds, trial, refStats.JoinScanned.Load(), refStats.JoinCandidates.Load())
+			keys, st, ok := indexRun(t, core.MSTree, ds, trial)
+			if !ok {
+				t.Fatalf("%s/%d: reference generated a query but the MS-tree run did not", ds, trial)
 			}
-			for _, m := range modes[1:] {
-				keys, st, ok := indexRun(t, m.storage, m.scanProbes, ds, trial)
-				if !ok {
-					t.Fatalf("%s/%d: reference generated a query but %s did not", ds, trial, m.name)
-				}
-				diffKeys(t, fmt.Sprintf("%s/%d/%s", ds, trial, m.name), refKeys, keys)
-				if st.Matches.Load() != refStats.Matches.Load() ||
-					st.PartialIns.Load() != refStats.PartialIns.Load() ||
-					st.PartialDel.Load() != refStats.PartialDel.Load() ||
-					st.JoinCandidates.Load() != refStats.JoinCandidates.Load() {
-					t.Errorf("%s/%d/%s: counters diverge from indexed engine:\n  got  matches=%d ins=%d del=%d cand=%d\n  want matches=%d ins=%d del=%d cand=%d",
-						ds, trial, m.name,
-						st.Matches.Load(), st.PartialIns.Load(), st.PartialDel.Load(), st.JoinCandidates.Load(),
-						refStats.Matches.Load(), refStats.PartialIns.Load(), refStats.PartialDel.Load(), refStats.JoinCandidates.Load())
-				}
-				if st.JoinScanned.Load() < st.JoinCandidates.Load() {
-					t.Errorf("%s/%d/%s: scanned %d < candidates %d", ds, trial, m.name,
-						st.JoinScanned.Load(), st.JoinCandidates.Load())
-				}
-				if st.JoinScanned.Load() > st.JoinCandidates.Load() {
-					anySelective = true
-				}
+			diffKeys(t, fmt.Sprintf("%s/%d", ds, trial), refKeys, keys)
+			if st.Matches.Load() != ref.Matches.Load() ||
+				st.PartialIns.Load() != ref.PartialIns.Load() ||
+				st.PartialDel.Load() != ref.PartialDel.Load() ||
+				st.JoinCandidates.Load() != ref.JoinCandidates.Load() {
+				t.Errorf("%s/%d: indexed counters diverge from the scan reference:\n  got  matches=%d ins=%d del=%d cand=%d\n  want matches=%d ins=%d del=%d cand=%d",
+					ds, trial,
+					st.Matches.Load(), st.PartialIns.Load(), st.PartialDel.Load(), st.JoinCandidates.Load(),
+					ref.Matches.Load(), ref.PartialIns.Load(), ref.PartialDel.Load(), ref.JoinCandidates.Load())
+			}
+			if st.JoinScanned.Load() != st.JoinCandidates.Load() {
+				t.Errorf("%s/%d: indexed engine visited non-candidates: scanned=%d candidates=%d",
+					ds, trial, st.JoinScanned.Load(), st.JoinCandidates.Load())
+			}
+			if ref.JoinScanned.Load() < ref.JoinCandidates.Load() {
+				t.Errorf("%s/%d: reference scanned %d < candidates %d", ds, trial,
+					ref.JoinScanned.Load(), ref.JoinCandidates.Load())
+			}
+			if ref.JoinScanned.Load() > ref.JoinCandidates.Load() {
+				anySelective = true
 			}
 		}
 	}
 	if !anySelective {
-		t.Error("no workload exercised index selectivity (scan engines never visited a non-candidate); the property test is vacuous")
+		t.Error("no workload exercised index selectivity (the scan reference never visited a non-candidate); the property test is vacuous")
 	}
 }
 

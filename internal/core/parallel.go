@@ -58,8 +58,8 @@ func (p *Parallel) Engine() *Engine { return p.eng }
 
 // Process submits one window slide with edge-at-a-time expiry: deletion
 // transactions for the expired edges in chronological order, then the
-// insertion transaction for d. This is the per-edge ablation path —
-// ProcessBatch is the batched production path. It must be called from a
+// insertion transaction for d — the paper's schedule; ProcessBatch is
+// the batched production path. It must be called from a
 // single goroutine.
 func (p *Parallel) Process(d graph.Edge, expired []graph.Edge) {
 	for _, x := range expired {

@@ -329,8 +329,8 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 	// (selectivity ≈ 1, NetworkFlow-shaped bindings) the lone bucket IS
 	// the level, and the map probe's hashing is pure overhead — serve
 	// the contiguous level list instead. See DESIGN.md §15 for the
-	// crossover this pins (BENCH_core.json had indexed at 0.95× scan on
-	// NetworkFlow before this path).
+	// crossover this pins (BenchmarkInsertIngest had indexed at 0.95×
+	// scan on NetworkFlow before this path).
 	if len(lv.joinIdx) == 1 {
 		if lv.head != nil && lv.head.joinKey != key {
 			return // the one key present is not the probe's key

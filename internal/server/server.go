@@ -77,8 +77,9 @@ type Config struct {
 	Labels *timingsubg.Labels
 	// Routed enables label-based routing for the in-memory fleet (New),
 	// so per-edge dispatch cost is proportional to the number of
-	// interested queries. NewDurable ignores it: the durable fleet fans
-	// out to every query so recovery replay stays deterministic.
+	// interested queries. NewDurable ignores it with a start-up
+	// warning: Open rejects Routed × Durable, so the durable fleet fans
+	// out to every query and recovery replay stays deterministic.
 	Routed bool
 	// Adaptive composes the feedback join-order reoptimizer onto every
 	// hosted query engine (see timingsubg.Adaptivity). Composable with
@@ -307,6 +308,14 @@ func NewDurable(cfg Config, opts timingsubg.Durability) (*Server, error) {
 		specs = append(specs, spec)
 		s.queries[internal] = meta
 	}
+	if cfg.Routed {
+		log := cfg.Logger
+		if log == nil {
+			log = slog.Default()
+		}
+		log.Warn("Routed ignored: the durable fleet broadcasts",
+			"reason", "timingsubg.Open rejects Routed with Durable — recovery replays every logged record to every member")
+	}
 	fl, err := timingsubg.OpenFleet(timingsubg.Config{
 		Queries:         specs,
 		Dynamic:         true,
@@ -389,8 +398,8 @@ func (s *Server) finish() {
 			return out
 		})
 	}
-	// Fleet gauges derive generically from the unified Stats snapshot —
-	// no per-façade wiring. "fleet.stats" is the whole snapshot (the
+	// Fleet gauges derive generically from the unified Stats snapshot.
+	// "fleet.stats" is the whole snapshot (the
 	// primary contract, self-describing and dynamic-roster-safe); the
 	// scalar gauges are kept for scrapers that want flat metrics and
 	// sample the counter-only FastStats so a scrape doesn't walk

@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
@@ -277,6 +279,42 @@ func TestServerDurableRestart(t *testing.T) {
 // (the tsserved -fleet-workers path): registration, ingest, match
 // delivery and the shard section of the stats snapshot all work, and
 // the shard counts reflect the live roster.
+// TestRoutedDurableWarns: tsserved -routed -wal cannot route (Open
+// rejects Routed with Durable), so the server broadcasts — and must say
+// so once at start-up rather than drop the flag silently. The warning
+// fires exactly when both are set.
+func TestRoutedDurableWarns(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		routed, durable bool
+		want            int
+	}{
+		{"routed-durable", true, true, 1},
+		{"durable", false, true, 0},
+		{"routed", true, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged bytes.Buffer
+			cfg := server.Config{
+				Routed: tc.routed,
+				Logger: slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelWarn})),
+			}
+			if tc.durable {
+				srv, err := server.NewDurable(cfg, timingsubg.Durability{Dir: filepath.Join(t.TempDir(), "state")})
+				if err != nil {
+					t.Fatalf("open durable: %v", err)
+				}
+				srv.Close()
+			} else {
+				server.New(cfg).Close()
+			}
+			if got := strings.Count(logged.String(), "Routed ignored"); got != tc.want {
+				t.Fatalf("%d routed-ignored warnings, want %d:\n%s", got, tc.want, logged.String())
+			}
+		})
+	}
+}
+
 func TestServerShardedFleet(t *testing.T) {
 	srv := server.New(server.Config{FleetWorkers: 4})
 	defer srv.Close()

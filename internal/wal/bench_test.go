@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkAppend measures the no-fsync append path — the per-edge
-// durability overhead a PersistentSearcher adds in its default
+// overhead Durability.Dir adds to an engine in its default
 // configuration.
 func BenchmarkAppend(b *testing.B) {
 	l, err := Open(b.TempDir(), Options{})

@@ -6,28 +6,88 @@ import (
 	"sync"
 	"testing"
 
+	"timingsubg/internal/core"
 	"timingsubg/internal/datagen"
+	"timingsubg/internal/graph"
 	"timingsubg/internal/querygen"
 )
 
-// The join-index equivalence suite: the MS-tree vertex join indexes (and
-// the scan-mode ablation behind Config.scanProbes) are pure performance —
-// every engine composition must report identical per-query match sets
-// and identical result counters whether probes are indexed or scanned,
-// on either storage backend, at any fleet worker count. Deeper counter
-// equivalence (PartialIns/PartialDel/JoinCandidates) is asserted per stream in
-// internal/core's TestIndexEquivalenceAndSelectivity; this layer proves
-// the public compositions — including sharded fleets, where shard
-// workers race expiry cascades against candidate probes — inherit it.
+// The join-index equivalence suite: the MS-tree vertex join indexes are
+// pure performance — every engine composition must report the per-query
+// match sets and result counters of coreReference, on either storage
+// backend (Independent has no index and scans whole items), at any
+// fleet worker count. Deeper counter equivalence (PartialIns/PartialDel/
+// JoinCandidates) is asserted per stream in internal/core's
+// TestIndexEquivalenceAndSelectivity; this layer proves the public
+// compositions — including sharded fleets, where shard workers race
+// expiry cascades against candidate probes — inherit it.
 
-// equivFleetRun feeds one stream to a fleet composition and returns the
-// sorted per-query match keys plus the final snapshot.
-func equivFleetRun(t *testing.T, cfg Config, specs []QuerySpec, edges []Edge, batch int) (map[string][]string, Stats) {
+// coreReference is the independent oracle of the equivalence suites:
+// one serial core.Engine per query, each behind its own window, fed
+// edge-at-a-time through Process (the paper's per-edge deletion
+// algorithm) — no fleet, no batching, no sharding. It returns the
+// sorted per-query match keys and the summed counters the public
+// snapshot mirrors (ExpiryEvicted carries the deletes performed: the
+// eviction tally is a property of stream and window, however the
+// slides are swept).
+func coreReference(t *testing.T, specs []QuerySpec, edges []Edge, window Timestamp) (map[string][]string, Stats) {
+	t.Helper()
+	keys := map[string][]string{}
+	var sum Stats
+	for _, spec := range specs {
+		name := spec.Name
+		eng := core.New(spec.Query, core.Config{OnMatch: func(m *Match) {
+			keys[name] = append(keys[name], m.Key())
+		}})
+		st := graph.NewStream(window)
+		for _, e := range edges {
+			stored, expired, err := st.Push(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Process(stored, expired)
+		}
+		sort.Strings(keys[name])
+		cs := eng.Stats()
+		sum.Matches += cs.Matches.Load()
+		sum.JoinScanned += cs.JoinScanned.Load()
+		sum.JoinCandidates += cs.JoinCandidates.Load()
+		sum.ExpiryEvicted += cs.EdgesOut.Load()
+		sum.PartialMatches += eng.PartialMatchCount()
+	}
+	return keys, sum
+}
+
+// requireSameKeys fails unless got and want hold the same sorted
+// per-query match keys.
+func requireSameKeys(t *testing.T, got, want map[string][]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("per-query sets: got %d queries, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if len(g) != len(w) {
+			t.Errorf("query %s: %d matches, want %d", name, len(g), len(w))
+			continue
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Errorf("query %s: match set diverges at %d: %s != %s", name, i, g[i], w[i])
+				break
+			}
+		}
+	}
+}
+
+// equivFleetRun feeds one stream to a fleet composition under window and
+// returns the sorted per-query match keys plus the final snapshot.
+func equivFleetRun(t *testing.T, cfg Config, specs []QuerySpec, edges []Edge, batch int, window Timestamp) (map[string][]string, Stats) {
 	t.Helper()
 	var mu sync.Mutex
 	got := map[string][]string{}
 	cfg.Queries = specs
-	cfg.Window = 300
+	cfg.Window = window
 	cfg.OnMatch = func(query string, m *Match) {
 		mu.Lock()
 		got[query] = append(got[query], m.Key())
@@ -50,6 +110,19 @@ func equivFleetRun(t *testing.T, cfg Config, specs []QuerySpec, edges []Edge, ba
 		sort.Strings(got[name])
 	}
 	return got, st
+}
+
+// equivRows are the compositions both equivalence suites check against
+// coreReference; batch > 0 feeds through FeedBatch in chunks of that
+// size.
+var equivRows = []struct {
+	name  string
+	cfg   Config
+	batch int
+}{
+	{name: "mstree", cfg: Config{}},
+	{name: "independent", cfg: Config{Storage: Independent}},
+	{name: "workers4", cfg: Config{FleetWorkers: 4}, batch: 128},
 }
 
 // equivSpecs generates a 3-query roster from the stream prefix.
@@ -78,57 +151,29 @@ func TestJoinIndexEquivalenceFleet(t *testing.T) {
 			edges := gen.Take(1500)
 			specs := equivSpecs(t, edges)
 
-			refKeys, refStats := equivFleetRun(t, Config{}, specs, edges, 0)
-			total := 0
-			for _, ks := range refKeys {
-				total += len(ks)
-			}
-			if total == 0 {
+			refKeys, ref := coreReference(t, specs, edges, 300)
+			if ref.Matches == 0 {
 				t.Skip("degenerate workload: no matches")
 			}
-			if refStats.JoinScanned != refStats.JoinCandidates {
-				t.Errorf("indexed fleet visited non-candidates: scanned=%d candidates=%d",
-					refStats.JoinScanned, refStats.JoinCandidates)
-			}
 
-			for _, tc := range []struct {
-				name  string
-				cfg   Config
-				batch int
-			}{
-				{name: "scan", cfg: Config{scanProbes: true}},
-				{name: "independent", cfg: Config{Storage: Independent}},
-				{name: "independent-scan", cfg: Config{Storage: Independent, scanProbes: true}},
-				{name: "workers4", cfg: Config{FleetWorkers: 4}, batch: 128},
-				{name: "workers4-scan", cfg: Config{FleetWorkers: 4, scanProbes: true}, batch: 128},
-			} {
+			for _, tc := range equivRows {
 				t.Run(tc.name, func(t *testing.T) {
-					keys, st := equivFleetRun(t, tc.cfg, specs, edges, tc.batch)
-					if len(keys) != len(refKeys) {
-						t.Fatalf("per-query sets: got %d queries, want %d", len(keys), len(refKeys))
-					}
-					for name, want := range refKeys {
-						got := keys[name]
-						if len(got) != len(want) {
-							t.Errorf("query %s: %d matches, want %d", name, len(got), len(want))
-							continue
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Errorf("query %s: match set diverges at %d: %s != %s", name, i, got[i], want[i])
-								break
-							}
-						}
-					}
-					if st.Matches != refStats.Matches || st.PartialMatches != refStats.PartialMatches {
+					keys, st := equivFleetRun(t, tc.cfg, specs, edges, tc.batch, 300)
+					requireSameKeys(t, keys, refKeys)
+					if st.Matches != ref.Matches || st.PartialMatches != ref.PartialMatches {
 						t.Errorf("counters diverge: matches=%d partials=%d, want matches=%d partials=%d",
-							st.Matches, st.PartialMatches, refStats.Matches, refStats.PartialMatches)
+							st.Matches, st.PartialMatches, ref.Matches, ref.PartialMatches)
 					}
-					if st.JoinCandidates != refStats.JoinCandidates {
-						t.Errorf("candidate count diverges: %d, want %d", st.JoinCandidates, refStats.JoinCandidates)
+					if st.JoinCandidates != ref.JoinCandidates {
+						t.Errorf("candidate count diverges: %d, want %d", st.JoinCandidates, ref.JoinCandidates)
 					}
-					if st.JoinScanned < st.JoinCandidates {
-						t.Errorf("scanned %d < candidates %d", st.JoinScanned, st.JoinCandidates)
+					if tc.cfg.Storage == Independent {
+						if st.JoinScanned < st.JoinCandidates {
+							t.Errorf("scanned %d < candidates %d", st.JoinScanned, st.JoinCandidates)
+						}
+					} else if st.JoinScanned != st.JoinCandidates {
+						t.Errorf("indexed fleet visited non-candidates: scanned=%d candidates=%d",
+							st.JoinScanned, st.JoinCandidates)
 					}
 				})
 			}
@@ -138,15 +183,16 @@ func TestJoinIndexEquivalenceFleet(t *testing.T) {
 
 // TestJoinIndexStatsSurfaced checks the selectivity counters flow
 // through the unified snapshot on a plain single engine: an indexed run
-// reports scanned == candidates > 0, and the same stream in scan mode
-// reports the same candidates with at least as many visits.
+// reports scanned == candidates > 0, and the same stream on the
+// index-free Independent backend reports the same candidates with more
+// visits.
 func TestJoinIndexStatsSurfaced(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	edges := persistTestStream(labels, 2000, 23)
 
-	run := func(scan bool) Stats {
-		eng, err := Open(Config{Query: q, Window: 60, scanProbes: scan})
+	run := func(storage Storage) Stats {
+		eng, err := Open(Config{Query: q, Window: 60, Storage: storage})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +201,7 @@ func TestJoinIndexStatsSurfaced(t *testing.T) {
 		eng.Close()
 		return st
 	}
-	idx, scan := run(false), run(true)
+	idx, scan := run(MSTree), run(Independent)
 	if idx.JoinCandidates == 0 {
 		t.Fatal("workload produced no join candidates")
 	}

@@ -1,6 +1,7 @@
 package timingsubg
 
 import (
+	"io"
 	"net/http"
 
 	"timingsubg/internal/monitor"
@@ -46,6 +47,21 @@ func FastStats(eng Engine) Stats {
 		return fs.statsFast()
 	}
 	return eng.Stats()
+}
+
+// stateWriter is the diagnostic dump behind WriteState.
+type stateWriter interface {
+	writeState(w io.Writer)
+}
+
+// WriteState dumps eng's live expansion-list populations and counters
+// to w for diagnostics (tsrun -state). Call while no feed is in flight.
+// Only single-query engines carry one expansion-list state to dump; for
+// a fleet WriteState writes nothing.
+func WriteState(w io.Writer, eng Engine) {
+	if sw, ok := eng.(stateWriter); ok {
+		sw.writeState(w)
+	}
 }
 
 // subscriptionCounterer reads the results-plane counters straight off
@@ -163,44 +179,4 @@ func RegisterMetrics(r *MetricsRegistry, prefix string, eng Engine) error {
 		}
 	}
 	return r.Register(prefix+".space_bytes_total", func() any { return eng.Stats().SpaceBytes })
-}
-
-// RegisterMetrics registers this searcher's live counters under
-// prefix.<metric>.
-//
-// Deprecated: use the package-level RegisterMetrics.
-func (s *Searcher) RegisterMetrics(r *MetricsRegistry, prefix string) error {
-	return RegisterMetrics(r, prefix, s.en)
-}
-
-// RegisterMetrics registers per-query counters for every query
-// currently in the fleet plus fleet-level aggregates.
-//
-// Deprecated: use the package-level RegisterMetrics.
-func (ms *MultiSearcher) RegisterMetrics(r *MetricsRegistry, prefix string) error {
-	return RegisterMetrics(r, prefix, ms.fl)
-}
-
-// RegisterMetrics registers the durable searcher's counters, including
-// recovery and checkpoint state.
-//
-// Deprecated: use the package-level RegisterMetrics.
-func (ps *PersistentSearcher) RegisterMetrics(r *MetricsRegistry, prefix string) error {
-	return RegisterMetrics(r, prefix, ps.en)
-}
-
-// RegisterMetrics registers the durable fleet's counters: per-query
-// gauges plus the shared WAL cursor and replay count.
-//
-// Deprecated: use the package-level RegisterMetrics.
-func (pm *PersistentMultiSearcher) RegisterMetrics(r *MetricsRegistry, prefix string) error {
-	return RegisterMetrics(r, prefix, pm.fl)
-}
-
-// RegisterMetrics registers the adaptive searcher's counters, including
-// the reoptimization count.
-//
-// Deprecated: use the package-level RegisterMetrics.
-func (a *AdaptiveSearcher) RegisterMetrics(r *MetricsRegistry, prefix string) error {
-	return RegisterMetrics(r, prefix, a.en)
 }

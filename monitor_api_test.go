@@ -23,30 +23,34 @@ func fetchMetrics(t *testing.T, reg *MetricsRegistry) map[string]any {
 	return got
 }
 
-func TestSearcherMetrics(t *testing.T) {
-	labels := NewLabels()
-	q := persistTestQuery(t, labels)
-	s, err := NewSearcher(q, Options{Window: 50})
+// openRegistered opens cfg and registers its gauges under prefix in a
+// fresh registry.
+func openRegistered(t *testing.T, cfg Config, prefix string) (Engine, *MetricsRegistry) {
+	t.Helper()
+	eng, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := NewMetricsRegistry()
-	if err := s.RegisterMetrics(reg, "q"); err != nil {
+	if err := RegisterMetrics(reg, prefix, eng); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range persistTestStream(labels, 200, 31) {
-		if _, err := s.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return eng, reg
+}
+
+func TestSearcherMetrics(t *testing.T) {
+	labels := NewLabels()
+	q := persistTestQuery(t, labels)
+	s, reg := openRegistered(t, Config{Query: q, Window: 50}, "q")
+	feedEach(t, s, persistTestStream(labels, 200, 31))
 	s.Close()
 
 	got := fetchMetrics(t, reg)
 	if got["q.matches"] == nil || got["q.window_edges"] == nil {
 		t.Fatalf("missing metrics: %v", got)
 	}
-	if got["q.matches"].(float64) != float64(s.MatchCount()) {
-		t.Fatalf("matches metric %v != %d", got["q.matches"], s.MatchCount())
+	if want := s.Stats().Matches; got["q.matches"].(float64) != float64(want) {
+		t.Fatalf("matches metric %v != %d", got["q.matches"], want)
 	}
 	if got["q.decomposition_k"].(float64) < 1 {
 		t.Fatalf("bad k: %v", got["q.decomposition_k"])
@@ -58,19 +62,8 @@ func TestMultiSearcherMetrics(t *testing.T) {
 	specs := []QuerySpec{
 		{Name: "chain", Query: persistTestQuery(t, labels), Options: Options{Window: 40}},
 	}
-	ms, err := NewRoutedMultiSearcher(specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetricsRegistry()
-	if err := ms.RegisterMetrics(reg, "fleet"); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range persistTestStream(labels, 100, 32) {
-		if err := ms.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ms, reg := openRegistered(t, Config{Queries: specs, Routed: true}, "fleet")
+	feedEach(t, ms, persistTestStream(labels, 100, 32))
 	ms.Close()
 	got := fetchMetrics(t, reg)
 	if got["fleet.chain.matches"] == nil {
@@ -84,19 +77,8 @@ func TestMultiSearcherMetrics(t *testing.T) {
 func TestPersistentSearcherMetrics(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	ps, err := OpenPersistent(q, PersistentOptions{Options: Options{Window: 40}, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetricsRegistry()
-	if err := ps.RegisterMetrics(reg, "durable"); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range persistTestStream(labels, 50, 33) {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ps, reg := openRegistered(t, Config{Query: q, Window: 40, Durable: &Durability{Dir: t.TempDir()}}, "durable")
+	feedEach(t, ps, persistTestStream(labels, 50, 33))
 	got := fetchMetrics(t, reg)
 	if got["durable.wal_seq"].(float64) != 50 {
 		t.Fatalf("wal_seq = %v, want 50", got["durable.wal_seq"])
@@ -108,14 +90,8 @@ func TestPersistentSearcherMetrics(t *testing.T) {
 
 func TestAdaptiveSearcherMetrics(t *testing.T) {
 	q := starQuery(t)
-	a, err := NewAdaptiveSearcher(q, AdaptiveOptions{Options: Options{Window: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetricsRegistry()
-	if err := a.RegisterMetrics(reg, "adaptive"); err != nil {
-		t.Fatal(err)
-	}
+	a, reg := openRegistered(t, Config{Query: q, Window: 100, Adaptive: &Adaptivity{}}, "adaptive")
+	defer a.Close()
 	got := fetchMetrics(t, reg)
 	if got["adaptive.reoptimizations"].(float64) != 0 {
 		t.Fatalf("reoptimizations = %v", got["adaptive.reoptimizations"])
@@ -125,15 +101,9 @@ func TestAdaptiveSearcherMetrics(t *testing.T) {
 func TestDuplicatePrefixRejected(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	s, err := NewSearcher(q, Options{Window: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetricsRegistry()
-	if err := s.RegisterMetrics(reg, "q"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RegisterMetrics(reg, "q"); err == nil {
+	s, reg := openRegistered(t, Config{Query: q, Window: 10}, "q")
+	defer s.Close()
+	if err := RegisterMetrics(reg, "q", s); err == nil {
 		t.Fatal("duplicate prefix accepted")
 	}
 }
@@ -141,19 +111,8 @@ func TestDuplicatePrefixRejected(t *testing.T) {
 func TestPersistentMultiMetrics(t *testing.T) {
 	labels := NewLabels()
 	specs := fleetSpecs(t, labels, 40)
-	pm, err := OpenPersistentMulti(specs, PersistentMultiOptions{Dir: t.TempDir()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewMetricsRegistry()
-	if err := pm.RegisterMetrics(reg, "fleet"); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range persistTestStream(labels, 80, 81) {
-		if err := pm.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pm, reg := openRegistered(t, Config{Queries: specs, Durable: &Durability{Dir: t.TempDir()}}, "fleet")
+	feedEach(t, pm, persistTestStream(labels, 80, 81))
 	got := fetchMetrics(t, reg)
 	if got["fleet.wal_seq"].(float64) != 80 {
 		t.Fatalf("wal_seq = %v, want 80", got["fleet.wal_seq"])

@@ -1,6 +1,7 @@
 package timingsubg_test
 
 import (
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -33,14 +34,21 @@ func TestMultiSearcherDynamicLifecycle(t *testing.T) {
 
 			var mu sync.Mutex
 			got := map[string]int{}
-			ms := timingsubg.NewDynamicMultiSearcher(routed, func(name string, m *timingsubg.Match) {
-				mu.Lock()
-				got[name]++
-				mu.Unlock()
+			ms, err := timingsubg.OpenFleet(timingsubg.Config{
+				Dynamic: true,
+				Routed:  routed,
+				OnMatch: func(name string, m *timingsubg.Match) {
+					mu.Lock()
+					got[name]++
+					mu.Unlock()
+				},
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			feed := func(f, to int64, tm int64) {
 				t.Helper()
-				if err := ms.Feed(timingsubg.Edge{
+				if _, err := ms.Feed(timingsubg.Edge{
 					From: timingsubg.VertexID(f), To: timingsubg.VertexID(to),
 					FromLabel: la, ToLabel: lb, Time: timingsubg.Timestamp(tm),
 				}); err != nil {
@@ -105,9 +113,11 @@ func TestMultiSearcherDynamicLifecycle(t *testing.T) {
 func TestMultiSearcherConcurrentStats(t *testing.T) {
 	labels := timingsubg.NewLabels()
 	la, lb := labels.Intern("a"), labels.Intern("b")
-	ms, err := timingsubg.NewRoutedMultiSearcher([]timingsubg.QuerySpec{
-		{Name: "ab", Query: chainQuery(t, la, lb), Options: timingsubg.Options{Window: 50}},
-	}, nil)
+	ms, err := timingsubg.OpenFleet(timingsubg.Config{
+		Queries: []timingsubg.QuerySpec{{Name: "ab", Query: chainQuery(t, la, lb)}},
+		Window:  50,
+		Routed:  true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +132,14 @@ func TestMultiSearcherConcurrentStats(t *testing.T) {
 				return
 			default:
 			}
-			_ = ms.RoutedFraction()
-			_ = ms.Fed()
-			_ = ms.MatchCounts()
+			_ = ms.Stats()
+			_ = timingsubg.FastStats(ms)
 			_ = ms.Names()
 			_ = ms.HasQuery("ab")
 		}
 	}()
 	for i := 0; i < 5000; i++ {
-		if err := ms.Feed(timingsubg.Edge{
+		if _, err := ms.Feed(timingsubg.Edge{
 			From: timingsubg.VertexID(i), To: timingsubg.VertexID(i + 100000),
 			FromLabel: la, ToLabel: lb, Time: timingsubg.Timestamp(i + 1),
 		}); err != nil {
@@ -140,8 +149,8 @@ func TestMultiSearcherConcurrentStats(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	ms.Close()
-	if ms.Fed() != 5000 {
-		t.Fatalf("Fed() = %d, want 5000", ms.Fed())
+	if fed := ms.Stats().Fed; fed != 5000 {
+		t.Fatalf("Stats().Fed = %d, want 5000", fed)
 	}
 }
 
@@ -150,15 +159,28 @@ func TestPersistentMultiDynamicLifecycle(t *testing.T) {
 	labels := timingsubg.NewLabels()
 	la, lb := labels.Intern("a"), labels.Intern("b")
 
-	got := map[string]int{}
-	pm, err := timingsubg.OpenDynamicPersistentMulti(nil, timingsubg.PersistentMultiOptions{Dir: dir},
-		func(name string, m *timingsubg.Match) { got[name]++ })
-	if err != nil {
-		t.Fatal(err)
+	// open starts (or restarts) the dynamic durable fleet over dir with
+	// specs as the initial roster, counting deliveries into got.
+	open := func(dur timingsubg.Durability, specs []timingsubg.QuerySpec, got map[string]int) timingsubg.Fleet {
+		t.Helper()
+		fl, err := timingsubg.OpenFleet(timingsubg.Config{
+			Queries: specs,
+			Dynamic: true,
+			Durable: &dur,
+			OnMatch: func(name string, m *timingsubg.Match) { got[name]++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
 	}
+	dur := timingsubg.Durability{Dir: dir}
+
+	got := map[string]int{}
+	pm := open(dur, nil, got)
 	feed := func(f, to int64, tm int64) {
 		t.Helper()
-		if err := pm.Feed(timingsubg.Edge{
+		if _, err := pm.Feed(timingsubg.Edge{
 			From: timingsubg.VertexID(f), To: timingsubg.VertexID(to),
 			FromLabel: la, ToLabel: lb, Time: timingsubg.Timestamp(tm),
 		}); err != nil {
@@ -177,8 +199,8 @@ func TestPersistentMultiDynamicLifecycle(t *testing.T) {
 		t.Fatalf("ab matched %d, want 1 (joins at log tail)", got["ab"])
 	}
 	// Out-of-order edges are rejected before they can poison the log.
-	if err := pm.Feed(timingsubg.Edge{From: 9, To: 10, FromLabel: la, ToLabel: lb, Time: 2}); err == nil {
-		t.Fatal("out-of-order feed must fail")
+	if _, err := pm.Feed(timingsubg.Edge{From: 9, To: 10, FromLabel: la, ToLabel: lb, Time: 2}); !errors.Is(err, timingsubg.ErrOutOfOrder) {
+		t.Fatalf("out-of-order feed: %v, want ErrOutOfOrder", err)
 	}
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
@@ -187,20 +209,17 @@ func TestPersistentMultiDynamicLifecycle(t *testing.T) {
 	// Restart with the query as an initial spec: its window state (the
 	// edge at t=2) must be recovered, so completing context is intact.
 	got2 := map[string]int{}
-	pm2, err := timingsubg.OpenDynamicPersistentMulti([]timingsubg.QuerySpec{
+	pm2 := open(dur, []timingsubg.QuerySpec{
 		{Name: "ab", Query: chainQuery(t, la, lb), Options: timingsubg.Options{Window: 1000}},
-	}, timingsubg.PersistentMultiOptions{Dir: dir},
-		func(name string, m *timingsubg.Match) { got2[name]++ })
-	if err != nil {
-		t.Fatal(err)
+	}, got2)
+	st := pm2.Stats()
+	if st.LastTime != 2 {
+		t.Fatalf("LastTime after restart = %d, want 2", st.LastTime)
 	}
-	if lt := pm2.LastTime(); lt != 2 {
-		t.Fatalf("LastTime after restart = %d, want 2", lt)
+	if n := st.Queries["ab"].Matches; n != 1 {
+		t.Fatalf("recovered match count = %d, want 1", n)
 	}
-	if counts := pm2.MatchCounts(); counts["ab"] != 1 {
-		t.Fatalf("recovered match count = %v, want ab:1", counts)
-	}
-	if err := pm2.Feed(timingsubg.Edge{
+	if _, err := pm2.Feed(timingsubg.Edge{
 		From: 5, To: 6, FromLabel: la, ToLabel: lb, Time: 3,
 	}); err != nil {
 		t.Fatal(err)
@@ -223,7 +242,7 @@ func TestPersistentMultiAddQueryNamePathSafety(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	labels := timingsubg.NewLabels()
 	la, lb := labels.Intern("a"), labels.Intern("b")
-	pm, err := timingsubg.OpenDynamicPersistentMulti(nil, timingsubg.PersistentMultiOptions{Dir: dir}, nil)
+	pm, err := timingsubg.OpenFleet(timingsubg.Config{Dynamic: true, Durable: &timingsubg.Durability{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +250,8 @@ func TestPersistentMultiAddQueryNamePathSafety(t *testing.T) {
 	for _, name := range []string{"", ".", "..", "a/b", `a\b`} {
 		if err := pm.AddQuery(timingsubg.QuerySpec{
 			Name: name, Query: chainQuery(t, la, lb), Options: timingsubg.Options{Window: 10},
-		}); err == nil {
-			t.Fatalf("AddQuery(%q) must be rejected (names become checkpoint directories)", name)
+		}); !errors.Is(err, timingsubg.ErrBadOptions) {
+			t.Fatalf("AddQuery(%q) = %v, must be rejected (names become checkpoint directories)", name, err)
 		}
 	}
 }
@@ -245,14 +264,14 @@ func TestPersistentMultiAddQueryCrashBeforeCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	labels := timingsubg.NewLabels()
 	la, lb := labels.Intern("a"), labels.Intern("b")
-	opts := timingsubg.PersistentMultiOptions{Dir: dir, SyncEvery: 1}
+	dur := &timingsubg.Durability{Dir: dir, SyncEvery: 1}
 
-	pm, err := timingsubg.OpenDynamicPersistentMulti(nil, opts, nil)
+	pm, err := timingsubg.OpenFleet(timingsubg.Config{Dynamic: true, Durable: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An a→b edge lands before the query joins...
-	if err := pm.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1}); err != nil {
+	if _, err := pm.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: la, ToLabel: lb, Time: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pm.AddQuery(timingsubg.QuerySpec{
@@ -263,26 +282,32 @@ func TestPersistentMultiAddQueryCrashBeforeCheckpoint(t *testing.T) {
 	// ...and the process dies with no Close (and no periodic checkpoint).
 
 	var postRestart int
-	pm2, err := timingsubg.OpenDynamicPersistentMulti([]timingsubg.QuerySpec{
-		{Name: "ab", Query: chainQuery(t, la, lb), Options: timingsubg.Options{Window: 1000}},
-	}, opts, func(name string, m *timingsubg.Match) { postRestart++ })
+	pm2, err := timingsubg.OpenFleet(timingsubg.Config{
+		Queries: []timingsubg.QuerySpec{
+			{Name: "ab", Query: chainQuery(t, la, lb), Options: timingsubg.Options{Window: 1000}},
+		},
+		Dynamic: true,
+		Durable: dur,
+		OnMatch: func(name string, m *timingsubg.Match) { postRestart++ },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pm2.Close()
-	if counts := pm2.MatchCounts(); counts["ab"] != 0 {
-		t.Fatalf("recovered query saw pre-join traffic: MatchCounts = %v", counts)
+	st := pm2.Stats()
+	if n := st.Queries["ab"].Matches; n != 0 {
+		t.Fatalf("recovered query saw pre-join traffic: %d matches", n)
 	}
 	// The stream clock must recover from the pre-join record too, even
 	// though no query replays it — otherwise t=1 could be issued twice
 	// and the log would lose its monotonicity.
-	if lt := pm2.LastTime(); lt != 1 {
-		t.Fatalf("LastTime after crash-restart = %d, want 1", lt)
+	if st.LastTime != 1 {
+		t.Fatalf("LastTime after crash-restart = %d, want 1", st.LastTime)
 	}
-	if err := pm2.Feed(timingsubg.Edge{From: 8, To: 9, FromLabel: la, ToLabel: lb, Time: 1}); err == nil {
-		t.Fatal("reusing a logged timestamp after restart must be rejected")
+	if _, err := pm2.Feed(timingsubg.Edge{From: 8, To: 9, FromLabel: la, ToLabel: lb, Time: 1}); !errors.Is(err, timingsubg.ErrOutOfOrder) {
+		t.Fatalf("reusing a logged timestamp after restart: %v, want ErrOutOfOrder", err)
 	}
-	if err := pm2.Feed(timingsubg.Edge{From: 3, To: 4, FromLabel: la, ToLabel: lb, Time: 2}); err != nil {
+	if _, err := pm2.Feed(timingsubg.Edge{From: 3, To: 4, FromLabel: la, ToLabel: lb, Time: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if postRestart != 1 {

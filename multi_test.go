@@ -1,6 +1,8 @@
 package timingsubg_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"timingsubg"
@@ -22,17 +24,20 @@ func TestMultiSearcherFansOut(t *testing.T) {
 	}
 
 	got := map[string]int{}
-	ms, err := timingsubg.NewMultiSearcher([]timingsubg.QuerySpec{
-		{Name: "ab", Query: mkQuery(la, lb), Options: timingsubg.Options{Window: 10}},
-		{Name: "bc", Query: mkQuery(lb, lc), Options: timingsubg.Options{Window: 10}},
-	}, func(name string, m *timingsubg.Match) { got[name]++ })
+	ms, err := timingsubg.Open(timingsubg.Config{
+		Queries: []timingsubg.QuerySpec{
+			{Name: "ab", Query: mkQuery(la, lb), Options: timingsubg.Options{Window: 10}},
+			{Name: "bc", Query: mkQuery(lb, lc), Options: timingsubg.Options{Window: 10}},
+		},
+		OnMatch: func(name string, m *timingsubg.Match) { got[name]++ },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	feed := func(f, to int64, fl, tl timingsubg.Label, tm int64) {
 		t.Helper()
-		if err := ms.Feed(timingsubg.Edge{
+		if _, err := ms.Feed(timingsubg.Edge{
 			From: timingsubg.VertexID(f), To: timingsubg.VertexID(to),
 			FromLabel: fl, ToLabel: tl, Time: timingsubg.Timestamp(tm),
 		}); err != nil {
@@ -48,18 +53,18 @@ func TestMultiSearcherFansOut(t *testing.T) {
 	if got["ab"] != 2 || got["bc"] != 1 {
 		t.Fatalf("fan-out miscounted: %v", got)
 	}
-	counts := ms.MatchCounts()
-	if counts["ab"] != 2 || counts["bc"] != 1 {
-		t.Fatalf("MatchCounts: %v", counts)
+	st := ms.Stats()
+	if st.Queries["ab"].Matches != 2 || st.Queries["bc"].Matches != 1 {
+		t.Fatalf("Stats.Queries matches: ab=%d bc=%d", st.Queries["ab"].Matches, st.Queries["bc"].Matches)
 	}
-	if ms.SpaceBytes() <= 0 {
+	if st.SpaceBytes <= 0 {
 		t.Error("space must be positive with live partials")
 	}
 }
 
 func TestMultiSearcherValidation(t *testing.T) {
-	if _, err := timingsubg.NewMultiSearcher(nil, nil); err == nil {
-		t.Error("empty spec list must be rejected")
+	if _, err := timingsubg.Open(timingsubg.Config{Queries: []timingsubg.QuerySpec{}}); !errors.Is(err, timingsubg.ErrBadOptions) {
+		t.Errorf("empty spec list must be rejected, got %v", err)
 	}
 	labels := timingsubg.NewLabels()
 	b := timingsubg.NewQueryBuilder()
@@ -69,10 +74,10 @@ func TestMultiSearcherValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = timingsubg.NewMultiSearcher([]timingsubg.QuerySpec{
+	_, err = timingsubg.Open(timingsubg.Config{Queries: []timingsubg.QuerySpec{
 		{Name: "bad", Query: q, Options: timingsubg.Options{Window: 0}},
-	}, nil)
-	if err == nil {
-		t.Error("bad per-query options must be surfaced with the query name")
+	}})
+	if !errors.Is(err, timingsubg.ErrBadOptions) || !strings.Contains(err.Error(), `"bad"`) {
+		t.Errorf("bad per-query options must be surfaced with the query name, got %v", err)
 	}
 }

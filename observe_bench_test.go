@@ -7,9 +7,8 @@ import "testing"
 // the pipeline's own histogram percentiles as benchmark metrics — p50
 // and p99 ingest latency (feed call → edge fully joined and delivered)
 // and p50/p99 detection latency (triggering-edge arrival → match
-// emission). scripts/bench_latency.sh runs it and emits the numbers as
-// BENCH_latency.json, the latency counterpart to BENCH_core.json's
-// throughput trajectory.
+// emission). Served, tsbench reports the same quantities end to end
+// (detect_p50_ms, engine.detection_p99_ms).
 func BenchmarkIngestLatency(b *testing.B) {
 	labels := NewLabels()
 	q := persistTestQuery(b, labels)

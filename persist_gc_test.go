@@ -14,15 +14,8 @@ func TestWALDoesNotGrowUnboundedly(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	dir := t.TempDir()
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 30},
-		Dir:             dir,
-		CheckpointEvery: 200,
-		SegmentBytes:    2048, // small segments so GC has something to reclaim
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Small segments so GC has something to reclaim.
+	ps := openDurable(t, q, 30, Durability{Dir: dir, CheckpointEvery: 200, SegmentBytes: 2048}, nil)
 
 	dirBytes := func() int64 {
 		var total int64
@@ -77,24 +70,13 @@ func TestWALBoundedAfterCheckpoint(t *testing.T) {
 	q := persistTestQuery(t, labels)
 	dir := t.TempDir()
 	const segBytes = 2048
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 30},
-		Dir:             dir,
-		CheckpointEvery: 200,
-		SegmentBytes:    segBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range persistTestStream(labels, 10000, 63) {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dur := Durability{Dir: dir, CheckpointEvery: 200, SegmentBytes: segBytes}
+	ps := openDurable(t, q, 30, dur, nil)
+	feedEach(t, ps, persistTestStream(labels, 10000, 63))
 	// 10k edges is dozens of 2KiB segments' worth of records; an
 	// explicit checkpoint at the tail must reclaim all but the live
 	// suffix.
-	if err := ps.Checkpoint(); err != nil {
+	if err := ps.checkpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
@@ -119,12 +101,7 @@ func TestWALBoundedAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The truncated log plus checkpoint must still recover.
-	ps2, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 30},
-		Dir:             dir,
-		CheckpointEvery: 200,
-		SegmentBytes:    segBytes,
-	})
+	ps2, err := Open(Config{Query: q, Window: 30, Durable: &dur})
 	if err != nil {
 		t.Fatalf("reopen after truncation: %v", err)
 	}
@@ -133,26 +110,15 @@ func TestWALBoundedAfterCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSyncIntervalPlumbing: PersistentOptions.SyncInterval must reach
+// TestSyncIntervalPlumbing: Durability.SyncInterval must reach
 // the WAL — with cadence sync disabled, the background group-commit
 // ticker alone makes appends durable, visible as Stats().WALSyncs.
 func TestSyncIntervalPlumbing(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	dir := t.TempDir()
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:      Options{Window: 30},
-		Dir:          dir,
-		SyncInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range persistTestStream(labels, 50, 64) {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ps := openDurable(t, q, 30, Durability{Dir: dir, SyncInterval: 2 * time.Millisecond}, nil)
+	feedEach(t, ps, persistTestStream(labels, 50, 64))
 	deadline := time.Now().Add(5 * time.Second)
 	for ps.Stats().WALSyncs == 0 {
 		if time.Now().After(deadline) {
@@ -171,19 +137,8 @@ func TestCheckpointGCKeepsTwo(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	dir := t.TempDir()
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 30},
-		Dir:             dir,
-		CheckpointEvery: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range persistTestStream(labels, 500, 62) {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ps := openDurable(t, q, 30, Durability{Dir: dir, CheckpointEvery: 50}, nil)
+	feedEach(t, ps, persistTestStream(labels, 500, 62))
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package timingsubg
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -67,22 +68,46 @@ func matchKey(m *Match) string {
 	return fmt.Sprint(ids)
 }
 
-// runPlain runs a non-durable searcher over edges and returns the set
-// of reported match keys.
+// runPlain runs a non-durable engine over edges and returns the set of
+// reported match keys.
 func runPlain(t testing.TB, q *Query, window Timestamp, edges []Edge) map[string]bool {
 	t.Helper()
 	got := map[string]bool{}
-	s, err := NewSearcher(q, Options{Window: window, OnMatch: func(m *Match) { got[matchKey(m)] = true }})
+	s, err := Open(Config{Query: q, Window: window, OnMatch: func(_ string, m *Match) { got[matchKey(m)] = true }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range edges {
-		if _, err := s.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEach(t, s, edges)
 	s.Close()
 	return got
+}
+
+// openDurable opens a durable single-query engine in dir; onMatch may
+// be nil. The concrete type gives tests the forced checkpoint
+// (checkpointNow) and the live WAL (log).
+func openDurable(t testing.TB, q *Query, window Timestamp, dur Durability, onMatch func(*Match)) *single {
+	t.Helper()
+	cfg := Config{Query: q, Window: window, Durable: &dur}
+	if onMatch != nil {
+		cfg.OnMatch = func(_ string, m *Match) { onMatch(m) }
+	}
+	eng, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.(*single)
+}
+
+// crash abandons a durable engine without Close — no final checkpoint.
+// Only the WAL handle is released: this process wrote the log, so its
+// OS-buffered bytes are visible to the reopened one.
+func crash(eng Engine) {
+	switch e := eng.(type) {
+	case *single:
+		e.log.Close()
+	case *fleetEngine:
+		e.log.Close()
+	}
 }
 
 func TestPersistentColdStartMatchesPlain(t *testing.T) {
@@ -95,18 +120,8 @@ func TestPersistentColdStartMatchesPlain(t *testing.T) {
 	}
 
 	got := map[string]bool{}
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options: Options{Window: 50, OnMatch: func(m *Match) { got[matchKey(m)] = true }},
-		Dir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ps := openDurable(t, q, 50, Durability{Dir: t.TempDir()}, func(m *Match) { got[matchKey(m)] = true })
+	feedEach(t, ps, edges)
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,41 +159,17 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				got[k] = true
 			}
 
-			ps, err := OpenPersistent(q, PersistentOptions{
-				Options:         Options{Window: 40, OnMatch: onMatch},
-				Dir:             dir,
-				CheckpointEvery: 64,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range edges[:cut] {
-				if _, err := ps.Feed(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Simulate a crash: abandon ps without Close (the WAL file
-			// is still OS-buffered but this process wrote it, so the
-			// bytes are visible to the reopened log).
-			preCrash := ps.MatchCount()
-			ps.log.Close()
+			dur := Durability{Dir: dir, CheckpointEvery: 64}
+			ps := openDurable(t, q, 40, dur, onMatch)
+			feedEach(t, ps, edges[:cut])
+			preCrash := ps.Stats().Matches
+			crash(ps)
 
-			ps2, err := OpenPersistent(q, PersistentOptions{
-				Options:         Options{Window: 40, OnMatch: onMatch},
-				Dir:             dir,
-				CheckpointEvery: 64,
-			})
-			if err != nil {
-				t.Fatal(err)
+			ps2 := openDurable(t, q, 40, dur, onMatch)
+			if got := ps2.Stats().Matches; got != preCrash {
+				t.Fatalf("recovered Matches %d, want %d", got, preCrash)
 			}
-			if ps2.MatchCount() != preCrash {
-				t.Fatalf("recovered MatchCount %d, want %d", ps2.MatchCount(), preCrash)
-			}
-			for _, e := range edges[cut:] {
-				if _, err := ps2.Feed(e); err != nil {
-					t.Fatal(err)
-				}
-			}
+			feedEach(t, ps2, edges[cut:])
 			if err := ps2.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -193,8 +184,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			}
 			// Matches inside a checkpoint must not be re-reported; only
 			// the replayed suffix may duplicate.
-			if int64(dups) > ps2.Replayed() {
-				t.Fatalf("crash at %d: %d duplicate reports exceed %d replayed edges", cut, dups, ps2.Replayed())
+			if replayed := ps2.Stats().Replayed; int64(dups) > replayed {
+				t.Fatalf("crash at %d: %d duplicate reports exceed %d replayed edges", cut, dups, replayed)
 			}
 		})
 	}
@@ -215,20 +206,10 @@ func TestRecoveryRepeatedRestarts(t *testing.T) {
 	chunk := n / 5
 	var final int64
 	for run := 0; run < 5; run++ {
-		ps, err := OpenPersistent(q, PersistentOptions{
-			Options:         Options{Window: 60, OnMatch: func(m *Match) { got[matchKey(m)] = true }},
-			Dir:             dir,
-			CheckpointEvery: 50,
-		})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		for _, e := range edges[run*chunk : (run+1)*chunk] {
-			if _, err := ps.Feed(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		final = ps.MatchCount()
+		ps := openDurable(t, q, 60, Durability{Dir: dir, CheckpointEvery: 50},
+			func(m *Match) { got[matchKey(m)] = true })
+		feedEach(t, ps, edges[run*chunk:(run+1)*chunk])
+		final = ps.Stats().Matches
 		if err := ps.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -237,21 +218,22 @@ func TestRecoveryRepeatedRestarts(t *testing.T) {
 		t.Fatalf("got %d distinct matches, want %d", len(got), len(want))
 	}
 	if final != int64(len(want)) {
-		t.Fatalf("durable MatchCount %d, want %d", final, len(want))
+		t.Fatalf("durable Matches %d, want %d", final, len(want))
 	}
 }
 
 func TestPersistentRejectsBadOptions(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	cases := []PersistentOptions{
-		{Options: Options{Window: 10, Workers: 2}, Dir: t.TempDir()},
-		{Options: Options{Window: 10}},                  // no dir
-		{Options: Options{Window: 0}, Dir: t.TempDir()}, // no window
+	cases := []Config{
+		{Window: 10, Workers: 2, Durable: &Durability{Dir: t.TempDir()}},
+		{Window: 10, Durable: &Durability{}},                // no dir
+		{Window: 0, Durable: &Durability{Dir: t.TempDir()}}, // no window
 	}
-	for i, opts := range cases {
-		if _, err := OpenPersistent(q, opts); err == nil {
-			t.Fatalf("case %d: bad options accepted", i)
+	for i, cfg := range cases {
+		cfg.Query = q
+		if _, err := Open(cfg); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("case %d: bad options accepted: %v", i, err)
 		}
 	}
 }
@@ -260,21 +242,13 @@ func TestPersistentWindowMismatchRejected(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	dir := t.TempDir()
-	ps, err := OpenPersistent(q, PersistentOptions{Options: Options{Window: 10}, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range persistTestStream(labels, 20, 4) {
-		_ = i
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ps := openDurable(t, q, 10, Durability{Dir: dir}, nil)
+	feedEach(t, ps, persistTestStream(labels, 20, 4))
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPersistent(q, PersistentOptions{Options: Options{Window: 20}, Dir: dir}); err == nil {
-		t.Fatal("window mismatch accepted")
+	if _, err := Open(Config{Query: q, Window: 20, Durable: &Durability{Dir: dir}}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("window mismatch accepted: %v", err)
 	}
 }
 
@@ -287,25 +261,15 @@ func TestRecoveryWithLostWALTail(t *testing.T) {
 	edges := persistTestStream(labels, 200, 5)
 	dir := t.TempDir()
 
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 40},
-		Dir:             dir,
-		CheckpointEvery: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dur := Durability{Dir: dir, CheckpointEvery: 64}
+	ps := openDurable(t, q, 40, dur, nil)
+	feedEach(t, ps, edges)
 	// Force a checkpoint, then chop the WAL back hard (lose everything
 	// after the last full segment header — simulate lost tail).
-	if err := ps.Checkpoint(); err != nil {
+	if err := ps.checkpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	ps.log.Close()
+	crash(ps)
 	// Remove all WAL segments entirely: the checkpoint alone must carry
 	// recovery.
 	matches, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
@@ -313,15 +277,11 @@ func TestRecoveryWithLostWALTail(t *testing.T) {
 		os.Remove(m)
 	}
 
-	ps2, err := OpenPersistent(q, PersistentOptions{
-		Options:         Options{Window: 40},
-		Dir:             dir,
-		CheckpointEvery: 64,
-	})
+	ps2, err := Open(Config{Query: q, Window: 40, Durable: &dur})
 	if err != nil {
 		t.Fatalf("recovery with lost WAL: %v", err)
 	}
-	if ps2.InWindow() == 0 {
+	if ps2.Stats().InWindow == 0 {
 		t.Fatal("recovered window is empty")
 	}
 	// Feeding must continue with aligned IDs.
@@ -342,36 +302,30 @@ func TestRecoveryWithLostWALTail(t *testing.T) {
 func TestPersistentStateAccessors(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	ps, err := OpenPersistent(q, PersistentOptions{
-		Options: Options{Window: 30},
-		Dir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	ps := openDurable(t, q, 30, Durability{Dir: t.TempDir()}, nil)
+	feedEach(t, ps, persistTestStream(labels, 100, 6))
+	st := ps.Stats()
+	if !st.Durable || st.WALSeq != 100 {
+		t.Fatalf("Durable=%v WALSeq=%d, want true/100", st.Durable, st.WALSeq)
 	}
-	for _, e := range persistTestStream(labels, 100, 6) {
-		if _, err := ps.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ps.InWindow() == 0 {
+	if st.InWindow == 0 {
 		t.Fatal("InWindow = 0")
 	}
-	if ps.SpaceBytes() < 0 {
+	if st.SpaceBytes < 0 {
 		t.Fatal("negative space")
 	}
-	if ps.PartialMatches() < 0 {
+	if st.PartialMatches < 0 {
 		t.Fatal("negative partials")
 	}
 	n := 0
 	ps.CurrentMatches(func(*Match) bool { n++; return true })
-	if n != ps.CurrentMatchCount() {
-		t.Fatalf("CurrentMatches enumerated %d, count says %d", n, ps.CurrentMatchCount())
+	if want := ps.eng.CurrentMatchCount(); n != want {
+		t.Fatalf("CurrentMatches enumerated %d, core counts %d", n, want)
 	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.Feed(Edge{Time: 1000}); err == nil {
-		t.Fatal("feed after close accepted")
+	if _, err := ps.Feed(Edge{Time: 1000}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("feed after close: %v, want ErrClosed", err)
 	}
 }

@@ -1,6 +1,7 @@
 package timingsubg
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -49,17 +50,32 @@ func runFleetPlain(t testing.TB, specs []QuerySpec, edges []Edge) map[string]map
 	for _, spec := range specs {
 		got[spec.Name] = map[string]bool{}
 	}
-	ms, err := NewMultiSearcher(specs, func(name string, m *Match) { got[name][matchKey(m)] = true })
+	ms, err := Open(Config{Queries: specs, OnMatch: func(name string, m *Match) { got[name][matchKey(m)] = true }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range edges {
-		if err := ms.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEach(t, ms, edges)
 	ms.Close()
 	return got
+}
+
+// openDurableFleet opens a durable fleet of specs; onMatch may be nil.
+func openDurableFleet(t testing.TB, specs []QuerySpec, dur Durability, onMatch func(string, *Match)) Fleet {
+	t.Helper()
+	fl, err := OpenFleet(Config{Queries: specs, Durable: &dur, OnMatch: onMatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// matchCounts returns eng's per-query match totals.
+func matchCounts(eng Engine) map[string]int64 {
+	out := map[string]int64{}
+	for name, qs := range eng.Stats().Queries {
+		out[name] = qs.Matches
+	}
+	return out
 }
 
 func TestPersistentMultiColdStart(t *testing.T) {
@@ -72,16 +88,9 @@ func TestPersistentMultiColdStart(t *testing.T) {
 	for _, spec := range specs {
 		got[spec.Name] = map[string]bool{}
 	}
-	pm, err := OpenPersistentMulti(specs, PersistentMultiOptions{Dir: t.TempDir()},
+	pm := openDurableFleet(t, specs, Durability{Dir: t.TempDir()},
 		func(name string, m *Match) { got[name][matchKey(m)] = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges {
-		if err := pm.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedEach(t, pm, edges)
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +105,10 @@ func TestPersistentMultiColdStart(t *testing.T) {
 	if total == 0 {
 		t.Fatal("fleet found no matches; test stream too sparse")
 	}
-	counts := pm.MatchCounts()
+	counts := matchCounts(pm)
 	for name, w := range want {
 		if counts[name] != int64(len(w)) {
-			t.Fatalf("query %s: MatchCounts %d, want %d", name, counts[name], len(w))
+			t.Fatalf("query %s: Stats.Queries matches %d, want %d", name, counts[name], len(w))
 		}
 	}
 }
@@ -122,33 +131,20 @@ func TestPersistentMultiCrashRecovery(t *testing.T) {
 			}
 			onMatch := func(name string, m *Match) { got[name][matchKey(m)] = true }
 
-			pm, err := OpenPersistentMulti(specs, PersistentMultiOptions{Dir: dir, CheckpointEvery: 64}, onMatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range edges[:cut] {
-				if err := pm.Feed(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pre := pm.MatchCounts()
-			pm.log.Close() // crash without Close
+			dur := Durability{Dir: dir, CheckpointEvery: 64}
+			pm := openDurableFleet(t, specs, dur, onMatch)
+			feedEach(t, pm, edges[:cut])
+			pre := matchCounts(pm)
+			crash(pm)
 
-			pm2, err := OpenPersistentMulti(specs, PersistentMultiOptions{Dir: dir, CheckpointEvery: 64}, onMatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			post := pm2.MatchCounts()
+			pm2 := openDurableFleet(t, specs, dur, onMatch)
+			post := matchCounts(pm2)
 			for name, v := range pre {
 				if post[name] != v {
 					t.Fatalf("query %s: recovered count %d, want %d", name, post[name], v)
 				}
 			}
-			for _, e := range edges[cut:] {
-				if err := pm2.Feed(e); err != nil {
-					t.Fatal(err)
-				}
-			}
+			feedEach(t, pm2, edges[cut:])
 			if err := pm2.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -175,15 +171,9 @@ func TestPersistentMultiLateJoiner(t *testing.T) {
 	edges := persistTestStream(labels, 300, 73)
 	dir := t.TempDir()
 
-	pm, err := OpenPersistentMulti(base, PersistentMultiOptions{Dir: dir, CheckpointEvery: 50}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges[:150] {
-		if err := pm.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dur := Durability{Dir: dir, CheckpointEvery: 50}
+	pm := openDurableFleet(t, base, dur, nil)
+	feedEach(t, pm, edges[:150])
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +181,12 @@ func TestPersistentMultiLateJoiner(t *testing.T) {
 	// Reopen with an extra query.
 	full := fleetSpecs(t, labels, 40)
 	joinerMatches := 0
-	pm2, err := OpenPersistentMulti(full, PersistentMultiOptions{Dir: dir, CheckpointEvery: 50},
-		func(name string, m *Match) {
-			if name == "single" {
-				joinerMatches++
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range edges[150:] {
-		if err := pm2.Feed(e); err != nil {
-			t.Fatal(err)
+	pm2 := openDurableFleet(t, full, dur, func(name string, m *Match) {
+		if name == "single" {
+			joinerMatches++
 		}
-	}
+	})
+	feedEach(t, pm2, edges[150:])
 	if joinerMatches == 0 {
 		t.Fatal("late joiner saw no matches")
 	}
@@ -213,10 +195,7 @@ func TestPersistentMultiLateJoiner(t *testing.T) {
 	}
 
 	// A third open must recover all three cleanly.
-	pm3, err := OpenPersistentMulti(full, PersistentMultiOptions{Dir: dir}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm3 := openDurableFleet(t, full, Durability{Dir: dir}, nil)
 	if err := pm3.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,21 +207,21 @@ func TestPersistentMultiRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		name  string
 		specs []QuerySpec
-		opts  PersistentMultiOptions
+		dur   Durability
 	}{
-		{"no queries", nil, PersistentMultiOptions{Dir: t.TempDir()}},
-		{"no dir", ok, PersistentMultiOptions{}},
-		{"bad name", []QuerySpec{{Name: "a/b", Query: ok[0].Query, Options: Options{Window: 10}}}, PersistentMultiOptions{Dir: t.TempDir()}},
+		{"no queries", nil, Durability{Dir: t.TempDir()}},
+		{"no dir", ok, Durability{}},
+		{"bad name", []QuerySpec{{Name: "a/b", Query: ok[0].Query, Options: Options{Window: 10}}}, Durability{Dir: t.TempDir()}},
 		{"dup name", []QuerySpec{
 			{Name: "x", Query: ok[0].Query, Options: Options{Window: 10}},
 			{Name: "x", Query: ok[1].Query, Options: Options{Window: 10}},
-		}, PersistentMultiOptions{Dir: t.TempDir()}},
-		{"count window", []QuerySpec{{Name: "x", Query: ok[0].Query, Options: Options{CountWindow: 10}}}, PersistentMultiOptions{Dir: t.TempDir()}},
-		{"workers", []QuerySpec{{Name: "x", Query: ok[0].Query, Options: Options{Window: 10, Workers: 3}}}, PersistentMultiOptions{Dir: t.TempDir()}},
+		}, Durability{Dir: t.TempDir()}},
+		{"count window", []QuerySpec{{Name: "x", Query: ok[0].Query, Options: Options{CountWindow: 10}}}, Durability{Dir: t.TempDir()}},
+		{"workers", []QuerySpec{{Name: "x", Query: ok[0].Query, Options: Options{Window: 10, Workers: 3}}}, Durability{Dir: t.TempDir()}},
 	}
 	for _, tc := range cases {
-		if _, err := OpenPersistentMulti(tc.specs, tc.opts, nil); err == nil {
-			t.Fatalf("%s: accepted", tc.name)
+		if _, err := Open(Config{Queries: tc.specs, Durable: &tc.dur}); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("%s: accepted: %v", tc.name, err)
 		}
 	}
 }
@@ -252,18 +231,10 @@ func TestPersistentMultiRejectsBadSpecs(t *testing.T) {
 func TestPersistentMultiSharedWALIsLoggedOnce(t *testing.T) {
 	labels := NewLabels()
 	specs := fleetSpecs(t, labels, 40)
-	pm, err := OpenPersistentMulti(specs, PersistentMultiOptions{Dir: t.TempDir()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := persistTestStream(labels, 120, 74)
-	for _, e := range edges {
-		if err := pm.Feed(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pm.WALSeq() != 120 {
-		t.Fatalf("WAL seq %d after 120 edges in a 3-query fleet, want 120", pm.WALSeq())
+	pm := openDurableFleet(t, specs, Durability{Dir: t.TempDir()}, nil)
+	feedEach(t, pm, persistTestStream(labels, 120, 74))
+	if seq := pm.Stats().WALSeq; seq != 120 {
+		t.Fatalf("WAL seq %d after 120 edges in a 3-query fleet, want 120", seq)
 	}
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package timingsubg_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -67,23 +68,21 @@ func TestRoutedEqualsUnrouted(t *testing.T) {
 	edges := fleetStream(labels, nl, 800, 7)
 
 	run := func(routed bool) map[string]int64 {
-		var ms *timingsubg.MultiSearcher
-		var err error
-		if routed {
-			ms, err = timingsubg.NewRoutedMultiSearcher(specs, nil)
-		} else {
-			ms, err = timingsubg.NewMultiSearcher(specs, nil)
-		}
+		ms, err := timingsubg.Open(timingsubg.Config{Queries: specs, Routed: routed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range edges {
-			if err := ms.Feed(e); err != nil {
+			if _, err := ms.Feed(e); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ms.Close()
-		return ms.MatchCounts()
+		counts := map[string]int64{}
+		for name, qs := range ms.Stats().Queries {
+			counts[name] = qs.Matches
+		}
+		return counts
 	}
 
 	plain := run(false)
@@ -114,19 +113,19 @@ func TestRoutedSkipsUninterested(t *testing.T) {
 			Options: timingsubg.Options{Window: 40},
 		})
 	}
-	ms, err := timingsubg.NewRoutedMultiSearcher(specs, nil)
+	ms, err := timingsubg.Open(timingsubg.Config{Queries: specs, Routed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range fleetStream(labels, nl, 500, 8) {
-		if err := ms.Feed(e); err != nil {
+		if _, err := ms.Feed(e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ms.Close()
 	// Each edge has one (from,to) label pair; at most one of the nl
 	// disjoint queries is interested, so the routed fraction is <= 1/nl.
-	if f := ms.RoutedFraction(); f > 1.0/float64(nl)+1e-9 {
+	if f := ms.Stats().RoutedFraction; f > 1.0/float64(nl)+1e-9 {
 		t.Fatalf("routed fraction %.3f, want <= %.3f", f, 1.0/float64(nl))
 	}
 }
@@ -138,12 +137,13 @@ func TestRoutedFractionUnroutedIsOne(t *testing.T) {
 		Query:   fleetQuery(t, labels.Intern("x"), labels.Intern("y"), labels.Intern("z")),
 		Options: timingsubg.Options{Window: 10},
 	}}
-	ms, err := timingsubg.NewMultiSearcher(specs, nil)
+	ms, err := timingsubg.Open(timingsubg.Config{Queries: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.RoutedFraction() != 1 {
-		t.Fatalf("unrouted fraction = %v", ms.RoutedFraction())
+	defer ms.Close()
+	if f := ms.Stats().RoutedFraction; f != 1 {
+		t.Fatalf("unrouted fraction = %v", f)
 	}
 }
 
@@ -168,13 +168,7 @@ func BenchmarkMultiFanout(b *testing.B) {
 					Options: timingsubg.Options{Window: 100},
 				})
 			}
-			var ms *timingsubg.MultiSearcher
-			var err error
-			if routed {
-				ms, err = timingsubg.NewRoutedMultiSearcher(specs, nil)
-			} else {
-				ms, err = timingsubg.NewMultiSearcher(specs, nil)
-			}
+			ms, err := timingsubg.Open(timingsubg.Config{Queries: specs, Routed: routed})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -183,7 +177,7 @@ func BenchmarkMultiFanout(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := edges[i%len(edges)]
 				e.Time = timingsubg.Timestamp(i + 1)
-				if err := ms.Feed(e); err != nil {
+				if _, err := ms.Feed(e); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,8 +187,8 @@ func BenchmarkMultiFanout(b *testing.B) {
 
 // TestRoutedCountWindowRejected: count windows are defined over the
 // edges fed to an engine, so routing (which skips feeds) would change
-// their semantics; the constructor must reject the combination with a
-// clear error, while the unrouted fan-out still accepts it.
+// their semantics; Open must reject the combination, while the
+// unrouted fan-out still accepts it.
 func TestRoutedCountWindowRejected(t *testing.T) {
 	labels := timingsubg.NewLabels()
 	specs := []timingsubg.QuerySpec{{
@@ -202,10 +196,10 @@ func TestRoutedCountWindowRejected(t *testing.T) {
 		Query:   fleetQuery(t, labels.Intern("x"), labels.Intern("y"), labels.Intern("z")),
 		Options: timingsubg.Options{CountWindow: 50},
 	}}
-	if _, err := timingsubg.NewRoutedMultiSearcher(specs, nil); err == nil {
-		t.Fatal("routed fleet accepted count windows")
+	if _, err := timingsubg.Open(timingsubg.Config{Queries: specs, Routed: true}); !errors.Is(err, timingsubg.ErrBadOptions) {
+		t.Fatalf("routed fleet accepted count windows: %v", err)
 	}
-	ms, err := timingsubg.NewMultiSearcher(specs, nil)
+	ms, err := timingsubg.Open(timingsubg.Config{Queries: specs})
 	if err != nil {
 		t.Fatalf("unrouted fan-out rejected count windows: %v", err)
 	}

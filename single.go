@@ -19,8 +19,7 @@ import (
 // single is the one single-query engine implementation behind Open (and
 // behind each fleet member): a core matching engine plus a window, with
 // adaptivity and durability composed on as orthogonal options rather
-// than distinct wrapper types. All five deprecated façades delegate
-// here.
+// than distinct wrapper types.
 type single struct {
 	// ingest is the feed pipeline of a standalone engine (its executor
 	// is the inline push loop). A fleet member's stays idle — the fleet
@@ -29,7 +28,7 @@ type single struct {
 	ingest
 
 	q     *Query
-	opts  Options     // normalized; OnMatch field unused (see onMatch)
+	opts  Options     // normalized
 	adapt *Adaptivity // nil = adaptivity off; normalized copy otherwise
 
 	stream graph.Windower
@@ -126,8 +125,7 @@ func normAdaptivity(a *Adaptivity) *Adaptivity {
 // fleet member; durable fleets restore the member's stream afterwards,
 // and every member is rebased onto the fleet's dispatcher by
 // newMember). sink, when non-nil, is attached as a synchronous
-// subscription — the Config.OnMatch/OnDelivery and façade-callback
-// shim.
+// subscription — the Config.OnMatch/OnDelivery shim.
 func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*single, error) {
 	if err := validateSingle(q, o, adapt, nil); err != nil {
 		return nil, err
@@ -278,7 +276,6 @@ func (en *single) newCoreEngine(dec *Decomposition) *core.Engine {
 	cfg := core.Config{
 		Storage:       en.opts.Storage,
 		Decomposition: dec,
-		ScanProbes:    en.opts.scanProbes,
 		OnMatch: func(m *Match) {
 			if en.muted {
 				return
@@ -320,14 +317,9 @@ func (en *single) push(e Edge) (EdgeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch {
-	case en.par != nil && en.opts.perEdgeExpiry:
-		en.par.Process(stored, expired)
-	case en.par != nil:
+	if en.par != nil {
 		en.par.ProcessBatch(stored, expired)
-	case en.opts.perEdgeExpiry:
-		en.eng.Process(stored, expired)
-	default:
+	} else {
 		en.eng.ProcessBatch(stored, expired)
 	}
 	return stored.ID, nil
@@ -557,19 +549,5 @@ func (en *single) Stats() Stats {
 // CurrentMatches implements Engine.
 func (en *single) CurrentMatches(fn func(*Match) bool) { en.eng.CurrentMatches(fn) }
 
-// currentMatchCount returns the number of standing matches.
-func (en *single) currentMatchCount() int { return en.eng.CurrentMatchCount() }
-
-// writeState dumps the engine's live expansion-list populations and
-// counters for diagnostics.
+// writeState is the diagnostic dump behind WriteState.
 func (en *single) writeState(w io.Writer) { en.eng.WriteState(w) }
-
-// joinOrder returns the masks of the TC-subqueries in the current join
-// order (adaptive diagnostics).
-func (en *single) joinOrder() []uint64 {
-	out := make([]uint64, 0, en.eng.K())
-	for _, s := range en.eng.Decomposition().Subqueries {
-		out = append(out, s.Mask)
-	}
-	return out
-}

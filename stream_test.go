@@ -10,7 +10,7 @@ import (
 
 func TestSearcherRunChannel(t *testing.T) {
 	q, _, ls := buildTwoHop(t)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 10})
+	s, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestSearcherRunChannel(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("want 2 edges processed, got %d", n)
 	}
-	if s.MatchCount() != 1 {
-		t.Fatalf("want 1 match, got %d", s.MatchCount())
+	if got := s.Stats().Matches; got != 1 {
+		t.Fatalf("want 1 match, got %d", got)
 	}
 }
 
 func TestSearcherRunCancellation(t *testing.T) {
 	q, _, _ := buildTwoHop(t)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 10})
+	s, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSearcherRunCancellation(t *testing.T) {
 
 func TestSearcherRunSurfacesFeedErrors(t *testing.T) {
 	q, _, ls := buildTwoHop(t)
-	s, err := timingsubg.NewSearcher(q, timingsubg.Options{Window: 10})
+	s, err := timingsubg.Open(timingsubg.Config{Query: q, Window: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestSearcherRunSurfacesFeedErrors(t *testing.T) {
 	ch <- timingsubg.Edge{From: 1, To: 2, FromLabel: ls[0], ToLabel: ls[1], Time: 5} // out of order
 	close(ch)
 	n, err := s.Run(context.Background(), ch)
-	if err == nil {
-		t.Fatal("out-of-order edge must surface an error")
+	if !errors.Is(err, timingsubg.ErrOutOfOrder) {
+		t.Fatalf("out-of-order edge must surface ErrOutOfOrder, got %v", err)
 	}
 	if n != 1 {
 		t.Fatalf("only the first edge processed, got %d", n)
@@ -74,9 +74,10 @@ func TestMultiSearcherRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := timingsubg.NewMultiSearcher([]timingsubg.QuerySpec{
-		{Name: "ab", Query: q, Options: timingsubg.Options{Window: 10}},
-	}, nil)
+	ms, err := timingsubg.Open(timingsubg.Config{
+		Queries: []timingsubg.QuerySpec{{Name: "ab", Query: q}},
+		Window:  10,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestMultiSearcherRun(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("run: n=%d err=%v", n, err)
 	}
-	if ms.MatchCounts()["ab"] != 1 {
+	if ms.Stats().Queries["ab"].Matches != 1 {
 		t.Fatal("match must register")
 	}
 }

@@ -3,8 +3,6 @@ package timingsubg
 import (
 	"errors"
 	"iter"
-	"strconv"
-	"sync"
 
 	"timingsubg/internal/dispatch"
 )
@@ -39,8 +37,7 @@ const (
 // so a match re-reported by recovery replay carries the same Seq it
 // had before the crash. A consumer that records its per-query
 // high-water mark gets exactly-once delivery across restarts by
-// resubscribing with SubscribeOptions.AfterSeq — the sequence-number
-// successor of MatchDeduper.
+// resubscribing with SubscribeOptions.AfterSeq.
 type Delivery = dispatch.Delivery
 
 // SubscribeOptions configures one Engine.Subscribe call.
@@ -176,153 +173,4 @@ func configSink(cfg Config) func(Delivery) {
 			od(dv)
 		}
 	}
-}
-
-// matchSink adapts a bare func(*Match) (the deprecated façades'
-// callback shape) to a dispatcher fn-subscription.
-func matchSink(onMatch func(*Match)) func(Delivery) {
-	if onMatch == nil {
-		return nil
-	}
-	return func(dv Delivery) { onMatch(dv.Match) }
-}
-
-// MatchChannel adapts the callback-based OnMatch delivery to a channel,
-// for consumers structured around select loops or pipelines. The
-// returned callback applies backpressure: when the buffer is full it
-// blocks the engine until the consumer catches up, so no match is ever
-// dropped before done is called. Call done after the final Feed (and
-// Close, in concurrent mode); it closes the channel and returns how
-// many late callback invocations were discarded. A callback invoked
-// after done is a counted no-op — it no longer panics.
-//
-// Deprecated: use Engine.Subscribe, which attaches and detaches at
-// runtime, filters by query, and offers non-blocking overflow policies
-// (SubscribeOptions.Policy). MatchChannel is equivalent to a Block
-// subscription fixed at Open time.
-func MatchChannel(buffer int) (onMatch func(*Match), matches <-chan *Match, done func() int64) {
-	if buffer < 0 {
-		buffer = 0
-	}
-	ch := make(chan *Match, buffer)
-	var (
-		mu      sync.Mutex
-		closed  bool
-		dropped int64
-	)
-	onMatch = func(m *Match) {
-		mu.Lock()
-		defer mu.Unlock()
-		if closed {
-			dropped++
-			return
-		}
-		// MatchChannel is the deprecated fixed Block subscription: the
-		// send deliberately blocks under the closure's private mutex so
-		// a concurrent done() cannot close the channel mid-send.
-		//tsvet:allow lockhold — Block semantics; mu only fences close(ch) vs send
-		ch <- m
-	}
-	done = func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if !closed {
-			closed = true
-			close(ch)
-		}
-		return dropped
-	}
-	return onMatch, ch, done
-}
-
-// MatchDeduper suppresses duplicate match reports. A durable engine
-// delivers at-least-once across a crash: matches completed after the
-// last checkpoint may be re-reported during recovery replay. Wrapping
-// the consumer with a deduper restores exactly-once delivery for the
-// retained horizon:
-//
-//	dedup := timingsubg.NewMatchDeduper(1 << 16)
-//	cfg.OnMatch = func(query string, m *timingsubg.Match) {
-//		if dedup.SeenFor(query, m) {
-//			return
-//		}
-//		alert(query, m)
-//	}
-//
-// The deduper remembers the most recent `capacity` distinct matches
-// (FIFO eviction). Capacity must exceed the number of matches a
-// recovery replay can re-deliver — matches completed since the last
-// checkpoint — which CheckpointEvery bounds.
-//
-// Identity is the query name plus the vector of data-edge IDs bound to
-// the query edges. Edge IDs are WAL sequence numbers in durable mode,
-// so identity is stable across restarts. One deduper may serve a whole
-// fleet through SeenFor; the legacy Seen ties the deduper to a single
-// query.
-//
-// Deprecated: subscription sequence numbers subsume content-identity
-// dedup — they are stable across restarts by construction, need no
-// capacity tuning, and resume with a single integer per query (see
-// Delivery and SubscribeOptions.AfterSeq).
-type MatchDeduper struct {
-	capacity int
-	seen     map[string]struct{}
-	order    []string
-	head     int
-}
-
-// NewMatchDeduper returns a deduper remembering up to capacity matches.
-func NewMatchDeduper(capacity int) *MatchDeduper {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &MatchDeduper{
-		capacity: capacity,
-		seen:     make(map[string]struct{}, capacity),
-		order:    make([]string, 0, capacity),
-	}
-}
-
-// SeenFor records query's match m and reports whether that (query,
-// match) pair was already recorded. Two fleet queries binding the same
-// data edges are distinct entries — the identity is scoped by query
-// name, so one deduper safely serves a whole fleet. Not safe for
-// concurrent use; call from the (serialized) match callback.
-func (d *MatchDeduper) SeenFor(query string, m *Match) bool {
-	key := dedupKey(query, m)
-	if _, dup := d.seen[key]; dup {
-		return true
-	}
-	if len(d.order) < d.capacity {
-		d.order = append(d.order, key)
-	} else {
-		delete(d.seen, d.order[d.head])
-		d.order[d.head] = key
-		d.head = (d.head + 1) % d.capacity
-	}
-	d.seen[key] = struct{}{}
-	return false
-}
-
-// Seen is SeenFor with an empty query name — the single-query form.
-// Matches of different queries recorded through Seen collide when they
-// bind the same data edges; fleet consumers must use SeenFor.
-func (d *MatchDeduper) Seen(m *Match) bool { return d.SeenFor("", m) }
-
-// Len returns how many distinct matches are currently remembered.
-func (d *MatchDeduper) Len() int { return len(d.order) }
-
-// dedupKey scopes the edge-ID identity by query name. The name is
-// length-prefixed so no (name, IDs) pair can alias another.
-func dedupKey(query string, m *Match) string {
-	b := make([]byte, 0, len(query)+8+8*len(m.Edges))
-	b = strconv.AppendInt(b, int64(len(query)), 10)
-	b = append(b, ':')
-	b = append(b, query...)
-	for _, e := range m.Edges {
-		id := uint64(e.ID)
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
-			byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
-	}
-	return string(b)
 }

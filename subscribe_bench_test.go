@@ -11,9 +11,8 @@ import (
 // lossless Block policy (every subscriber actively draining) and the
 // load-shedding DropOldest policy (every subscriber stalled — the
 // worst case the drop policies exist for: ingest must not slow down
-// beyond the constant eviction cost). scripts/bench_subscribe.sh
-// emits the numbers as BENCH_subscribe.json so the delivery path has
-// perf data points alongside the fleet fan-out's.
+// beyond the constant eviction cost). Served, tsbench's
+// dispatch.ns_per_match on wiki_fleet tracks the delivery path.
 func BenchmarkSubscribeFan(b *testing.B) {
 	const fanStreamLen = 20_000
 	labels := NewLabels()

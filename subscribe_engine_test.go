@@ -307,8 +307,7 @@ func TestSubscribeResumeAfterSeq(t *testing.T) {
 // TestSubscribeDurableSeqStableAcrossCrash is the restart-dedup
 // guarantee: matches re-reported by recovery replay carry the same
 // per-query sequence numbers they had before the crash, so a consumer
-// holding a durable cursor discards duplicates by integer comparison —
-// the subsumption of MatchDeduper.
+// holding a durable cursor discards duplicates by integer comparison.
 func TestSubscribeDurableSeqStableAcrossCrash(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
@@ -354,7 +353,7 @@ func TestSubscribeDurableSeqStableAcrossCrash(t *testing.T) {
 
 	eng := open()
 	feedEach(t, eng, edges[:170])
-	eng.(*single).log.Close() // crash without checkpoint
+	crash(eng)
 
 	eng2 := open() // replay re-reports post-checkpoint matches
 	feedEach(t, eng2, edges[170:])
