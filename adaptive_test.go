@@ -72,9 +72,6 @@ func joinOrder(eng Engine) []uint64 {
 
 func TestAdaptiveRejectsBadOptions(t *testing.T) {
 	q := starQuery(t)
-	if _, err := Open(Config{Query: q, Window: 10, Workers: 2, Adaptive: &Adaptivity{}}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("workers > 1 accepted: %v", err)
-	}
 	if _, err := Open(Config{Query: q, Adaptive: &Adaptivity{}}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("no window accepted: %v", err)
 	}

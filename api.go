@@ -7,8 +7,8 @@
 // The public API is one composable entry point, Open, which builds an
 // Engine from a Config; durability, adaptivity, multi-query fleets
 // (with optional sharded evaluation across a worker pool —
-// Config.FleetWorkers), window kind, storage backend and worker
-// parallelism are orthogonal options of that one call:
+// Config.FleetWorkers), window kind and storage backend are orthogonal
+// options of that one call:
 //
 //	labels := timingsubg.NewLabels()
 //	b := timingsubg.NewQueryBuilder()
@@ -96,17 +96,6 @@ const (
 	Independent = core.Independent
 )
 
-// LockScheme selects the concurrency-control scheme.
-type LockScheme = core.LockScheme
-
-// Locking schemes for Workers > 1.
-const (
-	// FineGrained is the paper's per-item locking (default).
-	FineGrained = core.FineGrained
-	// AllLocks acquires all locks up front (baseline).
-	AllLocks = core.AllLocks
-)
-
 // Options is the per-member override set of a fleet: QuerySpec.Options
 // fields left zero inherit the fleet Config's value. (Open normalizes a
 // single-query Config into the same struct internally.)
@@ -122,11 +111,6 @@ type Options struct {
 	CountWindow int
 	// Storage selects the partial-match backend (default MSTree).
 	Storage Storage
-	// Workers > 1 enables concurrent execution with that many in-flight
-	// edge transactions (requires MSTree storage).
-	Workers int
-	// LockScheme selects the concurrency control when Workers > 1.
-	LockScheme LockScheme
 	// Decomposition overrides the automatic TC decomposition.
 	Decomposition *Decomposition
 

@@ -6,9 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"regexp"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"timingsubg"
@@ -16,8 +14,9 @@ import (
 
 // TestNoDeprecatedAPI keeps Open the only way in: the package carries
 // no deprecation marker (a deprecated identifier is a second API kept
-// alive) and exports nothing named after the deleted per-capability
-// façades or their delivery helpers.
+// alive), exports nothing named after the deleted per-capability
+// façades, their delivery helpers or the shelved Section V scheduler,
+// and neither Config nor Options has a field that reaches the scheduler.
 func TestNoDeprecatedAPI(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", nil, parser.ParseComments)
@@ -25,10 +24,24 @@ func TestNoDeprecatedAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	marker := "Deprecated" + ":" // split so this file carries no marker itself
-	facade := regexp.MustCompile(`Searcher|MatchChannel|MatchDeduper`)
+	removed := regexp.MustCompile(`Searcher|MatchChannel|MatchDeduper|LockScheme|FineGrained|AllLocks`)
 	exported := func(pos token.Pos, name string) {
-		if ast.IsExported(name) && facade.MatchString(name) {
-			t.Errorf("%s: exported identifier %s revives a deleted façade", fset.Position(pos), name)
+		if ast.IsExported(name) && removed.MatchString(name) {
+			t.Errorf("%s: exported identifier %s revives a deleted API", fset.Position(pos), name)
+		}
+	}
+	schedulerField := map[string]bool{"Workers": true, "LockScheme": true}
+	configFields := func(sp *ast.TypeSpec) {
+		st, ok := sp.Type.(*ast.StructType)
+		if !ok || (sp.Name.Name != "Config" && sp.Name.Name != "Options") {
+			return
+		}
+		for _, f := range st.Fields.List {
+			for _, n := range f.Names {
+				if schedulerField[n.Name] {
+					t.Errorf("%s: %s.%s reaches the shelved Section V scheduler", fset.Position(n.Pos()), sp.Name.Name, n.Name)
+				}
+			}
 		}
 	}
 	for _, pkg := range pkgs {
@@ -50,6 +63,7 @@ func TestNoDeprecatedAPI(t *testing.T) {
 						switch sp := sp.(type) {
 						case *ast.TypeSpec:
 							exported(sp.Pos(), sp.Name.Name)
+							configFields(sp)
 						case *ast.ValueSpec:
 							for _, n := range sp.Names {
 								exported(n.Pos(), n.Name)
@@ -170,12 +184,6 @@ func TestSearcherOptionValidation(t *testing.T) {
 	if _, err := timingsubg.Open(timingsubg.Config{Query: q}); !errors.Is(err, timingsubg.ErrBadOptions) {
 		t.Errorf("zero window must be rejected, got %v", err)
 	}
-	_, err := timingsubg.Open(timingsubg.Config{
-		Query: q, Window: 5, Workers: 4, Storage: timingsubg.Independent,
-	})
-	if !errors.Is(err, timingsubg.ErrBadOptions) {
-		t.Errorf("concurrent independent storage must be rejected, got %v", err)
-	}
 }
 
 func TestSearcherRejectsOutOfOrderFeeds(t *testing.T) {
@@ -189,63 +197,5 @@ func TestSearcherRejectsOutOfOrderFeeds(t *testing.T) {
 	}
 	if _, err := s.Feed(timingsubg.Edge{From: 1, To: 2, FromLabel: ls[0], ToLabel: ls[1], Time: 5}); !errors.Is(err, timingsubg.ErrOutOfOrder) {
 		t.Errorf("non-increasing timestamps must be rejected with ErrOutOfOrder, got %v", err)
-	}
-}
-
-func TestSearcherConcurrentMatchesSerial(t *testing.T) {
-	q, _, ls := buildTwoHop(t)
-	mk := func(i int64) timingsubg.Edge {
-		switch i % 3 {
-		case 0:
-			return timingsubg.Edge{From: timingsubg.VertexID(i % 7), To: timingsubg.VertexID(10 + i%5),
-				FromLabel: ls[0], ToLabel: ls[1], Time: timingsubg.Timestamp(i + 1)}
-		case 1:
-			return timingsubg.Edge{From: timingsubg.VertexID(10 + i%5), To: timingsubg.VertexID(20 + i%6),
-				FromLabel: ls[1], ToLabel: ls[2], Time: timingsubg.Timestamp(i + 1)}
-		default:
-			return timingsubg.Edge{From: timingsubg.VertexID(30 + i%4), To: timingsubg.VertexID(40 + i%4),
-				FromLabel: ls[2], ToLabel: ls[0], Time: timingsubg.Timestamp(i + 1)}
-		}
-	}
-	runWith := func(workers int, scheme timingsubg.LockScheme) []string {
-		var mu sync.Mutex
-		var keys []string
-		s, err := timingsubg.Open(timingsubg.Config{
-			Query:      q,
-			Window:     30,
-			Workers:    workers,
-			LockScheme: scheme,
-			OnMatch: func(_ string, m *timingsubg.Match) {
-				mu.Lock()
-				keys = append(keys, m.Key())
-				mu.Unlock()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 400; i++ {
-			if _, err := s.Feed(mk(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Close()
-		sort.Strings(keys)
-		return keys
-	}
-	serial := runWith(1, timingsubg.FineGrained)
-	if len(serial) == 0 {
-		t.Fatal("workload should produce matches")
-	}
-	for _, scheme := range []timingsubg.LockScheme{timingsubg.FineGrained, timingsubg.AllLocks} {
-		conc := runWith(3, scheme)
-		if len(conc) != len(serial) {
-			t.Fatalf("scheme %v: %d matches vs serial %d", scheme, len(conc), len(serial))
-		}
-		for i := range conc {
-			if conc[i] != serial[i] {
-				t.Fatalf("scheme %v: result sets differ", scheme)
-			}
-		}
 	}
 }

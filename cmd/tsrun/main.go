@@ -5,7 +5,6 @@
 // Usage:
 //
 //	tsrun -stream stream.csv -query query.txt -window 10000
-//	tsrun -stream stream.csv -query query.txt -window 10000 -workers 4
 //	tsrun -stream stream.csv -query query.txt -count-window 5000
 //	tsrun -stream stream.csv -query query.txt -window 10000 -durable ./state
 //	tsrun -stream stream.csv -query query.txt -window 10000 -adaptive
@@ -49,8 +48,6 @@ func run(args []string, stdout io.Writer) error {
 	queryPath := fs.String("query", "", "query file (see internal/query/parse.go format)")
 	window := fs.Int64("window", 10000, "time-based sliding window |W| in stream time units")
 	countWindow := fs.Int("count-window", 0, "count-based window of the latest N edges (overrides -window)")
-	workers := fs.Int("workers", 1, "concurrent edge transactions (>1 enables the Section V scheduler)")
-	allLocks := fs.Bool("alllocks", false, "use the All-locks baseline scheme instead of fine-grained")
 	ind := fs.Bool("independent", false, "use independent partial-match storage (Timing-IND)")
 	durable := fs.String("durable", "", "durability directory: WAL + checkpoints with crash recovery")
 	adaptive := fs.Bool("adaptive", false, "enable adaptive join-order reoptimization")
@@ -97,17 +94,10 @@ func run(args []string, stdout io.Writer) error {
 
 	// Every flag is one Config field; which combinations compose is
 	// Open's decision, and its error is the diagnostic.
-	cfg := timingsubg.Config{
-		Query:   q,
-		Window:  timingsubg.Timestamp(*window),
-		Workers: *workers,
-	}
+	cfg := timingsubg.Config{Query: q, Window: timingsubg.Timestamp(*window)}
 	if *countWindow > 0 {
 		cfg.Window = 0
 		cfg.CountWindow = *countWindow
-	}
-	if *allLocks {
-		cfg.LockScheme = timingsubg.AllLocks
 	}
 	if *ind {
 		cfg.Storage = timingsubg.Independent

@@ -69,10 +69,9 @@ func feedWithStale(t *testing.T, eng Engine, edges []Edge, feed func(testing.TB,
 	t.Helper()
 	mid := len(edges) / 2
 	feed(t, eng, edges[:mid])
-	// statsFast, not Stats: with Workers > 1 transactions may still be
-	// in flight, and only the counter snapshot is safe to read then.
-	sample := eng.(interface{ statsFast() Stats }).statsFast
-	before := sample()
+	// Nothing is in flight once a feed returns, so the full snapshot is
+	// safe to read here.
+	before := eng.Stats()
 	unrouted := Edge{From: 1, To: 2, FromLabel: Label(1 << 20), ToLabel: Label(1<<20 + 1), Time: edges[mid/2].Time}
 	for _, stale := range []Edge{unrouted, edges[mid/2]} {
 		if _, err := eng.Feed(stale); !errors.Is(err, ErrOutOfOrder) {
@@ -82,7 +81,7 @@ func feedWithStale(t *testing.T, eng Engine, edges []Edge, feed func(testing.TB,
 			t.Fatalf("FeedBatch(stale @%d) = (%d, %v), want (0, ErrOutOfOrder)", stale.Time, n, err)
 		}
 	}
-	after := sample()
+	after := eng.Stats()
 	if after.Fed != before.Fed || after.InWindow != before.InWindow || after.WALSeq != before.WALSeq {
 		t.Fatalf("rejected edges left a trace: fed %d→%d, in-window %d→%d, WAL %d→%d",
 			before.Fed, after.Fed, before.InWindow, after.InWindow, before.WALSeq, after.WALSeq)
@@ -121,8 +120,6 @@ func TestConformanceSingleCombinations(t *testing.T) {
 	}{
 		{name: "feedbatch", batch: 97},
 		{name: "independent-storage", cfg: Config{Storage: Independent}},
-		{name: "workers-4", cfg: Config{Workers: 4}},
-		{name: "workers-4-alllocks", cfg: Config{Workers: 4, LockScheme: AllLocks}},
 		{name: "adaptive", cfg: Config{Adaptive: &Adaptivity{ReoptimizeEvery: 128, MinGain: 1.05}}},
 		{name: "durable", cfg: Config{Durable: &Durability{CheckpointEvery: 300}}},
 		{name: "durable-batch", cfg: Config{Durable: &Durability{CheckpointEvery: 300}}, batch: 113},
@@ -142,7 +139,7 @@ func TestConformanceSingleCombinations(t *testing.T) {
 				feed = func(t testing.TB, eng Engine, edges []Edge) { feedChunks(t, eng, edges, tc.batch) }
 			}
 			feedWithStale(t, eng, edges, feed)
-			eng.Close() // drain workers so counters are final
+			eng.Close()
 			if got := snap(eng.Stats()); got != want {
 				t.Fatalf("stats diverge from plain engine: got %+v, want %+v", got, want)
 			}
@@ -764,7 +761,6 @@ func TestOpenValidation(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	spec := QuerySpec{Name: "q", Query: q}
-	par := QuerySpec{Name: "q", Query: q, Options: Options{Workers: 4}}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -774,17 +770,11 @@ func TestOpenValidation(t *testing.T) {
 		{"query-and-dynamic", Config{Query: q, Dynamic: true, Window: 10}},
 		{"both-windows", Config{Query: q, Window: 10, CountWindow: 10}},
 		{"no-window", Config{Query: q}},
-		{"adaptive-workers", Config{Query: q, Window: 10, Workers: 4, Adaptive: &Adaptivity{}}},
-		{"durable-workers", Config{Query: q, Window: 10, Workers: 4, Durable: &Durability{Dir: "x"}}},
 		{"durable-no-dir", Config{Query: q, Window: 10, Durable: &Durability{}}},
 		{"durable-count-window", Config{Query: q, CountWindow: 10, Durable: &Durability{Dir: "x"}}},
-		{"workers-independent", Config{Query: q, Window: 10, Workers: 4, Storage: Independent}},
 		{"routed-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Routed: true}},
 		{"routed-durable", Config{Queries: []QuerySpec{spec}, Window: 10, Routed: true, Durable: &Durability{Dir: "x"}}},
-		// The same permanent holes, for fleet members (one validation).
-		{"member-adaptive-workers", Config{Queries: []QuerySpec{par}, Window: 10, Adaptive: &Adaptivity{}}},
-		{"member-durable-workers", Config{Queries: []QuerySpec{par}, Window: 10, Durable: &Durability{Dir: "x"}}},
-		{"member-workers-independent", Config{Queries: []QuerySpec{par}, Window: 10, Storage: Independent}},
+		// Fleet members go through the same validation.
 		{"member-durable-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Durable: &Durability{Dir: "x"}}},
 		{"durable-fleet-no-dir", Config{Dynamic: true, Window: 10, Durable: &Durability{}}},
 		{"routed-single", Config{Query: q, Window: 10, Routed: true}},

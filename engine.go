@@ -18,9 +18,9 @@ var ErrClosed = errors.New("timingsubg: engine is closed")
 // Engine is the one contract every engine composition satisfies: a
 // continuous time-constrained subgraph search engine over a sliding
 // window, fed edges in timestamp order. Open builds an Engine from a
-// Config; durability, adaptivity, fleet fan-out, window kind, storage
-// backend and worker parallelism are all orthogonal options of that one
-// entry point, not separate types.
+// Config; durability, adaptivity, fleet fan-out, window kind and storage
+// backend are all orthogonal options of that one entry point, not
+// separate types.
 //
 // Unless stated otherwise an Engine is not safe for concurrent feeding:
 // Feed, FeedBatch, Run and Close must be serialized by the caller (one
@@ -188,9 +188,8 @@ type Config struct {
 	// identical to the sequential fleet. A sharded fleet enforces
 	// timestamp monotonicity at the fleet boundary (an out-of-order
 	// edge is rejected before any member sees it) and serializes
-	// AddQuery/RemoveQuery/Close against feeds internally. Distinct
-	// from Workers, which parallelizes edge transactions *inside* one
-	// member engine. 0 or 1 means sequential evaluation.
+	// AddQuery/RemoveQuery/Close against feeds internally. Each member
+	// engine itself stays serial. 0 or 1 means sequential evaluation.
 	FleetWorkers int
 
 	// Window is the time-based sliding-window duration |W|. Exactly one
@@ -202,12 +201,6 @@ type Config struct {
 	CountWindow int
 	// Storage selects the partial-match backend (default MSTree).
 	Storage Storage
-	// Workers > 1 enables concurrent execution with that many in-flight
-	// edge transactions (requires MSTree storage; incompatible with
-	// Adaptive and Durable, which need a quiescent engine).
-	Workers int
-	// LockScheme selects the concurrency control when Workers > 1.
-	LockScheme LockScheme
 	// Decomposition overrides the automatic TC decomposition (single
 	// mode; the initial order only, when Adaptive is set).
 	Decomposition *Decomposition
@@ -287,23 +280,10 @@ type QuerySpec struct {
 // Durable.Dir holds a previous run's WAL and checkpoints, the engine
 // state is recovered before Open returns.
 //
-// Every option composes with every other except four combinations,
-// which Open rejects with ErrBadOptions — for standalone engines and
-// fleet members alike — by design, not as unfinished work:
-//
-//   - Workers > 1 with Adaptive: a rebuild swaps the core engine the
-//     in-flight transactions are still mutating.
-//   - Workers > 1 with Durable: a checkpoint must be exactly the state
-//     after a prefix of the edge sequence, which in-flight transactions
-//     blur.
-//   - Workers > 1 with Storage: Independent: the paper's concurrency
-//     control locks MS-tree items.
-//   - Routed with Durable: recovery replays every logged record to
-//     every member, and a routed member's per-engine edge IDs would
-//     drift from the WAL sequence.
-//
-// FleetWorkers, which parallelizes across members rather than within
-// one, composes with all of them.
+// Every option composes with every other except Routed with Durable,
+// which Open rejects with ErrBadOptions: recovery replays every logged
+// record to every member, and a routed member's per-engine edge IDs
+// would drift from the WAL sequence.
 func Open(cfg Config) (Engine, error) {
 	fleetMode := len(cfg.Queries) > 0 || cfg.Dynamic
 	switch {
@@ -314,7 +294,7 @@ func Open(cfg Config) (Engine, error) {
 	case cfg.Query != nil && cfg.Routed:
 		return nil, errors.Join(ErrBadOptions, errors.New("Routed is a fleet option (set Queries or Dynamic)"))
 	case cfg.Query != nil && cfg.FleetWorkers > 1:
-		return nil, errors.Join(ErrBadOptions, errors.New("FleetWorkers is a fleet option (set Queries or Dynamic); Workers parallelizes a single engine"))
+		return nil, errors.Join(ErrBadOptions, errors.New("FleetWorkers is a fleet option (set Queries or Dynamic)"))
 	case cfg.FleetWorkers < 0:
 		return nil, errors.Join(ErrBadOptions, errors.New("FleetWorkers must be non-negative"))
 	case cfg.EventTimeUnit < 0:
@@ -327,8 +307,6 @@ func Open(cfg Config) (Engine, error) {
 		Window:        cfg.Window,
 		CountWindow:   cfg.CountWindow,
 		Storage:       cfg.Storage,
-		Workers:       cfg.Workers,
-		LockScheme:    cfg.LockScheme,
 		Decomposition: cfg.Decomposition,
 	}
 	if !cfg.DisableMetrics {

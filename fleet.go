@@ -130,12 +130,6 @@ func (fl *fleetEngine) memberOptions(spec QuerySpec) Options {
 	if o.Storage == MSTree {
 		o.Storage = fl.defaults.Storage
 	}
-	if o.Workers == 0 {
-		o.Workers = fl.defaults.Workers
-	}
-	if o.LockScheme == FineGrained {
-		o.LockScheme = fl.defaults.LockScheme
-	}
 	if fl.obs != nil {
 		// Members share the fleet's stage pipeline so every member's
 		// join/expiry/dispatch work lands in one fleet-wide view.
@@ -207,7 +201,7 @@ func (fl *fleetEngine) validateFleetSpec(spec QuerySpec) error {
 		return fmt.Errorf("timingsubg: query name must be non-empty: %w", ErrBadOptions)
 	}
 	o := fl.memberOptions(spec)
-	if err := validateSingle(spec.Query, o, fl.memberAdaptivity(spec), fl.defaults.Durable); err != nil {
+	if err := validateSingle(spec.Query, o, fl.defaults.Durable); err != nil {
 		return fmt.Errorf("timingsubg: query %q: %w", spec.Name, err)
 	}
 	if fl.route != nil && o.CountWindow > 0 {
@@ -872,7 +866,7 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 			}
 			return
 		}
-		st.FleetWorkers = fl.pool.Workers()
+		st.FleetWorkers = len(fl.shardMu)
 		st.ShardMembers = fl.pool.Load()
 		if fl.obs != nil {
 			st.ShardBusyNs = fl.pool.Busy()

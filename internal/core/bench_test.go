@@ -141,21 +141,16 @@ func BenchmarkInsertIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkExpiryIngest is the batch-eviction A/B: the same high-churn
-// stream driven through the batched expiry plane (ProcessBatch, the
-// production path) and through edge-at-a-time deletes (Process, the
-// ablation), on the concurrent engine where the win lives — batching
-// turns one deletion transaction per expired edge (lock plan, dispatch,
-// per-level lock handshake each) into one transaction per slide that
-// acquires each touched item once. The datagen timestamps are remapped
-// into bursts — B edges a tick apart, then a gap of a full window — so
-// every burst's first push evicts the whole previous burst in one
-// slide. The edges/s gap on the eviction-dominated stream is the
-// batching win; served, tsbench's core.expiry_ns_per_slide on
-// social_burst tracks the sweep. (Serially the A/B is near
-// parity: per-edge deletes are already O(1) bucket lookups under the
-// live-only join indexes, and the NopLocker makes lock amortization
-// free — see DESIGN.md §15.)
+// BenchmarkExpiryIngest is the batch-eviction A/B on the serial engine:
+// the same high-churn stream driven through the batched expiry plane
+// (ProcessBatch, the production path) and through edge-at-a-time
+// deletes (Process, the paper's algorithm). The datagen timestamps are
+// remapped into bursts — B edges a tick apart, then a gap of a full
+// window — so every burst's first push evicts the whole previous burst
+// in one slide. Per-edge deletes are already O(1) bucket lookups under
+// the live-only join indexes, so the gap is the per-level sweep's
+// amortization (DESIGN.md §15.3); served, tsbench's
+// core.expiry_ns_per_slide on social_burst tracks the sweep.
 func BenchmarkExpiryIngest(b *testing.B) {
 	const nEdges = 10000
 	const burst = 64
@@ -185,10 +180,9 @@ func BenchmarkExpiryIngest(b *testing.B) {
 				var matches, evicted int64
 				for i := 0; i < b.N; i++ {
 					eng := New(q, Config{})
-					par := NewParallel(eng, FineGrained, 4)
-					proc := par.Process
+					proc := eng.Process
 					if mode.batched {
-						proc = par.ProcessBatch
+						proc = eng.ProcessBatch
 					}
 					st := graph.NewStream(window)
 					for _, e := range edges {
@@ -198,7 +192,6 @@ func BenchmarkExpiryIngest(b *testing.B) {
 						}
 						proc(stored, expired)
 					}
-					par.Wait()
 					matches = eng.Stats().Matches.Load()
 					evicted = eng.Stats().EdgesOut.Load()
 				}

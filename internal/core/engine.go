@@ -129,8 +129,10 @@ type Engine struct {
 	sampleTick uint64
 
 	// mpool recycles match objects through the insert hot path; scratch
-	// recycles the per-call probe buffers. Both are sync.Pools so
-	// concurrent transactions (Workers > 1) never share state.
+	// recycles the per-call probe buffers. Both are sync.Pools because
+	// Parallel (the Section V scheduler behind Fig. 19/20) runs
+	// transactions on several goroutines over one Engine, and those
+	// must never share state.
 	mpool   sync.Pool
 	scratch sync.Pool
 
@@ -271,9 +273,7 @@ func (e *Engine) Delete(d graph.Edge) { e.runDelete(d, lock.NopLocker{}) }
 // single batched sweep (Algorithm 2, amortized), serially. expired
 // must be the slide's eviction set in chronological order, as produced
 // by the windower.
-func (e *Engine) DeleteBatch(expired []graph.Edge) {
-	e.runDeleteBatch(expired, lock.NopLocker{})
-}
+func (e *Engine) DeleteBatch(expired []graph.Edge) { e.runDeleteBatch(expired) }
 
 // statSampleStride is the Process-call sampling stride for the join and
 // expiry stage histograms: one call in 32 is timed, starting with the
@@ -324,9 +324,9 @@ func (e *Engine) Process(d graph.Edge, expired []graph.Edge) {
 }
 
 // ProcessBatch handles one window slide serially with batched expiry:
-// all expired edges are swept in a single runDeleteBatch pass (one
-// lock round-trip per touched item instead of one per item per edge),
-// then the incoming edge is inserted. Sampling mirrors Process: the
+// all expired edges are swept in a single runDeleteBatch pass (each
+// touched level once, instead of once per expired edge), then the
+// incoming edge is inserted. Sampling mirrors Process: the
 // expiry histogram observes the whole batch once.
 func (e *Engine) ProcessBatch(d graph.Edge, expired []graph.Edge) {
 	sampled := e.tickSample()
@@ -697,18 +697,16 @@ func (e *Engine) runDelete(d graph.Edge, lk lock.Locker) {
 	}
 }
 
-// runDeleteBatch processes all of a slide's expired edges as ONE
-// transaction: each touched item is X-locked once per slide instead of
-// once per slide per edge, and each level is swept once from its
-// death-time expiry structure (DeleteExpired) instead of walked per
-// edge. Correctness rests on death-time keying: a stored match dies
-// iff its minimum edge timestamp is below the watermark, and any
-// extension of a dying match inherits a key below the watermark, so
-// every level's sweep is self-contained — no casualty or deadSubs
-// propagation between levels or into the global list. The lock
-// acquire/release points must stay in lockstep with DeleteBatchPlan;
-// FineTxn asserts the correspondence.
-func (e *Engine) runDeleteBatch(expired []graph.Edge, lk lock.Locker) {
+// runDeleteBatch processes all of a slide's expired edges in one pass:
+// each touched level is swept once from its death-time expiry
+// structure (DeleteExpired) instead of walked per edge. Correctness
+// rests on death-time keying: a stored match dies iff its minimum edge
+// timestamp is below the watermark, and any extension of a dying match
+// inherits a key below the watermark, so every level's sweep is
+// self-contained — no casualty or deadSubs propagation between levels
+// or into the global list. It runs serially only; the Section V
+// scheduler (Parallel) drives the per-edge runDelete.
+func (e *Engine) runDeleteBatch(expired []graph.Edge) {
 	e.stats.EdgesOut.Add(int64(len(expired)))
 	e.stats.ExpiryBatches.Add(1)
 	e.stats.ExpiryEvicted.Add(int64(len(expired)))
@@ -728,10 +726,7 @@ func (e *Engine) runDeleteBatch(expired []graph.Edge, lk lock.Locker) {
 		sub := e.subs[s-1]
 		depth := sub.Depth()
 		for lvl := 1; lvl <= depth; lvl++ {
-			lk.Acquire(item(s, lvl), lock.X)
-			n := sub.DeleteExpired(lvl, cut)
-			lk.Release(item(s, lvl), lock.X)
-			e.stats.PartialDel.Add(int64(n))
+			e.stats.PartialDel.Add(int64(sub.DeleteExpired(lvl, cut)))
 		}
 	}
 	if k == 1 || minTouched == 0 {
@@ -744,10 +739,7 @@ func (e *Engine) runDeleteBatch(expired []graph.Edge, lk lock.Locker) {
 		start = 2
 	}
 	for lvl := start; lvl <= k; lvl++ {
-		lk.Acquire(item(0, lvl), lock.X)
-		n := e.global.DeleteExpired(lvl, cut)
-		lk.Release(item(0, lvl), lock.X)
-		e.stats.PartialDel.Add(int64(n))
+		e.stats.PartialDel.Add(int64(e.global.DeleteExpired(lvl, cut)))
 	}
 }
 

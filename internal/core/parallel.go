@@ -58,70 +58,13 @@ func (p *Parallel) Engine() *Engine { return p.eng }
 
 // Process submits one window slide with edge-at-a-time expiry: deletion
 // transactions for the expired edges in chronological order, then the
-// insertion transaction for d — the paper's schedule; ProcessBatch is
-// the batched production path. It must be called from a
-// single goroutine.
+// insertion transaction for d — the paper's schedule, which the Fig.
+// 19/20 harness runs. It must be called from a single goroutine.
 func (p *Parallel) Process(d graph.Edge, expired []graph.Edge) {
 	for _, x := range expired {
 		p.submit(x, false)
 	}
 	p.submit(d, true)
-}
-
-// ProcessBatch submits one window slide with batched expiry: a single
-// deletion transaction sweeping every expired edge, then the insertion
-// transaction for d. The batch transaction occupies the slot the
-// per-edge deletions would have held in dispatch order, and deletions
-// of already-expired edges commute, so streaming consistency
-// (Definition 11) is preserved: every wait-list still sees the slide's
-// eviction before the slide's insertion. It must be called from a
-// single goroutine.
-func (p *Parallel) ProcessBatch(d graph.Edge, expired []graph.Edge) {
-	if len(expired) > 0 {
-		p.submitDeleteBatch(expired)
-	}
-	p.submit(d, true)
-}
-
-// submitDeleteBatch dispatches the slide's batched deletion as one
-// transaction.
-func (p *Parallel) submitDeleteBatch(expired []graph.Edge) {
-	plan := p.eng.DeleteBatchPlan(expired)
-	if len(plan) == 0 {
-		// No expired edge touches stored state: keep the counters
-		// faithful to the serial runDeleteBatch.
-		p.eng.stats.EdgesOut.Add(int64(len(expired)))
-		p.eng.stats.ExpiryBatches.Add(1)
-		p.eng.stats.ExpiryEvicted.Add(int64(len(expired)))
-		return
-	}
-	p.sem <- struct{}{}
-	txnID := p.nextTxn
-	p.nextTxn++
-
-	run := func(lk lock.Locker, finish func()) {
-		defer func() {
-			finish()
-			<-p.sem
-			p.wg.Done()
-		}()
-		p.eng.runDeleteBatch(expired, lk)
-	}
-
-	p.wg.Add(1)
-	switch p.scheme {
-	case AllLocks:
-		txn := lock.NewAllTxn(p.mgr, txnID, plan)
-		go func() {
-			txn.Start()
-			run(txn, txn.Finish)
-		}()
-	default:
-		txn := lock.NewFineTxn(p.mgr, txnID, plan)
-		go func() {
-			run(txn, txn.Finish)
-		}()
-	}
 }
 
 func (p *Parallel) submit(d graph.Edge, isInsert bool) {

@@ -39,40 +39,6 @@ func (e *Engine) InsertPlan(d graph.Edge) []lock.Request {
 	return reqs
 }
 
-// DeleteBatchPlan returns the lock requests a batched slide deletion
-// will issue, in exactly runDeleteBatch's acquisition order: every item
-// of every touched subquery once, ascending, then the global items from
-// the first touched subquery (at least 2) up to k. An empty plan means
-// no expired edge touches stored state.
-func (e *Engine) DeleteBatchPlan(expired []graph.Edge) []lock.Request {
-	var reqs []lock.Request
-	k := e.K()
-	minTouched := 0
-	for s := 1; s <= k; s++ {
-		if !e.subTouchedByAny(s, expired) {
-			continue
-		}
-		if minTouched == 0 {
-			minTouched = s
-		}
-		depth := e.subs[s-1].Depth()
-		for lvl := 1; lvl <= depth; lvl++ {
-			reqs = append(reqs, lock.Request{Item: item(s, lvl), Mode: lock.X})
-		}
-	}
-	if k == 1 || minTouched == 0 {
-		return reqs
-	}
-	start := minTouched
-	if start < 2 {
-		start = 2
-	}
-	for lvl := start; lvl <= k; lvl++ {
-		reqs = append(reqs, lock.Request{Item: item(0, lvl), Mode: lock.X})
-	}
-	return reqs
-}
-
 // DeletePlan returns the lock requests Del(d) will issue, in runDelete's
 // acquisition order. An empty plan means d touches no stored state.
 func (e *Engine) DeletePlan(d graph.Edge) []lock.Request {

@@ -95,9 +95,6 @@ func (p *Pool) worker(shard int) {
 	}
 }
 
-// Workers returns the shard count.
-func (p *Pool) Workers() int { return len(p.tasks) }
-
 // Assign places handle on the least-loaded shard and returns that
 // shard's index. Assigning an already-assigned handle is a bug.
 func (p *Pool) Assign(handle int) int {

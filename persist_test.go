@@ -226,7 +226,6 @@ func TestPersistentRejectsBadOptions(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	cases := []Config{
-		{Window: 10, Workers: 2, Durable: &Durability{Dir: t.TempDir()}},
 		{Window: 10, Durable: &Durability{}},                // no dir
 		{Window: 0, Durable: &Durability{Dir: t.TempDir()}}, // no window
 	}

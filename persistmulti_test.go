@@ -217,7 +217,6 @@ func TestPersistentMultiRejectsBadSpecs(t *testing.T) {
 			{Name: "x", Query: ok[1].Query, Options: Options{Window: 10}},
 		}, Durability{Dir: t.TempDir()}},
 		{"count window", []QuerySpec{{Name: "x", Query: ok[0].Query, Options: Options{CountWindow: 10}}}, Durability{Dir: t.TempDir()}},
-		{"workers", []QuerySpec{{Name: "x", Query: ok[0].Query, Options: Options{Window: 10, Workers: 3}}}, Durability{Dir: t.TempDir()}},
 	}
 	for _, tc := range cases {
 		if _, err := Open(Config{Queries: tc.specs, Durable: &tc.dur}); !errors.Is(err, ErrBadOptions) {

@@ -33,7 +33,6 @@ type single struct {
 
 	stream graph.Windower
 	eng    *core.Engine
-	par    *core.Parallel
 	// disp is the results plane: every reported match is published to
 	// it, and Subscribe attaches consumers at runtime. A standalone
 	// engine owns its dispatcher (ownsDisp); a fleet member shares the
@@ -80,9 +79,8 @@ type single struct {
 
 // validateSingle checks one engine's option combination — a standalone
 // engine's, or (via validateFleetSpec) one fleet member's under the
-// fleet's durability. The Workers > 1 rejections are permanent, not
-// unfinished (see Open).
-func validateSingle(q *Query, o Options, adapt *Adaptivity, dur *Durability) error {
+// fleet's durability.
+func validateSingle(q *Query, o Options, dur *Durability) error {
 	switch {
 	case q == nil:
 		return errors.Join(ErrBadOptions, errors.New("query must be non-nil"))
@@ -90,18 +88,8 @@ func validateSingle(q *Query, o Options, adapt *Adaptivity, dur *Durability) err
 		return errors.Join(ErrBadOptions, errors.New("set only one of Window and CountWindow"))
 	case o.Window <= 0 && o.CountWindow <= 0:
 		return errors.Join(ErrBadOptions, errors.New("one of Window and CountWindow must be positive"))
-	case o.Workers > 1 && o.Storage == Independent:
-		return errors.Join(ErrBadOptions, errors.New("concurrent execution requires the MSTree backend"))
-	case o.Workers > 1 && adapt != nil:
-		return errors.Join(ErrBadOptions, errors.New("adaptive mode requires Workers <= 1"))
-	}
-	if dur != nil {
-		switch {
-		case o.Workers > 1:
-			return errors.Join(ErrBadOptions, errors.New("persistent mode requires Workers <= 1"))
-		case o.Window <= 0 || o.CountWindow > 0:
-			return errors.Join(ErrBadOptions, errors.New("persistent mode supports time-based windows only"))
-		}
+	case dur != nil && o.CountWindow > 0:
+		return errors.Join(ErrBadOptions, errors.New("persistent mode supports time-based windows only"))
 	}
 	return nil
 }
@@ -127,7 +115,7 @@ func normAdaptivity(a *Adaptivity) *Adaptivity {
 // newMember). sink, when non-nil, is attached as a synchronous
 // subscription — the Config.OnMatch/OnDelivery shim.
 func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*single, error) {
-	if err := validateSingle(q, o, adapt, nil); err != nil {
+	if err := validateSingle(q, o, nil); err != nil {
 		return nil, err
 	}
 	en := &single{q: q, opts: o, adapt: normAdaptivity(adapt), disp: dispatch.New(), ownsDisp: true}
@@ -161,9 +149,6 @@ func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*si
 	} else {
 		en.stream = graph.NewStream(o.Window)
 	}
-	if o.Workers > 1 {
-		en.par = core.NewParallel(en.eng, o.LockScheme, o.Workers)
-	}
 	return en, nil
 }
 
@@ -172,7 +157,7 @@ func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*si
 // checkpoint's window is rebuilt silently, then the WAL suffix is
 // replayed live.
 func openDurableSingle(q *Query, o Options, adapt *Adaptivity, dur Durability, sink func(Delivery)) (*single, error) {
-	if err := validateSingle(q, o, adapt, &dur); err != nil {
+	if err := validateSingle(q, o, &dur); err != nil {
 		return nil, err
 	}
 	en, err := newSingle(q, o, adapt, sink)
@@ -317,11 +302,7 @@ func (en *single) push(e Edge) (EdgeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if en.par != nil {
-		en.par.ProcessBatch(stored, expired)
-	} else {
-		en.eng.ProcessBatch(stored, expired)
-	}
+	en.eng.ProcessBatch(stored, expired)
 	return stored.ID, nil
 }
 
@@ -369,16 +350,13 @@ func (en *single) Run(ctx context.Context, edges <-chan Edge) (int64, error) {
 	}, en.Close)
 }
 
-// Close implements Engine: drain in-flight work, end the engine's own
-// subscriptions, checkpoint (durable mode) and close the WAL.
-// Idempotent. A fleet member shares the fleet's dispatcher and leaves
-// it alone — the fleet owns its results plane.
+// Close implements Engine: end the engine's own subscriptions,
+// checkpoint (durable mode) and close the WAL. Idempotent. A fleet
+// member shares the fleet's dispatcher and leaves it alone — the fleet
+// owns its results plane.
 func (en *single) Close() error {
 	if en.closed.Swap(true) {
 		return nil
-	}
-	if en.par != nil {
-		en.par.Wait()
 	}
 	if en.ownsDisp {
 		en.disp.Close()

@@ -105,7 +105,6 @@ func TestSubscribeConformance(t *testing.T) {
 	}{
 		{name: "single", cfg: Config{Query: chain, Window: window}},
 		{name: "single-batch", cfg: Config{Query: chain, Window: window}, batch: 97},
-		{name: "single-workers-4", cfg: Config{Query: chain, Window: window, Workers: 4}},
 		{name: "single-adaptive", cfg: Config{Query: chain, Window: window,
 			Adaptive: &Adaptivity{ReoptimizeEvery: 128, MinGain: 1.05}}},
 		{name: "single-durable", cfg: Config{Query: chain, Window: window,
