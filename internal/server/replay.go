@@ -24,13 +24,19 @@ type replayRing struct {
 	buf  []ringEvent
 	head int // index of the oldest event
 	n    int // live events
+	// born is the completion time (see completedAt) of the first event
+	// recorded. It tells two incarnations of a reused query name apart:
+	// both number their events from 1, but every event of this one
+	// completes at or after born, and every event of an earlier one
+	// completed before it was retired, so before born.
+	born int64
 }
 
-func newReplayRing(capacity int) *replayRing {
+func newReplayRing(capacity int, born int64) *replayRing {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &replayRing{buf: make([]ringEvent, capacity)}
+	return &replayRing{buf: make([]ringEvent, capacity), born: born}
 }
 
 // add appends one event, evicting the oldest when full. Events arrive
@@ -57,9 +63,26 @@ func (r *replayRing) since(after int64) []ringEvent {
 	return out
 }
 
+// get returns the retained event with sequence number seq. Retained
+// sequence numbers are dense (every delivery is recorded), so the slot
+// is found by counting back from the newest.
+func (r *replayRing) get(seq int64) (ringEvent, bool) {
+	if r.n == 0 {
+		return ringEvent{}, false
+	}
+	last := (r.head + r.n - 1) % len(r.buf)
+	back := r.buf[last].seq - seq
+	if back < 0 || back >= int64(r.n) {
+		return ringEvent{}, false
+	}
+	ev := r.buf[(last-int(back)+len(r.buf))%len(r.buf)]
+	return ev, ev.seq == seq
+}
+
 // replayStore is the per-query ring set. The engine's delivery hook
 // writes it from the ingest path (concurrently, on sharded fleets);
-// SSE handlers read it once per connection.
+// SSE handlers read it once per connection to replay, then once per
+// live event for the event's bytes.
 type replayStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -70,12 +93,13 @@ func newReplayStore(capacity int) *replayStore {
 	return &replayStore{capacity: capacity, rings: make(map[string]*replayRing)}
 }
 
-func (s *replayStore) add(query string, ev ringEvent) {
+// add records query's event ev, which completed at at.
+func (s *replayStore) add(query string, at int64, ev ringEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.rings[query]
 	if r == nil {
-		r = newReplayRing(s.capacity)
+		r = newReplayRing(s.capacity, at)
 		s.rings[query] = r
 	}
 	r.add(ev)
@@ -90,6 +114,21 @@ func (s *replayStore) since(query string, after int64) []ringEvent {
 		return nil
 	}
 	return r.since(after)
+}
+
+// lookup returns the serialized event query published as seq, if the
+// ring still holds it and the event, completed at at, belongs to the
+// ring's incarnation of the name. The bytes are never mutated after
+// record, so the caller may use them after the lock is released.
+func (s *replayStore) lookup(query string, seq, at int64) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.rings[query]
+	if r == nil || at < r.born {
+		return nil, false
+	}
+	ev, ok := r.get(seq)
+	return ev.data, ok
 }
 
 // queries returns the names with retained events.

@@ -58,6 +58,7 @@ import (
 	"net/http"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -588,14 +589,17 @@ func (s *Server) persistLabels() error {
 // record is the engine's synchronous delivery hook: serialize the
 // match event once and retain it in the per-query resume ring. Live
 // fan-out happens on the engine side (each SSE handler holds its own
-// subscription); the ring exists only so Last-Event-ID resumption can
-// re-send recent events after a reconnect or a durable restart.
+// subscription). The ring serves Last-Event-ID resumption after a
+// reconnect or a durable restart, and it is where live streams read
+// each event's bytes: the dispatcher runs this hook before it hands
+// the event to any channel subscriber, so the bytes are always there
+// first.
 func (s *Server) record(dv timingsubg.Delivery) {
 	data, err := json.Marshal(s.matchEvent(dv))
 	if err != nil {
 		return // unreachable: MatchEvent is marshal-safe by construction
 	}
-	s.replay.add(dv.Query, ringEvent{seq: dv.Seq, data: data})
+	s.replay.add(dv.Query, completedAt(dv.Match), ringEvent{seq: dv.Seq, data: data})
 }
 
 // matchEvent converts one engine delivery to its wire form. The
@@ -995,15 +999,73 @@ func parseResumeToken(token string) (map[string]int64, error) {
 	return out, nil
 }
 
-// resumeToken is parseResumeToken's inverse: the id line emitted with
-// every event, carrying the subscriber's full per-query high-water
-// map so any single event id is a complete resume point.
-func resumeToken(high map[string]int64) string {
-	vals := make(url.Values, len(high))
-	for name, seq := range high {
-		vals.Set(name, strconv.FormatInt(seq, 10))
+// cursorSet is one SSE connection's per-query cursors, kept in encoded
+// form: parseResumeToken's inverse, emitted as the id line of every
+// event so any single event id is a complete resume point. The bytes
+// are exactly url.Values.Encode of the name → seq map — keys sorted by
+// raw name, each escaped with url.QueryEscape — but a name is escaped
+// once, when first seen, so an event costs one slot update and one
+// append of the token, with no allocation.
+type cursorSet struct {
+	names []string // raw query names, ascending
+	keys  []string // keys[i] is url.QueryEscape(names[i])
+	seqs  []int64
+}
+
+func newCursorSet(after map[string]int64) *cursorSet {
+	c := &cursorSet{}
+	for name, seq := range after {
+		c.set(name, seq)
 	}
-	return vals.Encode()
+	return c
+}
+
+// set makes seq name's cursor.
+func (c *cursorSet) set(name string, seq int64) {
+	i, found := slices.BinarySearch(c.names, name)
+	if found {
+		c.seqs[i] = seq
+		return
+	}
+	c.names = slices.Insert(c.names, i, name)
+	c.keys = slices.Insert(c.keys, i, url.QueryEscape(name))
+	c.seqs = slices.Insert(c.seqs, i, seq)
+}
+
+// appendToken appends the encoded cursors to b.
+func (c *cursorSet) appendToken(b []byte) []byte {
+	for i, key := range c.keys {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = append(b, key...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, c.seqs[i], 10)
+	}
+	return b
+}
+
+// appendEvent records seq as query's cursor and appends the event's SSE
+// frame — the id line carrying every cursor, then the serialized match —
+// to b.
+func (c *cursorSet) appendEvent(b []byte, query string, seq int64, data []byte) []byte {
+	c.set(query, seq)
+	b = append(b, "id: "...)
+	b = c.appendToken(b)
+	b = append(b, "\nevent: match\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
+}
+
+// completedAt is the timestamp of m's newest edge: the arrival that
+// completed the match. A query reports its matches in feed order, so
+// this never decreases along its sequence (see replayRing.born).
+func completedAt(m *timingsubg.Match) int64 {
+	var at timingsubg.Timestamp
+	for _, e := range m.Edges {
+		at = max(at, e.Time)
+	}
+	return int64(at)
 }
 
 // handleSubscribe is one SSE consumer: an Engine.Subscribe
@@ -1052,7 +1114,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	defer t.ReleaseSubscription()
 	// The live subscription attaches before the ring is read, with the
 	// client's cursors as AfterSeq: an event published in between lands
-	// in both and is emitted once (the high-water check below), an
+	// in both and is emitted once (the replay-duplicate check below), an
 	// event published before sits only in the ring, an event after only
 	// in the subscription. DropOldest keeps one stalled consumer from
 	// ever blocking ingest.
@@ -1093,23 +1155,24 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": subscribed queries=%s\n\n", strings.Join(wireNames, ","))
 
-	high := make(map[string]int64, len(after))
-	for name, seq := range after {
-		high[name] = seq
-	}
+	// One frame buffer per connection: each event is appended into it
+	// and goes out in a single Write.
+	cursors := newCursorSet(after)
+	var frame []byte
 	emit := func(query string, seq int64, data []byte) bool {
-		if seq <= high[query] {
-			return true // already sent (replayed event also live-delivered)
-		}
-		high[query] = seq
-		_, werr := fmt.Fprintf(w, "id: %s\nevent: match\ndata: %s\n\n", resumeToken(high), data)
+		frame = cursors.appendEvent(frame[:0], query, seq, data)
+		_, werr := w.Write(frame)
 		return werr == nil
 	}
 
 	// Replay: ring events newer than the client's cursors. Only on
 	// resume — a request with no Last-Event-ID starts from now, per SSE
 	// convention (a client that wants retained history can present
-	// explicit zero cursors, e.g. "pp=0").
+	// explicit zero cursors, e.g. "pp=0"). replayed keeps, per query,
+	// the highest seq the replay sent: the live subscription attached
+	// first, so it may deliver those events again, and that is the only
+	// way a duplicate can arise.
+	replayed := make(map[string]int64)
 	if after != nil {
 		replayNames := names
 		if len(replayNames) == 0 {
@@ -1125,31 +1188,53 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		for _, name := range replayNames {
-			for _, ev := range s.replay.since(name, high[name]) {
+			for _, ev := range s.replay.since(name, after[name]) {
 				if !emit(name, ev.seq, ev.data) {
 					return
 				}
+				replayed[name] = ev.seq
 			}
 		}
 	}
 	flusher.Flush()
 
 	// Live: the engine subscription, until it ends (query retired,
-	// server closing) or the client goes away.
+	// server closing) or the client goes away. The subscription's
+	// AfterSeq already filtered the client's cursors, so an event is
+	// suppressed only as a replay duplicate; a query re-registered under
+	// a used name restarts at seq 1 and its events flow (the cursor goes
+	// down with them). The flush waits until the channel is empty, so a
+	// burst goes out as one chunk while a lone event is flushed at once.
 	for {
 		select {
 		case dv, ok := <-sub.C():
 			if !ok {
 				return // filtered queries retired, or server closing
 			}
-			data, err := json.Marshal(s.matchEvent(dv))
-			if err != nil {
-				return // unreachable: MatchEvent is marshal-safe
+			top, dup := replayed[dv.Query]
+			if dup && dv.Seq > top {
+				delete(replayed, dv.Query) // live has passed the replay
+				dup = false
 			}
-			if !emit(dv.Query, dv.Seq, data) {
-				return
+			if !dup {
+				data, ok := s.replay.lookup(dv.Query, dv.Seq, completedAt(dv.Match))
+				if !ok {
+					// Not in the ring: evicted (the stream lags by more
+					// than ReplayBuffer events of this query), or an event
+					// of a retired query whose name was reused. Serialize
+					// again.
+					var err error
+					if data, err = json.Marshal(s.matchEvent(dv)); err != nil {
+						return // unreachable: MatchEvent is marshal-safe
+					}
+				}
+				if !emit(dv.Query, dv.Seq, data) {
+					return
+				}
 			}
-			flusher.Flush()
+			if len(sub.C()) == 0 {
+				flusher.Flush()
+			}
 		case <-r.Context().Done():
 			return
 		case <-s.stopped:

@@ -585,6 +585,61 @@ func TestClientReconnectResume(t *testing.T) {
 	}
 }
 
+// TestSubscribeReusedNameLive: deleting a query resets its sequence, so
+// a query re-registered under the same name starts again at seq 1. An
+// open unfiltered stream follows the roster across the change and must
+// carry the new query's first matches rather than drop them as already
+// seen under the old query's cursor.
+func TestSubscribeReusedNameLive(t *testing.T) {
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, nil)
+	ctx := testCtx(t)
+
+	register := func() {
+		t.Helper()
+		if err := c.AddQuery(ctx, client.QueryRequest{Name: "a", Text: pingPong, Window: 1000}); err != nil {
+			t.Fatalf("register: %v", err)
+		}
+	}
+	// feed ingests n ping-pong pairs on fresh vertices: one match each.
+	next := int64(1)
+	feed := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			x := next
+			next += 2
+			if _, err := c.Ingest(ctx, []client.Edge{edge(x, x+1, "ping"), edge(x+1, x, "pong")}); err != nil {
+				t.Fatalf("ingest: %v", err)
+			}
+		}
+	}
+	register()
+	sub, err := c.SubscribeOpts(ctx, client.SubscribeOptions{})
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer sub.Close()
+	feed(3)
+	for want := int64(1); want <= 3; want++ {
+		if m := recvMatch(t, sub); m.Query != "a" || m.Seq != want {
+			t.Fatalf("first incarnation: got %s seq %d, want a seq %d", m.Query, m.Seq, want)
+		}
+	}
+	if err := c.RemoveQuery(ctx, "a"); err != nil {
+		t.Fatalf("remove: %v", err)
+	}
+	register()
+	feed(4)
+	for want := int64(1); want <= 4; want++ {
+		if m := recvMatch(t, sub); m.Query != "a" || m.Seq != want {
+			t.Fatalf("re-registered query: got %s seq %d, want a seq %d", m.Query, m.Seq, want)
+		}
+	}
+}
+
 // TestServerSubscribeFreshStartsFromNow pins SSE convention: a
 // subscriber presenting no Last-Event-ID gets a live tail, not a
 // replay of retained history; and a query name containing a comma

@@ -1,0 +1,311 @@
+package server
+
+import (
+	"bufio"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"timingsubg"
+	"timingsubg/client"
+)
+
+// encodeCursors is the reference encoding of an id line: url.Values
+// Encode of the cursor map. cursorSet must produce exactly these bytes,
+// since parseResumeToken, the client and every stored Last-Event-ID
+// depend on them.
+func encodeCursors(m map[string]int64) string {
+	vals := make(url.Values, len(m))
+	for name, seq := range m {
+		vals.Set(name, strconv.FormatInt(seq, 10))
+	}
+	return vals.Encode()
+}
+
+// FuzzResumeToken differentially checks the incremental token encoder:
+// the input is a sequence of (name, seq) updates — a length byte, that
+// many name bytes, then a varint seq — and after every update the
+// cursor set's token must equal the reference encoding of the
+// equivalent map and round-trip through parseResumeToken.
+func FuzzResumeToken(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		c := newCursorSet(nil)
+		want := map[string]int64{}
+		var buf []byte
+		for len(ops) > 0 {
+			n := min(int(ops[0])%8, len(ops)-1)
+			name := string(ops[1 : 1+n])
+			ops = ops[1+n:]
+			seq, k := binary.Varint(ops)
+			if k <= 0 {
+				seq, k = 0, len(ops)
+			}
+			ops = ops[k:]
+
+			c.set(name, seq)
+			want[name] = seq
+			buf = c.appendToken(buf[:0])
+			if got, ref := string(buf), encodeCursors(want); got != ref {
+				t.Fatalf("after %q=%d: token %q, want %q", name, seq, got, ref)
+			}
+			back, err := parseResumeToken(string(buf))
+			if err != nil {
+				t.Fatalf("parse %q: %v", buf, err)
+			}
+			if !maps.Equal(back, want) {
+				t.Fatalf("round trip of %q = %v, want %v", buf, back, want)
+			}
+		}
+	})
+}
+
+// TestSSEEmitAllocs guards the live path's per-event step — the ring
+// lookup of the serialized match, the cursor update, the id line and
+// the frame append — at zero allocations with 33 cursors (the
+// wiki_fleet roster plus one).
+func TestSSEEmitAllocs(t *testing.T) {
+	store := newReplayStore(64)
+	c := newCursorSet(nil)
+	names := make([]string, 33)
+	data := []byte(`{"query":"q","seq":1,"edges":[{"id":1,"from":1,"to":2,"time":1,"label":"ping"},{"id":2,"from":2,"to":1,"time":2,"label":"pong"}]}`)
+	for i := range names {
+		names[i] = fmt.Sprintf("acme:query %d", i)
+		c.set(names[i], 1)
+		for seq := int64(1); seq <= 64; seq++ {
+			store.add(names[i], seq, ringEvent{seq: seq, data: data})
+		}
+	}
+	frame := make([]byte, 0, 4096)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		name, seq := names[i%len(names)], int64(1+i%64)
+		i++
+		d, ok := store.lookup(name, seq, seq)
+		if !ok {
+			panic("ring miss")
+		}
+		frame = c.appendEvent(frame[:0], name, seq, d)
+	})
+	if allocs != 0 {
+		t.Fatalf("per-event SSE step allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestReplayRingGet checks the O(1) (query, seq) lookup across
+// wrap-around and eviction, and that an event of an earlier incarnation
+// of the name (completed before the ring's first event) misses.
+func TestReplayRingGet(t *testing.T) {
+	s := newReplayStore(4)
+	for seq := int64(1); seq <= 7; seq++ {
+		s.add("q", 10+seq, ringEvent{seq: seq, data: []byte{byte(seq)}})
+	}
+	for seq := int64(0); seq <= 8; seq++ {
+		d, ok := s.lookup("q", seq, 10+seq)
+		if want := seq >= 4 && seq <= 7; ok != want {
+			t.Fatalf("lookup seq %d: ok=%v, want %v", seq, ok, want)
+		}
+		if ok && d[0] != byte(seq) {
+			t.Fatalf("lookup seq %d returned event %d", seq, d[0])
+		}
+	}
+	// Retire and re-register: the new incarnation numbers from 1 again.
+	// A lagging stream still holding the old seq 2 (completed at 12)
+	// must miss rather than be served the new seq 2.
+	s.drop("q")
+	s.add("q", 20, ringEvent{seq: 1, data: []byte{21}})
+	s.add("q", 21, ringEvent{seq: 2, data: []byte{22}})
+	if _, ok := s.lookup("q", 2, 12); ok {
+		t.Fatal("lookup served an earlier incarnation's event from the new ring")
+	}
+	if d, ok := s.lookup("q", 2, 21); !ok || d[0] != 22 {
+		t.Fatalf("lookup of the new incarnation's seq 2 = %v, %v", d, ok)
+	}
+	if _, ok := s.lookup("other", 5, 50); ok {
+		t.Fatal("lookup of an unknown query hit")
+	}
+}
+
+const wirePingPong = `
+v 0 N
+v 1 N
+e 0 1 ping
+e 1 0 pong
+o 0 < 1
+`
+
+// sseFrame is one parsed SSE event.
+type sseFrame struct {
+	id, event, data string
+}
+
+// readFrame reads the next event frame, skipping comment lines.
+func readFrame(t *testing.T, r *bufio.Reader) sseFrame {
+	t.Helper()
+	var f sseFrame
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read SSE stream: %v", err)
+		}
+		line = strings.TrimSuffix(line, "\n")
+		switch {
+		case line == "":
+			if f != (sseFrame{}) {
+				return f
+			}
+		case strings.HasPrefix(line, ":"):
+		case strings.HasPrefix(line, "id: "):
+			f.id = line[len("id: "):]
+		case strings.HasPrefix(line, "event: "):
+			f.event = line[len("event: "):]
+		case strings.HasPrefix(line, "data: "):
+			f.data = line[len("data: "):]
+		default:
+			t.Fatalf("unexpected SSE line %q", line)
+		}
+	}
+}
+
+// TestSSEWireBytes pins the served stream end to end: query names that
+// need escaping, a resumed stream, and a live burst of 300 matches from
+// one ingest. Every id line must be the reference encoding of the
+// running cursor map, every data line the bytes json.Marshal(matchEvent)
+// gives for that delivery, and each query's seqs dense and in order.
+// ReplayBuffer 1 evicts nearly every event before the stream reads it,
+// so that run covers the marshal fallback.
+func TestSSEWireBytes(t *testing.T) {
+	t.Run("default-ring", func(t *testing.T) { testSSEWireBytes(t, 0) })
+	t.Run("ring-of-one", func(t *testing.T) { testSSEWireBytes(t, 1) })
+}
+
+func testSSEWireBytes(t *testing.T, ring int) {
+	srv := New(Config{SubscriberBuffer: 1024, ReplayBuffer: ring})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := client.New(ts.URL, nil)
+
+	queries := []string{"a:b", "x y", "p,q"}
+	for _, q := range queries {
+		if err := c.AddQuery(ctx, client.QueryRequest{Name: q, Text: wirePingPong, Window: 1 << 20}); err != nil {
+			t.Fatalf("register %q: %v", q, err)
+		}
+	}
+	// The reference: every delivery, serialized the way the server
+	// serializes a match.
+	ref, err := srv.fl.Subscribe(timingsubg.SubscribeOptions{Buffer: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Cancel()
+	want := map[string][]byte{}
+	collect := func() {
+		for len(ref.C()) > 0 {
+			dv := <-ref.C()
+			data, err := json.Marshal(srv.matchEvent(dv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[fmt.Sprintf("%s/%d", dv.Query, dv.Seq)] = data
+		}
+	}
+	ingest := func(edges []client.Edge) {
+		t.Helper()
+		if _, err := c.Ingest(ctx, edges); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		collect()
+	}
+	pair := func(x, y int64) []client.Edge {
+		return []client.Edge{
+			{From: x, To: y, FromLabel: "N", ToLabel: "N", Label: "ping"},
+			{From: y, To: x, FromLabel: "N", ToLabel: "N", Label: "pong"},
+		}
+	}
+	open := func(lastID string) (*bufio.Reader, io.Closer) {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			ts.URL+"/subscribe?"+url.Values{"query": queries}.Encode(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("subscribe: %s", resp.Status)
+		}
+		return bufio.NewReader(resp.Body), resp.Body
+	}
+	cursors := map[string]int64{}
+	check := func(r *bufio.Reader, n int) string {
+		t.Helper()
+		var id string
+		for i := 0; i < n; i++ {
+			f := readFrame(t, r)
+			var ev client.MatchEvent
+			if err := json.Unmarshal([]byte(f.data), &ev); err != nil {
+				t.Fatalf("frame %d data %q: %v", i, f.data, err)
+			}
+			if f.event != "match" {
+				t.Fatalf("frame %d event %q", i, f.event)
+			}
+			if ev.Seq != cursors[ev.Query]+1 {
+				t.Fatalf("frame %d: %s seq %d after %d", i, ev.Query, ev.Seq, cursors[ev.Query])
+			}
+			cursors[ev.Query] = ev.Seq
+			if ref := encodeCursors(cursors); f.id != ref {
+				t.Fatalf("frame %d id %q, want %q", i, f.id, ref)
+			}
+			if ref := want[fmt.Sprintf("%s/%d", ev.Query, ev.Seq)]; f.data != string(ref) {
+				t.Fatalf("frame %d data\n %s\nwant\n %s", i, f.data, ref)
+			}
+			id = f.id
+		}
+		return id
+	}
+
+	// A fresh stream sees one match per query.
+	r1, body1 := open("")
+	ingest(pair(1, 2))
+	token := check(r1, len(queries))
+	body1.Close()
+
+	// One match per query while disconnected (a ring of one still holds
+	// it), replayed on resume; then the live burst: a ping answered by
+	// 100 pongs is 100 matches per query from one ingest.
+	ingest(pair(3, 4))
+	r2, body2 := open(token)
+	defer body2.Close()
+	check(r2, len(queries))
+	burst := []client.Edge{{From: 5, To: 6, FromLabel: "N", ToLabel: "N", Label: "ping"}}
+	for range 100 {
+		burst = append(burst, client.Edge{From: 6, To: 5, FromLabel: "N", ToLabel: "N", Label: "pong"})
+	}
+	ingest(burst)
+	check(r2, 100*len(queries))
+	for _, q := range queries {
+		if cursors[q] != 102 {
+			t.Fatalf("%s ended at seq %d, want 102", q, cursors[q])
+		}
+	}
+	if len(want) != 102*len(queries) {
+		t.Fatalf("reference saw %d deliveries, want %d", len(want), 102*len(queries))
+	}
+}
