@@ -1,0 +1,71 @@
+package core
+
+import (
+	"testing"
+
+	"timingsubg/internal/graph"
+)
+
+// TestInsertAllocs pins the insert transaction's allocation budget: the
+// per-call probe state, counters and callbacks live in pooled scratch,
+// so a discarded edge allocates nothing and an edge that completes a
+// join allocates only the MS-tree state it stores — one node per
+// stored partial match, plus the fresh edge-index bucket of the one
+// sub-list node the new edge creates (index buckets are not recycled).
+func TestInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	q, dec, _, _ := benchQuery(t)
+	la, lb, lc, ld := q.VertexLabel(0), q.VertexLabel(1), q.VertexLabel(2), q.VertexLabel(3)
+
+	t.Run("discardable", func(t *testing.T) {
+		eng := New(q, Config{Decomposition: dec})
+		// b→c is second in its timing sequence and no a→b is stored.
+		d := graph.Edge{From: 20, To: 30, FromLabel: lb, ToLabel: lc}
+		allocs := testing.AllocsPerRun(100, func() {
+			d.ID++
+			d.Time++
+			eng.Insert(d)
+		})
+		if allocs != 0 {
+			t.Fatalf("discardable Insert: %v allocs, want 0", allocs)
+		}
+		if got := eng.Stats().Discarded.Load(); got != 101 {
+			t.Fatalf("Discarded = %d, want 101", got)
+		}
+	})
+
+	t.Run("join", func(t *testing.T) {
+		eng := New(q, Config{Decomposition: dec})
+		// Three stored a→b→c prefixes through c = 30; every c→d then
+		// completes one join per prefix.
+		var d graph.Edge
+		push := func(from, to graph.VertexID, fl, tl graph.Label) {
+			d.ID++
+			d.Time++
+			d.From, d.To, d.FromLabel, d.ToLabel = from, to, fl, tl
+			eng.ProcessBatch(d, nil)
+		}
+		for a := graph.VertexID(10); a < 13; a++ {
+			push(a, 20, la, lb)
+		}
+		push(20, 30, lb, lc)
+		st := eng.Stats()
+		ins0, matches0 := st.PartialIns.Load(), st.Matches.Load()
+		const runs = 100
+		next := graph.VertexID(100)
+		allocs := testing.AllocsPerRun(runs, func() {
+			next++
+			push(30, next, lc, ld)
+		})
+		stored := float64(st.PartialIns.Load()-ins0) / (runs + 1)
+		if got := st.Matches.Load() - matches0; got != 3*(runs+1) {
+			t.Fatalf("Matches delta = %d, want %d: the c→d edges must complete joins", got, 3*(runs+1))
+		}
+		if allocs > stored+1 {
+			t.Fatalf("join-completing ProcessBatch: %v allocs, want at most the %v partial matches it stores + 1 edge-index bucket", allocs, stored)
+		}
+		t.Logf("%v allocs per %v stored partial matches", allocs, stored)
+	})
+}

@@ -14,7 +14,7 @@ import (
 
 // benchQuery builds a 2-subquery decomposition query (a→b ≺-chained pair
 // plus a free edge) plus compatible match halves for join benchmarks.
-func benchQuery(b *testing.B) (*query.Query, *query.Decomposition, *match.Match, *match.Match) {
+func benchQuery(b testing.TB) (*query.Query, *query.Decomposition, *match.Match, *match.Match) {
 	b.Helper()
 	labels := graph.NewLabels()
 	la, lb, lc, ld := labels.Intern("a"), labels.Intern("b"), labels.Intern("c"), labels.Intern("d")
@@ -217,6 +217,7 @@ func BenchmarkEngineInsertDiscardable(b *testing.B) {
 	// e2 (b→c) is second in its sequence; with no a→b stored, the edge is
 	// discardable.
 	d := graph.Edge{ID: 1, From: 20, To: 30, FromLabel: q.VertexLabel(1), ToLabel: q.VertexLabel(2), Time: 1}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.ID = graph.EdgeID(i)

@@ -200,28 +200,56 @@ func New(q *query.Query, cfg Config) *Engine {
 // Hot-path allocation pools
 // ---------------------------------------------------------------------
 
-// insertScratch holds one insert transaction's reusable buffers.
+// insertScratch holds one insert transaction's reusable buffers and
+// the state its explist callbacks read. The callbacks are sc's own
+// methods, bound once when the scratch is made, so handing them to the
+// candidate iterators allocates nothing per call.
 type insertScratch struct {
+	e       *Engine
 	qes     []query.EdgeID
 	parents []pair
 	delta   []pair
 	pairs   []joined
+	gbuf    [2][]pair // the cascade's ping-pong level outputs
+
+	// Probe state: the incoming edge d bound to query edge qe, whose
+	// stored prefixes must bind cv to key; the join level j and the
+	// delta row dp it is probing with.
+	qe  query.EdgeID
+	d   graph.Edge
+	cv  query.VertexID
+	key graph.VertexID
+	j   *levelJoin
+	dp  pair
+
+	scanned, candidates int64
+
+	probe, joinLeft, joinRight func(explist.Handle, *match.Match) bool
 }
 
 func (e *Engine) getScratch() *insertScratch {
 	if v := e.scratch.Get(); v != nil {
 		return v.(*insertScratch)
 	}
-	return &insertScratch{}
+	sc := &insertScratch{e: e}
+	sc.probe, sc.joinLeft, sc.joinRight = sc.probeParent, sc.joinStoredLeft, sc.joinStoredRight
+	return sc
 }
 
-// putScratch returns sc to the pool with its backing arrays cleared so
-// pooled scratch never pins dead matches or tree nodes.
+// putScratch returns sc to the pool with its backing arrays and probe
+// pointers cleared so pooled scratch never pins dead matches or tree
+// nodes.
 func (e *Engine) putScratch(sc *insertScratch) {
 	clear(sc.parents[:cap(sc.parents)])
 	clear(sc.delta[:cap(sc.delta)])
 	clear(sc.pairs[:cap(sc.pairs)])
 	sc.parents, sc.delta, sc.pairs = sc.parents[:0], sc.delta[:0], sc.pairs[:0]
+	for i := range sc.gbuf {
+		clear(sc.gbuf[i][:cap(sc.gbuf[i])])
+		sc.gbuf[i] = sc.gbuf[i][:0]
+	}
+	sc.j, sc.dp = nil, pair{}
+	sc.scanned, sc.candidates = 0, 0
 	e.scratch.Put(sc)
 }
 
@@ -406,7 +434,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 	e.stats.EdgesIn.Add(1)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	var scanned, candidates int64
+	sc.d = d
 	contributed := false
 	sc.qes = e.q.MatchingEdgesInto(d, sc.qes)
 	for _, qe := range sc.qes {
@@ -436,28 +464,17 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 			// scanning the whole item (the flat backend still visits
 			// everything — the key check then filters).
 			pb := e.probes[qe]
-			key := d.To
+			sc.qe, sc.cv, sc.key = qe, pb.cv, d.To
 			if pb.useFrom {
-				key = d.From
+				sc.key = d.From
 			}
-			parents := sc.parents[:0]
-			probe := func(h explist.Handle, m *match.Match) bool {
-				scanned++
-				if m.Vtx[pb.cv] != key {
-					return true
-				}
-				candidates++
-				if m.CanBindPrescreened(e.q, qe, d) {
-					parents = append(parents, pair{h, e.cloneMatch(m)})
-				}
-				return true
-			}
+			sc.parents = sc.parents[:0]
 			lk.Acquire(item(s, p-1), lock.S)
-			sub.EachCandidate(p-1, key, probe)
+			sub.EachCandidate(p-1, sc.key, sc.probe)
 			lk.Release(item(s, p-1), lock.S)
 
 			lk.Acquire(item(s, p), lock.X)
-			for _, pr := range parents {
+			for _, pr := range sc.parents {
 				if h := sub.Insert(p, pr.h, d); h != nil {
 					pr.m.Bind(e.q, qe, d)
 					delta = append(delta, pair{h, pr.m})
@@ -466,7 +483,6 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 				}
 			}
 			lk.Release(item(s, p), lock.X)
-			sc.parents = parents[:0]
 		}
 		e.stats.PartialIns.Add(int64(len(delta)))
 		if len(delta) > 0 {
@@ -478,7 +494,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 				e.emit(delta)
 				delta = delta[:0]
 			} else {
-				e.cascade(s, delta, sc, lk, &scanned, &candidates)
+				e.cascade(s, delta, sc, lk)
 				for _, dp := range delta {
 					e.putMatch(dp.m)
 				}
@@ -493,12 +509,59 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 	if !contributed {
 		e.stats.Discarded.Add(1)
 	}
-	if scanned > 0 {
-		e.stats.JoinScanned.Add(scanned)
+	if sc.scanned > 0 {
+		e.stats.JoinScanned.Add(sc.scanned)
 	}
-	if candidates > 0 {
-		e.stats.JoinCandidates.Add(candidates)
+	if sc.candidates > 0 {
+		e.stats.JoinCandidates.Add(sc.candidates)
 	}
+}
+
+// probeParent is the INSERT probe: a stored prefix m of sc.qe's
+// predecessor item that binds sc.cv to sc.key and can take sc.d is
+// copied into sc.parents.
+func (sc *insertScratch) probeParent(h explist.Handle, m *match.Match) bool {
+	sc.scanned++
+	if m.Vtx[sc.cv] != sc.key {
+		return true
+	}
+	sc.candidates++
+	if m.CanBindPrescreened(sc.e.q, sc.qe, sc.d) {
+		sc.parents = append(sc.parents, pair{h, sc.e.cloneMatch(m)})
+	}
+	return true
+}
+
+// joinStoredLeft joins the stored LEFT side of level sc.j with the
+// delta row sc.dp, collecting compatible merges in sc.pairs.
+func (sc *insertScratch) joinStoredLeft(lh explist.Handle, left *match.Match) bool {
+	sc.scanned++
+	if !sc.j.sharedEqual(left, sc.dp.m) {
+		return true
+	}
+	sc.candidates++
+	if sc.j.compatibleTail(left, sc.dp.m) {
+		nm := sc.e.cloneMatch(left)
+		nm.MergeInPlace(sc.dp.m)
+		sc.pairs = append(sc.pairs, joined{lh: lh, rh: sc.dp.h, m: nm})
+	}
+	return true
+}
+
+// joinStoredRight joins the delta row sc.dp with the stored RIGHT side
+// of level sc.j, collecting compatible merges in sc.pairs.
+func (sc *insertScratch) joinStoredRight(rh explist.Handle, right *match.Match) bool {
+	sc.scanned++
+	if !sc.j.sharedEqual(sc.dp.m, right) {
+		return true
+	}
+	sc.candidates++
+	if sc.j.compatibleTail(sc.dp.m, right) {
+		nm := sc.e.cloneMatch(sc.dp.m)
+		nm.MergeInPlace(right)
+		sc.pairs = append(sc.pairs, joined{lh: sc.dp.h, rh: rh, m: nm})
+	}
+	return true
 }
 
 // joined is a compatible (left, right) candidate pair with its merged
@@ -516,100 +579,57 @@ type joined struct {
 // stored side by its shared-binding fingerprint, so only stored matches
 // agreeing on the join's shared vertices are ever materialized;
 // compatibility's remaining checks run per candidate with the
-// precomputed per-level join metadata. The caller retains ownership of
-// delta's matches; every intermediate match cascade allocates is
-// recycled, and the final results are handed to emit.
-func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker, scanned, candidates *int64) {
-	k := e.K()
+// precomputed per-level join metadata. Each level's output lands in the
+// scratch ping-pong buffer the previous level did not use. The caller
+// retains ownership of delta's matches; every intermediate match
+// cascade allocates is recycled, and the final results are handed to
+// emit.
+func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker) {
 	deltaG := delta
-	owned := false // deltaG was allocated by this cascade (not the caller)
-	advance := func(old []pair, next []pair) {
-		if owned {
-			for _, d := range old {
+	// For s > 1 the first level is join s, where the new Q^s matches
+	// join with the stored prefix Ω(L₀^{s-1}) — the stored side is the
+	// LEFT side. Every later level x joins the accumulated prefix
+	// deltaG with stored Ω(Q^x) — the stored side is the RIGHT side.
+	first := max(s, 2)
+	for x := first; x <= e.K(); x++ {
+		left := x == s
+		ri := item(x, e.subs[x-1].Depth())
+		if left {
+			ri = e.globalReadItem(s - 1)
+		}
+		sc.j = &e.joins[x]
+		sc.pairs = sc.pairs[:0]
+		lk.Acquire(ri, lock.S)
+		for _, d := range deltaG {
+			sc.dp = d
+			fp := explist.JoinFingerprint(d.m, sc.j.shared)
+			if left {
+				e.eachGlobalCandidate(s-1, fp, sc.joinLeft)
+			} else {
+				e.subs[x-1].EachJoinCandidate(fp, sc.joinRight)
+			}
+		}
+		lk.Release(ri, lock.S)
+
+		buf := &sc.gbuf[x%2]
+		lk.Acquire(item(0, x), lock.X)
+		*buf = e.insertJoined(x, sc.pairs, (*buf)[:0])
+		lk.Release(item(0, x), lock.X)
+		if x > first { // deltaG's matches were made by this cascade
+			for _, d := range deltaG {
 				e.putMatch(d.m)
 			}
 		}
-		owned = true
-		deltaG = next
+		deltaG = *buf
 	}
-	if s > 1 {
-		// New Q^s matches join with the stored prefix Ω(L₀^{s-1}):
-		// the stored side is the LEFT side of join level s.
-		pairs := sc.pairs[:0]
-		ri := e.globalReadItem(s - 1)
-		j := &e.joins[s]
-		consider := func(lh explist.Handle, left *match.Match, d pair) {
-			*scanned++
-			if !j.sharedEqual(left, d.m) {
-				return
-			}
-			*candidates++
-			if j.compatibleTail(left, d.m) {
-				nm := e.cloneMatch(left)
-				nm.MergeInPlace(d.m)
-				pairs = append(pairs, joined{lh: lh, rh: d.h, m: nm})
-			}
-		}
-		lk.Acquire(ri, lock.S)
-		for _, d := range deltaG {
-			fp := explist.JoinFingerprint(d.m, j.shared)
-			e.eachGlobalCandidate(s-1, fp, func(lh explist.Handle, left *match.Match) bool {
-				consider(lh, left, d)
-				return true
-			})
-		}
-		lk.Release(ri, lock.S)
-
-		lk.Acquire(item(0, s), lock.X)
-		out := e.insertJoined(s, pairs)
-		lk.Release(item(0, s), lock.X)
-		advance(deltaG, out)
-		sc.pairs = pairs[:0]
-	}
-	for x := s + 1; x <= k; x++ {
-		// The accumulated prefix deltaG joins with stored Ω(Q^x): the
-		// stored side is the RIGHT side of join level x.
-		pairs := sc.pairs[:0]
-		ri := item(x, e.subs[x-1].Depth())
-		j := &e.joins[x]
-		consider := func(rh explist.Handle, right *match.Match, d pair) {
-			*scanned++
-			if !j.sharedEqual(d.m, right) {
-				return
-			}
-			*candidates++
-			if j.compatibleTail(d.m, right) {
-				nm := e.cloneMatch(d.m)
-				nm.MergeInPlace(right)
-				pairs = append(pairs, joined{lh: d.h, rh: rh, m: nm})
-			}
-		}
-		lk.Acquire(ri, lock.S)
-		for _, d := range deltaG {
-			fp := explist.JoinFingerprint(d.m, j.shared)
-			e.subs[x-1].EachJoinCandidate(fp, func(rh explist.Handle, right *match.Match) bool {
-				consider(rh, right, d)
-				return true
-			})
-		}
-		lk.Release(ri, lock.S)
-
-		lk.Acquire(item(0, x), lock.X)
-		out := e.insertJoined(x, pairs)
-		lk.Release(item(0, x), lock.X)
-		advance(deltaG, out)
-		sc.pairs = pairs[:0]
-	}
-	if k > 1 {
-		e.emit(deltaG)
-	}
+	e.emit(deltaG)
 }
 
-// insertJoined stores pre-joined pairs at global item lvl, recycling
-// the merged match when a side died concurrently. The caller holds the
-// X lock on item(0, lvl).
-func (e *Engine) insertJoined(lvl int, pairs []joined) []pair {
-	var out []pair
+// insertJoined stores pre-joined pairs at global item lvl, appending
+// the stored ones to out and recycling the merged match when a side
+// died concurrently. The caller holds the X lock on item(0, lvl).
+func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair) []pair {
+	n := len(out)
 	for _, p := range pairs {
 		if h := e.global.Insert(lvl, p.lh, p.rh); h != nil {
 			out = append(out, pair{h, p.m})
@@ -617,7 +637,7 @@ func (e *Engine) insertJoined(lvl int, pairs []joined) []pair {
 			e.putMatch(p.m)
 		}
 	}
-	e.stats.PartialIns.Add(int64(len(out)))
+	e.stats.PartialIns.Add(int64(len(out) - n))
 	return out
 }
 

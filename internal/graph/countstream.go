@@ -8,7 +8,9 @@ import "fmt"
 // window, a common alternative in stream systems) both implement it.
 type Windower interface {
 	// Push appends an edge, assigns its ID, and returns the stored edge
-	// with the edges that expire as the window advances.
+	// with the edges that expire as the window advances. The expired
+	// slice belongs to the windower and is valid until the next Push:
+	// consume it (or copy it) before pushing again.
 	Push(e Edge) (Edge, []Edge, error)
 	// Len returns the number of edges currently inside the window.
 	Len() int
@@ -42,6 +44,7 @@ type CountStream struct {
 	lastT  Timestamp
 	nextID EdgeID
 	seen   int64
+	exp    [1]Edge // backs the expired slice Push returns
 }
 
 // NewCountStream returns a stream whose window holds the latest n
@@ -67,7 +70,8 @@ func (s *CountStream) Seen() int64 { return s.seen }
 func (s *CountStream) LastTime() Timestamp { return s.lastT }
 
 // Push appends an edge, assigns it an ID, and returns it with the edge
-// (at most one) that falls out of the count window.
+// (at most one) that falls out of the count window, valid until the
+// next Push.
 func (s *CountStream) Push(e Edge) (Edge, []Edge, error) {
 	if e.Time <= s.lastT {
 		return Edge{}, nil, fmt.Errorf("%w: got %d after %d", ErrOutOfOrder, e.Time, s.lastT)
@@ -78,7 +82,8 @@ func (s *CountStream) Push(e Edge) (Edge, []Edge, error) {
 	s.lastT = e.Time
 	var expired []Edge
 	if s.count == s.n {
-		expired = []Edge{s.edges[s.head]}
+		s.exp[0] = s.edges[s.head]
+		expired = s.exp[:]
 		s.edges[s.head] = Edge{}
 		s.head = (s.head + 1) % s.n
 		s.count--

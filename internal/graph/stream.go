@@ -25,7 +25,8 @@ type Stream struct {
 	count  int       // number of in-window edges
 	lastT  Timestamp // timestamp of the most recent edge
 	nextID EdgeID
-	seen   int64 // total edges ever pushed
+	seen   int64  // total edges ever pushed
+	exp    []Edge // the last Push's expired edges, reused across pushes
 }
 
 // NewStream returns a stream with sliding-window duration |W| = window.
@@ -73,7 +74,8 @@ func (s *Stream) LastTime() Timestamp { return s.lastT }
 // it an ID, and returns the stored edge together with the edges that
 // expire as the window advances to (t−|W|, t]. Expired edges are returned
 // oldest first, matching the chronological transaction order required for
-// streaming consistency (Definition 11).
+// streaming consistency (Definition 11). The expired slice is the
+// stream's own buffer, valid until the next Push.
 func (s *Stream) Push(e Edge) (Edge, []Edge, error) {
 	if e.Time <= s.lastT {
 		return Edge{}, nil, fmt.Errorf("%w: got %d after %d", ErrOutOfOrder, e.Time, s.lastT)
@@ -88,20 +90,20 @@ func (s *Stream) Push(e Edge) (Edge, []Edge, error) {
 }
 
 // expireBefore removes and returns all edges with Time < cut, oldest
-// first.
+// first, in the reused s.exp buffer.
 func (s *Stream) expireBefore(cut Timestamp) []Edge {
-	var out []Edge
+	s.exp = s.exp[:0]
 	for s.count > 0 {
 		oldest := s.edges[s.head]
 		if oldest.Time >= cut {
 			break
 		}
-		out = append(out, oldest)
+		s.exp = append(s.exp, oldest)
 		s.edges[s.head] = Edge{}
 		s.head = (s.head + 1) % len(s.edges)
 		s.count--
 	}
-	return out
+	return s.exp
 }
 
 func (s *Stream) push(e Edge) {
