@@ -1,12 +1,10 @@
 // Command tsvet is the repo's own invariant checker: a multichecker
 // in the spirit of `go vet -vettool`, built on internal/analysis,
-// running the three custom analyzers that encode documented engine
+// running the two custom analyzers that encode documented engine
 // invariants generic linters cannot see:
 //
 //	lockhold   no blocking call (fsync, channel ops, net I/O,
 //	           time.Sleep) while a sync.Mutex/RWMutex is held
-//	poolpair   every sync.Pool Get is Put (or ownership-transferred)
-//	           on every path out of the function
 //	hotclock   no raw time.Now()/time.Since() in the hot-path
 //	           packages internal/core, internal/explist,
 //	           internal/mstree
@@ -31,13 +29,11 @@ import (
 	"timingsubg/internal/analysis"
 	"timingsubg/internal/analysis/hotclock"
 	"timingsubg/internal/analysis/lockhold"
-	"timingsubg/internal/analysis/poolpair"
 )
 
 // analyzers is the tsvet suite, in diagnostic-prefix order.
 var analyzers = []*analysis.Analyzer{
 	lockhold.Analyzer,
-	poolpair.Analyzer,
 	hotclock.Analyzer,
 }
 

@@ -7,15 +7,14 @@ import (
 )
 
 // TestInsertAllocs pins the insert transaction's allocation budget: the
-// per-call probe state, counters and callbacks live in pooled scratch,
-// so a discarded edge allocates nothing and an edge that completes a
-// join allocates only the MS-tree state it stores — one node per
-// stored partial match, plus the fresh edge-index bucket of the one
-// sub-list node the new edge creates (index buckets are not recycled).
+// per-call probe state, counters, callbacks and recycled matches live
+// in the engine's owned scratch, so a discarded edge allocates nothing
+// and an edge that completes a join allocates only the MS-tree state it
+// stores — one node per stored partial match, plus the fresh edge-index
+// bucket of the one sub-list node the new edge creates (index buckets
+// are not recycled). The scratch is not a sync.Pool, so the counts hold
+// under -race too.
 func TestInsertAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector")
-	}
 	q, dec, _, _ := benchQuery(t)
 	la, lb, lc, ld := q.VertexLabel(0), q.VertexLabel(1), q.VertexLabel(2), q.VertexLabel(3)
 

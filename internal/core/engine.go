@@ -128,13 +128,9 @@ type Engine struct {
 	expiryHist *stats.AtomicHistogram
 	sampleTick uint64
 
-	// mpool recycles match objects through the insert hot path; scratch
-	// recycles the per-call probe buffers. Both are sync.Pools because
-	// Parallel (the Section V scheduler behind Fig. 19/20) runs
-	// transactions on several goroutines over one Engine, and those
-	// must never share state.
-	mpool   sync.Pool
-	scratch sync.Pool
+	// sc is the serial insert path's scratch: its buffers and match
+	// free-list. Parallel gives each of its workers one of its own.
+	sc *insertScratch
 
 	onMatch func(*match.Match)
 	emitMu  sync.Mutex
@@ -150,6 +146,7 @@ func New(q *query.Query, cfg Config) *Engine {
 	}
 	e := &Engine{q: q, dec: dec, onMatch: cfg.OnMatch,
 		joinHist: cfg.JoinHist, expiryHist: cfg.ExpiryHist}
+	e.sc = newInsertScratch(e)
 	e.loc = make([]edgeLoc, q.NumEdges())
 	e.probes = make([]insertProbe, q.NumEdges())
 	for si, sub := range dec.Subqueries {
@@ -197,13 +194,15 @@ func New(q *query.Query, cfg Config) *Engine {
 }
 
 // ---------------------------------------------------------------------
-// Hot-path allocation pools
+// Insert scratch
 // ---------------------------------------------------------------------
 
 // insertScratch holds one insert transaction's reusable buffers and
-// the state its explist callbacks read. The callbacks are sc's own
-// methods, bound once when the scratch is made, so handing them to the
-// candidate iterators allocates nothing per call.
+// the state its explist callbacks read. It has a single owner at a
+// time: the serial Engine, or the Parallel worker running the
+// transaction. The callbacks are sc's own methods, bound once when the
+// scratch is made, so handing them to the candidate iterators
+// allocates nothing per call.
 type insertScratch struct {
 	e       *Engine
 	qes     []query.EdgeID
@@ -211,6 +210,12 @@ type insertScratch struct {
 	delta   []pair
 	pairs   []joined
 	gbuf    [2][]pair // the cascade's ping-pong level outputs
+
+	// free recycles the matches a transaction takes and gives back. It
+	// is uncapped: every match a transaction takes returns except those
+	// handed to OnMatch, so it never outgrows one transaction's peak.
+	free []*match.Match
+	ex   explist.Scratch // materialization buffer for the enumerators
 
 	// Probe state: the incoming edge d bound to query edge qe, whose
 	// stored prefixes must bind cv to key; the join level j and the
@@ -227,57 +232,62 @@ type insertScratch struct {
 	probe, joinLeft, joinRight func(explist.Handle, *match.Match) bool
 }
 
-func (e *Engine) getScratch() *insertScratch {
-	if v := e.scratch.Get(); v != nil {
-		return v.(*insertScratch)
-	}
+func newInsertScratch(e *Engine) *insertScratch {
 	sc := &insertScratch{e: e}
 	sc.probe, sc.joinLeft, sc.joinRight = sc.probeParent, sc.joinStoredLeft, sc.joinStoredRight
 	return sc
 }
 
-// putScratch returns sc to the pool with its backing arrays and probe
-// pointers cleared so pooled scratch never pins dead matches or tree
-// nodes.
-func (e *Engine) putScratch(sc *insertScratch) {
-	clear(sc.parents[:cap(sc.parents)])
-	clear(sc.delta[:cap(sc.delta)])
-	clear(sc.pairs[:cap(sc.pairs)])
-	sc.parents, sc.delta, sc.pairs = sc.parents[:0], sc.delta[:0], sc.pairs[:0]
-	for i := range sc.gbuf {
-		clear(sc.gbuf[i][:cap(sc.gbuf[i])])
-		sc.gbuf[i] = sc.gbuf[i][:0]
-	}
+// reset ends a transaction: it clears every pointer the buffers hold,
+// so an idle scratch pins no dead match or tree node. The free-list
+// keeps its matches, and takeMatch clears the slots it vacates.
+func (sc *insertScratch) reset() {
+	sc.parents, sc.delta, sc.pairs = truncate(sc.parents), truncate(sc.delta), truncate(sc.pairs)
+	sc.gbuf[0], sc.gbuf[1] = truncate(sc.gbuf[0]), truncate(sc.gbuf[1])
 	sc.j, sc.dp = nil, pair{}
 	sc.scanned, sc.candidates = 0, 0
-	e.scratch.Put(sc)
 }
 
-// getEmptyMatch returns a pooled match with no bindings.
-func (e *Engine) getEmptyMatch() *match.Match {
-	if v := e.mpool.Get(); v != nil {
-		m := v.(*match.Match)
-		m.Reset()
-		return m
-	}
-	return match.New(e.q)
+// truncate empties a scratch buffer, clearing the elements it held.
+// Every buffer is emptied only through truncate, so the slots past its
+// length are always zero and clearing costs what the transaction used,
+// not the buffer's high-water capacity.
+func truncate[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
-// cloneMatch returns a pooled copy of src.
-func (e *Engine) cloneMatch(src *match.Match) *match.Match {
-	var m *match.Match
-	if v := e.mpool.Get(); v != nil {
-		m = v.(*match.Match)
-	} else {
-		m = match.New(e.q)
+// takeMatch pops a recycled match, or allocates one; its bindings are
+// stale. The vacated slot is cleared, so a match handed to OnMatch is
+// never pinned by the free-list's backing array.
+func (sc *insertScratch) takeMatch() *match.Match {
+	n := len(sc.free)
+	if n == 0 {
+		return match.New(sc.e.q)
 	}
+	m := sc.free[n-1]
+	sc.free[n-1] = nil
+	sc.free = sc.free[:n-1]
+	return m
+}
+
+// getEmptyMatch returns a recycled match with no bindings.
+func (sc *insertScratch) getEmptyMatch() *match.Match {
+	m := sc.takeMatch()
+	m.Reset()
+	return m
+}
+
+// cloneMatch returns a recycled copy of src.
+func (sc *insertScratch) cloneMatch(src *match.Match) *match.Match {
+	m := sc.takeMatch()
 	m.CopyFrom(src)
 	return m
 }
 
-// putMatch recycles a match the engine still owns. Matches handed to
-// the OnMatch callback are owned by the callback and never recycled.
-func (e *Engine) putMatch(m *match.Match) { e.mpool.Put(m) }
+// putMatch recycles a match the transaction still owns. Matches handed
+// to the OnMatch callback are owned by the callback and never recycled.
+func (sc *insertScratch) putMatch(m *match.Match) { sc.free = append(sc.free, m) }
 
 // Query returns the engine's query.
 func (e *Engine) Query() *query.Query { return e.q }
@@ -292,7 +302,7 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 func (e *Engine) K() int { return e.dec.K() }
 
 // Insert processes one incoming edge (Algorithm 1), serially.
-func (e *Engine) Insert(d graph.Edge) { e.runInsert(d, lock.NopLocker{}) }
+func (e *Engine) Insert(d graph.Edge) { e.runInsert(d, lock.NopLocker{}, e.sc) }
 
 // Delete processes one expired edge (Algorithm 2), serially.
 func (e *Engine) Delete(d graph.Edge) { e.runDelete(d, lock.NopLocker{}) }
@@ -430,10 +440,9 @@ func (e *Engine) globalReadItem(lvl int) lock.ItemID {
 // in lockstep with InsertPlan; FineTxn asserts the correspondence.
 // -------------------------------------------------------------------
 
-func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
+func (e *Engine) runInsert(d graph.Edge, lk lock.Locker, sc *insertScratch) {
 	e.stats.EdgesIn.Add(1)
-	sc := e.getScratch()
-	defer e.putScratch(sc)
+	defer sc.reset()
 	sc.d = d
 	contributed := false
 	sc.qes = e.q.MatchingEdgesInto(d, sc.qes)
@@ -444,7 +453,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 
 		delta := sc.delta[:0]
 		if p == 1 {
-			probe := e.getEmptyMatch()
+			probe := sc.getEmptyMatch()
 			lk.Acquire(item(s, 1), lock.X)
 			if probe.CanBindPrescreened(e.q, qe, d) {
 				if h := sub.Insert(1, nil, d); h != nil {
@@ -455,7 +464,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 			}
 			lk.Release(item(s, 1), lock.X)
 			if probe != nil {
-				e.putMatch(probe)
+				sc.putMatch(probe)
 			}
 		} else {
 			// The incoming edge pins the connecting query vertex's
@@ -468,9 +477,9 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 			if pb.useFrom {
 				sc.key = d.From
 			}
-			sc.parents = sc.parents[:0]
+			sc.parents = truncate(sc.parents)
 			lk.Acquire(item(s, p-1), lock.S)
-			sub.EachCandidate(p-1, sc.key, sc.probe)
+			sub.EachCandidate(p-1, sc.key, &sc.ex, sc.probe)
 			lk.Release(item(s, p-1), lock.S)
 
 			lk.Acquire(item(s, p), lock.X)
@@ -479,7 +488,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 					pr.m.Bind(e.q, qe, d)
 					delta = append(delta, pair{h, pr.m})
 				} else {
-					e.putMatch(pr.m)
+					sc.putMatch(pr.m)
 				}
 			}
 			lk.Release(item(s, p), lock.X)
@@ -491,20 +500,19 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker) {
 
 		if p == depth {
 			if e.K() == 1 {
-				e.emit(delta)
-				delta = delta[:0]
+				e.emit(delta, sc)
 			} else {
 				e.cascade(s, delta, sc, lk)
 				for _, dp := range delta {
-					e.putMatch(dp.m)
+					sc.putMatch(dp.m)
 				}
 			}
 		} else {
 			for _, dp := range delta {
-				e.putMatch(dp.m)
+				sc.putMatch(dp.m)
 			}
 		}
-		sc.delta = delta[:0]
+		sc.delta = truncate(delta)
 	}
 	if !contributed {
 		e.stats.Discarded.Add(1)
@@ -527,7 +535,7 @@ func (sc *insertScratch) probeParent(h explist.Handle, m *match.Match) bool {
 	}
 	sc.candidates++
 	if m.CanBindPrescreened(sc.e.q, sc.qe, sc.d) {
-		sc.parents = append(sc.parents, pair{h, sc.e.cloneMatch(m)})
+		sc.parents = append(sc.parents, pair{h, sc.cloneMatch(m)})
 	}
 	return true
 }
@@ -541,7 +549,7 @@ func (sc *insertScratch) joinStoredLeft(lh explist.Handle, left *match.Match) bo
 	}
 	sc.candidates++
 	if sc.j.compatibleTail(left, sc.dp.m) {
-		nm := sc.e.cloneMatch(left)
+		nm := sc.cloneMatch(left)
 		nm.MergeInPlace(sc.dp.m)
 		sc.pairs = append(sc.pairs, joined{lh: lh, rh: sc.dp.h, m: nm})
 	}
@@ -557,7 +565,7 @@ func (sc *insertScratch) joinStoredRight(rh explist.Handle, right *match.Match) 
 	}
 	sc.candidates++
 	if sc.j.compatibleTail(sc.dp.m, right) {
-		nm := sc.e.cloneMatch(sc.dp.m)
+		nm := sc.cloneMatch(sc.dp.m)
 		nm.MergeInPlace(right)
 		sc.pairs = append(sc.pairs, joined{lh: sc.dp.h, rh: rh, m: nm})
 	}
@@ -598,43 +606,43 @@ func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker)
 			ri = e.globalReadItem(s - 1)
 		}
 		sc.j = &e.joins[x]
-		sc.pairs = sc.pairs[:0]
+		sc.pairs = truncate(sc.pairs)
 		lk.Acquire(ri, lock.S)
 		for _, d := range deltaG {
 			sc.dp = d
 			fp := explist.JoinFingerprint(d.m, sc.j.shared)
 			if left {
-				e.eachGlobalCandidate(s-1, fp, sc.joinLeft)
+				e.eachGlobalCandidate(s-1, fp, &sc.ex, sc.joinLeft)
 			} else {
-				e.subs[x-1].EachJoinCandidate(fp, sc.joinRight)
+				e.subs[x-1].EachJoinCandidate(fp, &sc.ex, sc.joinRight)
 			}
 		}
 		lk.Release(ri, lock.S)
 
 		buf := &sc.gbuf[x%2]
 		lk.Acquire(item(0, x), lock.X)
-		*buf = e.insertJoined(x, sc.pairs, (*buf)[:0])
+		*buf = e.insertJoined(x, sc.pairs, truncate(*buf), sc)
 		lk.Release(item(0, x), lock.X)
 		if x > first { // deltaG's matches were made by this cascade
 			for _, d := range deltaG {
-				e.putMatch(d.m)
+				sc.putMatch(d.m)
 			}
 		}
 		deltaG = *buf
 	}
-	e.emit(deltaG)
+	e.emit(deltaG, sc)
 }
 
 // insertJoined stores pre-joined pairs at global item lvl, appending
 // the stored ones to out and recycling the merged match when a side
 // died concurrently. The caller holds the X lock on item(0, lvl).
-func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair) []pair {
+func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair, sc *insertScratch) []pair {
 	n := len(out)
 	for _, p := range pairs {
 		if h := e.global.Insert(lvl, p.lh, p.rh); h != nil {
 			out = append(out, pair{h, p.m})
 		} else {
-			e.putMatch(p.m)
+			sc.putMatch(p.m)
 		}
 	}
 	e.stats.PartialIns.Add(int64(len(out) - n))
@@ -643,25 +651,25 @@ func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair) []pair {
 
 // eachGlobalCandidate iterates the stored matches of global item lvl
 // whose shared-binding fingerprint equals fp, resolving the L₀¹ alias.
-func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, fn func(explist.Handle, *match.Match) bool) {
+func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, ex *explist.Scratch, fn func(explist.Handle, *match.Match) bool) {
 	if lvl == 1 {
-		e.subs[0].EachJoinCandidate(fp, fn)
+		e.subs[0].EachJoinCandidate(fp, ex, fn)
 		return
 	}
-	e.global.EachCandidate(lvl, fp, fn)
+	e.global.EachCandidate(lvl, fp, ex, fn)
 }
 
 // emit reports complete matches. The callback is serialized so user code
 // never needs its own locking; reported matches are owned by the
-// callback. Without a callback the matches return to the pool.
-func (e *Engine) emit(results []pair) {
+// callback. Without a callback the matches return to sc's free-list.
+func (e *Engine) emit(results []pair, sc *insertScratch) {
 	if len(results) == 0 {
 		return
 	}
 	e.stats.Matches.Add(int64(len(results)))
 	if e.onMatch == nil {
 		for _, r := range results {
-			e.putMatch(r.m)
+			sc.putMatch(r.m)
 		}
 		return
 	}

@@ -34,7 +34,7 @@ type Parallel struct {
 	eng     *Engine
 	mgr     *lock.Manager
 	scheme  LockScheme
-	sem     chan struct{}
+	idle    chan *insertScratch // one scratch per worker; taking one is the admission slot
 	wg      sync.WaitGroup
 	nextTxn int64
 }
@@ -45,12 +45,16 @@ func NewParallel(eng *Engine, scheme LockScheme, workers int) *Parallel {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Parallel{
+	p := &Parallel{
 		eng:    eng,
 		mgr:    lock.NewManager(),
 		scheme: scheme,
-		sem:    make(chan struct{}, workers),
+		idle:   make(chan *insertScratch, workers),
 	}
+	for range workers {
+		p.idle <- newInsertScratch(eng)
+	}
+	return p
 }
 
 // Engine returns the wrapped engine.
@@ -85,20 +89,21 @@ func (p *Parallel) submit(d graph.Edge, isInsert bool) {
 		}
 		return
 	}
-	// Bound in-flight transactions, then dispatch while still on the
-	// dispatcher thread so wait-lists stay in timestamp order.
-	p.sem <- struct{}{}
+	// Bound in-flight transactions by taking an idle worker scratch
+	// (deletes take one too and ignore it), then dispatch while still on
+	// the dispatcher thread so wait-lists stay in timestamp order.
+	sc := <-p.idle
 	txnID := p.nextTxn
 	p.nextTxn++
 
 	run := func(lk lock.Locker, finish func()) {
 		defer func() {
 			finish()
-			<-p.sem
+			p.idle <- sc
 			p.wg.Done()
 		}()
 		if isInsert {
-			p.eng.runInsert(d, lk)
+			p.eng.runInsert(d, lk, sc)
 		} else {
 			p.eng.runDelete(d, lk)
 		}

@@ -80,8 +80,9 @@ func TestStreamingConsistency(t *testing.T) {
 	}
 }
 
-// TestParallelStats checks that the concurrent engine's edge counters
-// match the serial engine's.
+// TestParallelStats checks that the concurrent engine's counters match
+// the serial engine's under both locking schemes — including the ones
+// each worker's insert scratch accumulates and flushes.
 func TestParallelStats(t *testing.T) {
 	labels := graph.NewLabels()
 	gen := datagen.New(datagen.WikiTalk, labels, datagen.Config{Vertices: 50, Seed: 9})
@@ -93,21 +94,34 @@ func TestParallelStats(t *testing.T) {
 	ser := core.New(q, core.Config{})
 	runStream(t, edges, 150, ser.Process)
 
-	eng := core.New(q, core.Config{})
-	par := core.NewParallel(eng, core.FineGrained, 4)
-	runStream(t, edges, 150, par.Process)
-	par.Wait()
-
-	if a, b := ser.Stats().EdgesIn.Load(), eng.Stats().EdgesIn.Load(); a != b {
-		t.Errorf("EdgesIn: serial %d, parallel %d", a, b)
+	counters := []struct {
+		name string
+		get  func(*core.Engine) int64
+	}{
+		{"EdgesIn", func(e *core.Engine) int64 { return e.Stats().EdgesIn.Load() }},
+		{"EdgesOut", func(e *core.Engine) int64 { return e.Stats().EdgesOut.Load() }},
+		{"Discarded", func(e *core.Engine) int64 { return e.Stats().Discarded.Load() }},
+		{"Matches", func(e *core.Engine) int64 { return e.Stats().Matches.Load() }},
+		{"PartialIns", func(e *core.Engine) int64 { return e.Stats().PartialIns.Load() }},
+		{"PartialDel", func(e *core.Engine) int64 { return e.Stats().PartialDel.Load() }},
+		{"JoinScanned", func(e *core.Engine) int64 { return e.Stats().JoinScanned.Load() }},
+		{"JoinCandidates", func(e *core.Engine) int64 { return e.Stats().JoinCandidates.Load() }},
+		{"PartialMatchCount", (*core.Engine).PartialMatchCount},
 	}
-	if a, b := ser.Stats().EdgesOut.Load(), eng.Stats().EdgesOut.Load(); a != b {
-		t.Errorf("EdgesOut: serial %d, parallel %d", a, b)
-	}
-	if a, b := ser.Stats().Matches.Load(), eng.Stats().Matches.Load(); a != b {
-		t.Errorf("Matches: serial %d, parallel %d", a, b)
-	}
-	if a, b := ser.PartialMatchCount(), eng.PartialMatchCount(); a != b {
-		t.Errorf("PartialMatchCount: serial %d, parallel %d", a, b)
+	for _, scheme := range []struct {
+		name   string
+		scheme core.LockScheme
+	}{{"FineGrained", core.FineGrained}, {"AllLocks", core.AllLocks}} {
+		t.Run(scheme.name, func(t *testing.T) {
+			eng := core.New(q, core.Config{})
+			par := core.NewParallel(eng, scheme.scheme, 4)
+			runStream(t, edges, 150, par.Process)
+			par.Wait()
+			for _, c := range counters {
+				if a, b := c.get(ser), c.get(eng); a != b {
+					t.Errorf("%s: serial %d, parallel %d", c.name, a, b)
+				}
+			}
+		})
 	}
 }

@@ -18,8 +18,6 @@
 package explist
 
 import (
-	"sync"
-
 	"timingsubg/internal/graph"
 	"timingsubg/internal/match"
 	"timingsubg/internal/mstree"
@@ -45,15 +43,16 @@ type SubList interface {
 	// EachCandidate calls fn with each stored match of interior item lvl
 	// (1 ≤ lvl < Depth()) whose binding of the item's connecting query
 	// vertex — ConnectingVertex(lvl+1) — equals v. The MS-tree backend
-	// resolves this with an index lookup; the independent backend scans
-	// the whole item (callers re-check the binding either way). Scratch
-	// semantics match Each.
-	EachCandidate(lvl int, v graph.VertexID, fn func(h Handle, m *match.Match) bool)
+	// resolves this with an index lookup, materializing each match into
+	// sc; the independent backend scans the whole item and ignores sc
+	// (callers re-check the binding either way). Scratch semantics
+	// match Each.
+	EachCandidate(lvl int, v graph.VertexID, sc *Scratch, fn func(h Handle, m *match.Match) bool)
 	// EachJoinCandidate calls fn with each stored match of the LAST item
 	// whose shared-binding fingerprint (JoinFingerprint over the shared
 	// vertex set installed by SetJoinKey) equals fp. Backend semantics
 	// and scratch rules are as in EachCandidate.
-	EachJoinCandidate(fp uint64, fn func(h Handle, m *match.Match) bool)
+	EachJoinCandidate(fp uint64, sc *Scratch, fn func(h Handle, m *match.Match) bool)
 	// SetJoinKey installs the shared query-vertex set of the global join
 	// this sub-list's complete matches feed, enabling the last item's
 	// fingerprint index. Must be called before any insert; the
@@ -97,9 +96,10 @@ type GlobalList interface {
 	Each(lvl int, fn func(h Handle, m *match.Match) bool)
 	// EachCandidate calls fn with each stored match of item lvl whose
 	// shared-binding fingerprint for join level lvl+1 (the shared sets
-	// installed by SetJoinKeys) equals fp. The MS-tree backend indexes;
-	// the independent backend scans. Scratch semantics match Each.
-	EachCandidate(lvl int, fp uint64, fn func(h Handle, m *match.Match) bool)
+	// installed by SetJoinKeys) equals fp. The MS-tree backend indexes
+	// and materializes into sc; the independent backend scans and
+	// ignores sc. Scratch semantics match Each.
+	EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(h Handle, m *match.Match) bool)
 	// SetJoinKeys installs the per-join shared query-vertex sets:
 	// sharedByJoin[x] is the shared set of global join level x (2..k).
 	// Item lvl (2 ≤ lvl < k) is then indexed by the fingerprint of
@@ -172,20 +172,29 @@ func JoinFingerprint(m *match.Match, shared []query.VertexID) uint64 {
 // MS-tree backend
 // ---------------------------------------------------------------------
 
-// eachScratch is the reusable materialization buffer for Each-style
-// enumerations; pooled so concurrent shared-lock readers never share
-// state and steady-state probes allocate nothing.
-type eachScratch struct {
+// Scratch is the materialization buffer a candidate enumeration
+// rebuilds each visited match into. The caller owns it: one scratch
+// serves a whole insert transaction, so steady-state probes allocate
+// nothing, and concurrent readers each bring their own. The zero value
+// is ready to use; its match is allocated on first use.
+type Scratch struct {
 	m    *match.Match
 	ebuf []graph.Edge
 }
 
+// match returns sc's match for query q, allocating it on first use.
+func (sc *Scratch) match(q *query.Query) *match.Match {
+	if sc.m == nil {
+		sc.m = match.New(q)
+	}
+	return sc.m
+}
+
 // TreeSubList is the MS-tree backed SubList.
 type TreeSubList struct {
-	q       *query.Query
-	sub     *query.TCSubquery
-	tree    *mstree.Tree
-	scratch sync.Pool
+	q    *query.Query
+	sub  *query.TCSubquery
+	tree *mstree.Tree
 }
 
 // NewTreeSubList returns an MS-tree backed expansion list for sub, with
@@ -194,7 +203,6 @@ type TreeSubList struct {
 // ℓ+1, whose data edge pins that binding to one of its endpoints.
 func NewTreeSubList(q *query.Query, sub *query.TCSubquery) *TreeSubList {
 	l := &TreeSubList{q: q, sub: sub, tree: mstree.New(sub.Len())}
-	l.scratch.New = func() any { return &eachScratch{m: match.New(q)} }
 	for lvl := 1; lvl < sub.Len(); lvl++ {
 		cv, _, ok := sub.ConnectingVertex(q, lvl+1)
 		if !ok {
@@ -262,47 +270,34 @@ func (l *TreeSubList) Depth() int { return l.sub.Len() }
 // Count implements SubList.
 func (l *TreeSubList) Count(lvl int) int { return l.tree.Count(lvl) }
 
-// Each implements SubList. Scratch buffers are pooled per call so
-// concurrent shared-lock readers never share state.
+// Each implements SubList with a scratch of its own per call; it is
+// off the insert path.
 func (l *TreeSubList) Each(lvl int, fn func(Handle, *match.Match) bool) {
-	var sc *eachScratch
+	var sc Scratch
 	l.tree.Each(lvl, func(n *mstree.Node) bool {
-		if sc == nil {
-			sc = l.scratch.Get().(*eachScratch)
-		}
-		sc.ebuf = l.fill(sc.m, n, sc.ebuf)
+		sc.ebuf = l.fill(sc.match(l.q), n, sc.ebuf)
 		return fn(n, sc.m)
 	})
-	if sc != nil {
-		l.scratch.Put(sc)
-	}
 }
 
 // EachCandidate implements SubList: an index lookup on the interior
 // item's connecting-vertex buckets; only genuine candidates are
 // materialized.
-func (l *TreeSubList) EachCandidate(lvl int, v graph.VertexID, fn func(Handle, *match.Match) bool) {
-	l.eachCandidateKey(lvl, uint64(v), fn)
+func (l *TreeSubList) EachCandidate(lvl int, v graph.VertexID, sc *Scratch, fn func(Handle, *match.Match) bool) {
+	l.eachCandidateKey(lvl, uint64(v), sc, fn)
 }
 
 // EachJoinCandidate implements SubList: a fingerprint lookup on the
 // last item.
-func (l *TreeSubList) EachJoinCandidate(fp uint64, fn func(Handle, *match.Match) bool) {
-	l.eachCandidateKey(l.sub.Len(), fp, fn)
+func (l *TreeSubList) EachJoinCandidate(fp uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
+	l.eachCandidateKey(l.sub.Len(), fp, sc, fn)
 }
 
-func (l *TreeSubList) eachCandidateKey(lvl int, key uint64, fn func(Handle, *match.Match) bool) {
-	var sc *eachScratch
+func (l *TreeSubList) eachCandidateKey(lvl int, key uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
 	l.tree.EachCandidate(lvl, key, func(n *mstree.Node) bool {
-		if sc == nil {
-			sc = l.scratch.Get().(*eachScratch)
-		}
-		sc.ebuf = l.fill(sc.m, n, sc.ebuf)
+		sc.ebuf = l.fill(sc.match(l.q), n, sc.ebuf)
 		return fn(n, sc.m)
 	})
-	if sc != nil {
-		l.scratch.Put(sc)
-	}
 }
 
 // Materialize implements SubList.
@@ -354,17 +349,14 @@ func (l *TreeSubList) SpaceBytes() int64 { return l.tree.SpaceBytes() }
 // complete-submatch leaves in the sub-lists' trees rather than copies
 // (Section IV-A).
 type TreeGlobalList struct {
-	q       *query.Query
-	dec     *query.Decomposition
-	tree    *mstree.Tree
-	scratch sync.Pool
+	q    *query.Query
+	dec  *query.Decomposition
+	tree *mstree.Tree
 }
 
 // NewTreeGlobalList returns an MS-tree backed L₀ for the decomposition.
 func NewTreeGlobalList(q *query.Query, dec *query.Decomposition) *TreeGlobalList {
-	g := &TreeGlobalList{q: q, dec: dec, tree: mstree.New(dec.K())}
-	g.scratch.New = func() any { return &eachScratch{m: match.New(q)} }
-	return g
+	return &TreeGlobalList{q: q, dec: dec, tree: mstree.New(dec.K())}
 }
 
 // SetJoinKeys implements GlobalList: item lvl (2 ≤ lvl < k) is indexed
@@ -437,35 +429,23 @@ func (g *TreeGlobalList) K() int { return g.dec.K() }
 // Count implements GlobalList.
 func (g *TreeGlobalList) Count(lvl int) int { return g.tree.Count(lvl) }
 
-// Each implements GlobalList.
+// Each implements GlobalList with a scratch of its own per call; it
+// is off the insert path.
 func (g *TreeGlobalList) Each(lvl int, fn func(Handle, *match.Match) bool) {
-	var sc *eachScratch
+	var sc Scratch
 	g.tree.Each(lvl, func(n *mstree.Node) bool {
-		if sc == nil {
-			sc = g.scratch.Get().(*eachScratch)
-		}
-		sc.ebuf = g.fill(sc.m, n, sc.ebuf)
+		sc.ebuf = g.fill(sc.match(g.q), n, sc.ebuf)
 		return fn(n, sc.m)
 	})
-	if sc != nil {
-		g.scratch.Put(sc)
-	}
 }
 
 // EachCandidate implements GlobalList: a fingerprint lookup on item
 // lvl's shared-binding buckets.
-func (g *TreeGlobalList) EachCandidate(lvl int, fp uint64, fn func(Handle, *match.Match) bool) {
-	var sc *eachScratch
+func (g *TreeGlobalList) EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
 	g.tree.EachCandidate(lvl, fp, func(n *mstree.Node) bool {
-		if sc == nil {
-			sc = g.scratch.Get().(*eachScratch)
-		}
-		sc.ebuf = g.fill(sc.m, n, sc.ebuf)
+		sc.ebuf = g.fill(sc.match(g.q), n, sc.ebuf)
 		return fn(n, sc.m)
 	})
-	if sc != nil {
-		g.scratch.Put(sc)
-	}
 }
 
 // Materialize implements GlobalList.

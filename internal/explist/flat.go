@@ -135,12 +135,12 @@ func (l *FlatSubList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 // EachCandidate implements SubList. Independent storage keeps the
 // paper's Timing-IND scan semantics: every stored match is visited and
 // the caller's own key check does the narrowing.
-func (l *FlatSubList) EachCandidate(lvl int, _ graph.VertexID, fn func(Handle, *match.Match) bool) {
+func (l *FlatSubList) EachCandidate(lvl int, _ graph.VertexID, _ *Scratch, fn func(Handle, *match.Match) bool) {
 	l.items[lvl-1].each(fn)
 }
 
 // EachJoinCandidate implements SubList: a scan of the last item.
-func (l *FlatSubList) EachJoinCandidate(_ uint64, fn func(Handle, *match.Match) bool) {
+func (l *FlatSubList) EachJoinCandidate(_ uint64, _ *Scratch, fn func(Handle, *match.Match) bool) {
 	l.items[len(l.items)-1].each(fn)
 }
 
@@ -220,7 +220,7 @@ func (g *FlatGlobalList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 }
 
 // EachCandidate implements GlobalList: a scan (Timing-IND semantics).
-func (g *FlatGlobalList) EachCandidate(lvl int, _ uint64, fn func(Handle, *match.Match) bool) {
+func (g *FlatGlobalList) EachCandidate(lvl int, _ uint64, _ *Scratch, fn func(Handle, *match.Match) bool) {
 	g.items[lvl-1].each(fn)
 }
 

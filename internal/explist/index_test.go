@@ -41,7 +41,7 @@ func TestTreeSubListCandidateIndex(t *testing.T) {
 
 	collect := func(v graph.VertexID) []graph.VertexID {
 		var froms []graph.VertexID
-		l.EachCandidate(1, v, func(_ Handle, m *match.Match) bool {
+		l.EachCandidate(1, v, new(Scratch), func(_ Handle, m *match.Match) bool {
 			froms = append(froms, m.Edges[sub.Seq[0]].From)
 			return true
 		})
@@ -90,7 +90,7 @@ func TestTreeJoinFingerprintAgreement(t *testing.T) {
 	full := l.Materialize(3, h3)
 	fp := JoinFingerprint(full, shared)
 	found := 0
-	l.EachJoinCandidate(fp, func(h Handle, m *match.Match) bool {
+	l.EachJoinCandidate(fp, new(Scratch), func(h Handle, m *match.Match) bool {
 		if h == h3 {
 			found++
 		}
@@ -103,7 +103,7 @@ func TestTreeJoinFingerprintAgreement(t *testing.T) {
 	// omits checking: an unrelated fingerprint returns nothing.
 	if fp2 := JoinFingerprint(full, []query.VertexID{0, 2}); fp2 != fp {
 		none := 0
-		l.EachJoinCandidate(fp2, func(Handle, *match.Match) bool { none++; return true })
+		l.EachJoinCandidate(fp2, new(Scratch), func(Handle, *match.Match) bool { none++; return true })
 		if none != 0 {
 			t.Fatalf("unrelated fingerprint matched %d stored entries", none)
 		}

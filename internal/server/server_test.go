@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -471,9 +472,18 @@ func TestServerSubscribeFilterAndResume(t *testing.T) {
 	if got["a"] != 1 || got["b"] != 1 {
 		t.Fatalf("first round seqs = %v, want a:1 b:1", got)
 	}
-	token := sub.LastEventID()
-	if token == "" {
-		t.Fatal("no resume token after delivery")
+	// The client advances LastEventID only after handing an event to
+	// Events, so right after the second receive the token may still
+	// cover only the first query. Wait until it names both.
+	var token string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		token = sub.LastEventID()
+		if vals, err := url.ParseQuery(token); err == nil && vals.Has("a") && vals.Has("b") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("resume token %q never covered both a and b", token)
+		}
 	}
 	sub.Close()
 
