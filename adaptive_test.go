@@ -64,7 +64,7 @@ func skewedStream(n int, seed int64, hot int) []Edge {
 // join order.
 func joinOrder(eng Engine) []uint64 {
 	var out []uint64
-	for _, s := range eng.(*single).eng.Decomposition().Subqueries {
+	for _, s := range eng.(*solo).m.eng.Decomposition().Subqueries {
 		out = append(out, s.Mask)
 	}
 	return out

@@ -46,7 +46,6 @@ import (
 	"timingsubg/internal/graph"
 	"timingsubg/internal/match"
 	"timingsubg/internal/query"
-	"timingsubg/internal/stats"
 )
 
 // Core type aliases so users never import internal packages.
@@ -97,8 +96,8 @@ const (
 )
 
 // Options is the per-member override set of a fleet: QuerySpec.Options
-// fields left zero inherit the fleet Config's value. (Open normalizes a
-// single-query Config into the same struct internally.)
+// fields left zero inherit the fleet Config's value. (Open runs a
+// single-query Config as a fleet of one member with these options.)
 type Options struct {
 	// Window is the time-based sliding-window duration |W| (the
 	// paper's model). Exactly one of Window and CountWindow must be
@@ -113,16 +112,6 @@ type Options struct {
 	Storage Storage
 	// Decomposition overrides the automatic TC decomposition.
 	Decomposition *Decomposition
-
-	// Observability wiring (internal): Open threads Config.EventTimeUnit
-	// and the slow-op hook through these, and fleet members inherit the
-	// fleet's stage pipeline so every member's join/expiry/detection
-	// work lands in one fleet-wide view. A nil pipe disables
-	// instrumentation (Config.DisableMetrics).
-	pipe        *stats.Pipeline
-	eventUnitNs int64
-	slowOpNs    int64
-	onSlowOp    func(SlowOp)
 }
 
 // ErrBadOptions reports an invalid configuration.

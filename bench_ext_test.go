@@ -85,7 +85,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ps.checkpointNow(); err != nil {
+		if err := ps.fl.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}

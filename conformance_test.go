@@ -761,40 +761,66 @@ func TestOpenValidation(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
 	spec := QuerySpec{Name: "q", Query: q}
+	// msg, when set, pins the whole error text: a single-query engine is
+	// a fleet of one, but its rejections name no query.
 	cases := []struct {
 		name string
 		cfg  Config
+		msg  string
 	}{
-		{"no-query", Config{Window: 10}},
-		{"query-and-queries", Config{Query: q, Queries: []QuerySpec{spec}, Window: 10}},
-		{"query-and-dynamic", Config{Query: q, Dynamic: true, Window: 10}},
-		{"both-windows", Config{Query: q, Window: 10, CountWindow: 10}},
-		{"no-window", Config{Query: q}},
-		{"durable-no-dir", Config{Query: q, Window: 10, Durable: &Durability{}}},
-		{"durable-count-window", Config{Query: q, CountWindow: 10, Durable: &Durability{Dir: "x"}}},
-		{"routed-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Routed: true}},
-		{"routed-durable", Config{Queries: []QuerySpec{spec}, Window: 10, Routed: true, Durable: &Durability{Dir: "x"}}},
+		{"no-query", Config{Window: 10}, "timingsubg: invalid options\none of Query and Queries/Dynamic must be set"},
+		{"query-and-queries", Config{Query: q, Queries: []QuerySpec{spec}, Window: 10}, ""},
+		{"query-and-dynamic", Config{Query: q, Dynamic: true, Window: 10}, ""},
+		{"both-windows", Config{Query: q, Window: 10, CountWindow: 10}, "timingsubg: invalid options\nset only one of Window and CountWindow"},
+		{"no-window", Config{Query: q}, "timingsubg: invalid options\none of Window and CountWindow must be positive"},
+		{"durable-no-dir", Config{Query: q, Window: 10, Durable: &Durability{}}, "timingsubg: invalid options\npersistent mode requires Dir"},
+		{"durable-count-window", Config{Query: q, CountWindow: 10, Durable: &Durability{Dir: "x"}},
+			"timingsubg: invalid options\npersistent mode supports time-based windows only"},
+		{"routed-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Routed: true}, ""},
+		{"routed-durable", Config{Queries: []QuerySpec{spec}, Window: 10, Routed: true, Durable: &Durability{Dir: "x"}}, ""},
 		// Fleet members go through the same validation.
-		{"member-durable-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Durable: &Durability{Dir: "x"}}},
-		{"durable-fleet-no-dir", Config{Dynamic: true, Window: 10, Durable: &Durability{}}},
-		{"routed-single", Config{Query: q, Window: 10, Routed: true}},
-		{"fleetworkers-single", Config{Query: q, Window: 10, FleetWorkers: 4}},
-		{"fleetworkers-negative", Config{Queries: []QuerySpec{spec}, Window: 10, FleetWorkers: -1}},
-		{"empty-fleet", Config{Queries: []QuerySpec{}}},
-		{"unnamed-member", Config{Queries: []QuerySpec{{Query: q}}, Window: 10}},
-		{"duplicate-member", Config{Queries: []QuerySpec{spec, spec}, Window: 10}},
+		{"member-durable-count-window", Config{Queries: []QuerySpec{spec}, CountWindow: 10, Durable: &Durability{Dir: "x"}}, ""},
+		{"durable-fleet-no-dir", Config{Dynamic: true, Window: 10, Durable: &Durability{}}, ""},
+		{"routed-single", Config{Query: q, Window: 10, Routed: true}, "timingsubg: invalid options\nRouted is a fleet option (set Queries or Dynamic)"},
+		{"fleetworkers-single", Config{Query: q, Window: 10, FleetWorkers: 4},
+			"timingsubg: invalid options\nFleetWorkers is a fleet option (set Queries or Dynamic)"},
+		{"fleetworkers-negative", Config{Queries: []QuerySpec{spec}, Window: 10, FleetWorkers: -1}, ""},
+		{"empty-fleet", Config{Queries: []QuerySpec{}}, ""},
+		{"unnamed-member", Config{Queries: []QuerySpec{{Query: q}}, Window: 10}, ""},
+		{"duplicate-member", Config{Queries: []QuerySpec{spec, spec}, Window: 10}, ""},
 		{"durable-path-unsafe-name", Config{
 			Queries: []QuerySpec{{Name: "a/b", Query: q}}, Window: 10,
 			Durable: &Durability{Dir: "x"},
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Open(tc.cfg); !errors.Is(err, ErrBadOptions) {
+			_, err := Open(tc.cfg)
+			if !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("Open = %v, want ErrBadOptions", err)
+			}
+			if tc.msg != "" && err.Error() != tc.msg {
+				t.Fatalf("Open error = %q, want %q", err, tc.msg)
 			}
 		})
 	}
+	t.Run("single-is-not-a-fleet", func(t *testing.T) {
+		eng, err := Open(Config{Query: q, Window: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if _, ok := eng.(Fleet); ok {
+			t.Fatal("a single-query engine implements Fleet")
+		}
+		if st := eng.Stats(); st.Fleet || st.Queries != nil {
+			t.Fatalf("single-query Stats: Fleet=%v Queries=%v, want false/nil", st.Fleet, st.Queries)
+		}
+		_, err = OpenFleet(Config{Query: q, Window: 10})
+		if want := "timingsubg: invalid options\nconfig does not select fleet mode (set Queries or Dynamic)"; err == nil || err.Error() != want {
+			t.Fatalf("OpenFleet(Query) = %v, want %q", err, want)
+		}
+	})
 }
 
 // TestFleetDefaultsInherited checks Config-level defaults flow into

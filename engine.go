@@ -3,7 +3,6 @@ package timingsubg
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"timingsubg/internal/stats"
@@ -303,23 +302,7 @@ func Open(cfg Config) (Engine, error) {
 	if fleetMode {
 		return openFleet(cfg)
 	}
-	opts := Options{
-		Window:        cfg.Window,
-		CountWindow:   cfg.CountWindow,
-		Storage:       cfg.Storage,
-		Decomposition: cfg.Decomposition,
-	}
-	if !cfg.DisableMetrics {
-		opts.pipe = stats.NewPipeline()
-		opts.eventUnitNs = int64(cfg.EventTimeUnit)
-		opts.slowOpNs = int64(cfg.SlowOpThreshold)
-		opts.onSlowOp = cfg.OnSlowOp
-	}
-	sink := configSink(cfg)
-	if cfg.Durable != nil {
-		return openDurableSingle(cfg.Query, opts, cfg.Adaptive, *cfg.Durable, sink)
-	}
-	return newSingle(cfg.Query, opts, cfg.Adaptive, sink)
+	return openSolo(cfg)
 }
 
 // OpenFleet is Open for fleet configurations, returning the Fleet
@@ -335,31 +318,4 @@ func OpenFleet(cfg Config) (Fleet, error) {
 		return nil, errors.Join(ErrBadOptions, errors.New("config does not select fleet mode (set Queries or Dynamic)"))
 	}
 	return fl, nil
-}
-
-// runLoop is the one Run implementation behind every engine: consume
-// until the channel closes or ctx is cancelled, close the engine, and
-// wrap any feed error with the offending edge's stream index. A Close
-// failure (e.g. the final durable checkpoint) surfaces when the loop
-// itself finished cleanly — it must not be swallowed.
-func runLoop(ctx context.Context, edges <-chan Edge, feed func(Edge) error, closeEng func() error) (n int64, err error) {
-	defer func() {
-		if cerr := closeEng(); err == nil {
-			err = cerr
-		}
-	}()
-	for {
-		select {
-		case <-ctx.Done():
-			return n, ctx.Err()
-		case e, ok := <-edges:
-			if !ok {
-				return n, nil
-			}
-			if err := feed(e); err != nil {
-				return n, fmt.Errorf("timingsubg: edge %d: %w", n, err)
-			}
-			n++
-		}
-	}
 }

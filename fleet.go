@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,12 +20,13 @@ import (
 	"timingsubg/internal/wal"
 )
 
-// fleetEngine is the one multi-query engine implementation behind Open:
-// several named member engines over one shared stream — the deployment
-// shape of the paper's motivating scenarios, where all of, e.g.,
-// Verizon's ten attack patterns are monitored at once. Routing,
-// dynamics, durability, per-member adaptivity and sharded execution are
-// orthogonal options of this one type.
+// fleetEngine is the one engine implementation behind Open: several
+// named member engines over one shared stream — the deployment shape of
+// the paper's motivating scenarios, where all of, e.g., Verizon's ten
+// attack patterns are monitored at once. A single-query engine is a
+// fleet of one (solo). Routing, dynamics, durability, per-member
+// adaptivity and sharded execution are orthogonal options of this one
+// type.
 //
 // # Concurrency
 //
@@ -105,7 +106,9 @@ type fleetEngine struct {
 	// Config-level defaults inherited by specs that leave them zero.
 	defaults Config
 
-	replayed int64 // WAL records replayed by the most recent open
+	// replayed counts the WAL records the most recent open replayed to
+	// at least one member (those at or above the slowest member cursor).
+	replayed int64
 }
 
 // shardError is one shard's first member feed error and the batch
@@ -130,14 +133,6 @@ func (fl *fleetEngine) memberOptions(spec QuerySpec) Options {
 	if o.Storage == MSTree {
 		o.Storage = fl.defaults.Storage
 	}
-	if fl.obs != nil {
-		// Members share the fleet's stage pipeline so every member's
-		// join/expiry/dispatch work lands in one fleet-wide view.
-		o.pipe = fl.obs.pipe
-		o.eventUnitNs = fl.obs.eventUnitNs
-		o.slowOpNs = fl.obs.slowNs
-		o.onSlowOp = fl.obs.onSlow
-	}
 	return o
 }
 
@@ -150,30 +145,28 @@ func (fl *fleetEngine) memberAdaptivity(spec QuerySpec) *Adaptivity {
 	return fl.defaults.Adaptive
 }
 
-// newMember builds one member engine and rebases it onto the fleet's
-// results plane: the member publishes matches under its query name
-// into the fleet dispatcher instead of owning one. The rebase happens
-// before any checkpoint restore so durable sequence seeding lands on
-// the fleet dispatcher.
-func (fl *fleetEngine) newMember(spec QuerySpec) (*single, error) {
-	en, err := newSingle(spec.Query, fl.memberOptions(spec), fl.memberAdaptivity(spec), nil)
-	if err != nil {
-		return nil, fmt.Errorf("timingsubg: query %q: %w", spec.Name, err)
-	}
-	en.disp, en.pubName, en.ownsDisp = fl.disp, spec.Name, false
-	if en.obs != nil {
-		// A private detection histogram gives the member its per-query
-		// attribution; fleetDet keeps the fleet-wide aggregate whole. The
-		// member reads the fleet's arrival clock, so detection latency is
-		// measured from the fleet feed boundary (queue wait included).
-		en.obs.det = &stats.AtomicHistogram{}
-		en.obs.fleetDet = &fl.obs.pipe.Detection
-		en.obs.arrival = fl.obs.arrival
+// newMember builds one member engine over validated spec options,
+// publishing its matches under its query name into the fleet's results
+// plane. The member shares the fleet's stage pipeline, so every
+// member's join/expiry/dispatch work lands in one fleet-wide view, and
+// the fleet's arrival clock, so detection latency is measured from the
+// fleet feed boundary (queue wait included). A private detection
+// histogram gives it its per-query attribution; fleetDet keeps the
+// fleet-wide aggregate whole.
+func (fl *fleetEngine) newMember(spec QuerySpec) *single {
+	var mo *obs
+	if o := fl.obs; o != nil {
+		mo = &obs{
+			pipe: o.pipe, det: &stats.AtomicHistogram{}, fleetDet: &o.pipe.Detection,
+			arrival: o.arrival, eventUnitNs: o.eventUnitNs, slowNs: o.slowNs, onSlow: o.onSlow,
+		}
 		if spec.Group != "" {
-			en.obs.groupDet = fl.groupHist(spec.Group)
+			mo.groupDet = fl.groupHist(spec.Group)
 		}
 	}
-	return en, nil
+	en := newSingle(spec.Query, fl.memberOptions(spec), fl.memberAdaptivity(spec), mo)
+	en.disp, en.pubName = fl.disp, spec.Name
+	return en
 }
 
 // groupHist returns group's shared detection histogram, creating it on
@@ -193,27 +186,49 @@ func (fl *fleetEngine) groupHist(group string) *stats.AtomicHistogram {
 	return h
 }
 
-// validateFleetSpec checks the per-query constraints of fleet
-// membership: the member's own option combination (validateSingle, under
-// the fleet's durability) plus the rules only a fleet has.
-func (fl *fleetEngine) validateFleetSpec(spec QuerySpec) error {
-	if spec.Name == "" {
+// checkName admits a caller-chosen query name: non-empty (the unnamed
+// query is a single-query engine's), not already taken, and — in
+// durable mode, where it becomes a directory under Dir/ck/ — path-safe.
+func checkName(name string, taken, durable bool) error {
+	switch {
+	case name == "":
 		return fmt.Errorf("timingsubg: query name must be non-empty: %w", ErrBadOptions)
-	}
-	o := fl.memberOptions(spec)
-	if err := validateSingle(spec.Query, o, fl.defaults.Durable); err != nil {
-		return fmt.Errorf("timingsubg: query %q: %w", spec.Name, err)
-	}
-	if fl.route != nil && o.CountWindow > 0 {
-		return fmt.Errorf("timingsubg: query %q: routing requires time-based windows (count windows measure fed edges): %w",
-			spec.Name, ErrBadOptions)
-	}
-	if fl.defaults.Durable != nil && (spec.Name == "." || spec.Name == ".." || strings.ContainsAny(spec.Name, "/\\")) {
-		// Names become directory components under Dir/ck/; "." and ".."
-		// would alias (and on removal, destroy) other state.
-		return fmt.Errorf("timingsubg: query name %q must be non-empty and path-safe: %w", spec.Name, ErrBadOptions)
+	case taken:
+		return fmt.Errorf("timingsubg: duplicate query name %q: %w", name, ErrBadOptions)
+	case durable && (name == "." || name == ".." || strings.ContainsAny(name, "/\\")):
+		// "." and ".." would alias (and on removal, destroy) other state.
+		return fmt.Errorf("timingsubg: query name %q must be non-empty and path-safe: %w", name, ErrBadOptions)
 	}
 	return nil
+}
+
+// validateFleetSpec checks one member's option combination after the
+// fleet defaults are merged in, under the fleet's durability and
+// routing. A named member's error carries its name; the unnamed member
+// of a single-query engine reports the bare option error.
+func (fl *fleetEngine) validateFleetSpec(spec QuerySpec) error {
+	o := fl.memberOptions(spec)
+	var msg string
+	switch {
+	case spec.Query == nil:
+		msg = "query must be non-nil"
+	case o.Window > 0 && o.CountWindow > 0:
+		msg = "set only one of Window and CountWindow"
+	case o.Window <= 0 && o.CountWindow <= 0:
+		msg = "one of Window and CountWindow must be positive"
+	case fl.defaults.Durable != nil && o.CountWindow > 0:
+		msg = "persistent mode supports time-based windows only"
+	case fl.route != nil && o.CountWindow > 0:
+		return fmt.Errorf("timingsubg: query %q: routing requires time-based windows (count windows measure fed edges): %w",
+			spec.Name, ErrBadOptions)
+	default:
+		return nil
+	}
+	err := errors.Join(ErrBadOptions, errors.New(msg))
+	if spec.Name == "" {
+		return err
+	}
+	return fmt.Errorf("timingsubg: query %q: %w", spec.Name, err)
 }
 
 // openFleet builds a fleet engine from cfg; see Open.
@@ -221,6 +236,26 @@ func openFleet(cfg Config) (*fleetEngine, error) {
 	if len(cfg.Queries) == 0 && !cfg.Dynamic {
 		return nil, fmt.Errorf("timingsubg: no queries: %w", ErrBadOptions)
 	}
+	if cfg.Durable != nil && cfg.Routed {
+		// Recovery replay fans every logged record to every member (and
+		// a routed member's per-engine edge IDs would drift from the WAL
+		// sequence), so a routed fleet cannot recover deterministically.
+		// The durable fleet broadcasts.
+		return nil, errors.Join(ErrBadOptions, errors.New("durable fleets broadcast: Routed does not compose with Durable"))
+	}
+	seen := map[string]bool{}
+	for _, spec := range cfg.Queries {
+		if err := checkName(spec.Name, seen[spec.Name], cfg.Durable != nil); err != nil {
+			return nil, err
+		}
+		seen[spec.Name] = true
+	}
+	return newFleet(cfg, cfg.Queries)
+}
+
+// newFleet builds a fleet of specs under cfg, recovering durable state
+// when cfg.Durable is set. The specs' names are already admitted.
+func newFleet(cfg Config, specs []QuerySpec) (*fleetEngine, error) {
 	fl := &fleetEngine{
 		defaults: cfg,
 		disp:     dispatch.New(),
@@ -235,6 +270,11 @@ func openFleet(cfg Config) (*fleetEngine, error) {
 	fl.checkpoint = fl.Checkpoint
 	if cfg.Routed {
 		fl.route = router.New()
+	}
+	for _, spec := range specs {
+		if err := fl.validateFleetSpec(spec); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.FleetWorkers > 1 {
 		fl.pool = fleetpool.New(cfg.FleetWorkers)
@@ -258,43 +298,19 @@ func openFleet(cfg Config) (*fleetEngine, error) {
 			return runInline(fl.obs, batch, start, step)
 		}
 	}
-	fail := func(err error) (*fleetEngine, error) {
-		if fl.pool != nil {
-			fl.pool.Close()
-		}
-		return nil, err
-	}
-	if cfg.Durable != nil && cfg.Routed {
-		// Recovery replay fans every logged record to every member (and
-		// a routed member's per-engine edge IDs would drift from the WAL
-		// sequence), so a routed fleet cannot recover deterministically.
-		// The durable fleet broadcasts.
-		return fail(errors.Join(ErrBadOptions, errors.New("durable fleets broadcast: Routed does not compose with Durable")))
-	}
-	seen := map[string]bool{}
-	for _, spec := range cfg.Queries {
-		if err := fl.validateFleetSpec(spec); err != nil {
-			return fail(err)
-		}
-		if seen[spec.Name] {
-			return fail(fmt.Errorf("timingsubg: duplicate query name %q: %w", spec.Name, ErrBadOptions))
-		}
-		seen[spec.Name] = true
-	}
 	if cfg.Durable != nil {
-		if err := fl.openDurable(*cfg.Durable, cfg.Queries); err != nil {
-			return fail(err)
+		if err := fl.openDurable(*cfg.Durable, specs); err != nil {
+			if fl.pool != nil {
+				fl.pool.Close()
+			}
+			return nil, err
 		}
 		return fl, nil
 	}
 	// The in-memory join; the durable one is pinned by checkpoints (see
 	// openDurable and AddQuery).
-	for _, spec := range cfg.Queries {
-		en, err := fl.newMember(spec)
-		if err != nil {
-			return fail(err)
-		}
-		fl.installLocked(spec, en)
+	for _, spec := range specs {
+		fl.installLocked(spec, fl.newMember(spec))
 	}
 	return fl, nil
 }
@@ -333,7 +349,7 @@ func (fl *fleetEngine) installLocked(spec QuerySpec, en *single) int {
 
 // ckDir returns the named query's checkpoint directory.
 func (fl *fleetEngine) ckDir(name string) string {
-	return filepath.Join(fl.dur.Dir, "ck", name)
+	return checkpoint.Dir(fl.dur.Dir, name)
 }
 
 // openDurable opens the shared WAL and recovers every spec'd query:
@@ -356,8 +372,10 @@ func (fl *fleetEngine) openDurable(dur Durability, specs []QuerySpec) error {
 		return fail(err)
 	}
 
-	// Per-query recovery state: each member's replay cursor.
+	// Per-query recovery state: each member's replay cursor. minFrom is
+	// the slowest one; no member replays a record below it.
 	froms := make([]int64, len(specs))
+	minFrom := int64(math.MaxInt64)
 	lastT := minTimestamp
 	var maxNext int64
 	for i, spec := range specs {
@@ -367,13 +385,10 @@ func (fl *fleetEngine) openDurable(dur Durability, specs []QuerySpec) error {
 			return fail(err)
 		}
 		if haveCk && ck.Window != o.Window {
-			return fail(fmt.Errorf("timingsubg: query %q: checkpoint window %d != configured window %d: %w",
-				spec.Name, ck.Window, o.Window, ErrBadOptions))
+			err := fmt.Errorf("checkpoint window %d != configured window %d: %w", ck.Window, o.Window, ErrBadOptions)
+			return fail(fmt.Errorf("timingsubg: %w", queryErr(spec.Name, err)))
 		}
-		en, err := fl.newMember(spec)
-		if err != nil {
-			return fail(err)
-		}
+		en := fl.newMember(spec)
 		if haveCk {
 			en.restoreCheckpoint(ck)
 			froms[i] = ck.NextSeq
@@ -385,6 +400,7 @@ func (fl *fleetEngine) openDurable(dur Durability, specs []QuerySpec) error {
 			en.stream = graph.RestoreStream(o.Window, nil, graph.EdgeID(logStart))
 			froms[i] = logStart
 		}
+		minFrom = min(minFrom, froms[i])
 		fl.installLocked(spec, en)
 		// The stream clock resumes from the newest checkpointed edge;
 		// WAL replay below advances it further if a suffix exists.
@@ -397,38 +413,40 @@ func (fl *fleetEngine) openDurable(dur Durability, specs []QuerySpec) error {
 		// record a member still needs to replay can be reclaimed. SkipTo
 		// below may raise the gate further when the whole log tail was
 		// lost behind the newest checkpoint.
-		minFrom := froms[0]
-		for _, f := range froms[1:] {
-			if f < minFrom {
-				minFrom = f
-			}
-		}
 		log.SetCheckpointLSN(minFrom)
 	}
 	if err := log.SkipTo(maxNext); err != nil {
 		return fail(err)
 	}
 
-	// One replay pass over the whole retained log: each record goes to
-	// every member whose cursor has reached it. The walk starts at the
-	// retained horizon — not at the oldest query cursor — because the
-	// stream clock (clock) must recover from every record, including
-	// ones no current query needs; otherwise a post-restart ingest could
-	// reuse a timestamp already in the log and break its monotonicity.
-	end, err := wal.Replay(fl.dur.Dir, logStart, func(seq int64, e graph.Edge) error {
+	// One replay pass over the retained log: each record goes to every
+	// member whose cursor has reached it. The stream clock (clock) must
+	// recover the newest logged timestamp, or a post-restart ingest
+	// could reuse one and break the log's monotonicity. Timestamps rise
+	// with LSN and a durable fleet broadcasts, so a restored window that
+	// holds any edge holds its member's newest, at or after record
+	// minFrom-1: the walk then starts at the slowest cursor. Only when
+	// no window holds an edge does it start at the retained horizon, to
+	// recover the clock from records no member needs.
+	from := minFrom
+	if lastT == minTimestamp {
+		from = logStart
+	}
+	end, err := wal.Replay(fl.dur.Dir, from, func(seq int64, e graph.Edge) error {
 		for i, m := range fl.members {
 			if seq < froms[i] {
 				continue
 			}
 			if err := m.replayRecord(seq, e); err != nil {
-				return fmt.Errorf("query %q: %w", fl.names[i], err)
+				return queryErr(fl.names[i], err)
 			}
-			m.replayed-- // the fleet counts replay once, below
 		}
 		if e.Time > lastT {
 			lastT = e.Time
 		}
-		fl.replayed++
+		if seq >= minFrom {
+			fl.replayed++
+		}
 		return nil
 	})
 	if err != nil {
@@ -440,6 +458,15 @@ func (fl *fleetEngine) openDurable(dur Durability, specs []QuerySpec) error {
 	fl.clock.Store(int64(lastT))
 	fl.walSeq.Store(log.Seq())
 	return nil
+}
+
+// queryErr attributes a member error to its query by name. The unnamed
+// member of a single-query engine reports the bare error.
+func queryErr(name string, err error) error {
+	if name == "" {
+		return err
+	}
+	return fmt.Errorf("query %q: %w", name, err)
 }
 
 // AddQuery implements Fleet. The new query's window starts empty: it
@@ -456,17 +483,14 @@ func (fl *fleetEngine) AddQuery(spec QuerySpec) error {
 	// Engine construction (decomposition, cost model) is the expensive
 	// part and needs no fleet state — do it before taking the roster
 	// lock so a concurrent stream stalls as briefly as possible.
-	en, err := fl.newMember(spec)
-	if err != nil {
-		return err
-	}
+	en := fl.newMember(spec)
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if fl.closed.Load() {
 		return ErrClosed
 	}
-	if fl.indexLocked(spec.Name) >= 0 {
-		return fmt.Errorf("timingsubg: duplicate query name %q: %w", spec.Name, ErrBadOptions)
+	if err := checkName(spec.Name, fl.indexLocked(spec.Name) >= 0, fl.dur != nil); err != nil {
+		return err
 	}
 	if fl.dur != nil {
 		// A checkpoint under this name can only be stale (from a removed
@@ -505,7 +529,6 @@ func (fl *fleetEngine) RemoveQuery(name string) error {
 	if i < 0 {
 		return fmt.Errorf("timingsubg: unknown query %q: %w", name, ErrBadOptions)
 	}
-	fl.members[i].Close()
 	fl.members[i] = nil
 	fl.names[i] = ""
 	fl.groups[i] = ""
@@ -588,7 +611,7 @@ func (fl *fleetEngine) dispatchLocked(e Edge) error {
 			}
 			fl.routed.Add(1)
 			if _, err := fl.members[i].memberFeed(e); err != nil {
-				ferr = fmt.Errorf("query %q: %w", fl.names[i], err)
+				ferr = queryErr(fl.names[i], err)
 			}
 		})
 		return ferr
@@ -598,7 +621,7 @@ func (fl *fleetEngine) dispatchLocked(e Edge) error {
 			continue
 		}
 		if _, err := m.memberFeed(e); err != nil {
-			return fmt.Errorf("query %q: %w", fl.names[i], err)
+			return queryErr(fl.names[i], err)
 		}
 	}
 	return nil
@@ -743,12 +766,31 @@ func (fl *fleetEngine) checkpointLocked() error {
 	})
 }
 
-// Run implements Engine.
-func (fl *fleetEngine) Run(ctx context.Context, edges <-chan Edge) (int64, error) {
-	return runLoop(ctx, edges, func(e Edge) error {
-		_, err := fl.Feed(e)
-		return err
-	}, fl.Close)
+// Run implements Engine: consume until the channel closes or ctx is
+// cancelled, close the engine, and wrap any feed error with the
+// offending edge's stream index. A Close failure (e.g. the final
+// durable checkpoint) surfaces when the loop itself finished cleanly —
+// it must not be swallowed.
+func (fl *fleetEngine) Run(ctx context.Context, edges <-chan Edge) (n int64, err error) {
+	defer func() {
+		if cerr := fl.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	for {
+		select {
+		case <-ctx.Done():
+			return n, ctx.Err()
+		case e, ok := <-edges:
+			if !ok {
+				return n, nil
+			}
+			if _, err := fl.Feed(e); err != nil {
+				return n, fmt.Errorf("timingsubg: edge %d: %w", n, err)
+			}
+			n++
+		}
+	}
 }
 
 // Close implements Engine: drain every member, stop the shard workers
@@ -762,11 +804,6 @@ func (fl *fleetEngine) Close() error {
 		return nil
 	}
 	fl.closed.Store(true)
-	for _, m := range fl.members {
-		if m != nil {
-			m.Close()
-		}
-	}
 	if fl.pool != nil {
 		fl.pool.Close()
 	}
@@ -965,7 +1002,7 @@ func (fl *fleetEngine) CurrentMatches(fn func(*Match) bool) {
 
 // Compile-time interface checks.
 var (
-	_ Engine = (*single)(nil)
+	_ Engine = (*solo)(nil)
 	_ Engine = (*fleetEngine)(nil)
 	_ Fleet  = (*fleetEngine)(nil)
 )

@@ -12,24 +12,24 @@ import (
 	"timingsubg/internal/wal"
 )
 
-// ingest is the one feed pipeline, embedded by single and fleetEngine.
-// The paper's model has one ingest rule — edges arrive in strictly
-// increasing timestamp order and each arrival is one transaction — and
-// feed implements it once, in four stages:
+// ingest is the one feed pipeline, embedded by fleetEngine (a
+// single-query engine is a fleet of one). The paper's model has one
+// ingest rule — edges arrive in strictly increasing timestamp order and
+// each arrival is one transaction — and feed implements it once, in
+// four stages:
 //
 //	validate → log → execute → account
 //
-// Everything an engine composition varies is wiring fixed at open: the
-// gate (which lock a feed holds), the log (nil when in-memory), the
-// executor (how validated, logged edges reach the matching engines) and
-// the checkpoint the cadence fires. Feed and FeedBatch on both engine
-// types are thin wrappers over feed; Feed is a batch of one.
+// Everything a fleet composition varies is wiring fixed at open: the
+// gate (which side of the roster lock a feed holds), the log (nil when
+// in-memory), the executor (how validated, logged edges reach the
+// members) and the checkpoint the cadence fires. Feed and FeedBatch
+// are thin wrappers over feed; Feed is a batch of one.
 type ingest struct {
 	// gate is held across validate → log → execute, so a roster change
-	// or checkpoint never observes a half-applied feed. Nil for single
-	// engines, whose feeds the caller serializes; the roster lock for a
-	// fleet — exclusive when the executor runs inline, the read side
-	// when it fans out to shards that take their own locks.
+	// or checkpoint never observes a half-applied feed: the roster lock,
+	// exclusive when the executor runs inline, the read side when it
+	// fans out to shards that take their own locks.
 	gate sync.Locker
 	// exec is the execute stage, the pipeline's only pluggable one: it
 	// evaluates a validated, logged batch and returns how many leading
@@ -41,18 +41,16 @@ type ingest struct {
 	// dur.CheckpointEvery fed edges, outside the gate.
 	checkpoint func() error
 
-	// obs is the observability wiring (nil = metrics off). Fleet
-	// members share the fleet's pipeline and arrival clock but keep a
-	// private detection histogram — the per-query attribution.
+	// obs is the observability wiring (nil = metrics off), shared with
+	// every member.
 	obs *obs
 	dur *Durability // nil = in-memory; normalized copy otherwise
-	log *wal.Log    // nil = no owned WAL (fleet members, in-memory engines)
+	log *wal.Log    // nil = in-memory
 
 	// clock is the boundary clock every feed is validated against:
 	// the newest timestamp accepted, across restarts in durable mode.
 	clock atomic.Int64
-	// fed counts edges accepted by this pipeline (for a single engine,
-	// plus the edges a fleet fan-out or recovery replay pushed into it).
+	// fed counts edges accepted by this pipeline.
 	fed       atomic.Int64
 	walSeq    atomic.Int64 // mirror of log.Seq(), so Stats never touches the log
 	sinceCkpt atomic.Int64
@@ -113,13 +111,9 @@ func (in *ingest) feed(batch []Edge, op string) (EdgeID, int, error) {
 	if o != nil {
 		start = time.Now()
 	}
-	if in.gate != nil {
-		in.gate.Lock()
-	}
+	in.gate.Lock()
 	if in.closed.Load() { // checked under the gate: Close may have won it
-		if in.gate != nil {
-			in.gate.Unlock()
-		}
+		in.gate.Unlock()
 		return 0, 0, ErrClosed
 	}
 	n, err := monotonePrefix(batch, Timestamp(in.clock.Load()))
@@ -162,9 +156,7 @@ func (in *ingest) feed(batch []Edge, op string) (EdgeID, int, error) {
 			in.clock.Store(int64(batch[n-1].Time))
 		}
 	}
-	if in.gate != nil {
-		in.gate.Unlock()
-	}
+	in.gate.Unlock()
 
 	// Account, outside the gate (the checkpoint takes it itself).
 	if o != nil {
@@ -183,8 +175,7 @@ func (in *ingest) feed(batch []Edge, op string) (EdgeID, int, error) {
 }
 
 // runInline is the inline executor: step evaluates one edge, in order,
-// on the feeder goroutine — a single engine's push, or a sequential
-// fleet's member fan-out. Because edges run one at a time, each gets
+// on the feeder goroutine — a sequential fleet's member fan-out. Because edges run one at a time, each gets
 // its own arrival stamp and ingest observation, at one monotonic clock
 // read per edge: an iteration's end time is the next one's arrival
 // stamp, derived from the feed's entry time plus elapsed time. (The
@@ -238,7 +229,7 @@ func (in *ingest) closeLog(checkpoint func() error) error {
 	return in.log.Close()
 }
 
-// feedEdge is Feed on both engine types: a batch of one.
+// feedEdge is Feed: a batch of one.
 func (in *ingest) feedEdge(e Edge) (EdgeID, error) {
 	in.one[0] = e
 	id, _, err := in.feed(in.one[:], opFeed)

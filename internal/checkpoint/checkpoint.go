@@ -72,6 +72,49 @@ func LatestLSN(dir string) (lsn int64, ok bool, err error) {
 	return ck.LSN(), true, nil
 }
 
+// Dir returns the directory holding query's checkpoints under a
+// durability directory root: root itself for a single-query engine,
+// whose one query is unnamed (""), and root/ck/<query> for a fleet
+// member. It is the one definition of the on-disk layout, shared by
+// recovery and by the tools that inspect a directory.
+func Dir(root, query string) string {
+	if query == "" {
+		return root
+	}
+	return filepath.Join(root, membersDir, query)
+}
+
+// membersDir is the subdirectory of a fleet's durability directory
+// that holds one checkpoint directory per member.
+const membersDir = "ck"
+
+// Queries lists the queries whose checkpoints root holds, in name
+// order: each fleet member's name for a fleet directory, [""] for a
+// single-query engine's, and none when root holds no checkpoint.
+func Queries(root string) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(root, membersDir))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	var names []string
+	for _, ent := range entries {
+		if ent.IsDir() {
+			names = append(names, ent.Name())
+		}
+	}
+	if len(names) > 0 {
+		return names, nil // os.ReadDir sorts by name
+	}
+	own, err := list(root)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	if len(own) > 0 {
+		return []string{""}, nil
+	}
+	return nil, nil
+}
+
 // Save atomically writes ck into dir. Older checkpoints are retained
 // until GC removes them, so a crash mid-save can always fall back.
 func Save(dir string, ck Checkpoint) error {

@@ -53,10 +53,11 @@ func defaultSlowOp(op SlowOp) {
 // slow-op hook. A nil *obs disables instrumentation.
 type obs struct {
 	pipe *stats.Pipeline
-	// det is this engine's detection histogram — &pipe.Detection for a
-	// standalone engine, a private histogram per fleet member (the
-	// per-query view); fleetDet, when non-nil, additionally receives
-	// every member observation so the fleet-wide stage view stays whole.
+	// det is this engine's detection histogram — a private histogram
+	// per fleet member (the per-query view), &pipe.Detection for the one
+	// member of a single-query engine; fleetDet, when non-nil,
+	// additionally receives every member observation so the fleet-wide
+	// stage view stays whole.
 	// groupDet, when non-nil, is the member's QuerySpec.Group histogram
 	// shared with every other member of the group (the per-tenant view).
 	det      *stats.AtomicHistogram

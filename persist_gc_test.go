@@ -76,7 +76,7 @@ func TestWALBoundedAfterCheckpoint(t *testing.T) {
 	// 10k edges is dozens of 2KiB segments' worth of records; an
 	// explicit checkpoint at the tail must reclaim all but the live
 	// suffix.
-	if err := ps.checkpointNow(); err != nil {
+	if err := ps.fl.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"timingsubg/internal/checkpoint"
 )
 
 // persistTestQuery builds a small 3-edge TC query over labels a,b,c,d:
@@ -84,8 +86,8 @@ func runPlain(t testing.TB, q *Query, window Timestamp, edges []Edge) map[string
 
 // openDurable opens a durable single-query engine in dir; onMatch may
 // be nil. The concrete type gives tests the forced checkpoint
-// (checkpointNow) and the live WAL (log).
-func openDurable(t testing.TB, q *Query, window Timestamp, dur Durability, onMatch func(*Match)) *single {
+// (fl.Checkpoint) and the live WAL (fl.log).
+func openDurable(t testing.TB, q *Query, window Timestamp, dur Durability, onMatch func(*Match)) *solo {
 	t.Helper()
 	cfg := Config{Query: q, Window: window, Durable: &dur}
 	if onMatch != nil {
@@ -95,7 +97,7 @@ func openDurable(t testing.TB, q *Query, window Timestamp, dur Durability, onMat
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.(*single)
+	return eng.(*solo)
 }
 
 // crash abandons a durable engine without Close — no final checkpoint.
@@ -103,8 +105,8 @@ func openDurable(t testing.TB, q *Query, window Timestamp, dur Durability, onMat
 // OS-buffered bytes are visible to the reopened one.
 func crash(eng Engine) {
 	switch e := eng.(type) {
-	case *single:
-		e.log.Close()
+	case *solo:
+		e.fl.log.Close()
 	case *fleetEngine:
 		e.log.Close()
 	}
@@ -246,8 +248,13 @@ func TestPersistentWindowMismatchRejected(t *testing.T) {
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Query: q, Window: 20, Durable: &Durability{Dir: dir}}); !errors.Is(err, ErrBadOptions) {
+	_, err := Open(Config{Query: q, Window: 20, Durable: &Durability{Dir: dir}})
+	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("window mismatch accepted: %v", err)
+	}
+	// The unnamed query of a single engine is not named in the error.
+	if want := "timingsubg: checkpoint window 10 != configured window 20: timingsubg: invalid options"; err.Error() != want {
+		t.Fatalf("window mismatch error = %q, want %q", err, want)
 	}
 }
 
@@ -265,7 +272,7 @@ func TestRecoveryWithLostWALTail(t *testing.T) {
 	feedEach(t, ps, edges)
 	// Force a checkpoint, then chop the WAL back hard (lose everything
 	// after the last full segment header — simulate lost tail).
-	if err := ps.checkpointNow(); err != nil {
+	if err := ps.fl.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	crash(ps)
@@ -301,11 +308,28 @@ func TestRecoveryWithLostWALTail(t *testing.T) {
 func TestPersistentStateAccessors(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	ps := openDurable(t, q, 30, Durability{Dir: t.TempDir()}, nil)
+	dir := t.TempDir()
+	// A synchronous OnMatch runs inside the feed: the single-engine
+	// readers must not wait for the feed to finish.
+	var ps *solo
+	inMatch := 0
+	ps = openDurable(t, q, 30, Durability{Dir: dir}, func(*Match) {
+		if ps.Stats().Matches == 0 {
+			t.Error("Stats inside OnMatch saw no match")
+		}
+		ps.CurrentMatches(func(*Match) bool { return false })
+		inMatch++
+	})
 	feedEach(t, ps, persistTestStream(labels, 100, 6))
+	if inMatch == 0 {
+		t.Fatal("no match delivered; test stream too sparse")
+	}
 	st := ps.Stats()
 	if !st.Durable || st.WALSeq != 100 {
 		t.Fatalf("Durable=%v WALSeq=%d, want true/100", st.Durable, st.WALSeq)
+	}
+	if st.Fleet || st.Queries != nil {
+		t.Fatalf("Fleet=%v Queries=%v, want false/nil", st.Fleet, st.Queries)
 	}
 	if st.InWindow == 0 {
 		t.Fatal("InWindow = 0")
@@ -318,7 +342,7 @@ func TestPersistentStateAccessors(t *testing.T) {
 	}
 	n := 0
 	ps.CurrentMatches(func(*Match) bool { n++; return true })
-	if want := ps.eng.CurrentMatchCount(); n != want {
+	if want := ps.m.eng.CurrentMatchCount(); n != want {
 		t.Fatalf("CurrentMatches enumerated %d, core counts %d", n, want)
 	}
 	if err := ps.Close(); err != nil {
@@ -326,5 +350,12 @@ func TestPersistentStateAccessors(t *testing.T) {
 	}
 	if _, err := ps.Feed(Edge{Time: 1000}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("feed after close: %v, want ErrClosed", err)
+	}
+	// A single engine checkpoints directly under Dir, never under Dir/ck.
+	if _, ok, err := checkpoint.Load(dir); !ok || err != nil {
+		t.Fatalf("no checkpoint directly under Dir: ok=%v err=%v", ok, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ck")); !os.IsNotExist(err) {
+		t.Fatalf("single engine created Dir/ck: %v", err)
 	}
 }

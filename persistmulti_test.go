@@ -239,3 +239,37 @@ func TestPersistentMultiSharedWALIsLoggedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPersistentMultiReplayedCountsSuffix: a durable fleet's
+// Stats.Replayed counts the WAL records recovery replays to some member
+// — none after a clean Close, the post-checkpoint suffix after a crash
+// — not the whole retained log.
+func TestPersistentMultiReplayedCountsSuffix(t *testing.T) {
+	labels := NewLabels()
+	specs := fleetSpecs(t, labels, 40)
+	edges := persistTestStream(labels, 400, 73)
+	t.Run("clean-close", func(t *testing.T) {
+		dur := Durability{Dir: t.TempDir()}
+		pm := openDurableFleet(t, specs, dur, nil)
+		feedEach(t, pm, edges)
+		if err := pm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pm2 := openDurableFleet(t, specs, dur, nil)
+		defer pm2.Close()
+		if st := pm2.Stats(); st.Replayed != 0 || st.WALSeq != 400 {
+			t.Fatalf("Replayed=%d WALSeq=%d after clean Close, want 0/400", st.Replayed, st.WALSeq)
+		}
+	})
+	t.Run("crash", func(t *testing.T) {
+		dur := Durability{Dir: t.TempDir(), CheckpointEvery: 100}
+		pm := openDurableFleet(t, specs, dur, nil)
+		feedEach(t, pm, edges[:250]) // checkpoints at LSN 100 and 200
+		crash(pm)
+		pm2 := openDurableFleet(t, specs, dur, nil)
+		defer pm2.Close()
+		if st := pm2.Stats(); st.Replayed != 50 || st.WALSeq != 250 {
+			t.Fatalf("Replayed=%d WALSeq=%d after crash, want 50/250", st.Replayed, st.WALSeq)
+		}
+	})
+}

@@ -1,45 +1,43 @@
 package timingsubg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"timingsubg/internal/checkpoint"
 	"timingsubg/internal/core"
 	"timingsubg/internal/dispatch"
 	"timingsubg/internal/graph"
 	"timingsubg/internal/query"
-	"timingsubg/internal/wal"
 )
 
-// single is the one single-query engine implementation behind Open (and
-// behind each fleet member): a core matching engine plus a window, with
-// adaptivity and durability composed on as orthogonal options rather
-// than distinct wrapper types.
+// single is one query's matching state inside a fleet: a core matching
+// engine plus a window, with adaptivity composed on as an option rather
+// than a wrapper type. The fleet owns everything around it — the feed
+// pipeline, the WAL, recovery, checkpoint cadence and the results plane
+// — and reaches the member through memberFeed. A single-query engine is
+// a fleet of one (solo).
 type single struct {
-	// ingest is the feed pipeline of a standalone engine (its executor
-	// is the inline push loop). A fleet member's stays idle — the fleet
-	// owns the pipeline, the WAL and the closed-check, and reaches the
-	// member through memberFeed — except for obs and the fed counter.
-	ingest
-
 	q     *Query
 	opts  Options     // normalized
 	adapt *Adaptivity // nil = adaptivity off; normalized copy otherwise
 
+	// obs is the member's share of the fleet's observability wiring (nil
+	// = metrics off): the fleet's stage pipeline and arrival clock, and
+	// the member's own detection histogram — the per-query attribution.
+	obs *obs
+	// fed counts the edges pushed into this member: its share of the
+	// fleet's fan-out, plus recovery replay.
+	fed atomic.Int64
+
 	stream graph.Windower
 	eng    *core.Engine
-	// disp is the results plane: every reported match is published to
-	// it, and Subscribe attaches consumers at runtime. A standalone
-	// engine owns its dispatcher (ownsDisp); a fleet member shares the
-	// fleet's and publishes under its query name (pubName).
-	disp     *dispatch.Dispatcher
-	pubName  string
-	ownsDisp bool
+	// disp is the fleet's results plane: every reported match is
+	// published to it under the member's query name (pubName).
+	disp    *dispatch.Dispatcher
+	pubName string
 	// muted suppresses publication while derived state is rebuilt from
 	// edges whose matches were already reported (checkpoint recovery,
 	// adaptive rebuilds).
@@ -49,9 +47,6 @@ type single struct {
 	picked     []*query.TCSubquery
 	sinceCheck int
 	rebuilds   atomic.Int64
-
-	// Durability state.
-	replayed int64
 
 	// Counter baselines translate engine counters — which restart from
 	// zero on recovery and on adaptive rebuilds — into durable totals:
@@ -77,23 +72,6 @@ type single struct {
 	baseExpiryEvicted atomic.Int64
 }
 
-// validateSingle checks one engine's option combination — a standalone
-// engine's, or (via validateFleetSpec) one fleet member's under the
-// fleet's durability.
-func validateSingle(q *Query, o Options, dur *Durability) error {
-	switch {
-	case q == nil:
-		return errors.Join(ErrBadOptions, errors.New("query must be non-nil"))
-	case o.Window > 0 && o.CountWindow > 0:
-		return errors.Join(ErrBadOptions, errors.New("set only one of Window and CountWindow"))
-	case o.Window <= 0 && o.CountWindow <= 0:
-		return errors.Join(ErrBadOptions, errors.New("one of Window and CountWindow must be positive"))
-	case dur != nil && o.CountWindow > 0:
-		return errors.Join(ErrBadOptions, errors.New("persistent mode supports time-based windows only"))
-	}
-	return nil
-}
-
 // normAdaptivity returns a defaulted copy, or nil when a is nil.
 func normAdaptivity(a *Adaptivity) *Adaptivity {
 	if a == nil {
@@ -109,33 +87,12 @@ func normAdaptivity(a *Adaptivity) *Adaptivity {
 	return &n
 }
 
-// newSingle builds a non-durable engine (or the in-memory core of a
-// fleet member; durable fleets restore the member's stream afterwards,
-// and every member is rebased onto the fleet's dispatcher by
-// newMember). sink, when non-nil, is attached as a synchronous
-// subscription — the Config.OnMatch/OnDelivery shim.
-func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*single, error) {
-	if err := validateSingle(q, o, nil); err != nil {
-		return nil, err
-	}
-	en := &single{q: q, opts: o, adapt: normAdaptivity(adapt), disp: dispatch.New(), ownsDisp: true}
-	if o.pipe != nil {
-		en.obs = newObs(o.pipe, o.eventUnitNs, o.slowOpNs, o.onSlowOp)
-	}
-	en.clock.Store(int64(minTimestamp))
-	step := func(e Edge) error {
-		_, err := en.push(e)
-		return err
-	}
-	en.exec = func(batch []Edge, start time.Time) (int, error) {
-		n, err := runInline(en.obs, batch, start, step)
-		en.tickAdaptive(n)
-		return n, err
-	}
-	en.checkpoint = en.checkpointNow
-	if sink != nil {
-		en.disp.SubscribeFunc(sink)
-	}
+// newSingle builds a member over options the fleet has validated, on
+// the fleet's observability wiring ob (nil = metrics off). newMember
+// attaches it to the fleet's results plane; a durable fleet restores
+// its stream afterwards.
+func newSingle(q *Query, o Options, adapt *Adaptivity, ob *obs) *single {
+	en := &single{q: q, opts: o, adapt: normAdaptivity(adapt), obs: ob}
 	dec := o.Decomposition
 	if dec == nil {
 		dec = query.Decompose(q)
@@ -149,66 +106,7 @@ func newSingle(q *Query, o Options, adapt *Adaptivity, sink func(Delivery)) (*si
 	} else {
 		en.stream = graph.NewStream(o.Window)
 	}
-	return en, nil
-}
-
-// openDurableSingle opens (or creates) a durable engine in dur.Dir,
-// recovering the previous run's state when present: the newest
-// checkpoint's window is rebuilt silently, then the WAL suffix is
-// replayed live.
-func openDurableSingle(q *Query, o Options, adapt *Adaptivity, dur Durability, sink func(Delivery)) (*single, error) {
-	if err := validateSingle(q, o, &dur); err != nil {
-		return nil, err
-	}
-	en, err := newSingle(q, o, adapt, sink)
-	if err != nil {
-		return nil, err
-	}
-	if err := en.openLog(dur); err != nil {
-		return nil, err
-	}
-	if err := en.recoverState(); err != nil {
-		en.log.Close()
-		return nil, err
-	}
-	return en, nil
-}
-
-// recoverState rebuilds the previous run's state from en.dur.Dir and seeds
-// the pipeline's boundary clock and WAL cursor from it.
-func (en *single) recoverState() error {
-	ck, haveCk, err := checkpoint.Load(en.dur.Dir)
-	if err != nil {
-		return err
-	}
-	from := int64(0)
-	if haveCk {
-		if ck.Window != en.opts.Window {
-			return fmt.Errorf("timingsubg: checkpoint window %d != configured window %d: %w",
-				ck.Window, en.opts.Window, ErrBadOptions)
-		}
-		en.restoreCheckpoint(ck)
-		// The loaded checkpoint gates truncation from the start: the log
-		// may reclaim segments below its LSN and nothing above.
-		en.log.SetCheckpointLSN(ck.LSN())
-		// If fsync was off and the WAL tail was lost in the crash, the
-		// checkpoint may be ahead of the log; fast-forward the log so
-		// future sequence numbers continue at the checkpoint cursor.
-		if err := en.log.SkipTo(ck.NextSeq); err != nil {
-			return err
-		}
-		from = ck.NextSeq
-	}
-	end, err := wal.Replay(en.dur.Dir, from, en.replayRecord)
-	if err != nil {
-		return fmt.Errorf("timingsubg: recovery replay: %w", err)
-	}
-	if end != en.log.Seq() {
-		return fmt.Errorf("timingsubg: recovery replay ended at %d, log at %d", end, en.log.Seq())
-	}
-	en.clock.Store(int64(en.stream.LastTime()))
-	en.walSeq.Store(end)
-	return nil
+	return en
 }
 
 // restoreCheckpoint rebuilds derived engine state from a checkpointed
@@ -247,7 +145,6 @@ func (en *single) replayRecord(seq int64, e graph.Edge) error {
 	if int64(id) != seq {
 		return fmt.Errorf("timingsubg: recovery drift: edge seq %d got ID %d", seq, id)
 	}
-	en.replayed++
 	return nil
 }
 
@@ -279,96 +176,24 @@ func (en *single) newCoreEngine(dec *Decomposition) *core.Engine {
 	return core.New(en.q, cfg)
 }
 
-// Subscribe implements Engine.
-func (en *single) Subscribe(opts SubscribeOptions) (*Subscription, error) {
-	return subscribeOn(en.disp, opts)
-}
-
-// subscriptionCounters is the lock-light sampler behind
-// SubscriptionCounters. Fleet members report zero — they share the
-// fleet's results plane.
-func (en *single) subscriptionCounters() (int, int64, int64) {
-	if !en.ownsDisp {
-		return 0, 0, 0
-	}
-	return en.disp.Subscribers(), en.disp.Delivered(), en.disp.Dropped()
-}
-
-// push advances the window and processes one edge transaction. It is
-// the innermost feed step: the standalone engine's inline executor
-// step, and the core of memberFeed.
-func (en *single) push(e Edge) (EdgeID, error) {
+// memberFeed advances the window and processes one edge transaction —
+// a fleet's fan-out step, or recovery replay — and ticks the
+// reoptimization cadence. No WAL and no closed-check; the fleet owns
+// both.
+func (en *single) memberFeed(e Edge) (EdgeID, error) {
 	stored, expired, err := en.stream.Push(e)
 	if err != nil {
 		return 0, err
 	}
 	en.eng.ProcessBatch(stored, expired)
-	return stored.ID, nil
-}
-
-// memberFeed feeds one edge from outside the engine's own pipeline — a
-// fleet's fan-out, or recovery replay: push plus the per-edge share of
-// the accounting the pipeline does for a standalone engine (fed,
-// adaptivity cadence). No WAL and no closed-check; the caller owns both.
-func (en *single) memberFeed(e Edge) (EdgeID, error) {
-	id, err := en.push(e)
-	if err != nil {
-		return 0, err
-	}
 	en.fed.Add(1)
-	en.tickAdaptive(1)
-	return id, nil
-}
-
-// tickAdaptive advances the reoptimization cadence by n fed edges.
-func (en *single) tickAdaptive(n int) {
-	if en.adapt == nil {
-		return
+	if en.adapt != nil {
+		if en.sinceCheck++; en.sinceCheck >= en.adapt.ReoptimizeEvery {
+			en.sinceCheck = 0
+			en.maybeReoptimize()
+		}
 	}
-	en.sinceCheck += n
-	if en.sinceCheck >= en.adapt.ReoptimizeEvery {
-		en.sinceCheck = 0
-		en.maybeReoptimize()
-	}
-}
-
-// Feed implements Engine.
-func (en *single) Feed(e Edge) (EdgeID, error) { return en.feedEdge(e) }
-
-// FeedBatch implements Engine. The WAL write and sync, the adaptivity
-// check and the checkpoint cadence are amortized across the batch.
-func (en *single) FeedBatch(batch []Edge) (int, error) {
-	_, n, err := en.feed(batch, opFeedBatch)
-	return n, err
-}
-
-// Run implements Engine.
-func (en *single) Run(ctx context.Context, edges <-chan Edge) (int64, error) {
-	return runLoop(ctx, edges, func(e Edge) error {
-		_, err := en.Feed(e)
-		return err
-	}, en.Close)
-}
-
-// Close implements Engine: end the engine's own subscriptions,
-// checkpoint (durable mode) and close the WAL. Idempotent. A fleet
-// member shares the fleet's dispatcher and leaves it alone — the fleet
-// owns its results plane.
-func (en *single) Close() error {
-	if en.closed.Swap(true) {
-		return nil
-	}
-	if en.ownsDisp {
-		en.disp.Close()
-	}
-	return en.closeLog(en.checkpointNow)
-}
-
-// checkpointNow forces a checkpoint: the WAL is synced, the in-window
-// state and counters are written atomically, old checkpoints and WAL
-// segments are reclaimed.
-func (en *single) checkpointNow() error {
-	return en.checkpointLog(func(next int64) error { return en.saveCheckpoint(en.dur.Dir, next) })
+	return stored.ID, nil
 }
 
 // saveCheckpoint writes the engine's in-window state and counters under
@@ -472,9 +297,10 @@ func sinceStart(t Timestamp) Timestamp {
 	return 0
 }
 
-// statsFast is the snapshot without the walking fields
+// statsFast is the member's snapshot without the walking fields
 // (PartialMatches, SpaceBytes stay zero) — counter-only reads, cheap
-// enough for per-gauge metric sampling.
+// enough for per-gauge metric sampling. The fleet adds what it owns:
+// WAL, replay, delivery and stage accounting.
 func (en *single) statsFast() Stats {
 	st := Stats{
 		Matches:         en.matches(),
@@ -488,35 +314,17 @@ func (en *single) statsFast() Stats {
 		ExpiryEvicted:   en.baseExpiryEvicted.Load() + en.eng.Stats().ExpiryEvicted.Load(),
 		K:               en.eng.K(),
 		Reoptimizations: int(en.rebuilds.Load()),
-		Replayed:        en.replayed,
 		RoutedFraction:  1,
 		Adaptive:        en.adapt != nil,
-		Durable:         en.log != nil,
-	}
-	if en.log != nil {
-		st.WALSeq = en.walSeq.Load()
-		st.WALSyncs = en.log.Syncs()
-	}
-	if en.ownsDisp {
-		st.Subscriptions = en.disp.Subscribers()
-		st.SubscriptionDelivered = en.disp.Delivered()
-		st.SubscriptionDropped = en.disp.Dropped()
 	}
 	if o := en.obs; o != nil {
 		det := o.det.Snapshot()
 		st.Detection = &det
-		if en.ownsDisp {
-			// Standalone engines carry the full stage view; fleet
-			// members leave it to the fleet aggregate (they share one
-			// pipeline).
-			st.Stages = o.pipe.Snapshot()
-			st.WatermarkLagNs = watermarkLag(st.LastTime, o.eventUnitNs)
-		}
 	}
 	return st
 }
 
-// Stats implements Engine.
+// Stats is statsFast plus the partial-match walks.
 func (en *single) Stats() Stats {
 	st := en.statsFast()
 	st.PartialMatches = en.eng.PartialMatchCount()
@@ -524,7 +332,7 @@ func (en *single) Stats() Stats {
 	return st
 }
 
-// CurrentMatches implements Engine.
+// CurrentMatches enumerates the member's standing matches.
 func (en *single) CurrentMatches(fn func(*Match) bool) { en.eng.CurrentMatches(fn) }
 
 // writeState is the diagnostic dump behind WriteState.
