@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestWindowerPushAllocs pins the window slide's allocation budget: once
 // the ring and the expired buffer have grown, push + expire allocates
@@ -57,4 +60,27 @@ func TestWindowerPushAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestInternBytes pins InternBytes against Intern: a miss assigns the
+// ID Intern would have, in the same order, and a hit allocates nothing.
+func TestInternBytes(t *testing.T) {
+	byStr, byBytes := NewLabels(), NewLabels()
+	for _, s := range []string{"IP", "", "ping", "IP", "Host", "ping"} {
+		if want, got := byStr.Intern(s), byBytes.InternBytes([]byte(s)); got != want {
+			t.Fatalf("InternBytes(%q) = %d, Intern = %d", s, got, want)
+		}
+	}
+	if got, want := byBytes.Strings(), byStr.Strings(); !slices.Equal(got, want) {
+		t.Fatalf("tables diverged: %q vs %q", got, want)
+	}
+	b := []byte("Host")
+	allocs := testing.AllocsPerRun(100, func() {
+		if id := byBytes.InternBytes(b); id != byStr.Intern("Host") {
+			t.Fatalf("hit = %d", id)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("InternBytes hit: %v allocs, want 0", allocs)
+	}
 }

@@ -55,6 +55,20 @@ func (l *Labels) Intern(s string) Label {
 	return id
 }
 
+// InternBytes is Intern for a label held as bytes, such as a slice of
+// a request line. A label already in the table is found without
+// allocating (the map index converts b in place); only a first
+// sighting copies b into a string, through Intern.
+func (l *Labels) InternBytes(b []byte) Label {
+	l.mu.RLock()
+	id, ok := l.byStr[string(b)]
+	l.mu.RUnlock()
+	if ok {
+		return id
+	}
+	return l.Intern(string(b))
+}
+
 // Lookup returns the Label for s and whether it exists, without interning.
 func (l *Labels) Lookup(s string) (Label, bool) {
 	l.mu.RLock()

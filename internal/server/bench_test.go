@@ -44,6 +44,7 @@ func BenchmarkTenantIngest(b *testing.B) {
 			b.Fatalf("register: %v", err)
 		}
 
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))

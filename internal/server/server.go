@@ -848,32 +848,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		taken++
-		var e client.Edge
-		if err := json.Unmarshal(raw, &e); err != nil {
+		e, err := s.decodeLine(raw)
+		if err != nil {
 			res.Rejected++
 			res.Errors = append(res.Errors, client.IngestError{Line: line, Message: err.Error()})
 			continue
 		}
-		if e.Time < 0 {
-			res.Rejected++
-			res.Errors = append(res.Errors, client.IngestError{Line: line, Message: "time must be non-negative"})
-			continue
-		}
-		batch = append(batch, ingestLine{
-			line: line,
-			edge: timingsubg.Edge{
-				From:      timingsubg.VertexID(e.From),
-				To:        timingsubg.VertexID(e.To),
-				FromLabel: s.labels.Intern(e.FromLabel),
-				ToLabel:   s.labels.Intern(e.ToLabel),
-				EdgeLabel: s.labels.Intern(e.Label),
-				Time:      timingsubg.Timestamp(e.Time),
-			},
-			autoTime: e.Time == 0,
-		})
+		batch = append(batch, ingestLine{line: line, edge: e, autoTime: e.Time == 0})
 	}
+	// A body that cannot be read to its end feeds nothing, so the edge
+	// tokens its lines took go back, as on the 429 path. A body over
+	// the size cap is 413; any other read failure is the client's 400.
 	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, "read ingest body: %v", err)
+		t.RefundEdges(taken)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "read ingest body: %v", err)
 		return
 	}
 
