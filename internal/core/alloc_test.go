@@ -6,14 +6,14 @@ import (
 	"timingsubg/internal/graph"
 )
 
-// TestInsertAllocs pins the insert transaction's allocation budget: the
+// TestInsertAllocs pins the serial slide's allocation budget: the
 // per-call probe state, counters, callbacks and recycled matches live
-// in the engine's owned scratch, so a discarded edge allocates nothing
-// and an edge that completes a join allocates only the MS-tree state it
-// stores — one node per stored partial match, plus the fresh edge-index
-// bucket of the one sub-list node the new edge creates (index buckets
-// are not recycled). The scratch is not a sync.Pool, so the counts hold
-// under -race too.
+// in the engine's owned scratch, and the MS-tree's indexes are lists
+// threaded through the nodes themselves, so a discarded edge allocates
+// nothing and an edge that completes a join allocates only the nodes it
+// stores — one per stored partial match. A batched expiry sweep adds
+// nothing: its casualty buffers are engine-owned too. The scratch is
+// not a sync.Pool, so the counts hold under -race too.
 func TestInsertAllocs(t *testing.T) {
 	q, dec, _, _ := benchQuery(t)
 	la, lb, lc, ld := q.VertexLabel(0), q.VertexLabel(1), q.VertexLabel(2), q.VertexLabel(3)
@@ -62,9 +62,51 @@ func TestInsertAllocs(t *testing.T) {
 		if got := st.Matches.Load() - matches0; got != 3*(runs+1) {
 			t.Fatalf("Matches delta = %d, want %d: the c→d edges must complete joins", got, 3*(runs+1))
 		}
-		if allocs > stored+1 {
-			t.Fatalf("join-completing ProcessBatch: %v allocs, want at most the %v partial matches it stores + 1 edge-index bucket", allocs, stored)
+		if allocs > stored {
+			t.Fatalf("join-completing ProcessBatch: %v allocs, want at most the %v partial matches it stores", allocs, stored)
 		}
 		t.Logf("%v allocs per %v stored partial matches", allocs, stored)
+	})
+
+	t.Run("expiry", func(t *testing.T) {
+		eng := New(q, Config{Decomposition: dec})
+		st := graph.NewStream(30)
+		var d graph.Edge
+		push := func(from, to graph.VertexID, fl, tl graph.Label) {
+			d.Time++
+			d.From, d.To, d.FromLabel, d.ToLabel = from, to, fl, tl
+			stored, expired, err := st.Push(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.ProcessBatch(stored, expired)
+		}
+		// One cycle stores a fresh a→b→c path through c = 30 and a fresh
+		// c→d, which joins every c→d and every path still in the window;
+		// once the window is full, each push slides one edge out and
+		// with it the partial matches that edge was part of.
+		v := graph.VertexID(1000)
+		cycle := func() {
+			v += 3
+			push(v, v+1, la, lb)
+			push(v+1, 30, lb, lc)
+			push(30, v+2, lc, ld)
+		}
+		for range 50 {
+			cycle()
+		}
+		st0 := eng.Stats()
+		ins0, del0 := st0.PartialIns.Load(), st0.PartialDel.Load()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, cycle)
+		stored := float64(st0.PartialIns.Load()-ins0) / (runs + 1)
+		killed := float64(st0.PartialDel.Load()-del0) / (runs + 1)
+		if killed == 0 {
+			t.Fatal("the slides killed no partial match: the subtest is vacuous")
+		}
+		if allocs > stored {
+			t.Fatalf("sliding cycle: %v allocs, want at most the %v partial matches it stores (it kills %v)", allocs, stored, killed)
+		}
+		t.Logf("%v allocs per cycle storing %v and killing %v partial matches", allocs, stored, killed)
 	})
 }

@@ -131,6 +131,8 @@ type Engine struct {
 	// sc is the serial insert path's scratch: its buffers and match
 	// free-list. Parallel gives each of its workers one of its own.
 	sc *insertScratch
+	// xs is the batched expiry sweep's casualty buffers (serial only).
+	xs expiryScratch
 
 	onMatch func(*match.Match)
 	emitMu  sync.Mutex
@@ -147,6 +149,7 @@ func New(q *query.Query, cfg Config) *Engine {
 	e := &Engine{q: q, dec: dec, onMatch: cfg.OnMatch,
 		joinHist: cfg.JoinHist, expiryHist: cfg.ExpiryHist}
 	e.sc = newInsertScratch(e)
+	e.xs.leaves = make([][]explist.Handle, dec.K())
 	e.loc = make([]edgeLoc, q.NumEdges())
 	e.probes = make([]insertProbe, q.NumEdges())
 	for si, sub := range dec.Subqueries {
@@ -696,7 +699,7 @@ func (e *Engine) runDelete(d graph.Edge, lk lock.Locker) {
 		var casualties []explist.Handle
 		for lvl := 1; lvl <= depth; lvl++ {
 			lk.Acquire(item(s, lvl), lock.X)
-			casualties = sub.DeleteLevel(lvl, d.ID, casualties)
+			casualties = sub.DeleteLevel(lvl, d.ID, casualties, nil)
 			lk.Release(item(s, lvl), lock.X)
 			e.stats.PartialDel.Add(int64(len(casualties)))
 		}
@@ -718,21 +721,42 @@ func (e *Engine) runDelete(d graph.Edge, lk lock.Locker) {
 				ds = deadSubs
 			}
 			lk.Acquire(item(0, lvl), lock.X)
-			gcas = e.global.DeleteLevel(lvl, ds, gcas, d.ID)
+			gcas = e.global.DeleteLevel(lvl, ds, gcas, d.ID, nil)
 			lk.Release(item(0, lvl), lock.X)
 			e.stats.PartialDel.Add(int64(len(gcas)))
 		}
 	}
 }
 
-// runDeleteBatch processes all of a slide's expired edges in one pass:
-// each touched level is swept once from its death-time expiry
-// structure (DeleteExpired) instead of walked per edge. Correctness
-// rests on death-time keying: a stored match dies iff its minimum edge
-// timestamp is below the watermark, and any extension of a dying match
-// inherits a key below the watermark, so every level's sweep is
-// self-contained — no casualty or deadSubs propagation between levels
-// or into the global list. It runs serially only; the Section V
+// expiryScratch holds runDeleteBatch's casualty buffers. The engine
+// owns them, so a slide allocates nothing once they have grown, and
+// every sweep ends by emptying them through truncate, so an idle engine
+// pins no dead match.
+type expiryScratch struct {
+	// cas is the ping-pong pair of item outputs a cascade threads from
+	// one item to the next: first each sub-list's, then the global
+	// list's.
+	cas [2][]explist.Handle
+	// leaves[s] holds the complete submatches of Q^(s+1) the slide
+	// expired, kept until the global cascade consumes them.
+	leaves [][]explist.Handle
+}
+
+// reset empties every buffer, clearing the slots the sweep used.
+func (xs *expiryScratch) reset() {
+	xs.cas[0], xs.cas[1] = truncate(xs.cas[0]), truncate(xs.cas[1])
+	for i := range xs.leaves {
+		xs.leaves[i] = truncate(xs.leaves[i])
+	}
+}
+
+// runDeleteBatch processes all of a slide's expired edges in one pass,
+// following Algorithm 2's cascade once for the whole slide instead of
+// once per edge. A timing sequence binds its edges in time order, so a
+// stored match's oldest edge is its first; the matches a slide expires
+// are therefore each sub-list's item-1 matches older than the cut, their
+// extensions item by item, and the global matches that extend or
+// reference an expired submatch. It runs serially only; the Section V
 // scheduler (Parallel) drives the per-edge runDelete.
 func (e *Engine) runDeleteBatch(expired []graph.Edge) {
 	e.stats.EdgesOut.Add(int64(len(expired)))
@@ -742,49 +766,47 @@ func (e *Engine) runDeleteBatch(expired []graph.Edge) {
 	// timestamps, so everything still stored after this slide has a
 	// timestamp strictly above the last expired edge's.
 	cut := expired[len(expired)-1].Time + 1
-	k := e.K()
-	minTouched := 0
-	for s := 1; s <= k; s++ {
-		if !e.subTouchedByAny(s, expired) {
-			continue
-		}
-		if minTouched == 0 {
-			minTouched = s
-		}
-		sub := e.subs[s-1]
+	xs := &e.xs
+	defer xs.reset()
+	deleted := 0
+	for s, sub := range e.subs {
+		var cas []explist.Handle
 		depth := sub.Depth()
 		for lvl := 1; lvl <= depth; lvl++ {
-			e.stats.PartialDel.Add(int64(sub.DeleteExpired(lvl, cut)))
+			dst := &xs.cas[lvl%2]
+			if lvl == depth {
+				dst = &xs.leaves[s]
+			}
+			*dst = sub.DeleteExpired(lvl, cut, cas, truncate(*dst))
+			cas = *dst
+			deleted += len(cas)
+			if len(cas) == 0 {
+				break // no expired prefix, no expired extension
+			}
 		}
 	}
-	if k == 1 || minTouched == 0 {
-		return
+	if e.global != nil {
+		// Global item 2's parents are Q¹'s complete matches (L₀¹).
+		gcas := xs.leaves[0]
+		for lvl := 2; lvl <= e.K(); lvl++ {
+			deadSubs := xs.leaves[lvl-1]
+			if len(gcas) == 0 && len(deadSubs) == 0 {
+				gcas = nil
+				continue
+			}
+			dst := &xs.cas[lvl%2]
+			*dst = e.global.DeleteExpired(lvl, cut, deadSubs, gcas, truncate(*dst))
+			gcas = *dst
+			deleted += len(gcas)
+		}
 	}
-	// Global item lvl only references submatches of Q¹..Q^lvl, so items
-	// below the first touched subquery cannot hold an expired binding.
-	start := minTouched
-	if start < 2 {
-		start = 2
-	}
-	for lvl := start; lvl <= k; lvl++ {
-		e.stats.PartialDel.Add(int64(e.global.DeleteExpired(lvl, cut)))
-	}
+	e.stats.PartialDel.Add(int64(deleted))
 }
 
 // subTouchedBy reports whether d can match any position of subquery s.
 func (e *Engine) subTouchedBy(s int, d graph.Edge) bool {
 	for _, qe := range e.dec.Subqueries[s-1].Seq {
 		if e.q.MatchesData(qe, d) {
-			return true
-		}
-	}
-	return false
-}
-
-// subTouchedByAny reports whether any expired edge can match subquery s.
-func (e *Engine) subTouchedByAny(s int, expired []graph.Edge) bool {
-	for _, d := range expired {
-		if e.subTouchedBy(s, d) {
 			return true
 		}
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // The batch-expiry equivalence suite: ProcessBatch sweeps every expired
-// edge of a window slide in one transaction over the per-level expiry
-// order instead of cascading edge-at-a-time deletes. That is pure
+// edge of a window slide in one cascade from each sub-list's expired
+// item-1 prefix instead of cascading edge-at-a-time deletes. That is pure
 // performance — a slide must produce identical match sets and identical
 // Matches/PartialIns/PartialDel/EdgesOut counters either way, on both
 // storage backends (MS-tree with its join indexes, and Independent,
@@ -22,17 +22,44 @@ import (
 // (ExpiryBatches/ExpiryEvicted) are allowed to differ: zero on the
 // per-edge path, the slide/edge tallies on the batched path.
 
+// expiryShape is one stream and query shape of the equivalence suite.
+type expiryShape struct {
+	name  string
+	size  int
+	order querygen.OrderKind
+	// burst, when positive, remaps the stream into bursts of that many
+	// edges a tick apart, each a window after the last, so one slide
+	// evicts a whole burst (tsbench's social_burst shape).
+	burst int
+}
+
+var expiryShapes = []expiryShape{
+	{name: "slide", size: 4, order: querygen.RandomOrder},
+	{name: "burst", size: 4, order: querygen.RandomOrder, burst: 100},
+	// Unordered queries decompose into one TC-subquery per edge (k =
+	// size), so dead submatches cascade through every global item.
+	{name: "slide-k4", size: 4, order: querygen.EmptyOrder},
+	{name: "burst-k4", size: 4, order: querygen.EmptyOrder, burst: 100},
+}
+
 // expiryRun drives one datagen stream through an engine with a small
-// (high-churn) window and returns sorted match keys plus counters.
-func expiryRun(t *testing.T, storage core.Storage, batched bool, ds datagen.Dataset, trial int) ([]string, *core.Stats, bool) {
+// (high-churn) window and returns sorted match keys, counters and the
+// decomposition size.
+func expiryRun(t *testing.T, storage core.Storage, batched bool, ds datagen.Dataset, trial int, sh expiryShape) ([]string, *core.Stats, int, bool) {
 	t.Helper()
+	const window = 150
 	labels := graph.NewLabels()
 	gen := datagen.New(ds, labels, datagen.Config{Vertices: 80, Seed: int64(trial*31 + 5)})
 	edges := gen.Take(1200)
 	q, _, err := querygen.Generate(edges[:500], querygen.Config{
-		Size: 4, Order: querygen.RandomOrder, Seed: int64(trial*7 + 1)})
+		Size: sh.size, Order: sh.order, Seed: int64(trial*7 + 1)})
 	if err != nil {
-		return nil, nil, false
+		return nil, nil, 0, false
+	}
+	if sh.burst > 0 {
+		for i := range edges {
+			edges[i].Time = graph.Timestamp((i/sh.burst)*2*window + i%sh.burst)
+		}
 	}
 	var keys []string
 	eng := core.New(q, core.Config{
@@ -43,9 +70,9 @@ func expiryRun(t *testing.T, storage core.Storage, batched bool, ds datagen.Data
 	if batched {
 		proc = eng.ProcessBatch
 	}
-	runStream(t, edges, 150, proc)
+	runStream(t, edges, window, proc)
 	sort.Strings(keys)
-	return keys, eng.Stats(), true
+	return keys, eng.Stats(), eng.K(), true
 }
 
 func TestExpiryBatchEquivalence(t *testing.T) {
@@ -56,44 +83,52 @@ func TestExpiryBatchEquivalence(t *testing.T) {
 		{"mstree", core.MSTree},
 		{"independent", core.Independent},
 	}
-	anyBatches := false
-	for _, ds := range datagen.Datasets() {
-		for trial := 0; trial < 3; trial++ {
-			for _, m := range modes {
-				perKeys, perStats, ok := expiryRun(t, m.storage, false, ds, trial)
-				if !ok {
-					continue
-				}
-				batKeys, batStats, _ := expiryRun(t, m.storage, true, ds, trial)
-				name := fmt.Sprintf("%s/%d/%s", ds, trial, m.name)
-				diffKeys(t, name, perKeys, batKeys)
-				if batStats.Matches.Load() != perStats.Matches.Load() ||
-					batStats.PartialIns.Load() != perStats.PartialIns.Load() ||
-					batStats.PartialDel.Load() != perStats.PartialDel.Load() ||
-					batStats.EdgesOut.Load() != perStats.EdgesOut.Load() ||
-					batStats.JoinCandidates.Load() != perStats.JoinCandidates.Load() {
-					t.Errorf("%s: batched counters diverge from per-edge:\n  got  matches=%d ins=%d del=%d out=%d cand=%d\n  want matches=%d ins=%d del=%d out=%d cand=%d",
-						name,
-						batStats.Matches.Load(), batStats.PartialIns.Load(), batStats.PartialDel.Load(),
-						batStats.EdgesOut.Load(), batStats.JoinCandidates.Load(),
-						perStats.Matches.Load(), perStats.PartialIns.Load(), perStats.PartialDel.Load(),
-						perStats.EdgesOut.Load(), perStats.JoinCandidates.Load())
-				}
-				if perStats.ExpiryBatches.Load() != 0 || perStats.ExpiryEvicted.Load() != 0 {
-					t.Errorf("%s: per-edge path reported batch counters: batches=%d evicted=%d",
-						name, perStats.ExpiryBatches.Load(), perStats.ExpiryEvicted.Load())
-				}
-				// On the batched path every delete rides a batch, so the
-				// eviction tally must equal the delete-op counter, and the
-				// mean batch size (evicted/batches) is at least 1.
-				if got, want := batStats.ExpiryEvicted.Load(), batStats.EdgesOut.Load(); got != want {
-					t.Errorf("%s: ExpiryEvicted=%d != EdgesOut=%d", name, got, want)
-				}
-				if b := batStats.ExpiryBatches.Load(); b > 0 {
-					anyBatches = true
-					if batStats.ExpiryEvicted.Load() < b {
-						t.Errorf("%s: evicted %d < batches %d", name,
-							batStats.ExpiryEvicted.Load(), b)
+	anyBatches, anyBulk, anyDeepMatches := false, false, false
+	for _, sh := range expiryShapes {
+		for _, ds := range datagen.Datasets() {
+			for trial := 0; trial < 3; trial++ {
+				for _, m := range modes {
+					perKeys, perStats, k, ok := expiryRun(t, m.storage, false, ds, trial, sh)
+					if !ok {
+						continue
+					}
+					batKeys, batStats, _, _ := expiryRun(t, m.storage, true, ds, trial, sh)
+					name := fmt.Sprintf("%s/%s/%d/%s", sh.name, ds, trial, m.name)
+					diffKeys(t, name, perKeys, batKeys)
+					if k >= 3 && len(perKeys) > 0 {
+						anyDeepMatches = true
+					}
+					if batStats.Matches.Load() != perStats.Matches.Load() ||
+						batStats.PartialIns.Load() != perStats.PartialIns.Load() ||
+						batStats.PartialDel.Load() != perStats.PartialDel.Load() ||
+						batStats.EdgesOut.Load() != perStats.EdgesOut.Load() ||
+						batStats.JoinCandidates.Load() != perStats.JoinCandidates.Load() {
+						t.Errorf("%s: batched counters diverge from per-edge:\n  got  matches=%d ins=%d del=%d out=%d cand=%d\n  want matches=%d ins=%d del=%d out=%d cand=%d",
+							name,
+							batStats.Matches.Load(), batStats.PartialIns.Load(), batStats.PartialDel.Load(),
+							batStats.EdgesOut.Load(), batStats.JoinCandidates.Load(),
+							perStats.Matches.Load(), perStats.PartialIns.Load(), perStats.PartialDel.Load(),
+							perStats.EdgesOut.Load(), perStats.JoinCandidates.Load())
+					}
+					if perStats.ExpiryBatches.Load() != 0 || perStats.ExpiryEvicted.Load() != 0 {
+						t.Errorf("%s: per-edge path reported batch counters: batches=%d evicted=%d",
+							name, perStats.ExpiryBatches.Load(), perStats.ExpiryEvicted.Load())
+					}
+					// On the batched path every delete rides a batch, so the
+					// eviction tally must equal the delete-op counter, and the
+					// mean batch size (evicted/batches) is at least 1.
+					if got, want := batStats.ExpiryEvicted.Load(), batStats.EdgesOut.Load(); got != want {
+						t.Errorf("%s: ExpiryEvicted=%d != EdgesOut=%d", name, got, want)
+					}
+					if b := batStats.ExpiryBatches.Load(); b > 0 {
+						anyBatches = true
+						if batStats.ExpiryEvicted.Load() < b {
+							t.Errorf("%s: evicted %d < batches %d", name,
+								batStats.ExpiryEvicted.Load(), b)
+						}
+						if sh.burst > 0 && batStats.ExpiryEvicted.Load() >= int64(sh.burst/2)*b {
+							anyBulk = true
+						}
 					}
 				}
 			}
@@ -102,13 +137,19 @@ func TestExpiryBatchEquivalence(t *testing.T) {
 	if !anyBatches {
 		t.Error("no workload slid the window on the batched path; the equivalence test is vacuous")
 	}
+	if !anyBulk {
+		t.Error("no burst-shaped run evicted a burst in one slide; the bulk path went untested")
+	}
+	if !anyDeepMatches {
+		t.Error("no run with k ≥ 3 matched anything; the global cascade went untested")
+	}
 }
 
 // TestExpiryBatchDrainsSpace is the batch-path twin of
 // TestExpiryRemovesEverything: after the whole window slides out through
 // DeleteExpired sweeps, storage must drain to zero — including the
-// per-level expiry heaps, whose lazily-deleted dead residents would
-// otherwise pin node memory and show up in SpaceBytes.
+// MS-tree's index buckets, whose keys must go with their last node or
+// they would show up in SpaceBytes.
 func TestExpiryBatchDrainsSpace(t *testing.T) {
 	for _, storage := range []core.Storage{core.MSTree, core.Independent} {
 		labels := graph.NewLabels()

@@ -66,18 +66,19 @@ type SubList interface {
 	// item lvl.
 	Materialize(lvl int, h Handle) *match.Match
 	// DeleteLevel removes at item lvl every match containing expired edge
-	// edgeID and every extension of parentCasualties, returning this
-	// level's casualties.
-	DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties []Handle) []Handle
-	// DeleteExpired removes at item lvl every match whose death-time key
-	// (minimum timestamp over its data edges) is below watermark,
-	// returning the number removed. The batch counterpart of
-	// DeleteLevel: one call per item covers every edge expired by a
-	// window slide at once, and casualties are merged across the whole
-	// expired set rather than propagated per edge — an extension of an
-	// expired match itself contains an edge below the watermark, so its
-	// own item's sweep catches it without parent bookkeeping.
-	DeleteExpired(lvl int, watermark graph.Timestamp) int
+	// edgeID and every extension of parentCasualties, appending this
+	// level's casualties to dst and returning it.
+	DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties, dst []Handle) []Handle
+	// DeleteExpired removes at item lvl every match whose oldest data
+	// edge is older than watermark, appending them to dst and returning
+	// it. It is the batch counterpart of DeleteLevel: one call per item
+	// covers every edge a window slide expires. parentCasualties must be
+	// item lvl−1's return (nil at item 1). The MS-tree backend pops item
+	// 1's arrival-ordered prefix and reaches deeper casualties as their
+	// extensions; independent storage scans its death-time keys instead.
+	// Either way, an item with no casualty means none in the items after
+	// it.
+	DeleteExpired(lvl int, watermark graph.Timestamp, parentCasualties, dst []Handle) []Handle
 	// SpaceBytes estimates resident bytes (call while quiescent).
 	SpaceBytes() int64
 }
@@ -116,15 +117,17 @@ type GlobalList interface {
 	Materialize(lvl int, h Handle) *match.Match
 	// DeleteLevel removes at item lvl every match whose Q^lvl submatch is
 	// in deadSubs, every extension of parentCasualties, and (independent
-	// backend) every match containing edgeID; returns this level's
-	// casualties.
-	DeleteLevel(lvl int, deadSubs, parentCasualties []Handle, edgeID graph.EdgeID) []Handle
-	// DeleteExpired removes at item lvl every match whose death-time key
-	// is below watermark, returning the number removed; semantics as in
-	// SubList.DeleteExpired. A global match's death-time key is the
-	// minimum over every referenced submatch, so the sweep needs no
-	// deadSubs propagation from the sub-lists.
-	DeleteExpired(lvl int, watermark graph.Timestamp) int
+	// backend) every match containing edgeID, appending this level's
+	// casualties to dst and returning it.
+	DeleteLevel(lvl int, deadSubs, parentCasualties []Handle, edgeID graph.EdgeID, dst []Handle) []Handle
+	// DeleteExpired removes at item lvl every match holding a data edge
+	// older than watermark, appending them to dst and returning it;
+	// semantics as in SubList.DeleteExpired. deadSubs must be the
+	// complete submatches of Q^lvl the slide expired and
+	// parentCasualties item lvl−1's return (for lvl == 2, those of Q¹):
+	// the MS-tree backend finds its casualties through them, as
+	// DeleteLevel does, and independent storage scans instead.
+	DeleteExpired(lvl int, watermark graph.Timestamp, deadSubs, parentCasualties, dst []Handle) []Handle
 	// SpaceBytes estimates resident bytes (call while quiescent).
 	SpaceBytes() int64
 }
@@ -332,14 +335,17 @@ func (l *TreeSubList) Insert(lvl int, parent Handle, e graph.Edge) Handle {
 }
 
 // DeleteLevel implements SubList.
-func (l *TreeSubList) DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties []Handle) []Handle {
-	dead := l.tree.DeleteLevel(lvl, edgeID, toNodes(parentCasualties), nil)
-	return toHandles(dead)
+func (l *TreeSubList) DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties, dst []Handle) []Handle {
+	return mstree.DeleteLevel(l.tree, lvl, edgeID, parentCasualties, nil, dst)
 }
 
-// DeleteExpired implements SubList: one heap-ordered sweep of the item.
-func (l *TreeSubList) DeleteExpired(lvl int, watermark graph.Timestamp) int {
-	return l.tree.DeleteExpiredBefore(lvl, watermark)
+// DeleteExpired implements SubList: item 1's expired prefix, then the
+// extensions of the previous item's casualties (Algorithm 2's cascade).
+func (l *TreeSubList) DeleteExpired(lvl int, watermark graph.Timestamp, parentCasualties, dst []Handle) []Handle {
+	if lvl == 1 {
+		return mstree.ExpirePrefix(l.tree, watermark, dst)
+	}
+	return mstree.DeleteLevel(l.tree, lvl, -1, parentCasualties, nil, dst)
 }
 
 // SpaceBytes implements SubList.
@@ -494,41 +500,16 @@ func (g *TreeGlobalList) Insert(lvl int, parent, sub Handle) Handle {
 }
 
 // DeleteLevel implements GlobalList.
-func (g *TreeGlobalList) DeleteLevel(lvl int, deadSubs, parentCasualties []Handle, _ graph.EdgeID) []Handle {
-	dead := g.tree.DeleteLevel(lvl, -1, toNodes(parentCasualties), toNodes(deadSubs))
-	return toHandles(dead)
+func (g *TreeGlobalList) DeleteLevel(lvl int, deadSubs, parentCasualties []Handle, _ graph.EdgeID, dst []Handle) []Handle {
+	return mstree.DeleteLevel(g.tree, lvl, -1, parentCasualties, deadSubs, dst)
 }
 
-// DeleteExpired implements GlobalList: one heap-ordered sweep of the
-// item. Global nodes inherit their death-time key from the referenced
-// submatch leaves at insert, so no sub-list casualties are consulted.
-func (g *TreeGlobalList) DeleteExpired(lvl int, watermark graph.Timestamp) int {
-	return g.tree.DeleteExpiredBefore(lvl, watermark)
+// DeleteExpired implements GlobalList: a global match expires exactly
+// when a submatch it references does, so the slide's casualties are
+// those DeleteLevel reaches from the expired submatches.
+func (g *TreeGlobalList) DeleteExpired(lvl int, _ graph.Timestamp, deadSubs, parentCasualties, dst []Handle) []Handle {
+	return mstree.DeleteLevel(g.tree, lvl, -1, parentCasualties, deadSubs, dst)
 }
 
 // SpaceBytes implements GlobalList.
 func (g *TreeGlobalList) SpaceBytes() int64 { return g.tree.SpaceBytes() }
-
-func toNodes(hs []Handle) []*mstree.Node {
-	if len(hs) == 0 {
-		return nil
-	}
-	out := make([]*mstree.Node, 0, len(hs))
-	for _, h := range hs {
-		if n, ok := h.(*mstree.Node); ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func toHandles(ns []*mstree.Node) []Handle {
-	if len(ns) == 0 {
-		return nil
-	}
-	out := make([]Handle, len(ns))
-	for i, n := range ns {
-		out[i] = n
-	}
-	return out
-}

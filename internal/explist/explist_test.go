@@ -89,7 +89,7 @@ func TestSubListInsertEachDelete(t *testing.T) {
 			// Expire d1: everything cascades away.
 			var cas []Handle
 			for lvl := 1; lvl <= 3; lvl++ {
-				cas = l.DeleteLevel(lvl, d1.ID, cas)
+				cas = l.DeleteLevel(lvl, d1.ID, cas, nil)
 				if len(cas) != 1 {
 					t.Fatalf("level %d: want 1 casualty, got %d", lvl, len(cas))
 				}
@@ -192,11 +192,11 @@ func TestGlobalListJoinAndDelete(t *testing.T) {
 			}
 
 			// Expire d2 (the Sub side): global entry must die.
-			deadSubs := be.sub2.DeleteLevel(1, d2.ID, nil)
+			deadSubs := be.sub2.DeleteLevel(1, d2.ID, nil, nil)
 			if len(deadSubs) != 1 {
 				t.Fatalf("sub2 casualty missing")
 			}
-			gDead := be.g.DeleteLevel(2, deadSubs, nil, d2.ID)
+			gDead := be.g.DeleteLevel(2, deadSubs, nil, d2.ID, nil)
 			if len(gDead) != 1 {
 				t.Fatalf("global casualty missing")
 			}
@@ -228,8 +228,8 @@ func TestGlobalParentSideExpiry(t *testing.T) {
 		t.Fatal("global insert failed")
 	}
 	// Expire d1 (the parent side, which is the aliased L₀¹).
-	dead := sub1.DeleteLevel(1, d1.ID, nil)
-	gDead := g.DeleteLevel(2, nil, dead, d1.ID)
+	dead := sub1.DeleteLevel(1, d1.ID, nil, nil)
+	gDead := g.DeleteLevel(2, nil, dead, d1.ID, nil)
 	if len(gDead) != 1 {
 		t.Fatalf("global entry must die with its parent, got %d", len(gDead))
 	}
@@ -269,7 +269,7 @@ func TestFlatInsertOnDeadParent(t *testing.T) {
 	q, sub, ls := pathSetup(t)
 	l := NewFlatSubList(q, sub)
 	h1 := l.Insert(1, nil, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
-	l.DeleteLevel(1, 1, nil)
+	l.DeleteLevel(1, 1, nil, nil)
 	if h := l.Insert(2, h1, graph.Edge{ID: 2, From: 20, To: 30, FromLabel: ls[1], ToLabel: ls[2], Time: 2}); h != nil {
 		t.Error("flat backend is serial: insert under a deleted parent must be refused")
 	}

@@ -66,38 +66,36 @@ func (it *flatItem) each(fn func(h Handle, m *match.Match) bool) {
 }
 
 // deleteContaining removes every entry whose match contains data edge id,
-// returning the casualties. This is the Timing-IND deletion path: without
-// the MS-tree, every stored partial match must be inspected (the paper's
-// motivation for the tree in Section IV).
-func (it *flatItem) deleteContaining(id graph.EdgeID) []Handle {
-	var dead []Handle
+// appending the casualties to dst. This is the Timing-IND deletion path:
+// without the MS-tree, every stored partial match must be inspected (the
+// paper's motivation for the tree in Section IV).
+func (it *flatItem) deleteContaining(id graph.EdgeID, dst []Handle) []Handle {
 	for e := it.head; e != nil; {
 		next := e.next
 		if e.m.HasDataEdge(id) {
 			it.remove(e)
-			dead = append(dead, e)
+			dst = append(dst, e)
 		}
 		e = next
 	}
-	return dead
+	return dst
 }
 
 // deleteExpired removes every entry whose death-time key is below cut,
-// returning the number removed. Timing-IND keeps scan semantics (no
-// time-ordered index), but the scan runs once per window slide instead
-// of once per expired edge, and the minT comparison replaces the
+// appending the casualties to dst. Timing-IND keeps scan semantics (no
+// tree to cascade through), but the scan runs once per window slide
+// instead of once per expired edge, and the minT comparison replaces the
 // per-edge HasDataEdge containment probe.
-func (it *flatItem) deleteExpired(cut graph.Timestamp) int {
-	removed := 0
+func (it *flatItem) deleteExpired(cut graph.Timestamp, dst []Handle) []Handle {
 	for e := it.head; e != nil; {
 		next := e.next
 		if e.minT < cut {
 			it.remove(e)
-			removed++
+			dst = append(dst, e)
 		}
 		e = next
 	}
-	return removed
+	return dst
 }
 
 func (it *flatItem) spaceBytes() int64 {
@@ -178,13 +176,13 @@ func (l *FlatSubList) Insert(lvl int, parent Handle, e graph.Edge) Handle {
 // DeleteLevel implements SubList. Independent storage finds casualties by
 // scanning for edge containment; parent casualties are implied because an
 // extension of a match containing the expired edge also contains it.
-func (l *FlatSubList) DeleteLevel(lvl int, edgeID graph.EdgeID, _ []Handle) []Handle {
-	return l.items[lvl-1].deleteContaining(edgeID)
+func (l *FlatSubList) DeleteLevel(lvl int, edgeID graph.EdgeID, _, dst []Handle) []Handle {
+	return l.items[lvl-1].deleteContaining(edgeID, dst)
 }
 
 // DeleteExpired implements SubList: one scan of the item per slide.
-func (l *FlatSubList) DeleteExpired(lvl int, watermark graph.Timestamp) int {
-	return l.items[lvl-1].deleteExpired(watermark)
+func (l *FlatSubList) DeleteExpired(lvl int, watermark graph.Timestamp, _, dst []Handle) []Handle {
+	return l.items[lvl-1].deleteExpired(watermark, dst)
 }
 
 // SpaceBytes implements SubList.
@@ -251,13 +249,13 @@ func (g *FlatGlobalList) Insert(lvl int, parent, sub Handle) Handle {
 }
 
 // DeleteLevel implements GlobalList: scan for edge containment.
-func (g *FlatGlobalList) DeleteLevel(lvl int, _, _ []Handle, edgeID graph.EdgeID) []Handle {
-	return g.items[lvl-1].deleteContaining(edgeID)
+func (g *FlatGlobalList) DeleteLevel(lvl int, _, _ []Handle, edgeID graph.EdgeID, dst []Handle) []Handle {
+	return g.items[lvl-1].deleteContaining(edgeID, dst)
 }
 
 // DeleteExpired implements GlobalList: one scan of the item per slide.
-func (g *FlatGlobalList) DeleteExpired(lvl int, watermark graph.Timestamp) int {
-	return g.items[lvl-1].deleteExpired(watermark)
+func (g *FlatGlobalList) DeleteExpired(lvl int, watermark graph.Timestamp, _, _, dst []Handle) []Handle {
+	return g.items[lvl-1].deleteExpired(watermark, dst)
 }
 
 // SpaceBytes implements GlobalList.

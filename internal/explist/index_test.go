@@ -60,7 +60,7 @@ func TestTreeSubListCandidateIndex(t *testing.T) {
 
 	// Kill the edge with ID 1 (the 10→20 prefix): its bucket entry must
 	// go with it.
-	if dead := l.DeleteLevel(1, 1, nil); len(dead) != 1 {
+	if dead := l.DeleteLevel(1, 1, nil, nil); len(dead) != 1 {
 		t.Fatalf("want 1 casualty, got %d", len(dead))
 	}
 	if got := collect(20); len(got) != 1 || got[0] != 12 {

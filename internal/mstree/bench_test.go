@@ -53,29 +53,31 @@ func BenchmarkPathEdges(b *testing.B) {
 	}
 }
 
-// BenchmarkDeleteExpired measures expiry cost: linear in deleted
-// matches, independent of survivors (the claim behind Fig. 15's
-// maintenance advantage).
+// BenchmarkDeleteExpired measures a window slide's expiry: the
+// watermark sweep pops the expired level-1 prefix and cascades through
+// its child lists, so the cost is linear in deleted matches and
+// independent of survivors (the claim behind Fig. 15's maintenance
+// advantage). The casualty buffers are reused, as the engine's are.
 func BenchmarkDeleteExpired(b *testing.B) {
 	b.ReportAllocs()
-	const victimID = 1 << 30
+	var cas, dead []*Node
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tr := New(2)
-		victim := tr.InsertEdge(1, nil, edge(victimID))
-		for j := 0; j < 64; j++ {
-			tr.InsertEdge(2, victim, edge(int64(j)))
-		}
+		victim := tr.InsertEdge(1, nil, edge(1))
 		// Survivors that expiry must not touch.
-		keep := tr.InsertEdge(1, nil, edge(victimID+1))
+		keep := tr.InsertEdge(1, nil, edge(2))
+		for j := 0; j < 64; j++ {
+			tr.InsertEdge(2, victim, edge(int64(10+j)))
+		}
 		for j := 0; j < 4096; j++ {
 			tr.InsertEdge(2, keep, edge(int64(1000+j)))
 		}
 		b.StartTimer()
-		cas := tr.DeleteLevel(1, graph.EdgeID(victimID), nil, nil)
-		dead := tr.DeleteLevel(2, graph.EdgeID(victimID), cas, nil)
-		if len(cas) != 1 || len(dead) != 64 {
-			b.Fatalf("expiry drifted: %d/%d", len(cas), len(dead))
+		cas = ExpirePrefix(tr, 2, cas[:0])
+		dead = DeleteLevel(tr, 2, -1, cas, nil, dead[:0])
+		if len(cas) != 1 || len(dead) != 64 || tr.Nodes() != 4097 {
+			b.Fatalf("expiry drifted: %d/%d, %d left", len(cas), len(dead), tr.Nodes())
 		}
 	}
 }

@@ -12,6 +12,14 @@
 // keeping the upward parent pointer and payload intact, so concurrent
 // earlier readers backtracking through the node stay safe (Theorem 6).
 //
+// Expiry follows the tree (Algorithm 2). Level 1 is in arrival order —
+// attach appends at the tail and edges arrive in timestamp order — and
+// every deeper node's edge arrived after its parent's, so the matches a
+// window slide expires are a prefix of level 1 (ExpirePrefix) plus the
+// cone below it, which DeleteLevel reaches level by level through child
+// lists and, in global trees, through the dependency index. No
+// time-ordered side structure is kept.
+//
 // Locking discipline (Section V-C): the tree holds no locks itself. Every
 // structure owned by level ℓ — the level list, the level's edge/dep
 // indexes, sibling links of level-ℓ nodes, and the firstChild pointers of
@@ -55,29 +63,16 @@ type Node struct {
 	firstChild       *Node
 	nextSib, prevSib *Node
 
-	// join-index bookkeeping (levels with a key function only, see
-	// Tree.SetLevelKey): joinKey is the node's key, computed once at
-	// insertion; keySlot is its position inside the key's bucket so
-	// removal is O(1) swap-delete. Both are owned by the node's level —
-	// touched only under its item lock, like the other level structures.
+	// joinKey is the node's join-index key (levels with a key function
+	// only, see Tree.SetLevelKey), computed once at insertion.
 	joinKey uint64
-	keySlot int
 
-	// edgeSlot / depSlot are the node's positions inside its edgeIdx /
-	// depIdx bucket, so every death path can swap-delete the reference
-	// and the indexes stay live-only (no dead entries for the batch
-	// expiry sweep to leak). Owned by the node's level like keySlot.
-	edgeSlot int
-	depSlot  int
-
-	// minTime is the death-time key: the minimum timestamp over the
-	// edges of the full partial match this node represents — its own
-	// path edges and, for global nodes, the path edges of every
-	// submatch it transitively references. A window slide with
-	// watermark w kills exactly the nodes with minTime < w, so a level
-	// can be swept oldest-first from a heap ordered on it. Immutable
-	// after insertion (derived from parent/sub minTime at attach).
-	minTime graph.Timestamp
+	// links chain the node through its index buckets: links[keyLink]
+	// through its join-index bucket, links[refLink] through its edgeIdx
+	// bucket (sub-trees) or depIdx bucket (global trees) — a node is in
+	// exactly one of those two. Removal is O(1) and allocates nothing.
+	// Owned by the node's level: touched only under its item lock.
+	links [2]link
 
 	// dead marks a partially removed node (Fig. 14): gone from its level
 	// list and its parent's child list, but Parent/Edge/Sub remain valid
@@ -87,10 +82,6 @@ type Node struct {
 
 // Dead reports whether the node has been (partially) removed.
 func (n *Node) Dead() bool { return n.dead.Load() }
-
-// MinTime returns the node's death-time key: the minimum timestamp over
-// every data edge of the partial match the node represents.
-func (n *Node) MinTime() graph.Timestamp { return n.minTime }
 
 // PathEdges fills buf (reallocating if needed) with the data edges along
 // n's path from the root, index 0 being the level-1 edge, and returns the

@@ -1,6 +1,10 @@
 package mstree
 
-import "timingsubg/internal/graph"
+import (
+	"unsafe"
+
+	"timingsubg/internal/graph"
+)
 
 // Tree is a match-store tree over a fixed number of levels. A Tree backs
 // one expansion list: level j stores the partial matches of the list's
@@ -17,46 +21,98 @@ type Tree struct {
 type level struct {
 	head, tail *Node
 	count      int
-	// edgeIdx maps a data edge ID to this level's nodes carrying that
-	// edge. Dead nodes are skipped and entries dropped when the edge is
-	// deleted, so the index is cleaned lazily as the window slides.
-	edgeIdx map[graph.EdgeID][]*Node
-	// depIdx maps a foreign submatch leaf to this level's nodes whose Sub
-	// points at it (global trees only).
-	depIdx map[*Node][]*Node
+	// edgeIdx maps a data edge ID to this level's live nodes carrying
+	// that edge; depIdx maps a foreign submatch leaf to this level's live
+	// nodes whose Sub points at it (global trees only). Every death path
+	// unlinks the node from its bucket, so both stay live-only.
+	edgeIdx index[graph.EdgeID]
+	depIdx  index[*Node]
 	// joinIdx buckets this level's live nodes by join key — the binding
 	// of the level's connecting query vertex (sub-trees) or the
 	// shared-binding fingerprint of the level's join (last items and
 	// global levels). It makes the INSERT probe O(candidates) instead of
-	// O(level). nil until SetLevelKey installs keyOf; owned by this
+	// O(level). Unused until SetLevelKey installs keyOf; owned by this
 	// level's item lock like every other level structure, and cleaned as
-	// nodes die (each casualty is swap-deleted from its bucket while the
-	// deleter holds the level's exclusive lock).
-	joinIdx map[uint64][]*Node
+	// nodes die.
+	joinIdx index[uint64]
 	// keyOf computes a node's join key from its immutable payload
 	// (parent/sub chains); set once before any insert.
 	keyOf func(*Node) uint64
-	// expiry is a binary min-heap over the level's nodes ordered by
-	// minTime (death-time key), pushed at attach. A window slide pops
-	// everything below the watermark in one pass (DeleteExpiredBefore)
-	// instead of walking the level once per expired edge. Nodes killed
-	// by other paths stay in the heap and are skipped lazily on pop —
-	// their minTime is below the very watermark that killed them, so
-	// they surface (and are dropped) on the next sweep.
-	expiry []*Node
-	// heapDead counts dead nodes still resident in expiry. When they
-	// outnumber the live ones the heap is compacted (heapCompact), so
-	// per-edge deletion — which never pops — cannot pin dead nodes
-	// indefinitely, and space drains fully once the window empties.
-	heapDead int
+}
+
+// Slots of Node.links: which link pair chains an index's buckets.
+const (
+	keyLink = iota // joinIdx
+	refLink        // edgeIdx or depIdx
+)
+
+// link is one intrusive doubly linked list position.
+type link struct{ next, prev *Node }
+
+// bucket is one index key's node list, threaded through the nodes' own
+// links and appended at the tail, so iteration is insertion order.
+type bucket struct{ head, tail *Node }
+
+// index maps each key to the intrusive list of the level's live nodes
+// under it. Adding or removing a node allocates nothing beyond the map
+// entry of a new key.
+type index[K comparable] struct {
+	buckets map[K]bucket
+	slot    int // keyLink or refLink
+}
+
+func newIndex[K comparable](slot int) index[K] {
+	return index[K]{buckets: make(map[K]bucket), slot: slot}
+}
+
+// add appends n to k's bucket.
+func (ix *index[K]) add(k K, n *Node) {
+	b, ok := ix.buckets[k]
+	if !ok {
+		ix.buckets[k] = bucket{n, n}
+		return
+	}
+	b.tail.links[ix.slot].next = n
+	n.links[ix.slot].prev = b.tail
+	b.tail = n
+	ix.buckets[k] = b
+}
+
+// remove unlinks n from k's bucket, deleting the key when the bucket
+// empties. An interior node leaves the bucket's ends unchanged, so only
+// a node at either end touches the map.
+func (ix *index[K]) remove(k K, n *Node) {
+	l := &n.links[ix.slot]
+	if l.prev != nil && l.next != nil {
+		l.prev.links[ix.slot].next = l.next
+		l.next.links[ix.slot].prev = l.prev
+	} else {
+		b := ix.buckets[k]
+		if l.prev != nil {
+			l.prev.links[ix.slot].next = l.next
+		} else {
+			b.head = l.next
+		}
+		if l.next != nil {
+			l.next.links[ix.slot].prev = l.prev
+		} else {
+			b.tail = l.prev
+		}
+		if b.head == nil {
+			delete(ix.buckets, k)
+		} else {
+			ix.buckets[k] = b
+		}
+	}
+	*l = link{}
 }
 
 // New returns a tree with the given number of levels (≥ 1).
 func New(depth int) *Tree {
 	t := &Tree{levels: make([]level, depth)}
 	for i := range t.levels {
-		t.levels[i].edgeIdx = make(map[graph.EdgeID][]*Node)
-		t.levels[i].depIdx = make(map[*Node][]*Node)
+		t.levels[i].edgeIdx = newIndex[graph.EdgeID](refLink)
+		t.levels[i].depIdx = newIndex[*Node](refLink)
 	}
 	return t
 }
@@ -71,93 +127,7 @@ func (t *Tree) Depth() int { return len(t.levels) }
 func (t *Tree) SetLevelKey(lvl int, keyOf func(*Node) uint64) {
 	lv := &t.levels[lvl-1]
 	lv.keyOf = keyOf
-	lv.joinIdx = make(map[uint64][]*Node)
-}
-
-// indexJoinKey computes and records n's join key. Caller holds the
-// level's item lock (inserts always do).
-func (lv *level) indexJoinKey(n *Node) {
-	if lv.keyOf == nil {
-		return
-	}
-	k := lv.keyOf(n)
-	n.joinKey = k
-	n.keySlot = len(lv.joinIdx[k])
-	lv.joinIdx[k] = append(lv.joinIdx[k], n)
-}
-
-// dropJoinKey swap-deletes n from its join-index bucket. Caller holds
-// the level's exclusive item lock (all death paths run in DeleteLevel).
-func (lv *level) dropJoinKey(n *Node) {
-	if lv.keyOf == nil {
-		return
-	}
-	b := lv.joinIdx[n.joinKey]
-	last := len(b) - 1
-	if n.keySlot > last || b[n.keySlot] != n {
-		return // already dropped
-	}
-	b[n.keySlot] = b[last]
-	b[n.keySlot].keySlot = n.keySlot
-	b[last] = nil
-	if last == 0 {
-		delete(lv.joinIdx, n.joinKey)
-	} else {
-		lv.joinIdx[n.joinKey] = b[:last]
-	}
-}
-
-// indexEdgeRef records n in its level's edge index, remembering the
-// bucket slot so death paths can swap-delete the reference.
-func (lv *level) indexEdgeRef(n *Node) {
-	n.edgeSlot = len(lv.edgeIdx[n.Edge.ID])
-	lv.edgeIdx[n.Edge.ID] = append(lv.edgeIdx[n.Edge.ID], n)
-}
-
-// dropEdgeRef swap-deletes n from its edge-index bucket, deleting the
-// key when the bucket empties. Together with dropDepRef it keeps the
-// per-level indexes live-only: every death path cleans its references
-// eagerly, so a batch expiry sweep cannot strand dead entries behind a
-// key that no later per-edge delete would ever visit.
-func (lv *level) dropEdgeRef(n *Node) {
-	b := lv.edgeIdx[n.Edge.ID]
-	last := len(b) - 1
-	if last < 0 || n.edgeSlot > last || b[n.edgeSlot] != n {
-		return // already dropped
-	}
-	b[n.edgeSlot] = b[last]
-	b[n.edgeSlot].edgeSlot = n.edgeSlot
-	b[last] = nil
-	if last == 0 {
-		delete(lv.edgeIdx, n.Edge.ID)
-	} else {
-		lv.edgeIdx[n.Edge.ID] = b[:last]
-	}
-}
-
-// indexDepRef records a global node in its level's dependency index
-// (keyed by the foreign submatch leaf), remembering the bucket slot.
-func (lv *level) indexDepRef(n *Node) {
-	n.depSlot = len(lv.depIdx[n.Sub])
-	lv.depIdx[n.Sub] = append(lv.depIdx[n.Sub], n)
-}
-
-// dropDepRef swap-deletes n from its dependency-index bucket; see
-// dropEdgeRef for why death paths clean eagerly.
-func (lv *level) dropDepRef(n *Node) {
-	b := lv.depIdx[n.Sub]
-	last := len(b) - 1
-	if last < 0 || n.depSlot > last || b[n.depSlot] != n {
-		return // already dropped
-	}
-	b[n.depSlot] = b[last]
-	b[n.depSlot].depSlot = n.depSlot
-	b[last] = nil
-	if last == 0 {
-		delete(lv.depIdx, n.Sub)
-	} else {
-		lv.depIdx[n.Sub] = b[:last]
-	}
+	lv.joinIdx = newIndex[uint64](keyLink)
 }
 
 // Count returns the number of live nodes (= partial matches) at level
@@ -187,14 +157,9 @@ func (t *Tree) Nodes() int64 {
 // child list. This is exactly why partial removal (Fig. 14) keeps dead
 // nodes intact.
 func (t *Tree) InsertEdge(lvl int, parent *Node, e graph.Edge) *Node {
-	n := &Node{Parent: parent, Edge: e, Level: lvl, minTime: e.Time}
-	if parent != nil && parent.minTime < n.minTime {
-		n.minTime = parent.minTime
-	}
-	t.attach(n, parent)
-	lv := &t.levels[lvl-1]
-	lv.indexEdgeRef(n)
-	lv.indexJoinKey(n)
+	n := &Node{Parent: parent, Edge: e, Level: lvl}
+	lv := t.attach(n, parent)
+	lv.edgeIdx.add(e.ID, n)
 	return n
 }
 
@@ -205,18 +170,15 @@ func (t *Tree) InsertEdge(lvl int, parent *Node, e graph.Edge) *Node {
 // deleter overtook this transaction; the insert proceeds and that
 // deleter's pending cascade removes the node.
 func (t *Tree) InsertSub(lvl int, parent, sub *Node) *Node {
-	n := &Node{Parent: parent, Sub: sub, Level: lvl, minTime: sub.minTime}
-	if parent != nil && parent.minTime < n.minTime {
-		n.minTime = parent.minTime
-	}
-	t.attach(n, parent)
-	lv := &t.levels[lvl-1]
-	lv.indexDepRef(n)
-	lv.indexJoinKey(n)
+	n := &Node{Parent: parent, Sub: sub, Level: lvl}
+	lv := t.attach(n, parent)
+	lv.depIdx.add(sub, n)
 	return n
 }
 
-func (t *Tree) attach(n *Node, parent *Node) {
+// attach links n at the tail of its level list, at the head of parent's
+// child list and into its level's join index, returning the level.
+func (t *Tree) attach(n *Node, parent *Node) *level {
 	lv := &t.levels[n.Level-1]
 	if lv.tail == nil {
 		lv.head, lv.tail = n, n
@@ -226,7 +188,10 @@ func (t *Tree) attach(n *Node, parent *Node) {
 		lv.tail = n
 	}
 	lv.count++
-	lv.heapPush(n)
+	if lv.keyOf != nil {
+		n.joinKey = lv.keyOf(n)
+		lv.joinIdx.add(n.joinKey, n)
+	}
 	if parent != nil {
 		n.nextSib = parent.firstChild
 		if parent.firstChild != nil {
@@ -234,74 +199,7 @@ func (t *Tree) attach(n *Node, parent *Node) {
 		}
 		parent.firstChild = n
 	}
-}
-
-// heapPush sifts n up the level's expiry min-heap. Inserts arrive in
-// stream order but a node under an old parent inherits the parent's
-// minTime, so push order is not sorted and a real heap is needed.
-func (lv *level) heapPush(n *Node) {
-	lv.expiry = append(lv.expiry, n)
-	i := len(lv.expiry) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if lv.expiry[p].minTime <= lv.expiry[i].minTime {
-			break
-		}
-		lv.expiry[p], lv.expiry[i] = lv.expiry[i], lv.expiry[p]
-		i = p
-	}
-}
-
-// heapPop removes the heap minimum and sifts the replacement down.
-func (lv *level) heapPop() {
-	h := lv.expiry
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	lv.expiry = h[:last]
-	siftDown(lv.expiry, 0)
-}
-
-// siftDown restores the heap property below index i.
-func siftDown(h []*Node, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && h[l].minTime < h[s].minTime {
-			s = l
-		}
-		if r < len(h) && h[r].minTime < h[s].minTime {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-}
-
-// heapCompact drops every dead resident from the expiry heap and
-// re-heapifies in place. Called when dead residents outnumber live
-// ones, so its O(n) cost amortizes to O(1) per death.
-func (lv *level) heapCompact() {
-	h := lv.expiry
-	w := 0
-	for _, n := range h {
-		if !n.Dead() {
-			h[w] = n
-			w++
-		}
-	}
-	for i := w; i < len(h); i++ {
-		h[i] = nil
-	}
-	h = h[:w]
-	for i := w/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	lv.expiry = h
-	lv.heapDead = 0
+	return lv
 }
 
 // Each calls fn for every live node at level lvl until fn returns false.
@@ -331,14 +229,14 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 	// the contiguous level list instead. See DESIGN.md §15 for the
 	// crossover this pins (BenchmarkInsertIngest had indexed at 0.95×
 	// scan on NetworkFlow before this path).
-	if len(lv.joinIdx) == 1 {
+	if len(lv.joinIdx.buckets) == 1 {
 		if lv.head != nil && lv.head.joinKey != key {
 			return // the one key present is not the probe's key
 		}
 		t.Each(lvl, fn)
 		return
 	}
-	for _, n := range lv.joinIdx[key] {
+	for n := lv.joinIdx.buckets[key].head; n != nil; n = n.links[keyLink].next {
 		if n.Dead() {
 			continue
 		}
@@ -348,125 +246,109 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 	}
 }
 
-// DeleteLevel partially removes, at level lvl, every node that carries
-// data edge edgeID (pass a negative ID to skip), every child of the nodes
-// in parentCasualties, and every node whose Sub is in deadSubs. It
-// returns the nodes removed at this level so the caller can cascade to
-// the next level. This mirrors Algorithm 2's level-by-level scan with
-// the Fig. 14 partial-removal protocol.
-func (t *Tree) DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties, deadSubs []*Node) []*Node {
+// nodeOf returns the node a casualty-buffer element holds.
+func nodeOf[H any](h H) *Node { return any(h).(*Node) }
+
+// DeleteLevel partially removes, at level lvl of t, every node that
+// carries data edge edgeID (pass a negative ID to skip), every child of
+// the nodes in parents, and every node whose Sub is in deadSubs. It
+// appends the removed nodes to dst and returns it, so the caller can
+// cascade to the next level. This mirrors Algorithm 2's level-by-level
+// scan with the Fig. 14 partial-removal protocol.
+//
+// The casualty buffers hold any element type H that carries a *Node —
+// *Node itself, or an interface such as explist's Handle — so callers
+// thread their own buffers level to level without converting them.
+func DeleteLevel[H any](t *Tree, lvl int, edgeID graph.EdgeID, parents, deadSubs, dst []H) []H {
 	lv := &t.levels[lvl-1]
-	var dead []*Node
-	// The indexes are live-only (every death path drops its references),
-	// so draining a bucket is: kill its last element until the key is
-	// gone. partialRemove's swap-delete removes exactly that element, so
-	// the loop makes progress without copying the bucket.
 	if edgeID >= 0 {
-		for {
-			b := lv.edgeIdx[edgeID]
-			if len(b) == 0 {
-				break
-			}
-			n := b[len(b)-1]
-			t.partialRemove(n)
-			dead = append(dead, n)
-		}
+		dst = killBucket(lv, &lv.edgeIdx, edgeID, dst)
 	}
-	for _, p := range parentCasualties {
-		for c := p.firstChild; c != nil; c = c.nextSib {
+	for _, h := range parents {
+		for c := nodeOf(h).firstChild; c != nil; c = c.nextSib {
 			if !c.Dead() {
-				t.partialRemoveKeepSib(c)
-				dead = append(dead, c)
+				lv.kill(c)
+				lv.dropRef(c)
+				dst = append(dst, any(c).(H))
 			}
 		}
 	}
-	for _, s := range deadSubs {
-		for {
-			b := lv.depIdx[s]
-			if len(b) == 0 {
-				break
-			}
-			n := b[len(b)-1]
-			t.partialRemove(n)
-			dead = append(dead, n)
-		}
+	for _, h := range deadSubs {
+		dst = killBucket(lv, &lv.depIdx, nodeOf(h), dst)
 	}
-	// Per-edge deletion never pops the expiry heap, so its dead
-	// residents are pruned here once they outnumber the live ones.
-	if lv.heapDead*2 > len(lv.expiry) {
-		lv.heapCompact()
-	}
-	return dead
+	return dst
 }
 
-// DeleteExpiredBefore partially removes, at level lvl, every live node
-// whose death-time key (minTime) is below cut, in one pass over the
-// level's expiry heap, and returns the number removed. Because a
-// child's minTime never exceeds its parent's and a global node's never
-// exceeds its submatch leaf's, a watermark that kills a node kills its
-// whole downstream cone — so each level can be swept independently
-// with the same cut and no casualty propagation, which is what lets a
-// window slide take each item lock once instead of once per expired
-// edge. Nothing is allocated: casualties are counted, not collected.
-func (t *Tree) DeleteExpiredBefore(lvl int, cut graph.Timestamp) int {
-	lv := &t.levels[lvl-1]
-	removed := 0
-	for len(lv.expiry) > 0 {
-		n := lv.expiry[0]
-		if n.Dead() {
-			lv.heapPop() // lazily discard nodes killed by other paths
-			lv.heapDead--
-			continue
-		}
-		if n.minTime >= cut {
-			break
-		}
-		lv.heapPop()
-		t.partialRemove(n)
-		lv.heapDead-- // partialRemove counted n, but it just left the heap
-		removed++
+// killBucket detaches k's whole bucket from ix and partially removes
+// every node on it, appending each to dst.
+func killBucket[K comparable, H any](lv *level, ix *index[K], k K, dst []H) []H {
+	n := ix.buckets[k].head
+	if n == nil {
+		return dst
 	}
-	return removed
+	delete(ix.buckets, k)
+	for n != nil {
+		next := n.links[refLink].next
+		n.links[refLink] = link{}
+		unlinkSiblings(n)
+		lv.kill(n)
+		dst = append(dst, any(n).(H))
+		n = next
+	}
+	return dst
 }
 
-// partialRemove unlinks n from its level list and its parent's child
-// list, and marks it dead. Parent pointer and payload stay intact
+// ExpirePrefix partially removes every level-1 node of t whose edge is
+// older than cut, appending them to dst. Level 1 is in arrival order
+// (attach appends at the tail, and edges arrive in timestamp order), so
+// the expired nodes are a prefix of its list; the caller cascades them
+// to the deeper levels with DeleteLevel. Buffers are as in DeleteLevel.
+func ExpirePrefix[H any](t *Tree, cut graph.Timestamp, dst []H) []H {
+	lv := &t.levels[0]
+	for n := lv.head; n != nil && n.Edge.Time < cut; n = lv.head {
+		lv.kill(n) // a level-1 node has no parent, hence no siblings
+		lv.dropRef(n)
+		dst = append(dst, any(n).(H))
+	}
+	return dst
+}
+
+// kill removes n from its level list and join-index bucket and marks it
+// dead, leaving its sibling links and its edge/dep bucket to the caller:
+// a dead parent's child list must stay traversable while it is being
+// consumed, and it is consumed exactly once, so the stale sibling links
+// are never observed again. Parent pointer and payload stay intact
 // (Fig. 14).
-func (t *Tree) partialRemove(n *Node) {
-	t.unlinkSiblings(n)
-	t.partialRemoveKeepSib(n)
-}
-
-// partialRemoveKeepSib removes n from the level list and marks it dead,
-// but leaves the sibling chain intact — used while iterating a dead
-// parent's child list, which must stay traversable mid-iteration. The
-// dead parent's child list is consumed exactly once, so the stale links
-// are never observed again.
-func (t *Tree) partialRemoveKeepSib(n *Node) {
-	lv := &t.levels[n.Level-1]
+func (lv *level) kill(n *Node) {
 	if n.prevLvl != nil {
 		n.prevLvl.nextLvl = n.nextLvl
-	} else if lv.head == n {
+	} else {
 		lv.head = n.nextLvl
 	}
 	if n.nextLvl != nil {
 		n.nextLvl.prevLvl = n.prevLvl
-	} else if lv.tail == n {
+	} else {
 		lv.tail = n.prevLvl
 	}
 	n.nextLvl, n.prevLvl = nil, nil
-	lv.dropJoinKey(n)
-	if n.Sub != nil {
-		lv.dropDepRef(n)
-	} else {
-		lv.dropEdgeRef(n)
+	if lv.keyOf != nil {
+		lv.joinIdx.remove(n.joinKey, n)
 	}
 	n.dead.Store(true)
 	lv.count--
-	lv.heapDead++
 }
 
-func (t *Tree) unlinkSiblings(n *Node) {
+// dropRef unlinks n from its edgeIdx or depIdx bucket.
+func (lv *level) dropRef(n *Node) {
+	if n.Sub != nil {
+		lv.depIdx.remove(n.Sub, n)
+	} else {
+		lv.edgeIdx.remove(n.Edge.ID, n)
+	}
+}
+
+// unlinkSiblings detaches n from its parent's child list.
+func unlinkSiblings(n *Node) {
 	if n.prevSib != nil {
 		n.prevSib.nextSib = n.nextSib
 	} else if n.Parent != nil && n.Parent.firstChild == n {
@@ -477,17 +359,23 @@ func (t *Tree) unlinkSiblings(n *Node) {
 	}
 }
 
-// SpaceBytes estimates resident size: nodes plus index overhead. Like
-// Nodes, it must be called while quiescent.
+// nodeBytes and indexEntryBytes are SpaceBytes' per-node and per-key
+// costs: a Node, and one index map entry (an 8-byte key — edge ID, join
+// key or pointer — plus its bucket).
+const (
+	nodeBytes       = int64(unsafe.Sizeof(Node{}))
+	indexEntryBytes = int64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(bucket{}))
+)
+
+// SpaceBytes estimates resident size: nodes plus index map entries.
+// Like Nodes, it must be called while quiescent.
 func (t *Tree) SpaceBytes() int64 {
-	const nodeSz = 168 // Node struct incl. embedded Edge, slots, minTime
 	var b int64
 	for i := range t.levels {
-		b += int64(t.levels[i].count) * nodeSz
-		b += int64(len(t.levels[i].edgeIdx)) * 48
-		b += int64(len(t.levels[i].depIdx)) * 48
-		b += int64(len(t.levels[i].joinIdx)) * 48
-		b += int64(len(t.levels[i].expiry)) * 8
+		lv := &t.levels[i]
+		b += int64(lv.count) * nodeBytes
+		keys := len(lv.edgeIdx.buckets) + len(lv.depIdx.buckets) + len(lv.joinIdx.buckets)
+		b += int64(keys) * indexEntryBytes
 	}
 	return b
 }

@@ -3,12 +3,19 @@ package mstree
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"timingsubg/internal/graph"
 )
 
 func edge(id int64) graph.Edge {
 	return graph.Edge{ID: graph.EdgeID(id), Time: graph.Timestamp(id)}
+}
+
+// deleteLevel runs DeleteLevel on *Node buffers, appending to a fresh
+// casualty slice.
+func deleteLevel(t *Tree, lvl int, edgeID graph.EdgeID, parents, deadSubs []*Node) []*Node {
+	return DeleteLevel(t, lvl, edgeID, parents, deadSubs, nil)
 }
 
 // collect returns the edge IDs of live nodes at a level.
@@ -47,15 +54,15 @@ func TestFig10(t *testing.T) {
 	}
 
 	// Expire σ1: the paper's cascade deletes σ3, then σ4 and σ9.
-	dead1 := tr.DeleteLevel(1, 1, nil, nil)
+	dead1 := deleteLevel(tr, 1, 1, nil, nil)
 	if len(dead1) != 1 || dead1[0] != n1 {
 		t.Fatalf("level 1 casualties: %v", dead1)
 	}
-	dead2 := tr.DeleteLevel(2, 1, dead1, nil)
+	dead2 := deleteLevel(tr, 2, 1, dead1, nil)
 	if len(dead2) != 1 || dead2[0] != n3 {
 		t.Fatalf("level 2 casualties: %v", dead2)
 	}
-	dead3 := tr.DeleteLevel(3, 1, dead2, nil)
+	dead3 := deleteLevel(tr, 3, 1, dead2, nil)
 	if len(dead3) != 2 {
 		t.Fatalf("level 3 casualties: want σ4 and σ9, got %v", dead3)
 	}
@@ -78,14 +85,14 @@ func TestDeleteMidLevel(t *testing.T) {
 	tr.InsertEdge(2, c, edge(12))
 
 	// Delete the middle level-1 node.
-	dead := tr.DeleteLevel(1, 2, nil, nil)
+	dead := deleteLevel(tr, 1, 2, nil, nil)
 	if len(dead) != 1 || dead[0] != b {
 		t.Fatalf("want σ2's node, got %v", dead)
 	}
 	if got := collect(tr, 1); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("level list after mid delete: %v", got)
 	}
-	dead2 := tr.DeleteLevel(2, 2, dead, nil)
+	dead2 := deleteLevel(tr, 2, 2, dead, nil)
 	if len(dead2) != 1 || dead2[0].Edge.ID != 11 {
 		t.Fatalf("cascade: want σ11 child, got %v", dead2)
 	}
@@ -97,7 +104,7 @@ func TestDeleteMidLevel(t *testing.T) {
 func TestInsertUnderDeadParent(t *testing.T) {
 	tr := New(2)
 	p := tr.InsertEdge(1, nil, edge(1))
-	dead := tr.DeleteLevel(1, 1, nil, nil)
+	dead := deleteLevel(tr, 1, 1, nil, nil)
 	if len(dead) != 1 {
 		t.Fatal("parent should die")
 	}
@@ -111,7 +118,7 @@ func TestInsertUnderDeadParent(t *testing.T) {
 	if tr.Count(2) != 1 {
 		t.Fatal("child must be live until the cascade reaches its level")
 	}
-	dead2 := tr.DeleteLevel(2, 1, dead, nil)
+	dead2 := deleteLevel(tr, 2, 1, dead, nil)
 	if len(dead2) != 1 || dead2[0] != child {
 		t.Fatalf("cascade must collect the late insert, got %v", dead2)
 	}
@@ -137,11 +144,11 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 	}
 	// Killing leafB (the Sub reference) removes the global node via the
 	// dependency index.
-	deadSubs := sub.DeleteLevel(1, 2, nil, nil)
+	deadSubs := deleteLevel(sub, 1, 2, nil, nil)
 	if len(deadSubs) != 1 || deadSubs[0] != leafB {
 		t.Fatalf("want leafB dead, got %v", deadSubs)
 	}
-	gDead := g.DeleteLevel(2, -1, nil, deadSubs)
+	gDead := deleteLevel(g, 2, -1, nil, deadSubs)
 	if len(gDead) != 1 || gDead[0] != gA {
 		t.Fatalf("global node must die with its submatch, got %v", gDead)
 	}
@@ -152,15 +159,18 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 	if gB == nil {
 		t.Fatal("InsertSub failed")
 	}
-	deadA := sub.DeleteLevel(1, 1, nil, nil)
-	gDead2 := g.DeleteLevel(2, -1, deadA, nil)
+	deadA := deleteLevel(sub, 1, 1, nil, nil)
+	gDead2 := deleteLevel(g, 2, -1, deadA, nil)
 	if len(gDead2) != 1 || gDead2[0] != gB {
 		t.Fatalf("global node must die with its parent, got %v", gDead2)
 	}
 }
 
 // TestRandomizedIntegrity cross-checks the tree against a naive mirror
-// over thousands of random insert/expire operations.
+// over thousands of random operations: inserts, per-edge deletes of a
+// random edge, and watermark expiry (ExpirePrefix plus the cascade).
+// Edge IDs double as timestamps and grow along every path, so a
+// watermark kills exactly the matches whose first edge is below it.
 func TestRandomizedIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const depth = 3
@@ -171,7 +181,20 @@ func TestRandomizedIntegrity(t *testing.T) {
 		node *Node
 	}
 	var mirror [depth][]mirrorMatch
+	// prune drops every mirror match that dies reports dead.
+	prune := func(dies func(mirrorMatch, int) bool) {
+		for lvl := 1; lvl <= depth; lvl++ {
+			keep := mirror[lvl-1][:0]
+			for _, mm := range mirror[lvl-1] {
+				if !dies(mm, lvl) {
+					keep = append(keep, mm)
+				}
+			}
+			mirror[lvl-1] = keep
+		}
+	}
 	nextID := int64(1)
+	watermark := int64(1)
 
 	for op := 0; op < 4000; op++ {
 		if rng.Intn(4) != 0 { // insert
@@ -188,26 +211,27 @@ func TestRandomizedIntegrity(t *testing.T) {
 				mm.ids[lvl-1] = id
 				mirror[lvl-1] = append(mirror[lvl-1], mm)
 			}
+		} else if rng.Intn(3) == 0 { // slide the watermark
+			watermark = min(watermark+1+rng.Int63n(8), nextID)
+			casualties := ExpirePrefix(tr, graph.Timestamp(watermark), []*Node(nil))
+			for lvl := 2; lvl <= depth; lvl++ {
+				casualties = deleteLevel(tr, lvl, -1, casualties, nil)
+			}
+			prune(func(mm mirrorMatch, _ int) bool { return mm.ids[0] < watermark })
 		} else if nextID > 1 { // expire a random id
 			victim := 1 + rng.Int63n(nextID-1)
 			var casualties []*Node
 			for lvl := 1; lvl <= depth; lvl++ {
-				casualties = tr.DeleteLevel(lvl, graph.EdgeID(victim), casualties, nil)
-				keep := mirror[lvl-1][:0]
-				for _, mm := range mirror[lvl-1] {
-					contains := false
-					for l := 0; l < lvl; l++ {
-						if mm.ids[l] == victim {
-							contains = true
-							break
-						}
-					}
-					if !contains {
-						keep = append(keep, mm)
+				casualties = deleteLevel(tr, lvl, graph.EdgeID(victim), casualties, nil)
+			}
+			prune(func(mm mirrorMatch, lvl int) bool {
+				for l := 0; l < lvl; l++ {
+					if mm.ids[l] == victim {
+						return true
 					}
 				}
-				mirror[lvl-1] = keep
-			}
+				return false
+			})
 		}
 		for lvl := 1; lvl <= depth; lvl++ {
 			if tr.Count(lvl) != len(mirror[lvl-1]) {
@@ -235,20 +259,27 @@ func TestRandomizedIntegrity(t *testing.T) {
 	}
 }
 
+// TestSpaceBytesTracksNodes pins SpaceBytes to the real node size and
+// the index entries, and the node size to its allocation size class.
 func TestSpaceBytesTracksNodes(t *testing.T) {
+	// 160 B is a malloc size class: a larger Node would cost the next
+	// class (176 B) per stored partial match.
+	if sz := unsafe.Sizeof(Node{}); sz > 160 || nodeBytes != int64(sz) {
+		t.Fatalf("Node is %d B (SpaceBytes counts %d), want ≤ 160", sz, nodeBytes)
+	}
 	tr := New(2)
 	if tr.SpaceBytes() != 0 {
-		t.Error("empty tree should cost ~0")
+		t.Error("empty tree should cost 0")
 	}
 	a := tr.InsertEdge(1, nil, edge(1))
 	tr.InsertEdge(2, a, edge(2))
-	s2 := tr.SpaceBytes()
-	if s2 <= 0 {
-		t.Error("space must grow with nodes")
+	// Two nodes, each the only one under its edge-index key.
+	if got, want := tr.SpaceBytes(), 2*nodeBytes+2*indexEntryBytes; got != want {
+		t.Errorf("SpaceBytes = %d, want %d", got, want)
 	}
-	dead := tr.DeleteLevel(1, 1, nil, nil)
-	tr.DeleteLevel(2, 1, dead, nil)
-	if tr.SpaceBytes() >= s2 {
-		t.Error("space must shrink after expiry")
+	dead := deleteLevel(tr, 1, 1, nil, nil)
+	deleteLevel(tr, 2, 1, dead, nil)
+	if got := tr.SpaceBytes(); got != 0 {
+		t.Errorf("SpaceBytes after expiry = %d, want 0", got)
 	}
 }
