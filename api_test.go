@@ -15,8 +15,9 @@ import (
 // TestNoDeprecatedAPI keeps Open the only way in: the package carries
 // no deprecation marker (a deprecated identifier is a second API kept
 // alive), exports nothing named after the deleted per-capability
-// façades, their delivery helpers or the shelved Section V scheduler,
-// and neither Config nor Options has a field that reaches the scheduler.
+// façades, their delivery helpers or the deleted Section V scheduler,
+// and neither Config nor Options has a field named after the scheduler's
+// old options.
 func TestNoDeprecatedAPI(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", nil, parser.ParseComments)
@@ -39,7 +40,7 @@ func TestNoDeprecatedAPI(t *testing.T) {
 		for _, f := range st.Fields.List {
 			for _, n := range f.Names {
 				if schedulerField[n.Name] {
-					t.Errorf("%s: %s.%s reaches the shelved Section V scheduler", fset.Position(n.Pos()), sp.Name.Name, n.Name)
+					t.Errorf("%s: %s.%s revives the deleted Section V scheduler's option", fset.Position(n.Pos()), sp.Name.Name, n.Name)
 				}
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"timingsubg/internal/bench"
-	"timingsubg/internal/core"
 	"timingsubg/internal/datagen"
 	"timingsubg/internal/graph"
 	"timingsubg/internal/query"
@@ -127,67 +126,6 @@ func BenchmarkFig18(b *testing.B) {
 					space = r.AvgSpace
 				}
 				b.ReportMetric(float64(space), "avg-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkFig19 — concurrent execution wall time per scheme and worker
-// count at the default window (full sweep: -fig 19). The paper's speedup
-// is time(Timing-1)/time(Timing-N): it is measured against the
-// one-worker scheduler, not against the serial engine. The serial cell
-// is that engine — core.New + per-edge Process on the same stream, what
-// an Open engine runs — so serial/Timing-N is the speedup a user would
-// see. DESIGN.md §2 records the measured cells.
-func BenchmarkFig19(b *testing.B) {
-	const window, streamLen = 2000, 3000
-	for _, ds := range []datagen.Dataset{datagen.NetworkFlow, datagen.SocialStream} {
-		edges, q := benchStream(b, ds, streamLen, 6, querygen.RandomOrder)
-		b.Run(fmt.Sprintf("%s/serial", ds), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runSerial(b, q, edges, window)
-			}
-		})
-		for _, scheme := range []core.LockScheme{core.FineGrained, core.AllLocks} {
-			name := "Timing"
-			if scheme == core.AllLocks {
-				name = "All-locks"
-			}
-			for _, workers := range []int{1, 2, 4} {
-				b.Run(fmt.Sprintf("%s/%s-%d", ds, name, workers), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						bench.RunParallel(q, scheme, workers, edges, window)
-					}
-				})
-			}
-		}
-	}
-}
-
-// runSerial is bench.RunParallel's loop on the serial engine.
-func runSerial(b *testing.B, q *query.Query, edges []graph.Edge, window graph.Timestamp) {
-	eng := core.New(q, core.Config{Storage: core.MSTree})
-	st := graph.NewStream(window)
-	for _, e := range edges {
-		stored, expired, err := st.Push(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.Process(stored, expired)
-	}
-}
-
-// BenchmarkFig20 — concurrency across query sizes (full sweep: -fig 20).
-func BenchmarkFig20(b *testing.B) {
-	const window, streamLen = 2000, 3000
-	ds := datagen.WikiTalk
-	for _, size := range []int{6, 12} {
-		edges, q := benchStream(b, ds, streamLen, size, querygen.RandomOrder)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("size%d/Timing-%d", size, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					bench.RunParallel(q, core.FineGrained, workers, edges, window)
-				}
 			})
 		}
 	}

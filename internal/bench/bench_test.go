@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"timingsubg/internal/core"
 	"timingsubg/internal/datagen"
 	"timingsubg/internal/graph"
 	"timingsubg/internal/querygen"
@@ -22,7 +21,6 @@ func tinyConfig() Config {
 	c.OrdersPerGraph = 1 // full order only: cheapest
 	c.StreamLen = 600
 	c.Vertices = 600
-	c.Threads = []int{1, 2}
 	c.KValues = []int{1, 4}
 	c.KQuerySize = 4
 	return c
@@ -65,20 +63,6 @@ func TestNewMatcherAllMethods(t *testing.T) {
 			t.Errorf("method %s found %d matches, %s found %d",
 				Methods()[i], counts[i], Methods()[0], counts[0])
 		}
-	}
-}
-
-func TestRunParallelConsistent(t *testing.T) {
-	c := tinyConfig()
-	warm, edges := c.stream(datagen.SocialStream, c.DefaultWindow)
-	qs := c.QuerySet(datagen.SocialStream, 4, warm)
-	if len(qs) == 0 {
-		t.Skip("no query generated")
-	}
-	_, m1 := RunParallel(qs[0].Query, core.FineGrained, 1, edges, graph.Timestamp(c.DefaultWindow))
-	_, m2 := RunParallel(qs[0].Query, core.FineGrained, 3, edges, graph.Timestamp(c.DefaultWindow))
-	if m1 != m2 {
-		t.Errorf("parallel match counts differ: %d vs %d", m1, m2)
 	}
 }
 

@@ -16,14 +16,14 @@ import (
 type Config struct {
 	// Datasets to evaluate (default: all three).
 	Datasets []datagen.Dataset
-	// Windows are the |W| values in stream units (Fig. 15/17/19: the
+	// Windows are the |W| values in stream units (Fig. 15/17: the
 	// paper's 10K..50K scaled by Scale).
 	Windows []int
-	// QuerySizes are |E(Q)| values (Fig. 16/18/20: 6..21).
+	// QuerySizes are |E(Q)| values (Fig. 16/18: 6..21).
 	QuerySizes []int
 	// DefaultWindow is used when the window is fixed (Figs. 16/18/21/23).
 	DefaultWindow int
-	// DefaultQuerySize is used when the size is fixed (Figs. 15/17/19).
+	// DefaultQuerySize is used when the size is fixed (Figs. 15/17).
 	DefaultQuerySize int
 	// QueriesPerSetting is how many query graphs are generated per
 	// setting (the paper uses 10 graphs × 5 orders; scaled down).
@@ -35,8 +35,6 @@ type Config struct {
 	StreamLen int
 	// Vertices is the generator population.
 	Vertices int
-	// Threads are the worker counts for the speedup figures (1..5).
-	Threads []int
 	// KValues are the decomposition sizes for Figs. 23/24.
 	KValues []int
 	// KQuerySize is the query size for the decomposition-size experiment
@@ -62,7 +60,6 @@ func DefaultConfig() Config {
 		OrdersPerGraph:    3,
 		StreamLen:         2000,
 		Vertices:          2500,
-		Threads:           []int{1, 2, 3, 4, 5},
 		KValues:           []int{1, 3, 6, 9, 12},
 		KQuerySize:        12,
 		MaxRunTime:        8 * time.Second,
@@ -81,7 +78,6 @@ func QuickConfig() Config {
 	c.OrdersPerGraph = 2
 	c.StreamLen = 1200
 	c.Vertices = 1000
-	c.Threads = []int{1, 2}
 	c.KValues = []int{1, 3, 6}
 	c.KQuerySize = 6
 	c.MaxRunTime = 5 * time.Second

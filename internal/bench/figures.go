@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 
-	"timingsubg/internal/core"
 	"timingsubg/internal/datagen"
 	"timingsubg/internal/graph"
 	"timingsubg/internal/query"
@@ -142,82 +141,6 @@ func (c Config) sweepQuerySizes() (tputFig, spaceFig Figure) {
 		spaceFig.Panels = append(spaceFig.Panels, sp)
 	}
 	return tputFig, spaceFig
-}
-
-// Fig19 — concurrency speedup over window size (Timing-N vs All-locks-N).
-func Fig19(c Config) Figure {
-	fig := Figure{Name: "Fig19", Title: "Speedup over Different Window Size",
-		XLabel: "Window Size", YLabel: "SpeedUp"}
-	for _, ds := range c.Datasets {
-		panel := Panel{Name: ds.String()}
-		var series []Series
-		for _, scheme := range []core.LockScheme{core.FineGrained, core.AllLocks} {
-			for _, n := range c.Threads {
-				if n == 1 {
-					continue // baseline; speedup is relative to it
-				}
-				label := fmt.Sprintf("Timing-%d", n)
-				if scheme == core.AllLocks {
-					label = fmt.Sprintf("All-locks-%d", n)
-				}
-				s := Series{Label: label}
-				for _, w := range c.Windows {
-					warm, edges := c.stream(ds, w)
-					qs := c.QuerySet(ds, c.DefaultQuerySize, warm)
-					if len(qs) == 0 {
-						continue
-					}
-					gq := qs[0]
-					base, _ := RunParallel(gq.Query, scheme, 1, edges, graph.Timestamp(w))
-					par, _ := RunParallel(gq.Query, scheme, n, edges, graph.Timestamp(w))
-					s.X = append(s.X, float64(w))
-					s.Y = append(s.Y, base.Seconds()/par.Seconds())
-				}
-				series = append(series, s)
-			}
-		}
-		panel.Series = series
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig
-}
-
-// Fig20 — concurrency speedup over query size.
-func Fig20(c Config) Figure {
-	fig := Figure{Name: "Fig20", Title: "Speedup over Different Query Size",
-		XLabel: "Query Size(Number of Edges)", YLabel: "SpeedUp"}
-	for _, ds := range c.Datasets {
-		panel := Panel{Name: ds.String()}
-		var series []Series
-		warm, edges := c.stream(ds, c.DefaultWindow)
-		for _, scheme := range []core.LockScheme{core.FineGrained, core.AllLocks} {
-			for _, n := range c.Threads {
-				if n == 1 {
-					continue
-				}
-				label := fmt.Sprintf("Timing-%d", n)
-				if scheme == core.AllLocks {
-					label = fmt.Sprintf("All-locks-%d", n)
-				}
-				s := Series{Label: label}
-				for _, size := range c.QuerySizes {
-					qs := c.QuerySet(ds, size, warm)
-					if len(qs) == 0 {
-						continue
-					}
-					gq := qs[0]
-					base, _ := RunParallel(gq.Query, scheme, 1, edges, graph.Timestamp(c.DefaultWindow))
-					par, _ := RunParallel(gq.Query, scheme, n, edges, graph.Timestamp(c.DefaultWindow))
-					s.X = append(s.X, float64(size))
-					s.Y = append(s.Y, base.Seconds()/par.Seconds())
-				}
-				series = append(series, s)
-			}
-		}
-		panel.Series = series
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig
 }
 
 // Fig21 — decomposition/join-order ablation: Timing vs Timing-RJ vs

@@ -3,9 +3,7 @@ package bench
 import (
 	"time"
 
-	"timingsubg/internal/core"
 	"timingsubg/internal/graph"
-	"timingsubg/internal/query"
 )
 
 // RunResult is the measurement of one (method, query, stream) run.
@@ -72,23 +70,4 @@ func RunBudget(m Matcher, edges []graph.Edge, window graph.Timestamp, budget tim
 		Elapsed:    elapsed,
 		Truncated:  truncated,
 	}
-}
-
-// RunParallel measures the concurrent Timing engine with the given
-// locking scheme and worker count, returning elapsed wall time. Speedup
-// figures divide the single-thread time by this.
-func RunParallel(q *query.Query, scheme core.LockScheme, workers int, edges []graph.Edge, window graph.Timestamp) (time.Duration, int64) {
-	eng := core.New(q, core.Config{Storage: core.MSTree})
-	par := core.NewParallel(eng, scheme, workers)
-	st := graph.NewStream(window)
-	start := time.Now()
-	for _, e := range edges {
-		stored, expired, err := st.Push(e)
-		if err != nil {
-			panic(err)
-		}
-		par.Process(stored, expired)
-	}
-	par.Wait()
-	return time.Since(start), eng.Stats().Matches.Load()
 }

@@ -71,20 +71,6 @@ func BenchmarkJoinGeneric(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertPlan measures lock-plan generation, the per-edge
-// dispatcher cost in concurrent mode.
-func BenchmarkInsertPlan(b *testing.B) {
-	q, dec, _, _ := benchQuery(b)
-	eng := New(q, Config{Decomposition: dec})
-	d := graph.Edge{ID: 9, From: 10, To: 20, FromLabel: q.VertexLabel(0), ToLabel: q.VertexLabel(1), Time: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(eng.InsertPlan(d)) == 0 {
-			b.Fatal("edge should match")
-		}
-	}
-}
-
 // BenchmarkInsertIngest measures the full INSERT/DELETE hot path on the
 // paper's datagen workloads, one cell per dataset × mode: a fixed
 // stream is driven through a sliding window per iteration, so ns/op is

@@ -8,8 +8,8 @@ import (
 // CurrentMatches enumerates the complete matches standing in the current
 // window — the contents of the expansion list's last item (Ω(Q)), i.e.
 // matches that were reported and have not yet expired. The callback
-// receives scratch; Clone to retain. Call while quiescent (no in-flight
-// transactions); the paper's model reads answers between edge arrivals.
+// receives scratch; Clone to retain. Call between edge arrivals, as the
+// paper's model reads answers.
 func (e *Engine) CurrentMatches(fn func(*match.Match) bool) {
 	if e.K() == 1 {
 		last := e.subs[0].Depth()

@@ -3,18 +3,17 @@
 // (Algorithm 1, INSERT), expired edges cascade out of them (Algorithm 2,
 // DELETE), and complete matches are reported as they form. The engine is
 // storage-agnostic (MS-tree or independent copies → the paper's
-// Timing-IND ablation) and locking-agnostic (serial, fine-grained, or
-// All-locks → Section V).
+// Timing-IND ablation) and serial: one goroutine drives an engine at a
+// time. The paper's Section V transaction scheduler is not implemented;
+// DESIGN.md §2 records its measured Fig. 19/20 result.
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"timingsubg/internal/explist"
 	"timingsubg/internal/graph"
-	"timingsubg/internal/lock"
 	"timingsubg/internal/match"
 	"timingsubg/internal/query"
 	"timingsubg/internal/stats"
@@ -40,9 +39,9 @@ type Config struct {
 	// Decomposition overrides the cost-model-guided decomposition;
 	// nil computes query.Decompose(q).
 	Decomposition *query.Decomposition
-	// OnMatch, if non-nil, receives every complete match as it forms.
-	// The match is owned by the callback. In concurrent mode the callback
-	// is serialized by the engine.
+	// OnMatch, if non-nil, receives every complete match as it forms,
+	// on the goroutine driving the engine. The match is owned by the
+	// callback.
 	OnMatch func(*match.Match)
 	// JoinHist, when non-nil, observes the insert-side join work;
 	// ExpiryHist observes the window-expiry sweep (the batch of deletes
@@ -50,16 +49,16 @@ type Config struct {
 	// timed — a clock read rivals the insert itself, so sampling is
 	// what keeps metrics-on overhead within a few percent (the stride
 	// is latency-independent, so percentiles stay unbiased; Counts are
-	// samples, not call counts). Observed only on the serial Process
-	// path — the parallel wrapper interleaves transactions, so
-	// per-stage wall time is not attributable there. Nil (the default)
-	// adds no work to the hot path.
+	// samples, not call counts). Nil (the default) adds no work to the
+	// hot path.
 	JoinHist   *stats.AtomicHistogram
 	ExpiryHist *stats.AtomicHistogram
 }
 
-// Stats holds engine counters. All fields are updated atomically so they
-// are safe to read in concurrent mode.
+// Stats holds engine counters. Only the goroutine driving the engine
+// writes them, but they are atomic because other goroutines read them
+// while it runs: a fleet's Stats and monitor samplers load them
+// lock-free, without stopping ingest.
 type Stats struct {
 	EdgesIn    atomic.Int64 // insert operations processed
 	EdgesOut   atomic.Int64 // delete operations processed
@@ -83,11 +82,11 @@ type Stats struct {
 	JoinCandidates atomic.Int64
 
 	// Batch-expiry plane: ExpiryBatches counts window slides processed
-	// through the batched delete path (one transaction sweeping every
-	// expired edge of the slide); ExpiryEvicted counts the expired
-	// edges those batches covered. Their ratio is the mean eviction
-	// batch size — the factor by which batching divides per-level lock
-	// acquisitions and level walks relative to edge-at-a-time expiry.
+	// through the batched delete path (one sweep over every expired
+	// edge of the slide); ExpiryEvicted counts the expired edges those
+	// batches covered. Their ratio is the mean eviction batch size —
+	// the factor by which batching divides level walks relative to
+	// edge-at-a-time expiry.
 	// Zero on the per-edge Process path.
 	ExpiryBatches atomic.Int64
 	ExpiryEvicted atomic.Int64
@@ -110,9 +109,9 @@ type insertProbe struct {
 	useFrom bool
 }
 
-// Engine is the continuous time-constrained subgraph search engine.
-// Methods Insert/Delete/Process run serially; the parallel front end in
-// parallel.go drives the same code under the Section V locking protocol.
+// Engine is the continuous time-constrained subgraph search engine. It
+// is not safe for concurrent use: one goroutine at a time calls its
+// methods.
 type Engine struct {
 	q      *query.Query
 	dec    *query.Decomposition
@@ -128,14 +127,12 @@ type Engine struct {
 	expiryHist *stats.AtomicHistogram
 	sampleTick uint64
 
-	// sc is the serial insert path's scratch: its buffers and match
-	// free-list. Parallel gives each of its workers one of its own.
+	// sc is the insert path's scratch: its buffers and match free-list.
 	sc *insertScratch
-	// xs is the batched expiry sweep's casualty buffers (serial only).
+	// xs is the batched expiry sweep's casualty buffers.
 	xs expiryScratch
 
 	onMatch func(*match.Match)
-	emitMu  sync.Mutex
 
 	stats Stats
 }
@@ -200,12 +197,10 @@ func New(q *query.Query, cfg Config) *Engine {
 // Insert scratch
 // ---------------------------------------------------------------------
 
-// insertScratch holds one insert transaction's reusable buffers and
-// the state its explist callbacks read. It has a single owner at a
-// time: the serial Engine, or the Parallel worker running the
-// transaction. The callbacks are sc's own methods, bound once when the
-// scratch is made, so handing them to the candidate iterators
-// allocates nothing per call.
+// insertScratch holds one insert's reusable buffers and the state its
+// explist callbacks read. The callbacks are sc's own methods, bound
+// once when the scratch is made, so handing them to the candidate
+// iterators allocates nothing per call.
 type insertScratch struct {
 	e       *Engine
 	qes     []query.EdgeID
@@ -214,9 +209,9 @@ type insertScratch struct {
 	pairs   []joined
 	gbuf    [2][]pair // the cascade's ping-pong level outputs
 
-	// free recycles the matches a transaction takes and gives back. It
-	// is uncapped: every match a transaction takes returns except those
-	// handed to OnMatch, so it never outgrows one transaction's peak.
+	// free recycles the matches an insert takes and gives back. It is
+	// uncapped: every match an insert takes returns except those handed
+	// to OnMatch, so it never outgrows one insert's peak.
 	free []*match.Match
 	ex   explist.Scratch // materialization buffer for the enumerators
 
@@ -241,7 +236,7 @@ func newInsertScratch(e *Engine) *insertScratch {
 	return sc
 }
 
-// reset ends a transaction: it clears every pointer the buffers hold,
+// reset ends an insert: it clears every pointer the buffers hold,
 // so an idle scratch pins no dead match or tree node. The free-list
 // keeps its matches, and takeMatch clears the slots it vacates.
 func (sc *insertScratch) reset() {
@@ -253,7 +248,7 @@ func (sc *insertScratch) reset() {
 
 // truncate empties a scratch buffer, clearing the elements it held.
 // Every buffer is emptied only through truncate, so the slots past its
-// length are always zero and clearing costs what the transaction used,
+// length are always zero and clearing costs what the insert used,
 // not the buffer's high-water capacity.
 func truncate[T any](s []T) []T {
 	clear(s)
@@ -288,7 +283,7 @@ func (sc *insertScratch) cloneMatch(src *match.Match) *match.Match {
 	return m
 }
 
-// putMatch recycles a match the transaction still owns. Matches handed
+// putMatch recycles a match the insert still owns. Matches handed
 // to the OnMatch callback are owned by the callback and never recycled.
 func (sc *insertScratch) putMatch(m *match.Match) { sc.free = append(sc.free, m) }
 
@@ -304,14 +299,14 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // K returns the decomposition size.
 func (e *Engine) K() int { return e.dec.K() }
 
-// Insert processes one incoming edge (Algorithm 1), serially.
-func (e *Engine) Insert(d graph.Edge) { e.runInsert(d, lock.NopLocker{}, e.sc) }
+// Insert processes one incoming edge (Algorithm 1).
+func (e *Engine) Insert(d graph.Edge) { e.runInsert(d, e.sc) }
 
-// Delete processes one expired edge (Algorithm 2), serially.
-func (e *Engine) Delete(d graph.Edge) { e.runDelete(d, lock.NopLocker{}) }
+// Delete processes one expired edge (Algorithm 2).
+func (e *Engine) Delete(d graph.Edge) { e.runDelete(d) }
 
 // DeleteBatch processes every edge expired by one window slide as a
-// single batched sweep (Algorithm 2, amortized), serially. expired
+// single batched sweep (Algorithm 2, amortized). expired
 // must be the slide's eviction set in chronological order, as produced
 // by the windower.
 func (e *Engine) DeleteBatch(expired []graph.Edge) { e.runDeleteBatch(expired) }
@@ -335,7 +330,7 @@ func (e *Engine) tickSample() bool {
 	return e.sampleTick%statSampleStride == 1
 }
 
-// Process handles one window slide serially with edge-at-a-time expiry:
+// Process handles one window slide with edge-at-a-time expiry:
 // expired edges are removed in chronological order, then the incoming
 // edge is inserted — the paper's deletion algorithm, which the Fig.
 // 15–25 harness and the oracles run; ProcessBatch is the batched
@@ -364,7 +359,7 @@ func (e *Engine) Process(d graph.Edge, expired []graph.Edge) {
 	e.Insert(d)
 }
 
-// ProcessBatch handles one window slide serially with batched expiry:
+// ProcessBatch handles one window slide with batched expiry:
 // all expired edges are swept in a single runDeleteBatch pass (each
 // touched level once, instead of once per expired edge), then the
 // incoming edge is inserted. Sampling mirrors Process: the
@@ -425,25 +420,11 @@ type pair struct {
 	m *match.Match
 }
 
-// item names the lock resource for sub-list s (1-based) item lvl; sub 0
-// is the global list. globalReadItem resolves the L₀¹ alias.
-func item(s, lvl int) lock.ItemID { return lock.ItemID{List: s, Level: lvl} }
-
-// globalReadItem returns the lock item that stores global item lvl:
-// L₀¹ aliases the first sub-list's last item (Section V-A).
-func (e *Engine) globalReadItem(lvl int) lock.ItemID {
-	if lvl == 1 {
-		return item(1, e.subs[0].Depth())
-	}
-	return item(0, lvl)
-}
-
 // -------------------------------------------------------------------
-// Algorithm 1: INSERT. The lock acquire/release points below must stay
-// in lockstep with InsertPlan; FineTxn asserts the correspondence.
+// Algorithm 1: INSERT.
 // -------------------------------------------------------------------
 
-func (e *Engine) runInsert(d graph.Edge, lk lock.Locker, sc *insertScratch) {
+func (e *Engine) runInsert(d graph.Edge, sc *insertScratch) {
 	e.stats.EdgesIn.Add(1)
 	defer sc.reset()
 	sc.d = d
@@ -457,16 +438,10 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker, sc *insertScratch) {
 		delta := sc.delta[:0]
 		if p == 1 {
 			probe := sc.getEmptyMatch()
-			lk.Acquire(item(s, 1), lock.X)
 			if probe.CanBindPrescreened(e.q, qe, d) {
-				if h := sub.Insert(1, nil, d); h != nil {
-					probe.Bind(e.q, qe, d)
-					delta = append(delta, pair{h, probe})
-					probe = nil
-				}
-			}
-			lk.Release(item(s, 1), lock.X)
-			if probe != nil {
+				probe.Bind(e.q, qe, d)
+				delta = append(delta, pair{sub.Insert(1, nil, d), probe})
+			} else {
 				sc.putMatch(probe)
 			}
 		} else {
@@ -481,20 +456,11 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker, sc *insertScratch) {
 				sc.key = d.From
 			}
 			sc.parents = truncate(sc.parents)
-			lk.Acquire(item(s, p-1), lock.S)
 			sub.EachCandidate(p-1, sc.key, &sc.ex, sc.probe)
-			lk.Release(item(s, p-1), lock.S)
-
-			lk.Acquire(item(s, p), lock.X)
 			for _, pr := range sc.parents {
-				if h := sub.Insert(p, pr.h, d); h != nil {
-					pr.m.Bind(e.q, qe, d)
-					delta = append(delta, pair{h, pr.m})
-				} else {
-					sc.putMatch(pr.m)
-				}
+				pr.m.Bind(e.q, qe, d)
+				delta = append(delta, pair{sub.Insert(p, pr.h, d), pr.m})
 			}
-			lk.Release(item(s, p), lock.X)
 		}
 		e.stats.PartialIns.Add(int64(len(delta)))
 		if len(delta) > 0 {
@@ -505,7 +471,7 @@ func (e *Engine) runInsert(d graph.Edge, lk lock.Locker, sc *insertScratch) {
 			if e.K() == 1 {
 				e.emit(delta, sc)
 			} else {
-				e.cascade(s, delta, sc, lk)
+				e.cascade(s, delta, sc)
 				for _, dp := range delta {
 					sc.putMatch(dp.m)
 				}
@@ -576,41 +542,35 @@ func (sc *insertScratch) joinStoredRight(rh explist.Handle, right *match.Match) 
 }
 
 // joined is a compatible (left, right) candidate pair with its merged
-// match, produced while reading under the S lock and inserted under the
-// X lock.
+// match, collected while probing a join level and stored once the probe
+// is done.
 type joined struct {
 	lh, rh explist.Handle
 	m      *match.Match
 }
 
 // cascade joins fresh complete matches of subquery s into the global
-// list and onward through Q^{s+1}..Q^k (Algorithm 1 lines 11-24). It
-// walks every planned item even when delta drains to empty, so the lock
-// schedule matches the dispatched plan. Each delta row probes the
-// stored side by its shared-binding fingerprint, so only stored matches
-// agreeing on the join's shared vertices are ever materialized;
-// compatibility's remaining checks run per candidate with the
-// precomputed per-level join metadata. Each level's output lands in the
-// scratch ping-pong buffer the previous level did not use. The caller
-// retains ownership of delta's matches; every intermediate match
+// list and onward through Q^{s+1}..Q^k (Algorithm 1 lines 11-24),
+// stopping at the first level that yields nothing. Each delta row
+// probes the stored side by its shared-binding fingerprint, so only
+// stored matches agreeing on the join's shared vertices are ever
+// materialized; compatibility's remaining checks run per candidate with
+// the precomputed per-level join metadata. Each level's output lands in
+// the scratch ping-pong buffer the previous level did not use. The
+// caller retains ownership of delta's matches; every intermediate match
 // cascade allocates is recycled, and the final results are handed to
 // emit.
-func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker) {
+func (e *Engine) cascade(s int, delta []pair, sc *insertScratch) {
 	deltaG := delta
 	// For s > 1 the first level is join s, where the new Q^s matches
 	// join with the stored prefix Ω(L₀^{s-1}) — the stored side is the
 	// LEFT side. Every later level x joins the accumulated prefix
 	// deltaG with stored Ω(Q^x) — the stored side is the RIGHT side.
 	first := max(s, 2)
-	for x := first; x <= e.K(); x++ {
+	for x := first; x <= e.K() && len(deltaG) > 0; x++ {
 		left := x == s
-		ri := item(x, e.subs[x-1].Depth())
-		if left {
-			ri = e.globalReadItem(s - 1)
-		}
 		sc.j = &e.joins[x]
 		sc.pairs = truncate(sc.pairs)
-		lk.Acquire(ri, lock.S)
 		for _, d := range deltaG {
 			sc.dp = d
 			fp := explist.JoinFingerprint(d.m, sc.j.shared)
@@ -620,12 +580,9 @@ func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker)
 				e.subs[x-1].EachJoinCandidate(fp, &sc.ex, sc.joinRight)
 			}
 		}
-		lk.Release(ri, lock.S)
 
 		buf := &sc.gbuf[x%2]
-		lk.Acquire(item(0, x), lock.X)
-		*buf = e.insertJoined(x, sc.pairs, truncate(*buf), sc)
-		lk.Release(item(0, x), lock.X)
+		*buf = e.insertJoined(x, sc.pairs, truncate(*buf))
 		if x > first { // deltaG's matches were made by this cascade
 			for _, d := range deltaG {
 				sc.putMatch(d.m)
@@ -637,18 +594,12 @@ func (e *Engine) cascade(s int, delta []pair, sc *insertScratch, lk lock.Locker)
 }
 
 // insertJoined stores pre-joined pairs at global item lvl, appending
-// the stored ones to out and recycling the merged match when a side
-// died concurrently. The caller holds the X lock on item(0, lvl).
-func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair, sc *insertScratch) []pair {
-	n := len(out)
+// them to out.
+func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair) []pair {
 	for _, p := range pairs {
-		if h := e.global.Insert(lvl, p.lh, p.rh); h != nil {
-			out = append(out, pair{h, p.m})
-		} else {
-			sc.putMatch(p.m)
-		}
+		out = append(out, pair{e.global.Insert(lvl, p.lh, p.rh), p.m})
 	}
-	e.stats.PartialIns.Add(int64(len(out) - n))
+	e.stats.PartialIns.Add(int64(len(pairs)))
 	return out
 }
 
@@ -662,8 +613,7 @@ func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, ex *explist.Scratch, fn
 	e.global.EachCandidate(lvl, fp, ex, fn)
 }
 
-// emit reports complete matches. The callback is serialized so user code
-// never needs its own locking; reported matches are owned by the
+// emit reports complete matches; reported matches are owned by the
 // callback. Without a callback the matches return to sc's free-list.
 func (e *Engine) emit(results []pair, sc *insertScratch) {
 	if len(results) == 0 {
@@ -676,18 +626,16 @@ func (e *Engine) emit(results []pair, sc *insertScratch) {
 		}
 		return
 	}
-	e.emitMu.Lock()
-	defer e.emitMu.Unlock()
 	for _, r := range results {
 		e.onMatch(r.m)
 	}
 }
 
 // -------------------------------------------------------------------
-// Algorithm 2: DELETE. Lock points mirror DeletePlan.
+// Algorithm 2: DELETE.
 // -------------------------------------------------------------------
 
-func (e *Engine) runDelete(d graph.Edge, lk lock.Locker) {
+func (e *Engine) runDelete(d graph.Edge) {
 	e.stats.EdgesOut.Add(1)
 	k := e.K()
 	for s := 1; s <= k; s++ {
@@ -698,9 +646,7 @@ func (e *Engine) runDelete(d graph.Edge, lk lock.Locker) {
 		depth := sub.Depth()
 		var casualties []explist.Handle
 		for lvl := 1; lvl <= depth; lvl++ {
-			lk.Acquire(item(s, lvl), lock.X)
 			casualties = sub.DeleteLevel(lvl, d.ID, casualties, nil)
-			lk.Release(item(s, lvl), lock.X)
 			e.stats.PartialDel.Add(int64(len(casualties)))
 		}
 		if k == 1 {
@@ -720,9 +666,7 @@ func (e *Engine) runDelete(d graph.Edge, lk lock.Locker) {
 			if lvl == s {
 				ds = deadSubs
 			}
-			lk.Acquire(item(0, lvl), lock.X)
 			gcas = e.global.DeleteLevel(lvl, ds, gcas, d.ID, nil)
-			lk.Release(item(0, lvl), lock.X)
 			e.stats.PartialDel.Add(int64(len(gcas)))
 		}
 	}
@@ -756,8 +700,7 @@ func (xs *expiryScratch) reset() {
 // stored match's oldest edge is its first; the matches a slide expires
 // are therefore each sub-list's item-1 matches older than the cut, their
 // extensions item by item, and the global matches that extend or
-// reference an expired submatch. It runs serially only; the Section V
-// scheduler (Parallel) drives the per-edge runDelete.
+// reference an expired submatch.
 func (e *Engine) runDeleteBatch(expired []graph.Edge) {
 	e.stats.EdgesOut.Add(int64(len(expired)))
 	e.stats.ExpiryBatches.Add(1)

@@ -9,6 +9,7 @@ import (
 	"timingsubg/internal/datagen"
 	"timingsubg/internal/graph"
 	"timingsubg/internal/match"
+	"timingsubg/internal/query"
 	"timingsubg/internal/querygen"
 )
 
@@ -142,6 +143,87 @@ func TestExpiryBatchEquivalence(t *testing.T) {
 	}
 	if !anyDeepMatches {
 		t.Error("no run with k ≥ 3 matched anything; the global cascade went untested")
+	}
+}
+
+// TestDenseChurnSerial drives a dense stream through a tiny window, so
+// nearly every slide expires partial matches while new edges extend
+// others: a triangle query A→B→C→A with (A→B) ≺ (C→A) over nine vertices
+// (three per label), 700 edges, window 40. Edge-at-a-time and batched
+// expiry, on both storage backends, must report the same valid matches
+// and the same counters.
+func TestDenseChurnSerial(t *testing.T) {
+	labels := graph.NewLabels()
+	la, lb, lc := labels.Intern("A"), labels.Intern("B"), labels.Intern("C")
+	b := query.NewBuilder()
+	va, vb, vc := b.AddVertex(la), b.AddVertex(lb), b.AddVertex(lc)
+	ab := b.AddEdge(va, vb)
+	b.AddEdge(vb, vc)
+	ca := b.AddEdge(vc, va)
+	b.Before(ab, ca)
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []graph.Edge
+	for round := 0; round < 700; round++ {
+		i, j := graph.VertexID(round%3), graph.VertexID((round/3)%3)
+		e := graph.Edge{Time: graph.Timestamp(round + 1)}
+		switch round % 3 {
+		case 0:
+			e.From, e.To, e.FromLabel, e.ToLabel = i, 3+j, la, lb
+		case 1:
+			e.From, e.To, e.FromLabel, e.ToLabel = 3+i, 6+j, lb, lc
+		case 2:
+			e.From, e.To, e.FromLabel, e.ToLabel = 6+i, j, lc, la
+		}
+		edges = append(edges, e)
+	}
+
+	type result struct {
+		keys  []string
+		stats *core.Stats
+	}
+	run := func(storage core.Storage, batched bool) result {
+		var keys []string
+		eng := core.New(q, core.Config{Storage: storage, OnMatch: func(m *match.Match) {
+			if err := m.Verify(q); err != nil {
+				t.Errorf("invalid match %s: %v", m, err)
+			}
+			keys = append(keys, m.Key())
+		}})
+		proc := eng.Process
+		if batched {
+			proc = eng.ProcessBatch
+		}
+		runStream(t, edges, 40, proc)
+		sort.Strings(keys)
+		return result{keys, eng.Stats()}
+	}
+	counters := func(st *core.Stats) [7]int64 {
+		return [7]int64{st.EdgesIn.Load(), st.EdgesOut.Load(), st.Discarded.Load(),
+			st.Matches.Load(), st.PartialIns.Load(), st.PartialDel.Load(), st.JoinCandidates.Load()}
+	}
+	want := run(core.MSTree, false)
+	if len(want.keys) == 0 {
+		t.Fatal("dense churn produced no matches; widen it")
+	}
+	for _, storage := range []core.Storage{core.MSTree, core.Independent} {
+		per := run(storage, false)
+		bat := run(storage, true)
+		for _, r := range []struct {
+			name string
+			res  result
+		}{{"peredge", per}, {"batched", bat}} {
+			name := fmt.Sprintf("storage%d/%s", storage, r.name)
+			diffKeys(t, name, want.keys, r.res.keys)
+			if got, w := counters(r.res.stats), counters(want.stats); got != w {
+				t.Errorf("%s: counters (in, out, discarded, matches, ins, del, cand) = %v, want %v", name, got, w)
+			}
+		}
+		if a, b := per.stats.JoinScanned.Load(), bat.stats.JoinScanned.Load(); a != b {
+			t.Errorf("storage%d: JoinScanned per-edge %d, batched %d", storage, a, b)
+		}
 	}
 }
 

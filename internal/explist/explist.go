@@ -59,8 +59,8 @@ type SubList interface {
 	// independent backend ignores it.
 	SetJoinKey(shared []query.VertexID)
 	// Insert stores the match obtained by extending parent with data edge
-	// e (bound to the lvl-th sequence edge); parent is nil for lvl 1.
-	// It returns nil if the parent died concurrently.
+	// e (bound to the lvl-th sequence edge); parent is nil for lvl 1
+	// and otherwise a stored match of item lvl−1.
 	Insert(lvl int, parent Handle, e graph.Edge) Handle
 	// Materialize rebuilds a fresh copy of the match identified by h at
 	// item lvl.
@@ -111,7 +111,7 @@ type GlobalList interface {
 	// Insert stores the join of parent (an item lvl−1 handle; for lvl ==
 	// 2 a handle from the first sub-list's last item) with the submatch
 	// of Q^lvl identified by sub (a handle from sub-list lvl's last
-	// item). Returns nil if either side died concurrently.
+	// item). Both must be stored.
 	Insert(lvl int, parent, sub Handle) Handle
 	// Materialize rebuilds a fresh copy of the combined match at item lvl.
 	Materialize(lvl int, h Handle) *match.Match
@@ -177,9 +177,8 @@ func JoinFingerprint(m *match.Match, shared []query.VertexID) uint64 {
 
 // Scratch is the materialization buffer a candidate enumeration
 // rebuilds each visited match into. The caller owns it: one scratch
-// serves a whole insert transaction, so steady-state probes allocate
-// nothing, and concurrent readers each bring their own. The zero value
-// is ready to use; its match is allocated on first use.
+// serves a whole insert, so steady-state probes allocate nothing. The
+// zero value is ready to use; its match is allocated on first use.
 type Scratch struct {
 	m    *match.Match
 	ebuf []graph.Edge
@@ -327,11 +326,7 @@ func (l *TreeSubList) Insert(lvl int, parent Handle, e graph.Edge) Handle {
 	if parent != nil {
 		p = parent.(*mstree.Node)
 	}
-	n := l.tree.InsertEdge(lvl, p, e)
-	if n == nil {
-		return nil
-	}
-	return n
+	return l.tree.InsertEdge(lvl, p, e)
 }
 
 // DeleteLevel implements SubList.
@@ -492,11 +487,7 @@ func (g *TreeGlobalList) bindSub(m *match.Match, subIdx int, leaf *mstree.Node, 
 func (g *TreeGlobalList) Insert(lvl int, parent, sub Handle) Handle {
 	p, _ := parent.(*mstree.Node)
 	s, _ := sub.(*mstree.Node)
-	n := g.tree.InsertSub(lvl, p, s)
-	if n == nil {
-		return nil
-	}
-	return n
+	return g.tree.InsertSub(lvl, p, s)
 }
 
 // DeleteLevel implements GlobalList.

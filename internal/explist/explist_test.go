@@ -265,16 +265,6 @@ func TestEachScratchIsolation(t *testing.T) {
 	}
 }
 
-func TestFlatInsertOnDeadParent(t *testing.T) {
-	q, sub, ls := pathSetup(t)
-	l := NewFlatSubList(q, sub)
-	h1 := l.Insert(1, nil, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
-	l.DeleteLevel(1, 1, nil, nil)
-	if h := l.Insert(2, h1, graph.Edge{ID: 2, From: 20, To: 30, FromLabel: ls[1], ToLabel: ls[2], Time: 2}); h != nil {
-		t.Error("flat backend is serial: insert under a deleted parent must be refused")
-	}
-}
-
 func TestHandleTypesAreOpaque(t *testing.T) {
 	q, sub, ls := pathSetup(t)
 	for name, l := range subLists(q, sub) {

@@ -7,12 +7,10 @@ import (
 )
 
 // flatEntry is one independently stored partial match. Entries form a
-// per-item doubly linked list so deletion mid-scan is O(1), and carry a
-// dead flag so handles held across operations stay safe.
+// per-item doubly linked list so deletion mid-scan is O(1).
 type flatEntry struct {
 	m          *match.Match
 	prev, next *flatEntry
-	dead       bool
 	// minT is the death-time key: the minimum timestamp over the
 	// match's bound data edges, computed incrementally at insert. A
 	// window slide with watermark w kills exactly the entries with
@@ -40,9 +38,6 @@ func (it *flatItem) insert(m *match.Match) *flatEntry {
 }
 
 func (it *flatItem) remove(e *flatEntry) {
-	if e.dead {
-		return
-	}
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -53,7 +48,6 @@ func (it *flatItem) remove(e *flatEntry) {
 	} else {
 		it.tail = e.prev
 	}
-	e.dead = true
 	it.count--
 }
 
@@ -159,9 +153,6 @@ func (l *FlatSubList) Insert(lvl int, parent Handle, e graph.Edge) Handle {
 		m = match.New(l.q)
 	} else {
 		pe := parent.(*flatEntry)
-		if pe.dead {
-			return nil
-		}
 		m = pe.m.Clone()
 		if pe.minT < minT {
 			minT = pe.minT
@@ -236,9 +227,6 @@ func (g *FlatGlobalList) Materialize(_ int, h Handle) *match.Match {
 func (g *FlatGlobalList) Insert(lvl int, parent, sub Handle) Handle {
 	pe := parent.(*flatEntry)
 	se := sub.(*flatEntry)
-	if pe.dead || se.dead {
-		return nil
-	}
 	m := pe.m.Merge(se.m)
 	ne := g.items[lvl-1].insert(m)
 	ne.minT = pe.minT

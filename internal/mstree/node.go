@@ -7,11 +7,6 @@
 // node keeps its parent pointer so a match can be reconstructed by
 // backtracking (Section IV-B).
 //
-// Deletion supports the paper's two-phase "partial removal" (Fig. 14):
-// unlink from the level list and detach from the parent's child list while
-// keeping the upward parent pointer and payload intact, so concurrent
-// earlier readers backtracking through the node stay safe (Theorem 6).
-//
 // Expiry follows the tree (Algorithm 2). Level 1 is in arrival order —
 // attach appends at the tail and edges arrive in timestamp order — and
 // every deeper node's edge arrived after its parent's, so the matches a
@@ -20,22 +15,15 @@
 // lists and, in global trees, through the dependency index. No
 // time-ordered side structure is kept.
 //
-// Locking discipline (Section V-C): the tree holds no locks itself. Every
-// structure owned by level ℓ — the level list, the level's edge/dep
-// indexes, sibling links of level-ℓ nodes, and the firstChild pointers of
-// level ℓ−1 nodes — is only touched by operations that hold the
-// expansion-list item lock for level ℓ. Payload fields (Parent, Edge,
-// Sub, Level) are immutable after insertion and may be read lock-free by
-// backtracking readers; the dead flag is atomic because an earlier
-// inserter at level ℓ+1 may inspect a parent while a later deleter at
-// level ℓ marks it.
+// A removed node leaves every structure that a lookup or a later removal
+// walks: its level list, its join-index bucket, its edge/dep bucket and
+// its parent's child list, which is unlinked unless the parent is
+// removed in the same cascade and consumed once. No removed node is
+// reachable from the tree, so none carries a removed flag. A Tree is not
+// safe for concurrent use.
 package mstree
 
-import (
-	"sync/atomic"
-
-	"timingsubg/internal/graph"
-)
+import "timingsubg/internal/graph"
 
 // Node is one match-store tree node.
 type Node struct {
@@ -71,17 +59,8 @@ type Node struct {
 	// through its join-index bucket, links[refLink] through its edgeIdx
 	// bucket (sub-trees) or depIdx bucket (global trees) — a node is in
 	// exactly one of those two. Removal is O(1) and allocates nothing.
-	// Owned by the node's level: touched only under its item lock.
 	links [2]link
-
-	// dead marks a partially removed node (Fig. 14): gone from its level
-	// list and its parent's child list, but Parent/Edge/Sub remain valid
-	// for in-flight earlier readers.
-	dead atomic.Bool
 }
-
-// Dead reports whether the node has been (partially) removed.
-func (n *Node) Dead() bool { return n.dead.Load() }
 
 // PathEdges fills buf (reallocating if needed) with the data edges along
 // n's path from the root, index 0 being the level-1 edge, and returns the

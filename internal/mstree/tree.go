@@ -10,10 +10,6 @@ import (
 // one expansion list: level j stores the partial matches of the list's
 // j-th item. The same structure backs both sub-trees (nodes carry data
 // edges) and global L₀ trees (nodes carry Sub pointers into sub-trees).
-//
-// All per-level state is segregated so that concurrent transactions
-// holding different item locks never touch shared memory (see the package
-// comment for the full locking discipline).
 type Tree struct {
 	levels []level
 }
@@ -31,8 +27,7 @@ type level struct {
 	// of the level's connecting query vertex (sub-trees) or the
 	// shared-binding fingerprint of the level's join (last items and
 	// global levels). It makes the INSERT probe O(candidates) instead of
-	// O(level). Unused until SetLevelKey installs keyOf; owned by this
-	// level's item lock like every other level structure, and cleaned as
+	// O(level). Unused until SetLevelKey installs keyOf; cleaned as
 	// nodes die.
 	joinIdx index[uint64]
 	// keyOf computes a node's join key from its immutable payload
@@ -134,8 +129,7 @@ func (t *Tree) SetLevelKey(lvl int, keyOf func(*Node) uint64) {
 // lvl (1-based).
 func (t *Tree) Count(lvl int) int { return t.levels[lvl-1].count }
 
-// Nodes returns the total number of live nodes. It must only be called
-// while the tree is quiescent (no in-flight transactions).
+// Nodes returns the total number of live nodes.
 func (t *Tree) Nodes() int64 {
 	var n int64
 	for i := range t.levels {
@@ -145,17 +139,7 @@ func (t *Tree) Nodes() int64 {
 }
 
 // InsertEdge adds a node carrying data edge e at level lvl under parent
-// (nil for level 1).
-//
-// The parent may already be partially removed: that only happens when a
-// LATER-timestamped deletion overtook this transaction between its read
-// of level lvl−1 and this insert (wait-list ordering makes an earlier
-// deletion impossible — it would have unlinked the parent before the
-// read). In serial order the insert precedes that deletion, so the child
-// must be created (and reported if it completes a match); the deleter's
-// pending cascade at this level will then remove it via the parent's
-// child list. This is exactly why partial removal (Fig. 14) keeps dead
-// nodes intact.
+// (nil for level 1), which must be live.
 func (t *Tree) InsertEdge(lvl int, parent *Node, e graph.Edge) *Node {
 	n := &Node{Parent: parent, Edge: e, Level: lvl}
 	lv := t.attach(n, parent)
@@ -166,9 +150,7 @@ func (t *Tree) InsertEdge(lvl int, parent *Node, e graph.Edge) *Node {
 // InsertSub adds a global-tree node at level lvl pointing at submatch
 // leaf sub, under parent (which belongs to another tree when lvl == 2,
 // because the first global item aliases the first sub-list's last item).
-// As with InsertEdge, a dead parent or sub means a later-timestamped
-// deleter overtook this transaction; the insert proceeds and that
-// deleter's pending cascade removes the node.
+// Both must be live.
 func (t *Tree) InsertSub(lvl int, parent, sub *Node) *Node {
 	n := &Node{Parent: parent, Sub: sub, Level: lvl}
 	lv := t.attach(n, parent)
@@ -214,9 +196,7 @@ func (t *Tree) Each(lvl int, fn func(*Node) bool) {
 // EachCandidate calls fn for every live node at level lvl whose join key
 // equals key, until fn returns false. On a level without a join index it
 // degrades to Each — the caller's filter still sees every node, just
-// without the index narrowing. Dead nodes are skipped: a later-
-// timestamped deleter may have overtaken the read under Fig. 14's
-// partial-removal protocol.
+// without the index narrowing.
 func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 	lv := &t.levels[lvl-1]
 	if lv.keyOf == nil {
@@ -237,9 +217,6 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 		return
 	}
 	for n := lv.joinIdx.buckets[key].head; n != nil; n = n.links[keyLink].next {
-		if n.Dead() {
-			continue
-		}
 		if !fn(n) {
 			return
 		}
@@ -249,12 +226,14 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 // nodeOf returns the node a casualty-buffer element holds.
 func nodeOf[H any](h H) *Node { return any(h).(*Node) }
 
-// DeleteLevel partially removes, at level lvl of t, every node that
-// carries data edge edgeID (pass a negative ID to skip), every child of
-// the nodes in parents, and every node whose Sub is in deadSubs. It
-// appends the removed nodes to dst and returns it, so the caller can
-// cascade to the next level. This mirrors Algorithm 2's level-by-level
-// scan with the Fig. 14 partial-removal protocol.
+// DeleteLevel removes, at level lvl of t, every node that carries data
+// edge edgeID (pass a negative ID to skip), every child of the nodes in
+// parents, and every node whose Sub is in deadSubs. It appends the
+// removed nodes to dst and returns it, so the caller can cascade to the
+// next level. This mirrors Algorithm 2's level-by-level scan. parents
+// must be the previous level's casualties, each listed once: a removed
+// node's child list then holds only live nodes, because every other
+// removal path unlinks the node from it.
 //
 // The casualty buffers hold any element type H that carries a *Node —
 // *Node itself, or an interface such as explist's Handle — so callers
@@ -266,11 +245,9 @@ func DeleteLevel[H any](t *Tree, lvl int, edgeID graph.EdgeID, parents, deadSubs
 	}
 	for _, h := range parents {
 		for c := nodeOf(h).firstChild; c != nil; c = c.nextSib {
-			if !c.Dead() {
-				lv.kill(c)
-				lv.dropRef(c)
-				dst = append(dst, any(c).(H))
-			}
+			lv.kill(c)
+			lv.dropRef(c)
+			dst = append(dst, any(c).(H))
 		}
 	}
 	for _, h := range deadSubs {
@@ -279,8 +256,8 @@ func DeleteLevel[H any](t *Tree, lvl int, edgeID graph.EdgeID, parents, deadSubs
 	return dst
 }
 
-// killBucket detaches k's whole bucket from ix and partially removes
-// every node on it, appending each to dst.
+// killBucket detaches k's whole bucket from ix and removes every node
+// on it, appending each to dst.
 func killBucket[K comparable, H any](lv *level, ix *index[K], k K, dst []H) []H {
 	n := ix.buckets[k].head
 	if n == nil {
@@ -298,8 +275,8 @@ func killBucket[K comparable, H any](lv *level, ix *index[K], k K, dst []H) []H 
 	return dst
 }
 
-// ExpirePrefix partially removes every level-1 node of t whose edge is
-// older than cut, appending them to dst. Level 1 is in arrival order
+// ExpirePrefix removes every level-1 node of t whose edge is older than
+// cut, appending them to dst. Level 1 is in arrival order
 // (attach appends at the tail, and edges arrive in timestamp order), so
 // the expired nodes are a prefix of its list; the caller cascades them
 // to the deeper levels with DeleteLevel. Buffers are as in DeleteLevel.
@@ -313,12 +290,11 @@ func ExpirePrefix[H any](t *Tree, cut graph.Timestamp, dst []H) []H {
 	return dst
 }
 
-// kill removes n from its level list and join-index bucket and marks it
-// dead, leaving its sibling links and its edge/dep bucket to the caller:
-// a dead parent's child list must stay traversable while it is being
-// consumed, and it is consumed exactly once, so the stale sibling links
-// are never observed again. Parent pointer and payload stay intact
-// (Fig. 14).
+// kill removes n from its level list and join-index bucket, leaving its
+// sibling links and its edge/dep bucket to the caller: a removed
+// parent's child list must stay traversable while it is being consumed,
+// and it is consumed exactly once, so the stale sibling links are never
+// observed again.
 func (lv *level) kill(n *Node) {
 	if n.prevLvl != nil {
 		n.prevLvl.nextLvl = n.nextLvl
@@ -334,7 +310,6 @@ func (lv *level) kill(n *Node) {
 	if lv.keyOf != nil {
 		lv.joinIdx.remove(n.joinKey, n)
 	}
-	n.dead.Store(true)
 	lv.count--
 }
 
@@ -368,7 +343,6 @@ const (
 )
 
 // SpaceBytes estimates resident size: nodes plus index map entries.
-// Like Nodes, it must be called while quiescent.
 func (t *Tree) SpaceBytes() int64 {
 	var b int64
 	for i := range t.levels {

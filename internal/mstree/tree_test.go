@@ -69,10 +69,6 @@ func TestFig10(t *testing.T) {
 	if tr.Nodes() != 0 {
 		t.Errorf("tree must be empty, %d nodes remain", tr.Nodes())
 	}
-	// Partial removal keeps payloads for in-flight readers.
-	if !n4.Dead() || n4.Parent != n3 || n4.Edge.ID != 4 {
-		t.Error("partial removal must keep Parent/Edge intact")
-	}
 }
 
 func TestDeleteMidLevel(t *testing.T) {
@@ -98,32 +94,6 @@ func TestDeleteMidLevel(t *testing.T) {
 	}
 	if got := collect(tr, 2); len(got) != 2 {
 		t.Errorf("level 2 after cascade: %v", got)
-	}
-}
-
-func TestInsertUnderDeadParent(t *testing.T) {
-	tr := New(2)
-	p := tr.InsertEdge(1, nil, edge(1))
-	dead := deleteLevel(tr, 1, 1, nil, nil)
-	if len(dead) != 1 {
-		t.Fatal("parent should die")
-	}
-	// A later-timestamped deleter may overtake an inserter between its
-	// read and its insert; the insert must still succeed (Theorem 5 case
-	// 2 + Fig. 14) and the pending cascade must then collect the child.
-	child := tr.InsertEdge(2, p, edge(5))
-	if child == nil {
-		t.Fatal("insert under a partially removed parent must succeed")
-	}
-	if tr.Count(2) != 1 {
-		t.Fatal("child must be live until the cascade reaches its level")
-	}
-	dead2 := deleteLevel(tr, 2, 1, dead, nil)
-	if len(dead2) != 1 || dead2[0] != child {
-		t.Fatalf("cascade must collect the late insert, got %v", dead2)
-	}
-	if tr.Count(2) != 0 {
-		t.Error("level 2 must be empty after cascade")
 	}
 }
 
@@ -171,10 +141,30 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 // random edge, and watermark expiry (ExpirePrefix plus the cascade).
 // Edge IDs double as timestamps and grow along every path, so a
 // watermark kills exactly the matches whose first edge is below it.
+// It also checks the invariant that lets removed nodes go unmarked: no
+// join-index probe and no cascade's child-list walk ever reaches a node
+// the mirror has seen removed.
 func TestRandomizedIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const depth = 3
+	const keys = 4 // join keys per level: several buckets, so probes use the index
 	tr := New(depth)
+	for lvl := 1; lvl <= depth; lvl++ {
+		tr.SetLevelKey(lvl, func(n *Node) uint64 { return uint64(n.Edge.ID) % keys })
+	}
+	removed := map[*Node]bool{}
+	// cascade runs DeleteLevel after checking that the child lists it
+	// is about to walk hold no removed node.
+	cascade := func(op, lvl int, edgeID graph.EdgeID, parents []*Node) []*Node {
+		for _, p := range parents {
+			for c := p.firstChild; c != nil; c = c.nextSib {
+				if removed[c] {
+					t.Fatalf("op %d: level %d: child list of a casualty holds removed node %d", op, lvl, c.Edge.ID)
+				}
+			}
+		}
+		return deleteLevel(tr, lvl, edgeID, parents, nil)
+	}
 
 	type mirrorMatch struct {
 		ids  [depth]int64
@@ -186,7 +176,9 @@ func TestRandomizedIntegrity(t *testing.T) {
 		for lvl := 1; lvl <= depth; lvl++ {
 			keep := mirror[lvl-1][:0]
 			for _, mm := range mirror[lvl-1] {
-				if !dies(mm, lvl) {
+				if dies(mm, lvl) {
+					removed[mm.node] = true
+				} else {
 					keep = append(keep, mm)
 				}
 			}
@@ -215,14 +207,14 @@ func TestRandomizedIntegrity(t *testing.T) {
 			watermark = min(watermark+1+rng.Int63n(8), nextID)
 			casualties := ExpirePrefix(tr, graph.Timestamp(watermark), []*Node(nil))
 			for lvl := 2; lvl <= depth; lvl++ {
-				casualties = deleteLevel(tr, lvl, -1, casualties, nil)
+				casualties = cascade(op, lvl, -1, casualties)
 			}
 			prune(func(mm mirrorMatch, _ int) bool { return mm.ids[0] < watermark })
 		} else if nextID > 1 { // expire a random id
 			victim := 1 + rng.Int63n(nextID-1)
 			var casualties []*Node
 			for lvl := 1; lvl <= depth; lvl++ {
-				casualties = deleteLevel(tr, lvl, graph.EdgeID(victim), casualties, nil)
+				casualties = cascade(op, lvl, graph.EdgeID(victim), casualties)
 			}
 			prune(func(mm mirrorMatch, lvl int) bool {
 				for l := 0; l < lvl; l++ {
@@ -237,6 +229,19 @@ func TestRandomizedIntegrity(t *testing.T) {
 			if tr.Count(lvl) != len(mirror[lvl-1]) {
 				t.Fatalf("op %d: level %d count drifted: tree %d, mirror %d",
 					op, lvl, tr.Count(lvl), len(mirror[lvl-1]))
+			}
+			seen := 0
+			for key := uint64(0); key < keys; key++ {
+				tr.EachCandidate(lvl, key, func(n *Node) bool {
+					if removed[n] {
+						t.Fatalf("op %d: level %d: probe of key %d reached removed node %d", op, lvl, key, n.Edge.ID)
+					}
+					seen++
+					return true
+				})
+			}
+			if seen != tr.Count(lvl) {
+				t.Fatalf("op %d: level %d: probes over every key saw %d nodes, level holds %d", op, lvl, seen, tr.Count(lvl))
 			}
 		}
 	}
@@ -262,10 +267,11 @@ func TestRandomizedIntegrity(t *testing.T) {
 // TestSpaceBytesTracksNodes pins SpaceBytes to the real node size and
 // the index entries, and the node size to its allocation size class.
 func TestSpaceBytesTracksNodes(t *testing.T) {
-	// 160 B is a malloc size class: a larger Node would cost the next
-	// class (176 B) per stored partial match.
-	if sz := unsafe.Sizeof(Node{}); sz > 160 || nodeBytes != int64(sz) {
-		t.Fatalf("Node is %d B (SpaceBytes counts %d), want ≤ 160", sz, nodeBytes)
+	// A Node is 152 B and allocates from the 160 B size class; a Node
+	// over 160 B would cost the next class (176 B) per stored partial
+	// match.
+	if sz := unsafe.Sizeof(Node{}); sz != 152 || nodeBytes != int64(sz) {
+		t.Fatalf("Node is %d B (SpaceBytes counts %d), want 152", sz, nodeBytes)
 	}
 	tr := New(2)
 	if tr.SpaceBytes() != 0 {
