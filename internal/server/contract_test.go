@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -22,8 +24,9 @@ var updateContract = flag.Bool("update", false, "rewrite testdata/wire_contract.
 // scripted scenario that lights every section of the snapshot (tenancy
 // with two tenants, a sharded durable fleet, event time configured),
 // recorded as (a) the JSON key paths of /stats → fleet.stats plus the
-// counters that are exact functions of the script, (b) the # TYPE lines
-// of /metrics and (c) the gauge names RegisterMetrics registers for each
+// counters that are exact functions of the script, (b) the top-level
+// keys of the admin and the tenant views of /stats, (c) the # TYPE lines
+// of /metrics and (d) the gauge names RegisterMetrics registers for each
 // engine composition. Key order inside JSON objects and family order in
 // the exposition are not part of the contract, so both are sorted.
 func TestWireContract(t *testing.T) {
@@ -96,10 +99,7 @@ func contractServer(t *testing.T, b *strings.Builder) {
 		t.Fatalf("ingest: %v", err)
 	}
 
-	all, err := admin.Stats(ctx)
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
+	all := getStats(t, ts.URL, "root")
 	fleet, ok := all["fleet.stats"].(map[string]any)
 	if !ok {
 		t.Fatalf("fleet.stats = %T, want an object", all["fleet.stats"])
@@ -114,6 +114,8 @@ func contractServer(t *testing.T, b *strings.Builder) {
 	})
 	section(b, "/stats fleet.stats key paths", paths)
 	section(b, "/stats exact counters", exact)
+	section(b, "/stats admin top-level keys", topKeys(all))
+	section(b, "/stats tenant top-level keys", topKeys(getStats(t, ts.URL, "k-acme")))
 
 	var types []string
 	for _, line := range strings.Split(scrape(t, ts.URL), "\n") {
@@ -157,6 +159,39 @@ func contractRegistry(t *testing.T, b *strings.Builder) {
 			t.Fatalf("close %s: %v", c.name, err)
 		}
 	}
+}
+
+// getStats GETs /stats with the bearer key and decodes the body
+// untyped, so the capture sees the wire rather than a client type.
+func getStats(t *testing.T, url, key string) map[string]any {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url+"/stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+key)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /stats as %q: status %d", key, resp.StatusCode)
+	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+	return out
+}
+
+// topKeys lists a decoded object's keys.
+func topKeys(obj map[string]any) []string {
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // walkJSON calls fn for every leaf of a decoded JSON object, with its
