@@ -192,21 +192,27 @@ func (c *Client) Ingest(ctx context.Context, edges []Edge) (IngestResult, error)
 	return out, err
 }
 
-// Stats samples the server's live metrics.
-func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
-	var out map[string]any
+// Stats samples the server's live counters: the whole view, for the
+// admin key or an untenanted server. A tenant key reads TenantStats.
+func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
+	var out ServerStats
 	err := c.doJSON(ctx, http.MethodGet, "/stats", nil, &out)
 	return out, err
 }
 
-// EngineStats samples the unified engine snapshot — the typed form of
-// the "fleet.stats" metric, with per-query snapshots under Queries.
+// TenantStats samples the calling tenant's slice of the server's
+// counters (GET /stats with a tenant key).
+func (c *Client) TenantStats(ctx context.Context) (TenantStats, error) {
+	var out TenantStats
+	err := c.doJSON(ctx, http.MethodGet, "/stats", nil, &out)
+	return out, err
+}
+
+// EngineStats samples the unified engine snapshot, with per-query
+// snapshots under Queries: the fleet.stats part of Stats.
 func (c *Client) EngineStats(ctx context.Context) (EngineStats, error) {
-	var out map[string]EngineStats
-	if err := c.doJSON(ctx, http.MethodGet, "/stats?metric=fleet.stats", nil, &out); err != nil {
-		return EngineStats{}, err
-	}
-	return out["fleet.stats"], nil
+	st, err := c.Stats(ctx)
+	return st.Fleet, err
 }
 
 // Health probes the server's liveness endpoint.

@@ -23,7 +23,7 @@
 // seen. MatchEvent.Seq is the engine's per-query delivery sequence
 // number, stable across durable server restarts.
 //
-//	GET    /stats            sample live metrics           (JSON object)
+//	GET    /stats            sample live counters          (ServerStats; TenantStats for a tenant key)
 //	GET    /healthz          liveness probe (answers as soon as the process listens)
 //	GET    /readyz           readiness probe (503 while durable recovery replays)
 //	POST   /tenants          register a tenant             (TenantSpec → TenantInfo, admin key)
@@ -37,7 +37,10 @@
 // .Reconnect honors it when re-establishing a stream.
 package client
 
-import "timingsubg/internal/stats"
+import (
+	"timingsubg/internal/stats"
+	"timingsubg/internal/tenant"
+)
 
 // QueryRequest registers a continuous query with the server.
 type QueryRequest struct {
@@ -162,6 +165,39 @@ type (
 	EngineStats = stats.Stats
 )
 
+// ServerStats is the response of GET /stats to the admin key, and to
+// every caller of an untenanted server: the fleet's whole snapshot plus
+// the counters only the server keeps. The keys are dotted by layer.
+type ServerStats struct {
+	Fleet EngineStats `json:"fleet.stats"`
+	// Ingested counts edges accepted by POST /ingest in this process.
+	Ingested int64 `json:"server.ingested"`
+	// LastTime is the server's stream clock, durable across restarts.
+	LastTime int64 `json:"server.last_time"`
+	// QueueDepth is the number of operations waiting for the work loop.
+	QueueDepth int `json:"server.queue_depth"`
+	// DroppedEvents repeats Fleet.SubscriptionDropped under the key
+	// tsbench (benchmark/server.go) reads; it goes once that reader
+	// moves to fleet.stats.
+	DroppedEvents int64 `json:"server.dropped_events"`
+	// Tenants is each tenant's usage, keyed by name (tenancy only).
+	Tenants map[string]TenantUsage `json:"server.tenants,omitempty"`
+}
+
+// TenantStats is the response of GET /stats to a tenant's key: that
+// tenant's slice of the server.
+type TenantStats struct {
+	Tenant string      `json:"tenant"`
+	Usage  TenantUsage `json:"usage"`
+	// Stats is the tenant's group aggregate: summed member counters plus
+	// a detection histogram that survives query retirement. Nil before
+	// the tenant's first query.
+	Stats *EngineStats `json:"stats,omitempty"`
+	// Queries holds the tenant's per-query snapshots, keyed by the
+	// tenant-facing query name.
+	Queries map[string]EngineStats `json:"queries,omitempty"`
+}
+
 // TenantKey declares one API key of a tenant: the bearer credential
 // and its role ("write" — the default — or "read").
 type TenantKey struct {
@@ -169,21 +205,14 @@ type TenantKey struct {
 	Role string `json:"role,omitempty"`
 }
 
-// TenantLimits bounds a tenant's admission. Zero fields are unlimited,
-// so a spec states only what it wants to constrain. Rates refill token
-// buckets charged before work is read or queued; bursts default to one
-// second's worth of the rate.
-type TenantLimits struct {
-	EdgesPerSec      float64 `json:"edges_per_sec,omitempty"`
-	EdgeBurst        int     `json:"edge_burst,omitempty"`
-	BatchesPerSec    float64 `json:"batches_per_sec,omitempty"`
-	BatchBurst       int     `json:"batch_burst,omitempty"`
-	MaxQueries       int     `json:"max_queries,omitempty"`
-	MaxSubscriptions int     `json:"max_subscriptions,omitempty"`
-	// Weight is the tenant's fair share of the server's serialized
-	// work loop (default 1).
-	Weight float64 `json:"weight,omitempty"`
-}
+// The tenant wire types are the tenant package's own declarations.
+type (
+	// TenantLimits bounds a tenant's admission. Zero fields are
+	// unlimited, so a spec states only what it wants to constrain.
+	TenantLimits = tenant.Limits
+	// TenantUsage is one tenant's live admission and ownership counters.
+	TenantUsage = tenant.Usage
+)
 
 // TenantSpec declares one tenant: a tenants-file entry and the POST
 // /tenants request body (admin API).
@@ -191,17 +220,6 @@ type TenantSpec struct {
 	Name   string       `json:"name"`
 	Keys   []TenantKey  `json:"keys,omitempty"`
 	Limits TenantLimits `json:"limits,omitempty"`
-}
-
-// TenantUsage is one tenant's live admission and ownership counters.
-type TenantUsage struct {
-	AdmittedEdges   int64 `json:"admitted_edges"`
-	RejectedEdges   int64 `json:"rejected_edges"`
-	AdmittedBatches int64 `json:"admitted_batches"`
-	RejectedBatches int64 `json:"rejected_batches"`
-	IngestBytes     int64 `json:"ingest_bytes"`
-	Queries         int   `json:"queries"`
-	Subscriptions   int   `json:"subscriptions"`
 }
 
 // TenantInfo is one tenant's admin-facing snapshot: declared limits

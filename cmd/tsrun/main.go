@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sync"
 	"time"
 
 	"timingsubg"
@@ -51,7 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	ind := fs.Bool("independent", false, "use independent partial-match storage (Timing-IND)")
 	durable := fs.String("durable", "", "durability directory: WAL + checkpoints with crash recovery")
 	adaptive := fs.Bool("adaptive", false, "enable adaptive join-order reoptimization")
-	metricsAddr := fs.String("metrics", "", "serve live JSON metrics on this address during the run")
+	metricsAddr := fs.String("metrics", "", "serve the engine's live Stats as JSON on this address during the run")
 	printMatches := fs.Bool("print", false, "print each match")
 	explain := fs.Bool("explain", false, "print the compiled query plan before running")
 	state := fs.Bool("state", false, "dump engine state (per-item populations) after the run")
@@ -121,17 +123,22 @@ func run(args []string, stdout io.Writer) error {
 			st.Matches, st.Replayed, st.InWindow)
 	}
 
+	// A single-query engine must not be sampled while it is fed or
+	// closed, so mu serializes those with each -metrics scrape.
+	var mu sync.Mutex
 	if *metricsAddr != "" {
-		reg := timingsubg.NewMetricsRegistry()
-		if err := timingsubg.RegisterMetrics(reg, "tsrun", eng); err != nil {
-			return err
-		}
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			return err
 		}
 		defer ln.Close()
-		go http.Serve(ln, timingsubg.MetricsHandler(reg))
+		go http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			mu.Lock()
+			st := eng.Stats()
+			mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(st)
+		}))
 		fmt.Fprintf(stdout, "metrics: http://%s\n", ln.Addr())
 	}
 
@@ -139,13 +146,19 @@ func run(args []string, stdout io.Writer) error {
 	start := time.Now()
 	for _, e := range edges {
 		t0 := time.Now()
-		if _, err := eng.Feed(e); err != nil {
+		mu.Lock()
+		_, err := eng.Feed(e)
+		mu.Unlock()
+		if err != nil {
 			return err
 		}
 		hist.Observe(time.Since(t0))
 	}
 	elapsed := time.Since(start)
-	if err := eng.Close(); err != nil {
+	mu.Lock()
+	err = eng.Close()
+	mu.Unlock()
+	if err != nil {
 		return err
 	}
 

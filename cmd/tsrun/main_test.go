@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"timingsubg"
@@ -132,5 +136,95 @@ func TestRunRejectsWhatOpenRejects(t *testing.T) {
 	err := run([]string{"-query", q, "-stream", s, "-durable", filepath.Join(dir, "state"), "-count-window", "5"}, &bytes.Buffer{})
 	if !errors.Is(err, timingsubg.ErrBadOptions) {
 		t.Fatalf("-durable -count-window: %v, want ErrBadOptions", err)
+	}
+}
+
+// metricsHook is run's stdout. When run announces its -metrics address
+// the hook starts scraping it in a loop until stop closes, and holds run
+// on that line until the first scrape has landed, so the rest of the
+// run's feeding overlaps the scrapes.
+type metricsHook struct {
+	bytes.Buffer
+	stop chan struct{}
+	wg   sync.WaitGroup
+	// Written by the scraper, read after wg.Wait.
+	scrapes int
+	err     error
+}
+
+func (h *metricsHook) Write(p []byte) (int, error) {
+	if url, ok := strings.CutPrefix(string(p), "metrics: "); ok {
+		first := make(chan struct{})
+		h.wg.Add(1)
+		go h.scrape(strings.TrimSpace(url), first)
+		<-first
+	}
+	return h.Buffer.Write(p)
+}
+
+func (h *metricsHook) scrape(url string, first chan struct{}) {
+	defer h.wg.Done()
+	for {
+		st, err := scrapeStats(url)
+		if err == nil && st.K != 1 {
+			err = fmt.Errorf("scraped k=%d, want the query's 1", st.K)
+		}
+		var gone *net.OpError
+		switch {
+		case errors.As(err, &gone) && first == nil:
+			// Once run has fed everything it closes the listener.
+			return
+		case err != nil && h.err == nil:
+			h.err = err
+		case err == nil:
+			h.scrapes++
+		}
+		if first != nil {
+			close(first)
+			first = nil
+		}
+		select {
+		case <-h.stop:
+			return
+		default:
+		}
+	}
+}
+
+// scrapeStats GETs the -metrics address and decodes the body strictly as
+// one Stats snapshot.
+func scrapeStats(url string) (timingsubg.Stats, error) {
+	var st timingsubg.Stats
+	resp, err := http.Get(url)
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return st, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&st)
+	return st, err
+}
+
+// TestMetricsScrapedDuringRun: -metrics serves the engine's Stats as
+// JSON, and scraping it while edges are fed is safe (run under -race).
+func TestMetricsScrapedDuringRun(t *testing.T) {
+	dir := t.TempDir()
+	q, s := fixture(t, dir, "s.csv", 0, 19999)
+	h := &metricsHook{stop: make(chan struct{})}
+	err := run([]string{"-query", q, "-window", "50", "-metrics", "127.0.0.1:0", "-stream", s}, h)
+	close(h.stop)
+	h.wg.Wait()
+	if err != nil {
+		t.Fatalf("tsrun -metrics: %v", err)
+	}
+	if h.err != nil {
+		t.Fatalf("scrape: %v (%d scrapes ok)", h.err, h.scrapes)
+	}
+	if h.scrapes == 0 {
+		t.Fatalf("no scrape landed; output:\n%s", h.String())
 	}
 }

@@ -19,7 +19,7 @@
 //	POST   /ingest           NDJSON edge batch → per-line accounting
 //	GET    /subscribe        SSE match stream (?queries=a,b filters;
 //	                         no filter streams every query)
-//	GET    /stats            live metrics as JSON (optionally ?metric=name)
+//	GET    /stats            live counters as one JSON snapshot (client.ServerStats)
 //	GET    /metrics          Prometheus text exposition: per-stage latency
 //	                         histograms, per-query detection latency and
 //	                         counters (served off the work queue, so a

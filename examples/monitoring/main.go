@@ -1,6 +1,6 @@
 // Command monitoring runs a routed fleet of three attack/fraud patterns
-// over a synthetic stream while serving live engine counters over HTTP
-// as JSON — the operational shape of a production deployment: one
+// over a synthetic stream while serving its live Stats snapshot over
+// HTTP as JSON — the operational shape of a production deployment: one
 // process, many standing queries, a scrape endpoint.
 //
 // Alert consumption rides the engine's results plane: one
@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
 
 	"timingsubg"
 )
@@ -70,16 +69,17 @@ func main() {
 		}
 	}()
 
-	reg := timingsubg.NewMetricsRegistry()
-	if err := timingsubg.RegisterMetrics(reg, "fleet", ms); err != nil {
-		panic(err)
-	}
+	// A fleet's Stats is safe to sample while it is fed, so the endpoint
+	// needs no lock of its own.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
 	defer ln.Close()
-	go http.Serve(ln, timingsubg.MetricsHandler(reg))
+	go http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(ms.Stats())
+	}))
 	url := "http://" + ln.Addr().String()
 	fmt.Printf("metrics endpoint: %s\n", url)
 
@@ -95,18 +95,17 @@ func main() {
 			panic(err)
 		}
 		defer resp.Body.Close()
-		var got map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		var st timingsubg.Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			panic(err)
 		}
-		var names []string
-		for k := range got {
-			names = append(names, k)
-		}
-		sort.Strings(names)
 		fmt.Printf("-- scrape %s --\n", tag)
-		for _, k := range names {
-			fmt.Printf("  %-36s %v\n", k, got[k])
+		fmt.Printf("  fed %d  matches %d  in window %d  partial matches %d  space %d B\n",
+			st.Fed, st.Matches, st.InWindow, st.PartialMatches, st.SpaceBytes)
+		for _, spec := range specs {
+			qs := st.Queries[spec.Name]
+			fmt.Printf("  %-14s matches %-5d in window %-4d join scanned %d\n",
+				spec.Name, qs.Matches, qs.InWindow, qs.JoinScanned)
 		}
 	}
 

@@ -49,9 +49,9 @@ import (
 //   - Feeds hold mu.RLock (roster + WAL stability) and the shard
 //     workers take their shard's lock; a barrier per call preserves the
 //     contract that a feed's effects are complete when it returns.
-//   - Samplers (Stats, CurrentMatches, queryStats, …) hold mu.RLock
-//     plus one shard lock at a time, so sampling never stops ingest on
-//     the other shards.
+//   - Samplers (Stats, CurrentMatches, …) hold mu.RLock plus one shard
+//     lock at a time, so sampling never stops ingest on the other
+//     shards.
 //   - Roster mutators (AddQuery, RemoveQuery, Checkpoint, Close) hold
 //     mu.Lock, which excludes all shard activity because every shard
 //     mutation happens inside a feed's read-critical section. They are
@@ -558,12 +558,6 @@ func (fl *fleetEngine) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 	return subscribeOn(fl.disp, opts)
 }
 
-// subscriptionCounters is the lock-light sampler behind
-// SubscriptionCounters: dispatcher accounting only, no roster walk.
-func (fl *fleetEngine) subscriptionCounters() (int, int64, int64) {
-	return fl.disp.Subscribers(), fl.disp.Delivered(), fl.disp.Dropped()
-}
-
 // indexLocked returns the slot of the live query named name, or -1.
 func (fl *fleetEngine) indexLocked(name string) int {
 	for i, n := range fl.names {
@@ -840,12 +834,10 @@ func (fl *fleetEngine) withMemberLocked(slot int, fn func()) {
 }
 
 // stats aggregates member snapshots; memberStats selects the cheap or
-// walking per-member sampler, and withQueries controls whether the
-// per-member map is materialized (scalar gauges don't need it). On a
-// sharded fleet, members are sampled one shard at a time — sampling
-// shard s waits only for shard s's in-flight evaluation, so ingest on
-// the other shards continues.
-func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) Stats {
+// walking per-member sampler. On a sharded fleet, members are sampled
+// one shard at a time — sampling shard s waits only for shard s's
+// in-flight evaluation, so ingest on the other shards continues.
+func (fl *fleetEngine) stats(memberStats func(*single) Stats) Stats {
 	fl.mu.RLock()
 	defer fl.mu.RUnlock()
 	st := Stats{
@@ -859,9 +851,7 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 		Subscriptions:         fl.disp.Subscribers(),
 		SubscriptionDelivered: fl.disp.Delivered(),
 		SubscriptionDropped:   fl.disp.Dropped(),
-	}
-	if withQueries {
-		st.Queries = make(map[string]Stats, fl.live)
+		Queries:               make(map[string]Stats, fl.live),
 	}
 	if fl.log != nil {
 		st.WALSeq = fl.walSeq.Load()
@@ -878,19 +868,17 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 		// the results plane), so the dispatcher totals above stay intact.
 		ms := memberStats(m)
 		stats.Sum(&st, &ms)
-		if withQueries {
-			// Per-query delivery attribution comes from the shared
-			// dispatcher — members publish into the fleet's results plane.
-			ms.SubscriptionDelivered, ms.SubscriptionDropped = fl.disp.QueryCounts(fl.names[slot])
-			st.Queries[fl.names[slot]] = ms
-			if g := fl.groups[slot]; g != "" {
-				if st.Groups == nil {
-					st.Groups = make(map[string]Stats)
-				}
-				gs := st.Groups[g]
-				stats.Sum(&gs, &ms)
-				st.Groups[g] = gs
+		// Per-query delivery attribution comes from the shared
+		// dispatcher — members publish into the fleet's results plane.
+		ms.SubscriptionDelivered, ms.SubscriptionDropped = fl.disp.QueryCounts(fl.names[slot])
+		st.Queries[fl.names[slot]] = ms
+		if g := fl.groups[slot]; g != "" {
+			if st.Groups == nil {
+				st.Groups = make(map[string]Stats)
 			}
+			gs := st.Groups[g]
+			stats.Sum(&gs, &ms)
+			st.Groups[g] = gs
 		}
 	}
 	walk := func() {
@@ -919,63 +907,32 @@ func (fl *fleetEngine) stats(memberStats func(*single) Stats, withQueries bool) 
 		}
 	}
 	walk()
-	if withQueries {
-		// Every declared group appears in the snapshot, live members or
-		// not: the shared detection histogram is cumulative, so a group
-		// whose queries have all retired still reports its history.
-		fl.groupMu.Lock()
-		for g, h := range fl.groupDets {
-			gs := st.Groups[g] // zero value for fully retired groups
-			det := h.Snapshot()
-			gs.Detection = &det
-			if st.Groups == nil {
-				st.Groups = make(map[string]Stats)
-			}
-			st.Groups[g] = gs
+	// Every declared group appears in the snapshot, live members or
+	// not: the shared detection histogram is cumulative, so a group
+	// whose queries have all retired still reports its history.
+	fl.groupMu.Lock()
+	for g, h := range fl.groupDets {
+		gs := st.Groups[g] // zero value for fully retired groups
+		det := h.Snapshot()
+		gs.Detection = &det
+		if st.Groups == nil {
+			st.Groups = make(map[string]Stats)
 		}
-		fl.groupMu.Unlock()
+		st.Groups[g] = gs
 	}
+	fl.groupMu.Unlock()
 	return st
 }
 
 // Stats implements Engine: the fleet aggregate plus one per-member
 // snapshot per live query.
 func (fl *fleetEngine) Stats() Stats {
-	return fl.stats((*single).Stats, true)
+	return fl.stats((*single).Stats)
 }
 
 // statsFast is the counter-only snapshot (no partial-match walks).
 func (fl *fleetEngine) statsFast() Stats {
-	return fl.stats((*single).statsFast, true)
-}
-
-// statsScalar is statsFast without materializing the Queries map — the
-// sampler for fleet-level scalar gauges.
-func (fl *fleetEngine) statsScalar() Stats {
-	return fl.stats((*single).statsFast, false)
-}
-
-// queryStats returns the live named member's snapshot, or false if the
-// query has been retired — the lookup-by-name indirection metric gauges
-// need so they never pin a closed engine or report a retired query's
-// counters under a recycled name. fast selects the counter-only
-// snapshot.
-func (fl *fleetEngine) queryStats(name string, fast bool) (Stats, bool) {
-	fl.mu.RLock()
-	defer fl.mu.RUnlock()
-	i := fl.indexLocked(name)
-	if i < 0 {
-		return Stats{}, false
-	}
-	var st Stats
-	fl.withMemberLocked(i, func() {
-		if fast {
-			st = fl.members[i].statsFast()
-		} else {
-			st = fl.members[i].Stats()
-		}
-	})
-	return st, true
+	return fl.stats((*single).statsFast)
 }
 
 // CurrentMatches implements Engine: every live member's standing

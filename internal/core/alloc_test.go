@@ -68,45 +68,58 @@ func TestInsertAllocs(t *testing.T) {
 		t.Logf("%v allocs per %v stored partial matches", allocs, stored)
 	})
 
+	// Each feed slides the window; both must recycle their casualty
+	// buffers, so an expiring cycle allocates no more than it stores.
 	t.Run("expiry", func(t *testing.T) {
-		eng := New(q, Config{Decomposition: dec})
-		st := graph.NewStream(30)
-		var d graph.Edge
-		push := func(from, to graph.VertexID, fl, tl graph.Label) {
-			d.Time++
-			d.From, d.To, d.FromLabel, d.ToLabel = from, to, fl, tl
-			stored, expired, err := st.Push(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.ProcessBatch(stored, expired)
+		for _, feed := range []struct {
+			name    string
+			process func(eng *Engine, d graph.Edge, expired []graph.Edge)
+		}{
+			{"batched", (*Engine).ProcessBatch},
+			{"per-edge", (*Engine).Process},
+		} {
+			t.Run(feed.name, func(t *testing.T) {
+				eng := New(q, Config{Decomposition: dec})
+				st := graph.NewStream(30)
+				var d graph.Edge
+				push := func(from, to graph.VertexID, fl, tl graph.Label) {
+					d.Time++
+					d.From, d.To, d.FromLabel, d.ToLabel = from, to, fl, tl
+					stored, expired, err := st.Push(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed.process(eng, stored, expired)
+				}
+				// One cycle stores a fresh a→b→c path through c = 30 and a
+				// fresh c→d, which joins every c→d and every path still in
+				// the window; once the window is full, each push slides one
+				// edge out and with it the partial matches that edge was
+				// part of.
+				v := graph.VertexID(1000)
+				cycle := func() {
+					v += 3
+					push(v, v+1, la, lb)
+					push(v+1, 30, lb, lc)
+					push(30, v+2, lc, ld)
+				}
+				for range 50 {
+					cycle()
+				}
+				st0 := eng.Stats()
+				ins0, del0 := st0.PartialIns.Load(), st0.PartialDel.Load()
+				const runs = 100
+				allocs := testing.AllocsPerRun(runs, cycle)
+				stored := float64(st0.PartialIns.Load()-ins0) / (runs + 1)
+				killed := float64(st0.PartialDel.Load()-del0) / (runs + 1)
+				if killed == 0 {
+					t.Fatal("the slides killed no partial match: the subtest is vacuous")
+				}
+				if allocs > stored {
+					t.Fatalf("sliding cycle: %v allocs, want at most the %v partial matches it stores (it kills %v)", allocs, stored, killed)
+				}
+				t.Logf("%v allocs per cycle storing %v and killing %v partial matches", allocs, stored, killed)
+			})
 		}
-		// One cycle stores a fresh a→b→c path through c = 30 and a fresh
-		// c→d, which joins every c→d and every path still in the window;
-		// once the window is full, each push slides one edge out and
-		// with it the partial matches that edge was part of.
-		v := graph.VertexID(1000)
-		cycle := func() {
-			v += 3
-			push(v, v+1, la, lb)
-			push(v+1, 30, lb, lc)
-			push(30, v+2, lc, ld)
-		}
-		for range 50 {
-			cycle()
-		}
-		st0 := eng.Stats()
-		ins0, del0 := st0.PartialIns.Load(), st0.PartialDel.Load()
-		const runs = 100
-		allocs := testing.AllocsPerRun(runs, cycle)
-		stored := float64(st0.PartialIns.Load()-ins0) / (runs + 1)
-		killed := float64(st0.PartialDel.Load()-del0) / (runs + 1)
-		if killed == 0 {
-			t.Fatal("the slides killed no partial match: the subtest is vacuous")
-		}
-		if allocs > stored {
-			t.Fatalf("sliding cycle: %v allocs, want at most the %v partial matches it stores (it kills %v)", allocs, stored, killed)
-		}
-		t.Logf("%v allocs per cycle storing %v and killing %v partial matches", allocs, stored, killed)
 	})
 }

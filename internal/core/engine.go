@@ -638,6 +638,8 @@ func (e *Engine) emit(results []pair, sc *insertScratch) {
 func (e *Engine) runDelete(d graph.Edge) {
 	e.stats.EdgesOut.Add(1)
 	k := e.K()
+	xs := &e.xs
+	defer xs.reset()
 	for s := 1; s <= k; s++ {
 		if !e.subTouchedBy(s, d) {
 			continue
@@ -646,7 +648,13 @@ func (e *Engine) runDelete(d graph.Edge) {
 		depth := sub.Depth()
 		var casualties []explist.Handle
 		for lvl := 1; lvl <= depth; lvl++ {
-			casualties = sub.DeleteLevel(lvl, d.ID, casualties, nil)
+			dst := &xs.cas[lvl%2]
+			if lvl == depth {
+				// The dead complete submatches feed the global cascade.
+				dst = &xs.leaves[0]
+			}
+			*dst = sub.DeleteLevel(lvl, d.ID, casualties, truncate(*dst))
+			casualties = *dst
 			e.stats.PartialDel.Add(int64(len(casualties)))
 		}
 		if k == 1 {
@@ -666,23 +674,26 @@ func (e *Engine) runDelete(d graph.Edge) {
 			if lvl == s {
 				ds = deadSubs
 			}
-			gcas = e.global.DeleteLevel(lvl, ds, gcas, d.ID, nil)
+			dst := &xs.cas[lvl%2]
+			*dst = e.global.DeleteLevel(lvl, ds, gcas, d.ID, truncate(*dst))
+			gcas = *dst
 			e.stats.PartialDel.Add(int64(len(gcas)))
 		}
 	}
 }
 
-// expiryScratch holds runDeleteBatch's casualty buffers. The engine
-// owns them, so a slide allocates nothing once they have grown, and
-// every sweep ends by emptying them through truncate, so an idle engine
-// pins no dead match.
+// expiryScratch holds the expiry cascades' casualty buffers. The
+// engine owns them, so a slide allocates nothing once they have grown,
+// and every sweep ends by emptying them through truncate, so an idle
+// engine pins no dead match.
 type expiryScratch struct {
 	// cas is the ping-pong pair of item outputs a cascade threads from
 	// one item to the next: first each sub-list's, then the global
 	// list's.
 	cas [2][]explist.Handle
 	// leaves[s] holds the complete submatches of Q^(s+1) the slide
-	// expired, kept until the global cascade consumes them.
+	// expired, kept until the global cascade consumes them (per-edge
+	// expiry runs one subquery at a time and uses leaves[0]).
 	leaves [][]explist.Handle
 }
 

@@ -1,121 +1,7 @@
-// Package monitor exposes live engine counters over HTTP as JSON — the
-// operational companion to a continuous query deployment. A Registry
-// maps metric names to sampling functions; its Handler serves the whole
-// registry (or a single metric) per GET, sampling at request time so
-// values are always current.
+// Package monitor renders live engine counters in the Prometheus text
+// exposition format — the scrape-side companion to GET /stats, which
+// serves the same counters as one typed JSON snapshot.
 //
-// The package is intentionally tiny and dependency-free (net/http +
-// encoding/json): it is the integration point for scraping systems, not
-// a metrics framework.
+// The package is intentionally tiny and dependency-free: it is the
+// integration point for scraping systems, not a metrics framework.
 package monitor
-
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"sort"
-	"sync"
-)
-
-// Registry is a named set of metric sampling functions. The zero value
-// is not usable; call NewRegistry. Registry is safe for concurrent use.
-type Registry struct {
-	mu      sync.RWMutex
-	entries map[string]func() any
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{entries: make(map[string]func() any)}
-}
-
-// Register adds a metric. fn is called at sampling time and must be
-// safe to call concurrently with the monitored system (the engine
-// counters are atomics, so the standard adapters are). Registering a
-// duplicate name returns an error.
-func (r *Registry) Register(name string, fn func() any) error {
-	if name == "" || fn == nil {
-		return fmt.Errorf("monitor: empty metric name or nil sampler")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.entries[name]; dup {
-		return fmt.Errorf("monitor: duplicate metric %q", name)
-	}
-	r.entries[name] = fn
-	return nil
-}
-
-// MustRegister is Register that panics on error, for static wiring.
-func (r *Registry) MustRegister(name string, fn func() any) {
-	if err := r.Register(name, fn); err != nil {
-		panic(err)
-	}
-}
-
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot samples every metric.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]any, len(r.entries))
-	for n, fn := range r.entries {
-		out[n] = fn()
-	}
-	return out
-}
-
-// Sample samples one metric.
-func (r *Registry) Sample(name string) (any, bool) {
-	r.mu.RLock()
-	fn, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return fn(), true
-}
-
-// Handler serves the registry as JSON:
-//
-//	GET /            → {"metric": value, ...} (all metrics)
-//	GET /?metric=m   → {"m": value}
-//
-// Unknown metrics yield 404; non-GET methods 405.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var payload map[string]any
-		if m := req.URL.Query().Get("metric"); m != "" {
-			v, ok := r.Sample(m)
-			if !ok {
-				http.Error(w, fmt.Sprintf("unknown metric %q", m), http.StatusNotFound)
-				return
-			}
-			payload = map[string]any{m: v}
-		} else {
-			payload = r.Snapshot()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(payload); err != nil {
-			// Too late for an HTTP error; the connection is the problem.
-			return
-		}
-	})
-}

@@ -9,10 +9,10 @@ import (
 )
 
 // PromWriter renders metrics in the Prometheus text exposition format
-// (version 0.0.4) — the scrape-side companion to the JSON Registry.
-// Families appear in first-use order with one # TYPE line each, so a
-// caller must emit all of a family's samples together (family outer,
-// label inner) for them to form the one group the format requires;
+// (version 0.0.4). Families appear in first-use order with one # TYPE
+// line each, so a caller must emit all of a family's samples together
+// (family outer, label inner) for them to form the one group the format
+// requires;
 // histograms are rendered from stats.Snapshot bucket counts as
 // seconds-valued cumulative buckets, so `_count` always equals the
 // +Inf bucket and `_sum`/`_count` stay mutually consistent.

@@ -25,14 +25,12 @@ var updateContract = flag.Bool("update", false, "rewrite testdata/wire_contract.
 // with two tenants, a sharded durable fleet, event time configured),
 // recorded as (a) the JSON key paths of /stats → fleet.stats plus the
 // counters that are exact functions of the script, (b) the top-level
-// keys of the admin and the tenant views of /stats, (c) the # TYPE lines
-// of /metrics and (d) the gauge names RegisterMetrics registers for each
-// engine composition. Key order inside JSON objects and family order in
+// keys of the admin and the tenant views of /stats and (c) the # TYPE
+// lines of /metrics. Key order inside JSON objects and family order in
 // the exposition are not part of the contract, so both are sorted.
 func TestWireContract(t *testing.T) {
 	var b strings.Builder
 	contractServer(t, &b)
-	contractRegistry(t, &b)
 
 	golden := filepath.Join("testdata", "wire_contract.golden")
 	if *updateContract {
@@ -124,41 +122,6 @@ func contractServer(t *testing.T, b *strings.Builder) {
 		}
 	}
 	section(b, "/metrics families", types)
-}
-
-// contractRegistry records the gauge names RegisterMetrics derives from
-// each engine composition's snapshot.
-func contractRegistry(t *testing.T, b *strings.Builder) {
-	spec, err := server.ParseQueryRequest(client.QueryRequest{Name: "pp", Text: pingPong, Window: 100}, timingsubg.NewLabels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := timingsubg.Config{Query: spec.Query, Window: 100}
-	adaptive, durable := single, single
-	adaptive.Adaptive = &timingsubg.Adaptivity{}
-	durable.Durable = &timingsubg.Durability{Dir: t.TempDir()}
-	for _, c := range []struct {
-		name string
-		cfg  timingsubg.Config
-	}{
-		{"single", single},
-		{"adaptive", adaptive},
-		{"durable", durable},
-		{"fleet", timingsubg.Config{Queries: []timingsubg.QuerySpec{spec}}},
-	} {
-		eng, err := timingsubg.Open(c.cfg)
-		if err != nil {
-			t.Fatalf("open %s: %v", c.name, err)
-		}
-		reg := timingsubg.NewMetricsRegistry()
-		if err := timingsubg.RegisterMetrics(reg, "e", eng); err != nil {
-			t.Fatalf("register %s: %v", c.name, err)
-		}
-		section(b, "RegisterMetrics "+c.name, reg.Names())
-		if err := eng.Close(); err != nil {
-			t.Fatalf("close %s: %v", c.name, err)
-		}
-	}
 }
 
 // getStats GETs /stats with the bearer key and decodes the body

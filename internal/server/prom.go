@@ -87,12 +87,7 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	// (QuerySpec.Group = tenant), which survives query retirement.
 	if s.tenants != nil {
 		tenants := s.tenants.Names()
-		usage := make(map[string]tenant.Usage, len(tenants))
-		for _, name := range tenants {
-			if tn, ok := s.tenants.Get(name); ok {
-				usage[name] = tn.Usage()
-			}
-		}
+		usage := s.usageByTenant()
 		for _, f := range tenantUsage {
 			for _, name := range tenants {
 				if u, ok := usage[name]; ok {

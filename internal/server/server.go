@@ -67,7 +67,6 @@ import (
 
 	"timingsubg"
 	"timingsubg/client"
-	"timingsubg/internal/monitor"
 	"timingsubg/internal/tenant"
 )
 
@@ -183,7 +182,6 @@ type Server struct {
 	labels   *timingsubg.Labels
 	fl       timingsubg.Fleet
 	replay   *replayStore
-	reg      *monitor.Registry
 	tenants  *tenant.Registry // nil = tenancy disabled
 	adminKey string
 	// sched is the bounded work queue: one flow per tenant, weighted
@@ -346,7 +344,6 @@ func newServer(cfg Config) *Server {
 		cfg:      cfg,
 		labels:   cfg.Labels,
 		replay:   newReplayStore(cfg.ReplayBuffer),
-		reg:      monitor.NewRegistry(),
 		tenants:  cfg.Tenants,
 		adminKey: cfg.AdminKey,
 		sched:    tenant.NewSched[op](cfg.QueueDepth),
@@ -364,69 +361,9 @@ func newServer(cfg Config) *Server {
 	return s
 }
 
-// finish wires metrics and routes once the fleet exists, then starts
-// the work loop.
+// finish wires the routes once the fleet exists, then starts the work
+// loop.
 func (s *Server) finish() {
-	s.reg.MustRegister("server.ingested", func() any { return s.ingested.Load() })
-	s.reg.MustRegister("server.last_time", func() any { return s.lastTime })
-	s.reg.MustRegister("server.queries", func() any { return len(s.fl.Names()) })
-	// Subscription accounting comes from the engine's own results
-	// plane (each SSE connection is one Engine.Subscribe subscription),
-	// through the counter fast path — no stats snapshot per gauge.
-	s.reg.MustRegister("server.subscribers", func() any {
-		subs, _, _ := timingsubg.SubscriptionCounters(s.fl)
-		return subs
-	})
-	s.reg.MustRegister("server.delivered_events", func() any {
-		_, delivered, _ := timingsubg.SubscriptionCounters(s.fl)
-		return delivered
-	})
-	s.reg.MustRegister("server.dropped_events", func() any {
-		_, _, dropped := timingsubg.SubscriptionCounters(s.fl)
-		return dropped
-	})
-	s.reg.MustRegister("server.queue_depth", func() any { return s.sched.Len() })
-	if s.tenants != nil {
-		// The tenant-sliced view of the control plane: admission and
-		// ownership counters per tenant, for the monitor/stats plane.
-		s.reg.MustRegister("server.tenants", func() any {
-			out := make(map[string]tenant.Usage)
-			for _, name := range s.tenants.Names() {
-				if t, ok := s.tenants.Get(name); ok {
-					out[name] = t.Usage()
-				}
-			}
-			return out
-		})
-	}
-	// Fleet gauges derive generically from the unified Stats snapshot.
-	// "fleet.stats" is the whole snapshot (the
-	// primary contract, self-describing and dynamic-roster-safe); the
-	// scalar gauges are kept for scrapers that want flat metrics and
-	// sample the counter-only FastStats so a scrape doesn't walk
-	// partial-match state once per gauge on the op loop.
-	s.reg.MustRegister("fleet.stats", func() any { return s.fl.Stats() })
-	s.reg.MustRegister("fleet.matches", func() any {
-		st := timingsubg.FastStats(s.fl)
-		out := make(map[string]int64, len(st.Queries))
-		for name, qs := range st.Queries {
-			out[name] = qs.Matches
-		}
-		return out
-	})
-	// No flat space gauge: partial-match walks run exactly once per
-	// scrape, inside "fleet.stats" (which carries space_bytes).
-	probe := timingsubg.FastStats(s.fl)
-	if s.cfg.Routed && !probe.Durable {
-		// The durable fleet broadcasts (NewDurable ignores Routed), so
-		// a routed-fraction gauge there would report a misleading 1.
-		s.reg.MustRegister("fleet.routed_fraction", func() any { return timingsubg.FastStats(s.fl).RoutedFraction })
-	}
-	if probe.Durable {
-		s.reg.MustRegister("fleet.wal_seq", func() any { return timingsubg.FastStats(s.fl).WALSeq })
-		s.reg.MustRegister("fleet.replayed", func() any { return timingsubg.FastStats(s.fl).Replayed })
-	}
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /queries", s.handleAddQuery)
 	mux.HandleFunc("GET /queries", s.handleListQueries)
@@ -1243,40 +1180,37 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if r.URL.Query().Has("metric") {
+		httpError(w, http.StatusBadRequest, "?metric= is not supported: GET /stats serves one typed snapshot (client.ServerStats, or client.TenantStats for a tenant key)")
+		return
+	}
 	// A tenant gets its own slice: usage, group aggregate, per-query
-	// snapshots. The full registry view is for admins (and the
-	// untenanted server, where everything belongs to everyone).
+	// snapshots. The whole view is for admins (and the untenanted
+	// server, where everything belongs to everyone).
 	if t != nil {
 		s.handleTenantStats(w, r, t)
 		return
 	}
-	// Sampling runs on the work loop so engine-internal gauges (space
-	// bytes, partial-match walks) never race an in-flight edge
-	// transaction; the registry supplies the metric set.
-	var payload map[string]any
-	var status int
-	var msg string
+	// Sampling runs on the work loop so the partial-match walks never
+	// race an in-flight edge transaction and the stream clock is read
+	// by its owner.
+	var out client.ServerStats
 	err := s.do(r.Context(), func() {
-		if m := r.URL.Query().Get("metric"); m != "" {
-			v, ok := s.reg.Sample(m)
-			if !ok {
-				status, msg = http.StatusNotFound, fmt.Sprintf("unknown metric %q", m)
-				return
-			}
-			payload = map[string]any{m: v}
-			return
+		st := s.fl.Stats()
+		out = client.ServerStats{
+			Fleet:         st,
+			Ingested:      s.ingested.Load(),
+			LastTime:      s.lastTime,
+			QueueDepth:    s.sched.Len(),
+			DroppedEvents: st.SubscriptionDropped,
+			Tenants:       s.usageByTenant(),
 		}
-		payload = s.reg.Snapshot()
 	})
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	if status != 0 {
-		httpError(w, status, "%s", msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, payload)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz is pure liveness: 200 for as long as the process can

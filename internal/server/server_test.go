@@ -127,17 +127,16 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("match times = %+v", m.Edges)
 	}
 
-	// Stats come from the monitor layer, sampled on the work loop.
+	// Stats are one typed snapshot, sampled on the work loop.
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if got := stats["server.ingested"].(float64); got != 3 {
+	if got := stats.Ingested; got != 3 {
 		t.Fatalf("server.ingested = %v, want 3", got)
 	}
-	matches := stats["fleet.matches"].(map[string]any)
-	if got := matches["pp"].(float64); got != 1 {
-		t.Fatalf("fleet.matches[pp] = %v, want 1", got)
+	if got := stats.Fleet.Queries["pp"].Matches; got != 1 {
+		t.Fatalf("fleet.stats.queries[pp].matches = %v, want 1", got)
 	}
 
 	// Runtime retirement: the stream must end and deliver nothing more.
@@ -227,10 +226,10 @@ func TestServerDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats after restart: %v", err)
 	}
-	if got := stats["fleet.replayed"].(float64); got != 2 {
-		t.Fatalf("fleet.replayed = %v, want 2", got)
+	if got := stats.Fleet.Replayed; got != 2 {
+		t.Fatalf("fleet.stats.replayed = %v, want 2", got)
 	}
-	if got := stats["server.last_time"].(float64); got != 2 {
+	if got := stats.LastTime; got != 2 {
 		t.Fatalf("server.last_time = %v, want 2 (stream clock must survive)", got)
 	}
 
@@ -270,8 +269,7 @@ func TestServerDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("third stats: %v", err)
 	}
-	matches := stats["fleet.matches"].(map[string]any)
-	if got := matches["pp"].(float64); got != 1 {
+	if got := stats.Fleet.Queries["pp"].Matches; got != 1 {
 		t.Fatalf("durable match count after two restarts = %v, want 1", got)
 	}
 }

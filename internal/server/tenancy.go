@@ -149,7 +149,7 @@ func (s *Server) requireAdmin(w http.ResponseWriter, r *http.Request) bool {
 
 // tenantSpec converts the wire form of a tenant declaration.
 func tenantSpec(w client.TenantSpec) tenant.Spec {
-	spec := tenant.Spec{Name: w.Name, Limits: tenant.Limits(w.Limits)}
+	spec := tenant.Spec{Name: w.Name, Limits: w.Limits}
 	for _, k := range w.Keys {
 		spec.Keys = append(spec.Keys, tenant.KeySpec{Key: k.Key, Role: tenant.Role(k.Role)})
 	}
@@ -159,13 +159,7 @@ func tenantSpec(w client.TenantSpec) tenant.Spec {
 // tenantInfo is a tenant's admin-facing snapshot: declared limits plus
 // live usage (keys are never echoed back).
 func tenantInfo(t *tenant.Tenant) client.TenantInfo {
-	// Conversions, not copies: the wire structs and the tenant package's
-	// must stay field-identical for this to compile.
-	return client.TenantInfo{
-		Name:   t.Name(),
-		Limits: client.TenantLimits(t.Limits()),
-		Usage:  client.TenantUsage(t.Usage()),
-	}
+	return client.TenantInfo{Name: t.Name(), Limits: t.Limits(), Usage: t.Usage()}
 }
 
 // handleCreateTenant registers a tenant at runtime (admin API). In
@@ -217,39 +211,44 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 // handleTenantStats serves a tenant's slice of GET /stats: its usage
 // counters, its group aggregate (summed engine counters plus the
 // group-wide detection histogram, which survives query retirement) and
-// its per-query snapshots keyed by wire name. The registry ?metric=
-// facility stays admin-only — arbitrary metrics are not tenant-scoped.
+// its per-query snapshots keyed by wire name.
 func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
-	if r.URL.Query().Get("metric") != "" {
-		httpError(w, http.StatusForbidden, "?metric= requires the admin key")
-		return
-	}
-	var payload map[string]any
+	out := client.TenantStats{Tenant: t.Name()}
 	err := s.doAs(r.Context(), t, func() {
 		st := s.fl.Stats()
-		payload = map[string]any{
-			"tenant": t.Name(),
-			"usage":  t.Usage(),
-		}
+		out.Usage = t.Usage()
 		if g, ok := st.Groups[t.Name()]; ok {
-			payload["stats"] = g
+			out.Stats = &g
 		}
 		prefix := t.Name() + ":"
-		queries := make(map[string]timingsubg.Stats)
+		out.Queries = make(map[string]timingsubg.Stats)
 		for name, qs := range st.Queries {
-			if strings.HasPrefix(name, prefix) {
-				queries[strings.TrimPrefix(name, prefix)] = qs
+			if wire, ok := strings.CutPrefix(name, prefix); ok {
+				out.Queries[wire] = qs
 			}
-		}
-		if len(queries) > 0 {
-			payload["queries"] = queries
 		}
 	})
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, payload)
+	writeJSON(w, http.StatusOK, out)
+}
+
+// usageByTenant is every tenant's usage keyed by name, or nil when
+// tenancy is off.
+func (s *Server) usageByTenant() map[string]tenant.Usage {
+	if s.tenants == nil {
+		return nil
+	}
+	names := s.tenants.Names()
+	out := make(map[string]tenant.Usage, len(names))
+	for _, name := range names {
+		if t, ok := s.tenants.Get(name); ok {
+			out[name] = t.Usage()
+		}
+	}
+	return out
 }
 
 // Runtime-created tenants are durable alongside the WAL: each one is a

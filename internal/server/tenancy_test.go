@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -184,16 +185,15 @@ func TestTenantNamespaceIsolation(t *testing.T) {
 	}
 
 	// A tenant's /stats is its own slice, keyed by wire names.
-	stats, err := acme.Stats(ctx)
+	stats, err := acme.TenantStats(ctx)
 	if err != nil {
 		t.Fatalf("acme stats: %v", err)
 	}
-	if got := stats["tenant"]; got != "acme" {
+	if got := stats.Tenant; got != "acme" {
 		t.Fatalf("stats tenant = %v", got)
 	}
-	queries := stats["queries"].(map[string]any)
-	if _, ok := queries["pp"]; !ok || len(queries) != 1 {
-		t.Fatalf("tenant stats queries = %v, want exactly pp", queries)
+	if _, ok := stats.Queries["pp"]; !ok || len(stats.Queries) != 1 {
+		t.Fatalf("tenant stats queries = %v, want exactly pp", stats.Queries)
 	}
 
 	// Deleting its own "pp" leaves bmart's untouched.
@@ -202,6 +202,32 @@ func TestTenantNamespaceIsolation(t *testing.T) {
 	}
 	if list, err := bmart.Queries(ctx); err != nil || len(list.Queries) != 1 {
 		t.Fatalf("bmart lost its query to acme's delete: %+v (%v)", list, err)
+	}
+}
+
+// TestStatsRejectsMetricParam: GET /stats is one typed snapshot, so a
+// ?metric= selector is a bad request for admins and tenants alike, and
+// its message points at the snapshot.
+func TestStatsRejectsMetricParam(t *testing.T) {
+	srv := server.New(server.Config{Tenants: twoTenantRegistry(t), AdminKey: "root"})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, key := range []string{"root", "k-acme"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/stats?metric=server.last_time", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "typed snapshot") {
+			t.Fatalf("?metric= as %s: %d %q, want 400 naming the typed snapshot", key, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -286,12 +312,11 @@ func TestTenantQuota429RoundTrip(t *testing.T) {
 	}
 
 	// Rejections are visible in the tenant's own usage counters.
-	stats, err := c.Stats(ctx)
+	stats, err := c.TenantStats(ctx)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	usage := stats["usage"].(map[string]any)
-	if got := usage["rejected_edges"].(float64); got < 2 {
+	if got := stats.Usage.RejectedEdges; got < 2 {
 		t.Fatalf("usage.rejected_edges = %v, want >= 2", got)
 	}
 

@@ -14,8 +14,8 @@ import (
 // here are the wire contract. Fields that a composition does not use
 // stay at their zero value; the Adaptive, Durable and Fleet flags say
 // which sections apply. Every scalar field has one row in Counters,
-// which is where its gauge, Prometheus series and fleet aggregation
-// come from.
+// which is where its Prometheus series and fleet aggregation come
+// from.
 type Stats struct {
 	// Matches is the number of complete matches reported so far, durable
 	// across restarts and engine rebuilds.
@@ -134,18 +134,16 @@ type Stats struct {
 	Fleet    bool `json:"fleet,omitempty"`
 }
 
-// Scope names a place a counter is exposed beyond the JSON snapshot,
-// which carries every field.
+// Scope names a GET /metrics scope a counter is exposed in; the JSON
+// snapshot carries every field.
 type Scope uint8
 
 const (
-	// Registry is a RegisterMetrics gauge, <prefix>.<Metric>.
-	Registry Scope = 1 << iota
 	// Engine, Query and Tenant are the GET /metrics series
 	// timingsubg_<Prom>, timingsubg_query_<Prom>{query=...} (one per
 	// member snapshot) and timingsubg_tenant_<Prom>{tenant=...} (one per
 	// group aggregate).
-	Engine
+	Engine Scope = 1 << iota
 	Query
 	Tenant
 )
@@ -157,54 +155,42 @@ type Counter struct {
 	// Field is the Stats field. Name, its JSON tag, is the wire name.
 	Field string
 	Name  string
-	// Metric is the Registry gauge name; it defaults to Name.
-	Metric string
 	// Prom is the Prometheus family stem (see Scope), EngineProm the
 	// Engine-scope stem where that one differs, and Gauge the family
 	// type: a gauge when set, else a counter.
 	Prom, EngineProm string
 	Gauge            bool
 	Scopes           Scope
-	// When gates the row on the sampled engine's composition; nil means
-	// every engine.
-	When func(*Stats) bool
+	// Durable gates the row's series on durable engines.
+	Durable bool
 	// Sum marks counters that add up across fleet members, into the
 	// fleet aggregate and each group's.
 	Sum bool
-	// Walk marks fields that only the full snapshot fills, by walking
-	// partial-match state — one walk per sample, so keep these few.
-	Walk bool
 
 	index int
 }
 
-func single(s *Stats) bool   { return !s.Fleet }
-func fleet(s *Stats) bool    { return s.Fleet }
-func adaptive(s *Stats) bool { return s.Adaptive }
-func durable(s *Stats) bool  { return s.Durable }
-func observed(s *Stats) bool { return s.Detection != nil }
-
 // Counters is the counter table, in exposition order.
 var Counters = []Counter{
-	{Field: "Matches", Prom: "matches_total", Scopes: Registry | Engine | Query | Tenant, Sum: true},
-	{Field: "Discarded", Prom: "discarded_edges_total", Scopes: Registry | Engine, Sum: true},
+	{Field: "Matches", Prom: "matches_total", Scopes: Engine | Query | Tenant, Sum: true},
+	{Field: "Discarded", Prom: "discarded_edges_total", Scopes: Engine, Sum: true},
 	{Field: "Fed", Prom: "fed_edges_total", Scopes: Engine},
-	{Field: "InWindow", Metric: "window_edges", Prom: "window_edges", Gauge: true, Scopes: Registry | Engine | Query, Sum: true},
-	{Field: "PartialMatches", Scopes: Registry, Sum: true, Walk: true},
-	{Field: "SpaceBytes", Scopes: Registry, Sum: true, Walk: true},
+	{Field: "InWindow", Prom: "window_edges", Gauge: true, Scopes: Engine | Query, Sum: true},
+	{Field: "PartialMatches", Sum: true},
+	{Field: "SpaceBytes", Sum: true},
 	{Field: "LastTime"},
-	{Field: "JoinScanned", Prom: "join_scanned_total", Scopes: Registry | Query, Sum: true},
-	{Field: "JoinCandidates", Prom: "join_candidates_total", Scopes: Registry | Query, Sum: true},
-	{Field: "ExpiryBatches", Prom: "expiry_batches_total", Scopes: Registry | Query, Sum: true},
-	{Field: "ExpiryEvicted", Prom: "expiry_evicted_total", Scopes: Registry | Query, Sum: true},
-	{Field: "K", Metric: "decomposition_k", Scopes: Registry, When: single},
-	{Field: "Reoptimizations", Scopes: Registry, When: adaptive, Sum: true},
-	{Field: "WALSeq", Prom: "wal_seq", Scopes: Registry | Engine, When: durable},
-	{Field: "WALSyncs", Prom: "wal_syncs_total", Scopes: Registry | Engine, When: durable},
-	{Field: "Replayed", Prom: "replayed_edges_total", Scopes: Registry | Engine, When: durable},
-	{Field: "RoutedFraction", Scopes: Registry, When: fleet},
+	{Field: "JoinScanned", Prom: "join_scanned_total", Scopes: Query, Sum: true},
+	{Field: "JoinCandidates", Prom: "join_candidates_total", Scopes: Query, Sum: true},
+	{Field: "ExpiryBatches", Prom: "expiry_batches_total", Scopes: Query, Sum: true},
+	{Field: "ExpiryEvicted", Prom: "expiry_evicted_total", Scopes: Query, Sum: true},
+	{Field: "K"},
+	{Field: "Reoptimizations", Sum: true},
+	{Field: "WALSeq", Prom: "wal_seq", Scopes: Engine, Durable: true},
+	{Field: "WALSyncs", Prom: "wal_syncs_total", Scopes: Engine, Durable: true},
+	{Field: "Replayed", Prom: "replayed_edges_total", Scopes: Engine, Durable: true},
+	{Field: "RoutedFraction"},
 	{Field: "FleetWorkers"},
-	{Field: "WatermarkLagNs", Scopes: Registry, When: observed},
+	{Field: "WatermarkLagNs"},
 	{Field: "Subscriptions", Prom: "subscriptions", Gauge: true, Scopes: Engine},
 	// Members publish into their fleet's results plane and report no
 	// delivery counters of their own, so Sum folds only the per-query
@@ -224,16 +210,13 @@ func init() {
 		}
 		c.index = f.Index[0]
 		c.Name, _, _ = strings.Cut(f.Tag.Get("json"), ",")
-		if c.Metric == "" {
-			c.Metric = c.Name
-		}
 	}
 }
 
 // In reports whether the counter is exposed in scope for an engine of
 // st's composition.
 func (c *Counter) In(scope Scope, st *Stats) bool {
-	return c.Scopes&scope != 0 && (c.When == nil || c.When(st))
+	return c.Scopes&scope != 0 && (!c.Durable || st.Durable)
 }
 
 // PromName is the counter's Prometheus family name in scope.
@@ -252,9 +235,6 @@ func (c *Counter) PromName(scope Scope) string {
 func (c *Counter) field(st *Stats) reflect.Value {
 	return reflect.ValueOf(st).Elem().Field(c.index)
 }
-
-// Value reads the counter from st, with the field's own type.
-func (c *Counter) Value(st *Stats) any { return c.field(st).Interface() }
 
 // Float reads the counter from st as a sample value.
 func (c *Counter) Float(st *Stats) float64 {

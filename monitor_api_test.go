@@ -2,58 +2,50 @@ package timingsubg
 
 import (
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 )
 
-func fetchMetrics(t *testing.T, reg *MetricsRegistry) map[string]any {
+// wireStats is st as a scraper decodes it: the JSON object a -metrics
+// endpoint or GET /stats serves, keyed by wire name.
+func wireStats(t *testing.T, st Stats) map[string]any {
 	t.Helper()
-	srv := httptest.NewServer(MetricsHandler(reg))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
+	buf, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	var got map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	if err := json.Unmarshal(buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	return got
 }
 
-// openRegistered opens cfg and registers its gauges under prefix in a
-// fresh registry.
-func openRegistered(t *testing.T, cfg Config, prefix string) (Engine, *MetricsRegistry) {
+func openStats(t *testing.T, cfg Config) Engine {
 	t.Helper()
 	eng, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewMetricsRegistry()
-	if err := RegisterMetrics(reg, prefix, eng); err != nil {
-		t.Fatal(err)
-	}
-	return eng, reg
+	return eng
 }
 
 func TestSearcherMetrics(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	s, reg := openRegistered(t, Config{Query: q, Window: 50}, "q")
+	s := openStats(t, Config{Query: q, Window: 50})
 	feedEach(t, s, persistTestStream(labels, 200, 31))
 	s.Close()
 
-	got := fetchMetrics(t, reg)
-	if got["q.matches"] == nil || got["q.window_edges"] == nil {
-		t.Fatalf("missing metrics: %v", got)
+	st := s.Stats()
+	got := wireStats(t, st)
+	if got["matches"] == nil || got["in_window"] == nil {
+		t.Fatalf("missing counters: %v", got)
 	}
-	if want := s.Stats().Matches; got["q.matches"].(float64) != float64(want) {
-		t.Fatalf("matches metric %v != %d", got["q.matches"], want)
+	if got["matches"].(float64) != float64(st.Matches) || st.Matches == 0 {
+		t.Fatalf("matches on the wire %v, snapshot %d", got["matches"], st.Matches)
 	}
-	if got["q.decomposition_k"].(float64) < 1 {
-		t.Fatalf("bad k: %v", got["q.decomposition_k"])
+	if got["k"].(float64) < 1 {
+		t.Fatalf("bad k: %v", got["k"])
 	}
 }
 
@@ -62,26 +54,26 @@ func TestMultiSearcherMetrics(t *testing.T) {
 	specs := []QuerySpec{
 		{Name: "chain", Query: persistTestQuery(t, labels), Options: Options{Window: 40}},
 	}
-	ms, reg := openRegistered(t, Config{Queries: specs, Routed: true}, "fleet")
+	ms := openStats(t, Config{Queries: specs, Routed: true})
 	feedEach(t, ms, persistTestStream(labels, 100, 32))
 	ms.Close()
-	got := fetchMetrics(t, reg)
-	if got["fleet.chain.matches"] == nil {
-		t.Fatalf("missing per-query metric: %v", got)
+	got := wireStats(t, ms.Stats())
+	queries, _ := got["queries"].(map[string]any)
+	if chain, _ := queries["chain"].(map[string]any); chain["matches"] == nil {
+		t.Fatalf("missing per-query counters: %v", got)
 	}
-	if got["fleet.routed_fraction"] == nil {
-		t.Fatalf("missing fleet metric: %v", got)
+	if got["routed_fraction"] == nil {
+		t.Fatalf("missing fleet counter: %v", got)
 	}
 }
 
 func TestPersistentSearcherMetrics(t *testing.T) {
 	labels := NewLabels()
 	q := persistTestQuery(t, labels)
-	ps, reg := openRegistered(t, Config{Query: q, Window: 40, Durable: &Durability{Dir: t.TempDir()}}, "durable")
+	ps := openStats(t, Config{Query: q, Window: 40, Durable: &Durability{Dir: t.TempDir()}})
 	feedEach(t, ps, persistTestStream(labels, 50, 33))
-	got := fetchMetrics(t, reg)
-	if got["durable.wal_seq"].(float64) != 50 {
-		t.Fatalf("wal_seq = %v, want 50", got["durable.wal_seq"])
+	if st := ps.Stats(); st.WALSeq != 50 || !st.Durable {
+		t.Fatalf("wal_seq = %d (durable %v), want 50", st.WALSeq, st.Durable)
 	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
@@ -90,35 +82,24 @@ func TestPersistentSearcherMetrics(t *testing.T) {
 
 func TestAdaptiveSearcherMetrics(t *testing.T) {
 	q := starQuery(t)
-	a, reg := openRegistered(t, Config{Query: q, Window: 100, Adaptive: &Adaptivity{}}, "adaptive")
+	a := openStats(t, Config{Query: q, Window: 100, Adaptive: &Adaptivity{}})
 	defer a.Close()
-	got := fetchMetrics(t, reg)
-	if got["adaptive.reoptimizations"].(float64) != 0 {
-		t.Fatalf("reoptimizations = %v", got["adaptive.reoptimizations"])
-	}
-}
-
-func TestDuplicatePrefixRejected(t *testing.T) {
-	labels := NewLabels()
-	q := persistTestQuery(t, labels)
-	s, reg := openRegistered(t, Config{Query: q, Window: 10}, "q")
-	defer s.Close()
-	if err := RegisterMetrics(reg, "q", s); err == nil {
-		t.Fatal("duplicate prefix accepted")
+	if st := a.Stats(); st.Reoptimizations != 0 || !st.Adaptive {
+		t.Fatalf("reoptimizations = %d (adaptive %v)", st.Reoptimizations, st.Adaptive)
 	}
 }
 
 func TestPersistentMultiMetrics(t *testing.T) {
 	labels := NewLabels()
 	specs := fleetSpecs(t, labels, 40)
-	pm, reg := openRegistered(t, Config{Queries: specs, Durable: &Durability{Dir: t.TempDir()}}, "fleet")
+	pm := openStats(t, Config{Queries: specs, Durable: &Durability{Dir: t.TempDir()}})
 	feedEach(t, pm, persistTestStream(labels, 80, 81))
-	got := fetchMetrics(t, reg)
-	if got["fleet.wal_seq"].(float64) != 80 {
-		t.Fatalf("wal_seq = %v, want 80", got["fleet.wal_seq"])
+	st := pm.Stats()
+	if st.WALSeq != 80 {
+		t.Fatalf("wal_seq = %d, want 80", st.WALSeq)
 	}
-	if got["fleet.chain3.matches"] == nil {
-		t.Fatalf("missing per-query metric: %v", got)
+	if _, ok := st.Queries["chain3"]; !ok {
+		t.Fatalf("missing per-query snapshot: %v", st.Queries)
 	}
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)

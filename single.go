@@ -299,7 +299,7 @@ func sinceStart(t Timestamp) Timestamp {
 
 // statsFast is the member's snapshot without the walking fields
 // (PartialMatches, SpaceBytes stay zero) — counter-only reads, cheap
-// enough for per-gauge metric sampling. The fleet adds what it owns:
+// enough for every /metrics scrape. The fleet adds what it owns:
 // WAL, replay, delivery and stage accounting.
 func (en *single) statsFast() Stats {
 	st := Stats{

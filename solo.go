@@ -55,10 +55,6 @@ func (s *solo) Subscribe(opts SubscribeOptions) (*Subscription, error) {
 	return s.fl.Subscribe(opts)
 }
 
-// subscriptionCounters is the lock-light sampler behind
-// SubscriptionCounters.
-func (s *solo) subscriptionCounters() (int, int64, int64) { return s.fl.subscriptionCounters() }
-
 // statsFast is the member's counter-only snapshot with what the fleet
 // owns laid over it.
 func (s *solo) statsFast() Stats { return s.own(s.m.statsFast()) }
@@ -76,7 +72,8 @@ func (s *solo) own(st Stats) Stats {
 		st.WALSeq = fl.walSeq.Load()
 		st.WALSyncs = fl.log.Syncs()
 	}
-	st.Subscriptions, st.SubscriptionDelivered, st.SubscriptionDropped = fl.subscriptionCounters()
+	st.Subscriptions = fl.disp.Subscribers()
+	st.SubscriptionDelivered, st.SubscriptionDropped = fl.disp.Delivered(), fl.disp.Dropped()
 	if o := fl.obs; o != nil {
 		st.Stages = o.pipe.Snapshot()
 		st.WatermarkLagNs = watermarkLag(st.LastTime, o.eventUnitNs)
