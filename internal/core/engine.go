@@ -302,7 +302,10 @@ func (e *Engine) K() int { return e.dec.K() }
 // Insert processes one incoming edge (Algorithm 1).
 func (e *Engine) Insert(d graph.Edge) { e.runInsert(d, e.sc) }
 
-// Delete processes one expired edge (Algorithm 2).
+// Delete processes one expired edge (Algorithm 2). d must be the
+// window's oldest stored edge, as the windower expires them
+// oldest-first: the MS-tree backend finds d's matches as the head of
+// each sub-list's item 1 and their extensions, not by searching for d.
 func (e *Engine) Delete(d graph.Edge) { e.runDelete(d) }
 
 // DeleteBatch processes every edge expired by one window slide as a

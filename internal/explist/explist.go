@@ -67,7 +67,10 @@ type SubList interface {
 	Materialize(lvl int, h Handle) *match.Match
 	// DeleteLevel removes at item lvl every match containing expired edge
 	// edgeID and every extension of parentCasualties, appending this
-	// level's casualties to dst and returning it.
+	// level's casualties to dst and returning it. edgeID must be the
+	// window's oldest edge (expiry is oldest-first): the MS-tree backend
+	// then finds its item-1 match at item 1's head and every deeper
+	// casualty as an extension; independent storage scans for it.
 	DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties, dst []Handle) []Handle
 	// DeleteExpired removes at item lvl every match whose oldest data
 	// edge is older than watermark, appending them to dst and returning
@@ -329,9 +332,13 @@ func (l *TreeSubList) Insert(lvl int, parent Handle, e graph.Edge) Handle {
 	return l.tree.InsertEdge(lvl, p, e)
 }
 
-// DeleteLevel implements SubList.
+// DeleteLevel implements SubList: item 1's head if it carries edgeID,
+// then the extensions of the previous item's casualties.
 func (l *TreeSubList) DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties, dst []Handle) []Handle {
-	return mstree.DeleteLevel(l.tree, lvl, edgeID, parentCasualties, nil, dst)
+	if lvl == 1 {
+		return mstree.ExpireEdge(l.tree, edgeID, dst)
+	}
+	return mstree.DeleteLevel(l.tree, lvl, parentCasualties, nil, dst)
 }
 
 // DeleteExpired implements SubList: item 1's expired prefix, then the
@@ -340,7 +347,7 @@ func (l *TreeSubList) DeleteExpired(lvl int, watermark graph.Timestamp, parentCa
 	if lvl == 1 {
 		return mstree.ExpirePrefix(l.tree, watermark, dst)
 	}
-	return mstree.DeleteLevel(l.tree, lvl, -1, parentCasualties, nil, dst)
+	return mstree.DeleteLevel(l.tree, lvl, parentCasualties, nil, dst)
 }
 
 // SpaceBytes implements SubList.
@@ -492,14 +499,14 @@ func (g *TreeGlobalList) Insert(lvl int, parent, sub Handle) Handle {
 
 // DeleteLevel implements GlobalList.
 func (g *TreeGlobalList) DeleteLevel(lvl int, deadSubs, parentCasualties []Handle, _ graph.EdgeID, dst []Handle) []Handle {
-	return mstree.DeleteLevel(g.tree, lvl, -1, parentCasualties, deadSubs, dst)
+	return mstree.DeleteLevel(g.tree, lvl, parentCasualties, deadSubs, dst)
 }
 
 // DeleteExpired implements GlobalList: a global match expires exactly
 // when a submatch it references does, so the slide's casualties are
 // those DeleteLevel reaches from the expired submatches.
 func (g *TreeGlobalList) DeleteExpired(lvl int, _ graph.Timestamp, deadSubs, parentCasualties, dst []Handle) []Handle {
-	return mstree.DeleteLevel(g.tree, lvl, -1, parentCasualties, deadSubs, dst)
+	return mstree.DeleteLevel(g.tree, lvl, parentCasualties, deadSubs, dst)
 }
 
 // SpaceBytes implements GlobalList.

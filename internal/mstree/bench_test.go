@@ -75,7 +75,7 @@ func BenchmarkDeleteExpired(b *testing.B) {
 		}
 		b.StartTimer()
 		cas = ExpirePrefix(tr, 2, cas[:0])
-		dead = DeleteLevel(tr, 2, -1, cas, nil, dead[:0])
+		dead = DeleteLevel(tr, 2, cas, nil, dead[:0])
 		if len(cas) != 1 || len(dead) != 64 || tr.Nodes() != 4097 {
 			b.Fatalf("expiry drifted: %d/%d, %d left", len(cas), len(dead), tr.Nodes())
 		}

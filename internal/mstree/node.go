@@ -15,8 +15,11 @@
 // lists and, in global trees, through the dependency index. No
 // time-ordered side structure is kept.
 //
+// Edge-at-a-time expiry takes the window's oldest edge, whose level-1
+// node is level 1's head (ExpireEdge), and cascades the same way.
+//
 // A removed node leaves every structure that a lookup or a later removal
-// walks: its level list, its join-index bucket, its edge/dep bucket and
+// walks: its level list, its join-index bucket, its dep bucket and
 // its parent's child list, which is unlinked unless the parent is
 // removed in the same cascade and consumed once. No removed node is
 // reachable from the tree, so none carries a removed flag. A Tree is not
@@ -56,9 +59,8 @@ type Node struct {
 	joinKey uint64
 
 	// links chain the node through its index buckets: links[keyLink]
-	// through its join-index bucket, links[refLink] through its edgeIdx
-	// bucket (sub-trees) or depIdx bucket (global trees) — a node is in
-	// exactly one of those two. Removal is O(1) and allocates nothing.
+	// through its join-index bucket, links[depLink] through its depIdx
+	// bucket (global trees only). Removal is O(1) and allocates nothing.
 	links [2]link
 }
 

@@ -17,12 +17,10 @@ type Tree struct {
 type level struct {
 	head, tail *Node
 	count      int
-	// edgeIdx maps a data edge ID to this level's live nodes carrying
-	// that edge; depIdx maps a foreign submatch leaf to this level's live
-	// nodes whose Sub points at it (global trees only). Every death path
-	// unlinks the node from its bucket, so both stay live-only.
-	edgeIdx index[graph.EdgeID]
-	depIdx  index[*Node]
+	// depIdx maps a foreign submatch leaf to this level's live nodes
+	// whose Sub points at it (global trees only). Every death path
+	// unlinks the node from its bucket, so it stays live-only.
+	depIdx index[*Node]
 	// joinIdx buckets this level's live nodes by join key — the binding
 	// of the level's connecting query vertex (sub-trees) or the
 	// shared-binding fingerprint of the level's join (last items and
@@ -38,7 +36,7 @@ type level struct {
 // Slots of Node.links: which link pair chains an index's buckets.
 const (
 	keyLink = iota // joinIdx
-	refLink        // edgeIdx or depIdx
+	depLink        // depIdx
 )
 
 // link is one intrusive doubly linked list position.
@@ -53,7 +51,7 @@ type bucket struct{ head, tail *Node }
 // entry of a new key.
 type index[K comparable] struct {
 	buckets map[K]bucket
-	slot    int // keyLink or refLink
+	slot    int // keyLink or depLink
 }
 
 func newIndex[K comparable](slot int) index[K] {
@@ -106,8 +104,7 @@ func (ix *index[K]) remove(k K, n *Node) {
 func New(depth int) *Tree {
 	t := &Tree{levels: make([]level, depth)}
 	for i := range t.levels {
-		t.levels[i].edgeIdx = newIndex[graph.EdgeID](refLink)
-		t.levels[i].depIdx = newIndex[*Node](refLink)
+		t.levels[i].depIdx = newIndex[*Node](depLink)
 	}
 	return t
 }
@@ -142,8 +139,7 @@ func (t *Tree) Nodes() int64 {
 // (nil for level 1), which must be live.
 func (t *Tree) InsertEdge(lvl int, parent *Node, e graph.Edge) *Node {
 	n := &Node{Parent: parent, Edge: e, Level: lvl}
-	lv := t.attach(n, parent)
-	lv.edgeIdx.add(e.ID, n)
+	t.attach(n, parent)
 	return n
 }
 
@@ -226,9 +222,8 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 // nodeOf returns the node a casualty-buffer element holds.
 func nodeOf[H any](h H) *Node { return any(h).(*Node) }
 
-// DeleteLevel removes, at level lvl of t, every node that carries data
-// edge edgeID (pass a negative ID to skip), every child of the nodes in
-// parents, and every node whose Sub is in deadSubs. It appends the
+// DeleteLevel removes, at level lvl of t, every child of the nodes in
+// parents and every node whose Sub is in deadSubs. It appends the
 // removed nodes to dst and returns it, so the caller can cascade to the
 // next level. This mirrors Algorithm 2's level-by-level scan. parents
 // must be the previous level's casualties, each listed once: a removed
@@ -238,39 +233,55 @@ func nodeOf[H any](h H) *Node { return any(h).(*Node) }
 // The casualty buffers hold any element type H that carries a *Node —
 // *Node itself, or an interface such as explist's Handle — so callers
 // thread their own buffers level to level without converting them.
-func DeleteLevel[H any](t *Tree, lvl int, edgeID graph.EdgeID, parents, deadSubs, dst []H) []H {
+func DeleteLevel[H any](t *Tree, lvl int, parents, deadSubs, dst []H) []H {
 	lv := &t.levels[lvl-1]
-	if edgeID >= 0 {
-		dst = killBucket(lv, &lv.edgeIdx, edgeID, dst)
-	}
 	for _, h := range parents {
 		for c := nodeOf(h).firstChild; c != nil; c = c.nextSib {
 			lv.kill(c)
-			lv.dropRef(c)
+			if c.Sub != nil {
+				lv.depIdx.remove(c.Sub, c)
+			}
 			dst = append(dst, any(c).(H))
 		}
 	}
 	for _, h := range deadSubs {
-		dst = killBucket(lv, &lv.depIdx, nodeOf(h), dst)
+		dst = killBucket(lv, nodeOf(h), dst)
 	}
 	return dst
 }
 
-// killBucket detaches k's whole bucket from ix and removes every node
+// killBucket detaches sub's whole depIdx bucket and removes every node
 // on it, appending each to dst.
-func killBucket[K comparable, H any](lv *level, ix *index[K], k K, dst []H) []H {
-	n := ix.buckets[k].head
+func killBucket[H any](lv *level, sub *Node, dst []H) []H {
+	n := lv.depIdx.buckets[sub].head
 	if n == nil {
 		return dst
 	}
-	delete(ix.buckets, k)
+	delete(lv.depIdx.buckets, sub)
 	for n != nil {
-		next := n.links[refLink].next
-		n.links[refLink] = link{}
+		next := n.links[depLink].next
+		n.links[depLink] = link{}
 		unlinkSiblings(n)
 		lv.kill(n)
 		dst = append(dst, any(n).(H))
 		n = next
+	}
+	return dst
+}
+
+// ExpireEdge removes the level-1 node of t that carries data edge id,
+// appending it to dst; the caller cascades it to the deeper levels with
+// DeleteLevel. It serves edge-at-a-time expiry, which hands over the
+// window's oldest edge: every older edge has already gone, and with it
+// every path it started, so id's level-1 node, if any, is level 1's
+// head (level 1 is in arrival order). No deeper node carries id: a
+// timing sequence binds its edges in time order, so such a node's
+// level-1 ancestor carries an older edge and was removed with it.
+func ExpireEdge[H any](t *Tree, id graph.EdgeID, dst []H) []H {
+	lv := &t.levels[0]
+	for n := lv.head; n != nil && n.Edge.ID == id; n = lv.head {
+		lv.kill(n) // a level-1 node has no parent, hence no siblings
+		dst = append(dst, any(n).(H))
 	}
 	return dst
 }
@@ -284,14 +295,13 @@ func ExpirePrefix[H any](t *Tree, cut graph.Timestamp, dst []H) []H {
 	lv := &t.levels[0]
 	for n := lv.head; n != nil && n.Edge.Time < cut; n = lv.head {
 		lv.kill(n) // a level-1 node has no parent, hence no siblings
-		lv.dropRef(n)
 		dst = append(dst, any(n).(H))
 	}
 	return dst
 }
 
 // kill removes n from its level list and join-index bucket, leaving its
-// sibling links and its edge/dep bucket to the caller: a removed
+// sibling links and its dep bucket to the caller: a removed
 // parent's child list must stay traversable while it is being consumed,
 // and it is consumed exactly once, so the stale sibling links are never
 // observed again.
@@ -313,15 +323,6 @@ func (lv *level) kill(n *Node) {
 	lv.count--
 }
 
-// dropRef unlinks n from its edgeIdx or depIdx bucket.
-func (lv *level) dropRef(n *Node) {
-	if n.Sub != nil {
-		lv.depIdx.remove(n.Sub, n)
-	} else {
-		lv.edgeIdx.remove(n.Edge.ID, n)
-	}
-}
-
 // unlinkSiblings detaches n from its parent's child list.
 func unlinkSiblings(n *Node) {
 	if n.prevSib != nil {
@@ -335,8 +336,8 @@ func unlinkSiblings(n *Node) {
 }
 
 // nodeBytes and indexEntryBytes are SpaceBytes' per-node and per-key
-// costs: a Node, and one index map entry (an 8-byte key — edge ID, join
-// key or pointer — plus its bucket).
+// costs: a Node, and one index map entry (an 8-byte key — join key or
+// pointer — plus its bucket).
 const (
 	nodeBytes       = int64(unsafe.Sizeof(Node{}))
 	indexEntryBytes = int64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(bucket{}))
@@ -348,7 +349,7 @@ func (t *Tree) SpaceBytes() int64 {
 	for i := range t.levels {
 		lv := &t.levels[i]
 		b += int64(lv.count) * nodeBytes
-		keys := len(lv.edgeIdx.buckets) + len(lv.depIdx.buckets) + len(lv.joinIdx.buckets)
+		keys := len(lv.depIdx.buckets) + len(lv.joinIdx.buckets)
 		b += int64(keys) * indexEntryBytes
 	}
 	return b

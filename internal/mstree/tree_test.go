@@ -14,8 +14,13 @@ func edge(id int64) graph.Edge {
 
 // deleteLevel runs DeleteLevel on *Node buffers, appending to a fresh
 // casualty slice.
-func deleteLevel(t *Tree, lvl int, edgeID graph.EdgeID, parents, deadSubs []*Node) []*Node {
-	return DeleteLevel(t, lvl, edgeID, parents, deadSubs, nil)
+func deleteLevel(t *Tree, lvl int, parents, deadSubs []*Node) []*Node {
+	return DeleteLevel(t, lvl, parents, deadSubs, nil)
+}
+
+// expireEdge runs ExpireEdge into a fresh casualty slice.
+func expireEdge(t *Tree, id int64) []*Node {
+	return ExpireEdge(t, graph.EdgeID(id), []*Node(nil))
 }
 
 // collect returns the edge IDs of live nodes at a level.
@@ -54,15 +59,15 @@ func TestFig10(t *testing.T) {
 	}
 
 	// Expire σ1: the paper's cascade deletes σ3, then σ4 and σ9.
-	dead1 := deleteLevel(tr, 1, 1, nil, nil)
+	dead1 := expireEdge(tr, 1)
 	if len(dead1) != 1 || dead1[0] != n1 {
 		t.Fatalf("level 1 casualties: %v", dead1)
 	}
-	dead2 := deleteLevel(tr, 2, 1, dead1, nil)
+	dead2 := deleteLevel(tr, 2, dead1, nil)
 	if len(dead2) != 1 || dead2[0] != n3 {
 		t.Fatalf("level 2 casualties: %v", dead2)
 	}
-	dead3 := deleteLevel(tr, 3, 1, dead2, nil)
+	dead3 := deleteLevel(tr, 3, dead2, nil)
 	if len(dead3) != 2 {
 		t.Fatalf("level 3 casualties: want σ4 and σ9, got %v", dead3)
 	}
@@ -71,29 +76,35 @@ func TestFig10(t *testing.T) {
 	}
 }
 
+// TestDeleteMidLevel expires a level-1 head whose child sits in the
+// middle of level 2's list: the cascade must unlink it there and leave
+// both neighbours in order.
 func TestDeleteMidLevel(t *testing.T) {
 	tr := New(2)
 	a := tr.InsertEdge(1, nil, edge(1))
 	b := tr.InsertEdge(1, nil, edge(2))
 	c := tr.InsertEdge(1, nil, edge(3))
-	tr.InsertEdge(2, a, edge(10))
-	tr.InsertEdge(2, b, edge(11))
+	tr.InsertEdge(2, b, edge(10))
+	tr.InsertEdge(2, a, edge(11))
 	tr.InsertEdge(2, c, edge(12))
 
-	// Delete the middle level-1 node.
-	dead := deleteLevel(tr, 1, 2, nil, nil)
-	if len(dead) != 1 || dead[0] != b {
-		t.Fatalf("want σ2's node, got %v", dead)
+	dead := expireEdge(tr, 1)
+	if len(dead) != 1 || dead[0] != a {
+		t.Fatalf("want σ1's node, got %v", dead)
 	}
-	if got := collect(tr, 1); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("level list after mid delete: %v", got)
+	if got := collect(tr, 1); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Errorf("level list after head expiry: %v", got)
 	}
-	dead2 := deleteLevel(tr, 2, 2, dead, nil)
+	dead2 := deleteLevel(tr, 2, dead, nil)
 	if len(dead2) != 1 || dead2[0].Edge.ID != 11 {
 		t.Fatalf("cascade: want σ11 child, got %v", dead2)
 	}
-	if got := collect(tr, 2); len(got) != 2 {
-		t.Errorf("level 2 after cascade: %v", got)
+	if got := collect(tr, 2); len(got) != 2 || got[0] != 10 || got[1] != 12 {
+		t.Errorf("level 2 after mid-level cascade: %v", got)
+	}
+	// An edge that is not level 1's head has no level-1 node to expire.
+	if dead := expireEdge(tr, 3); len(dead) != 0 {
+		t.Errorf("σ3 is not the head, ExpireEdge removed %v", dead)
 	}
 }
 
@@ -105,40 +116,41 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 	leafB := sub.InsertEdge(1, nil, edge(2))
 
 	g := New(2)
-	gA := g.InsertSub(2, leafA, leafB) // parent from "first sub list", sub = leafB
+	gA := g.InsertSub(2, leafB, leafA) // parent from "first sub list", sub = leafA
 	if gA == nil {
 		t.Fatal("InsertSub failed")
 	}
 	if g.Count(2) != 1 {
 		t.Fatal("global node must be live")
 	}
-	// Killing leafB (the Sub reference) removes the global node via the
+	// Killing leafA (the Sub reference) removes the global node via the
 	// dependency index.
-	deadSubs := deleteLevel(sub, 1, 2, nil, nil)
-	if len(deadSubs) != 1 || deadSubs[0] != leafB {
-		t.Fatalf("want leafB dead, got %v", deadSubs)
+	deadSubs := expireEdge(sub, 1)
+	if len(deadSubs) != 1 || deadSubs[0] != leafA {
+		t.Fatalf("want leafA dead, got %v", deadSubs)
 	}
-	gDead := deleteLevel(g, 2, -1, nil, deadSubs)
+	gDead := deleteLevel(g, 2, nil, deadSubs)
 	if len(gDead) != 1 || gDead[0] != gA {
 		t.Fatalf("global node must die with its submatch, got %v", gDead)
 	}
 
-	// Killing leafA (the parent) removes global children via the child
+	// Killing leafB (the parent) removes global children via the child
 	// list.
-	gB := g.InsertSub(2, leafA, leafA)
+	gB := g.InsertSub(2, leafB, leafB)
 	if gB == nil {
 		t.Fatal("InsertSub failed")
 	}
-	deadA := deleteLevel(sub, 1, 1, nil, nil)
-	gDead2 := deleteLevel(g, 2, -1, deadA, nil)
+	deadB := expireEdge(sub, 2)
+	gDead2 := deleteLevel(g, 2, deadB, nil)
 	if len(gDead2) != 1 || gDead2[0] != gB {
 		t.Fatalf("global node must die with its parent, got %v", gDead2)
 	}
 }
 
 // TestRandomizedIntegrity cross-checks the tree against a naive mirror
-// over thousands of random operations: inserts, per-edge deletes of a
-// random edge, and watermark expiry (ExpirePrefix plus the cascade).
+// over thousands of random operations: inserts, per-edge expiry of the
+// oldest edge (ExpireEdge plus the cascade), and watermark expiry
+// (ExpirePrefix plus the cascade).
 // Edge IDs double as timestamps and grow along every path, so a
 // watermark kills exactly the matches whose first edge is below it.
 // It also checks the invariant that lets removed nodes go unmarked: no
@@ -155,7 +167,7 @@ func TestRandomizedIntegrity(t *testing.T) {
 	removed := map[*Node]bool{}
 	// cascade runs DeleteLevel after checking that the child lists it
 	// is about to walk hold no removed node.
-	cascade := func(op, lvl int, edgeID graph.EdgeID, parents []*Node) []*Node {
+	cascade := func(op, lvl int, parents []*Node) []*Node {
 		for _, p := range parents {
 			for c := p.firstChild; c != nil; c = c.nextSib {
 				if removed[c] {
@@ -163,7 +175,7 @@ func TestRandomizedIntegrity(t *testing.T) {
 				}
 			}
 		}
-		return deleteLevel(tr, lvl, edgeID, parents, nil)
+		return deleteLevel(tr, lvl, parents, nil)
 	}
 
 	type mirrorMatch struct {
@@ -207,14 +219,15 @@ func TestRandomizedIntegrity(t *testing.T) {
 			watermark = min(watermark+1+rng.Int63n(8), nextID)
 			casualties := ExpirePrefix(tr, graph.Timestamp(watermark), []*Node(nil))
 			for lvl := 2; lvl <= depth; lvl++ {
-				casualties = cascade(op, lvl, -1, casualties)
+				casualties = cascade(op, lvl, casualties)
 			}
 			prune(func(mm mirrorMatch, _ int) bool { return mm.ids[0] < watermark })
-		} else if nextID > 1 { // expire a random id
-			victim := 1 + rng.Int63n(nextID-1)
-			var casualties []*Node
-			for lvl := 1; lvl <= depth; lvl++ {
-				casualties = cascade(op, lvl, graph.EdgeID(victim), casualties)
+		} else if watermark < nextID { // expire the oldest edge
+			victim := watermark
+			watermark++
+			casualties := expireEdge(tr, victim)
+			for lvl := 2; lvl <= depth; lvl++ {
+				casualties = cascade(op, lvl, casualties)
 			}
 			prune(func(mm mirrorMatch, lvl int) bool {
 				for l := 0; l < lvl; l++ {
@@ -279,12 +292,12 @@ func TestSpaceBytesTracksNodes(t *testing.T) {
 	}
 	a := tr.InsertEdge(1, nil, edge(1))
 	tr.InsertEdge(2, a, edge(2))
-	// Two nodes, each the only one under its edge-index key.
-	if got, want := tr.SpaceBytes(), 2*nodeBytes+2*indexEntryBytes; got != want {
+	// Two nodes and no index: neither level has a key function.
+	if got, want := tr.SpaceBytes(), 2*nodeBytes; got != want {
 		t.Errorf("SpaceBytes = %d, want %d", got, want)
 	}
-	dead := deleteLevel(tr, 1, 1, nil, nil)
-	deleteLevel(tr, 2, 1, dead, nil)
+	dead := expireEdge(tr, 1)
+	deleteLevel(tr, 2, dead, nil)
 	if got := tr.SpaceBytes(); got != 0 {
 		t.Errorf("SpaceBytes after expiry = %d, want 0", got)
 	}
