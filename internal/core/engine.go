@@ -161,19 +161,26 @@ func New(q *query.Query, cfg Config) *Engine {
 			}
 		}
 	}
-	for _, sub := range dec.Subqueries {
-		if cfg.Storage == Independent {
-			e.subs = append(e.subs, explist.NewFlatSubList(q, sub))
-		} else {
-			e.subs = append(e.subs, explist.NewTreeSubList(q, sub))
+	if cfg.Storage == Independent {
+		subs := make([]*explist.FlatSubList, dec.K())
+		for i, sub := range dec.Subqueries {
+			subs[i] = explist.NewFlatSubList(q, sub)
+			e.subs = append(e.subs, subs[i])
+		}
+		if dec.K() > 1 {
+			e.global = explist.NewFlatGlobalList(q, dec, subs)
+		}
+	} else {
+		subs := make([]*explist.TreeSubList, dec.K())
+		for i, sub := range dec.Subqueries {
+			subs[i] = explist.NewTreeSubList(q, sub)
+			e.subs = append(e.subs, subs[i])
+		}
+		if dec.K() > 1 {
+			e.global = explist.NewTreeGlobalList(q, dec, subs)
 		}
 	}
 	if dec.K() > 1 {
-		if cfg.Storage == Independent {
-			e.global = explist.NewFlatGlobalList(q, dec)
-		} else {
-			e.global = explist.NewTreeGlobalList(q, dec)
-		}
 		e.joins = buildJoins(q, dec)
 		// Key every stored join side by the shared bindings of the join
 		// level it feeds: sub-list x's complete matches are the right
@@ -236,8 +243,8 @@ func newInsertScratch(e *Engine) *insertScratch {
 	return sc
 }
 
-// reset ends an insert: it clears every pointer the buffers hold,
-// so an idle scratch pins no dead match or tree node. The free-list
+// reset ends an insert: it clears every match pointer the buffers
+// hold, so an idle scratch pins no dead match. The free-list
 // keeps its matches, and takeMatch clears the slots it vacates.
 func (sc *insertScratch) reset() {
 	sc.parents, sc.delta, sc.pairs = truncate(sc.parents), truncate(sc.delta), truncate(sc.pairs)
@@ -443,7 +450,7 @@ func (e *Engine) runInsert(d graph.Edge, sc *insertScratch) {
 			probe := sc.getEmptyMatch()
 			if probe.CanBindPrescreened(e.q, qe, d) {
 				probe.Bind(e.q, qe, d)
-				delta = append(delta, pair{sub.Insert(1, nil, d), probe})
+				delta = append(delta, pair{sub.Insert(1, explist.NoHandle, d), probe})
 			} else {
 				sc.putMatch(probe)
 			}
@@ -642,7 +649,6 @@ func (e *Engine) runDelete(d graph.Edge) {
 	e.stats.EdgesOut.Add(1)
 	k := e.K()
 	xs := &e.xs
-	defer xs.reset()
 	for s := 1; s <= k; s++ {
 		if !e.subTouchedBy(s, d) {
 			continue
@@ -656,7 +662,7 @@ func (e *Engine) runDelete(d graph.Edge) {
 				// The dead complete submatches feed the global cascade.
 				dst = &xs.leaves[0]
 			}
-			*dst = sub.DeleteLevel(lvl, d.ID, casualties, truncate(*dst))
+			*dst = sub.DeleteLevel(lvl, d.ID, casualties, (*dst)[:0])
 			casualties = *dst
 			e.stats.PartialDel.Add(int64(len(casualties)))
 		}
@@ -678,7 +684,7 @@ func (e *Engine) runDelete(d graph.Edge) {
 				ds = deadSubs
 			}
 			dst := &xs.cas[lvl%2]
-			*dst = e.global.DeleteLevel(lvl, ds, gcas, d.ID, truncate(*dst))
+			*dst = e.global.DeleteLevel(lvl, ds, gcas, d.ID, (*dst)[:0])
 			gcas = *dst
 			e.stats.PartialDel.Add(int64(len(gcas)))
 		}
@@ -686,9 +692,9 @@ func (e *Engine) runDelete(d graph.Edge) {
 }
 
 // expiryScratch holds the expiry cascades' casualty buffers. The
-// engine owns them, so a slide allocates nothing once they have grown,
-// and every sweep ends by emptying them through truncate, so an idle
-// engine pins no dead match.
+// engine owns them, so a slide allocates nothing once they have grown.
+// They hold integer handles, which pin nothing, so a sweep empties a
+// buffer before it writes it and leaves it as it is when done.
 type expiryScratch struct {
 	// cas is the ping-pong pair of item outputs a cascade threads from
 	// one item to the next: first each sub-list's, then the global
@@ -698,14 +704,6 @@ type expiryScratch struct {
 	// expired, kept until the global cascade consumes them (per-edge
 	// expiry runs one subquery at a time and uses leaves[0]).
 	leaves [][]explist.Handle
-}
-
-// reset empties every buffer, clearing the slots the sweep used.
-func (xs *expiryScratch) reset() {
-	xs.cas[0], xs.cas[1] = truncate(xs.cas[0]), truncate(xs.cas[1])
-	for i := range xs.leaves {
-		xs.leaves[i] = truncate(xs.leaves[i])
-	}
 }
 
 // runDeleteBatch processes all of a slide's expired edges in one pass,
@@ -724,17 +722,17 @@ func (e *Engine) runDeleteBatch(expired []graph.Edge) {
 	// timestamp strictly above the last expired edge's.
 	cut := expired[len(expired)-1].Time + 1
 	xs := &e.xs
-	defer xs.reset()
 	deleted := 0
 	for s, sub := range e.subs {
 		var cas []explist.Handle
 		depth := sub.Depth()
+		xs.leaves[s] = xs.leaves[s][:0] // the sweep may stop short of the leaves
 		for lvl := 1; lvl <= depth; lvl++ {
 			dst := &xs.cas[lvl%2]
 			if lvl == depth {
 				dst = &xs.leaves[s]
 			}
-			*dst = sub.DeleteExpired(lvl, cut, cas, truncate(*dst))
+			*dst = sub.DeleteExpired(lvl, cut, cas, (*dst)[:0])
 			cas = *dst
 			deleted += len(cas)
 			if len(cas) == 0 {
@@ -752,7 +750,7 @@ func (e *Engine) runDeleteBatch(expired []graph.Edge) {
 				continue
 			}
 			dst := &xs.cas[lvl%2]
-			*dst = e.global.DeleteExpired(lvl, cut, deadSubs, gcas, truncate(*dst))
+			*dst = e.global.DeleteExpired(lvl, cut, deadSubs, gcas, (*dst)[:0])
 			gcas = *dst
 			deleted += len(gcas)
 		}

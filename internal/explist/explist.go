@@ -24,10 +24,16 @@ import (
 	"timingsubg/internal/query"
 )
 
-// Handle identifies a stored partial match inside a list; the concrete
-// type depends on the backend. Handles let the engine extend matches in
-// O(1) and cascade deletions without re-searching.
-type Handle interface{}
+// Handle identifies a stored partial match inside a list: a slot of the
+// item's MS-tree level, or of the independent backend's entry table.
+// Handles let the engine extend matches in O(1) and cascade deletions
+// without re-searching. A Handle is an integer, not an interface, so
+// passing one around never boxes it.
+type Handle = mstree.Slot
+
+// NoHandle is the zero Handle: no stored match (the parent of an item-1
+// insert).
+const NoHandle = mstree.NoSlot
 
 // SubList stores the expansion list Lᵢ of one TC-subquery: item j holds
 // the matches of the prerequisite subquery Preq(εⱼ) = {ε₁..εⱼ}.
@@ -59,7 +65,7 @@ type SubList interface {
 	// independent backend ignores it.
 	SetJoinKey(shared []query.VertexID)
 	// Insert stores the match obtained by extending parent with data edge
-	// e (bound to the lvl-th sequence edge); parent is nil for lvl 1
+	// e (bound to the lvl-th sequence edge); parent is NoHandle for lvl 1
 	// and otherwise a stored match of item lvl−1.
 	Insert(lvl int, parent Handle, e graph.Edge) Handle
 	// Materialize rebuilds a fresh copy of the match identified by h at
@@ -200,6 +206,10 @@ type TreeSubList struct {
 	q    *query.Query
 	sub  *query.TCSubquery
 	tree *mstree.Tree
+	// labels[pos] holds the endpoint labels of sequence position pos+1's
+	// query edge: the labels of every data edge stored at level pos+1,
+	// which the tree does not store.
+	labels [][2]graph.Label
 }
 
 // NewTreeSubList returns an MS-tree backed expansion list for sub, with
@@ -208,6 +218,10 @@ type TreeSubList struct {
 // ℓ+1, whose data edge pins that binding to one of its endpoints.
 func NewTreeSubList(q *query.Query, sub *query.TCSubquery) *TreeSubList {
 	l := &TreeSubList{q: q, sub: sub, tree: mstree.New(sub.Len())}
+	for _, qe := range sub.Seq {
+		e := q.Edge(qe)
+		l.labels = append(l.labels, [2]graph.Label{q.VertexLabel(e.From), q.VertexLabel(e.To)})
+	}
 	for lvl := 1; lvl < sub.Len(); lvl++ {
 		cv, _, ok := sub.ConnectingVertex(q, lvl+1)
 		if !ok {
@@ -217,17 +231,10 @@ func NewTreeSubList(q *query.Query, sub *query.TCSubquery) *TreeSubList {
 		if !ok {
 			continue // unreachable: the connecting vertex is in the prefix
 		}
-		l.tree.SetLevelKey(lvl, pathVertexKey(pos, isFrom))
+		src := pathSource{pos: pos, isFrom: isFrom}
+		l.tree.SetLevelKey(lvl, func(s mstree.Slot) uint64 { return uint64(src.extract(l.tree, lvl, s)) })
 	}
 	return l
-}
-
-// pathVertexKey returns a key function extracting the From/To endpoint
-// of a node's ancestor at sequence position pos (1-based). The walk
-// touches only immutable payload fields.
-func pathVertexKey(pos int, isFrom bool) func(*mstree.Node) uint64 {
-	src := pathSource{pos: pos, isFrom: isFrom}
-	return func(n *mstree.Node) uint64 { return uint64(src.extract(n)) }
 }
 
 // SetJoinKey implements SubList: the last item is indexed by the
@@ -241,10 +248,11 @@ func (l *TreeSubList) SetJoinKey(shared []query.VertexID) {
 		}
 		srcs[i] = pathSource{pos: pos, isFrom: isFrom}
 	}
-	l.tree.SetLevelKey(l.sub.Len(), func(n *mstree.Node) uint64 {
+	last := l.sub.Len()
+	l.tree.SetLevelKey(last, func(s mstree.Slot) uint64 {
 		h := fnvOffset
-		for _, s := range srcs {
-			h = fpMix(h, s.extract(n))
+		for _, src := range srcs {
+			h = fpMix(h, src.extract(l.tree, last, s))
 		}
 		return h
 	})
@@ -256,14 +264,16 @@ type pathSource struct {
 	isFrom bool
 }
 
-func (s pathSource) extract(n *mstree.Node) graph.VertexID {
-	for n.Level > s.pos {
-		n = n.Parent
+// extract reads the binding from the path ending at slot s of level lvl
+// of sub-tree t, walking up to the ancestor at position pos.
+func (src pathSource) extract(t *mstree.Tree, lvl int, s mstree.Slot) graph.VertexID {
+	for ; lvl > src.pos; lvl-- {
+		s = t.Parent(lvl, s)
 	}
-	if s.isFrom {
-		return n.Edge.From
+	if src.isFrom {
+		return t.Edge(lvl, s).From
 	}
-	return n.Edge.To
+	return t.Edge(lvl, s).To
 }
 
 // Tree exposes the underlying MS-tree for tests and space audits.
@@ -279,9 +289,11 @@ func (l *TreeSubList) Count(lvl int) int { return l.tree.Count(lvl) }
 // off the insert path.
 func (l *TreeSubList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 	var sc Scratch
-	l.tree.Each(lvl, func(n *mstree.Node) bool {
-		sc.ebuf = l.fill(sc.match(l.q), n, sc.ebuf)
-		return fn(n, sc.m)
+	l.tree.Each(lvl, func(s mstree.Slot) bool {
+		m := sc.match(l.q)
+		m.Reset()
+		sc.ebuf = l.bindPath(m, lvl, s, sc.ebuf)
+		return fn(s, m)
 	})
 }
 
@@ -299,25 +311,29 @@ func (l *TreeSubList) EachJoinCandidate(fp uint64, sc *Scratch, fn func(Handle, 
 }
 
 func (l *TreeSubList) eachCandidateKey(lvl int, key uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
-	l.tree.EachCandidate(lvl, key, func(n *mstree.Node) bool {
-		sc.ebuf = l.fill(sc.match(l.q), n, sc.ebuf)
-		return fn(n, sc.m)
+	l.tree.EachCandidate(lvl, key, func(s mstree.Slot) bool {
+		m := sc.match(l.q)
+		m.Reset()
+		sc.ebuf = l.bindPath(m, lvl, s, sc.ebuf)
+		return fn(s, m)
 	})
 }
 
 // Materialize implements SubList.
-func (l *TreeSubList) Materialize(_ int, h Handle) *match.Match {
+func (l *TreeSubList) Materialize(lvl int, h Handle) *match.Match {
 	m := match.New(l.q)
-	l.fill(m, h.(*mstree.Node), nil)
+	l.bindPath(m, lvl, h, nil)
 	return m
 }
 
-// fill rebuilds into m the partial match for node n by backtracking its
-// path, reusing ebuf; it returns the (possibly grown) buffer.
-func (l *TreeSubList) fill(m *match.Match, n *mstree.Node, ebuf []graph.Edge) []graph.Edge {
-	ebuf = n.PathEdges(ebuf)
-	m.Reset()
+// bindPath binds into m the partial match stored at slot s of item lvl
+// by backtracking its path, restoring each edge's endpoint labels from
+// its query edge. It reuses ebuf and returns the (possibly grown)
+// buffer.
+func (l *TreeSubList) bindPath(m *match.Match, lvl int, s mstree.Slot, ebuf []graph.Edge) []graph.Edge {
+	ebuf = l.tree.PathEdges(lvl, s, ebuf)
 	for pos, d := range ebuf {
+		d.FromLabel, d.ToLabel = l.labels[pos][0], l.labels[pos][1]
 		m.Bind(l.q, l.sub.Seq[pos], d)
 	}
 	return ebuf
@@ -325,46 +341,44 @@ func (l *TreeSubList) fill(m *match.Match, n *mstree.Node, ebuf []graph.Edge) []
 
 // Insert implements SubList.
 func (l *TreeSubList) Insert(lvl int, parent Handle, e graph.Edge) Handle {
-	var p *mstree.Node
-	if parent != nil {
-		p = parent.(*mstree.Node)
-	}
-	return l.tree.InsertEdge(lvl, p, e)
+	return l.tree.InsertEdge(lvl, parent, e)
 }
 
 // DeleteLevel implements SubList: item 1's head if it carries edgeID,
 // then the extensions of the previous item's casualties.
 func (l *TreeSubList) DeleteLevel(lvl int, edgeID graph.EdgeID, parentCasualties, dst []Handle) []Handle {
 	if lvl == 1 {
-		return mstree.ExpireEdge(l.tree, edgeID, dst)
+		return l.tree.ExpireEdge(edgeID, dst)
 	}
-	return mstree.DeleteLevel(l.tree, lvl, parentCasualties, nil, dst)
+	return l.tree.DeleteLevel(lvl, parentCasualties, nil, dst)
 }
 
 // DeleteExpired implements SubList: item 1's expired prefix, then the
 // extensions of the previous item's casualties (Algorithm 2's cascade).
 func (l *TreeSubList) DeleteExpired(lvl int, watermark graph.Timestamp, parentCasualties, dst []Handle) []Handle {
 	if lvl == 1 {
-		return mstree.ExpirePrefix(l.tree, watermark, dst)
+		return l.tree.ExpirePrefix(watermark, dst)
 	}
-	return mstree.DeleteLevel(l.tree, lvl, parentCasualties, nil, dst)
+	return l.tree.DeleteLevel(lvl, parentCasualties, nil, dst)
 }
 
 // SpaceBytes implements SubList.
 func (l *TreeSubList) SpaceBytes() int64 { return l.tree.SpaceBytes() }
 
-// TreeGlobalList is the MS-tree backed GlobalList: nodes hold pointers to
+// TreeGlobalList is the MS-tree backed GlobalList: nodes hold slots of
 // complete-submatch leaves in the sub-lists' trees rather than copies
 // (Section IV-A).
 type TreeGlobalList struct {
 	q    *query.Query
 	dec  *query.Decomposition
+	subs []*TreeSubList
 	tree *mstree.Tree
 }
 
-// NewTreeGlobalList returns an MS-tree backed L₀ for the decomposition.
-func NewTreeGlobalList(q *query.Query, dec *query.Decomposition) *TreeGlobalList {
-	return &TreeGlobalList{q: q, dec: dec, tree: mstree.New(dec.K())}
+// NewTreeGlobalList returns an MS-tree backed L₀ for the decomposition
+// over its sub-lists, subs[x-1] storing Q^x.
+func NewTreeGlobalList(q *query.Query, dec *query.Decomposition, subs []*TreeSubList) *TreeGlobalList {
+	return &TreeGlobalList{q: q, dec: dec, subs: subs, tree: mstree.NewGlobal(dec.K(), subs[0].tree)}
 }
 
 // SetJoinKeys implements GlobalList: item lvl (2 ≤ lvl < k) is indexed
@@ -378,10 +392,10 @@ func (g *TreeGlobalList) SetJoinKeys(sharedByJoin [][]query.VertexID) {
 		for i, v := range shared {
 			srcs[i] = g.locate(v, lvl)
 		}
-		g.tree.SetLevelKey(lvl, func(n *mstree.Node) uint64 {
+		g.tree.SetLevelKey(lvl, func(s mstree.Slot) uint64 {
 			h := fnvOffset
-			for _, s := range srcs {
-				h = fpMix(h, s.extract(n))
+			for _, src := range srcs {
+				h = fpMix(h, g.extract(src, lvl, s))
 			}
 			return h
 		})
@@ -407,25 +421,22 @@ func (g *TreeGlobalList) locate(v query.VertexID, maxSub int) globalSource {
 	panic("explist: shared join vertex not bound by global prefix")
 }
 
-// extract reads the binding from a global node at level ≥ subIdx by
-// navigating to the referenced sub-tree leaf: global parents chain down
-// to item 2, whose Parent is a leaf of the first sub-list's tree, and
-// each item x's Sub points at a leaf of sub-tree x. Only immutable
-// payload fields are read.
-func (s globalSource) extract(n *mstree.Node) graph.VertexID {
-	var leaf *mstree.Node
-	if s.subIdx >= 2 {
-		for n.Level > s.subIdx {
-			n = n.Parent
-		}
-		leaf = n.Sub
-	} else {
-		for n.Level > 2 {
-			n = n.Parent
-		}
-		leaf = n.Parent
+// extract reads src's binding from the global node at slot s of level
+// lvl ≥ src.subIdx by navigating to the referenced sub-tree leaf: global
+// parents chain down to item 2, whose parent is a leaf of the first
+// sub-list's tree, and each item x's sub is a leaf of sub-tree x.
+func (g *TreeGlobalList) extract(src globalSource, lvl int, s mstree.Slot) graph.VertexID {
+	x := max(src.subIdx, 2)
+	for ; lvl > x; lvl-- {
+		s = g.tree.Parent(lvl, s)
 	}
-	return s.pathSource.extract(leaf)
+	if src.subIdx >= 2 {
+		s = g.tree.Sub(lvl, s)
+	} else {
+		s = g.tree.Parent(2, s)
+	}
+	sl := g.subs[src.subIdx-1]
+	return src.pathSource.extract(sl.tree, sl.Depth(), s)
 }
 
 // Tree exposes the underlying MS-tree for tests and space audits.
@@ -441,72 +452,58 @@ func (g *TreeGlobalList) Count(lvl int) int { return g.tree.Count(lvl) }
 // is off the insert path.
 func (g *TreeGlobalList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 	var sc Scratch
-	g.tree.Each(lvl, func(n *mstree.Node) bool {
-		sc.ebuf = g.fill(sc.match(g.q), n, sc.ebuf)
-		return fn(n, sc.m)
+	g.tree.Each(lvl, func(s mstree.Slot) bool {
+		sc.ebuf = g.fill(sc.match(g.q), lvl, s, sc.ebuf)
+		return fn(s, sc.m)
 	})
 }
 
 // EachCandidate implements GlobalList: a fingerprint lookup on item
 // lvl's shared-binding buckets.
 func (g *TreeGlobalList) EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
-	g.tree.EachCandidate(lvl, fp, func(n *mstree.Node) bool {
-		sc.ebuf = g.fill(sc.match(g.q), n, sc.ebuf)
-		return fn(n, sc.m)
+	g.tree.EachCandidate(lvl, fp, func(s mstree.Slot) bool {
+		sc.ebuf = g.fill(sc.match(g.q), lvl, s, sc.ebuf)
+		return fn(s, sc.m)
 	})
 }
 
 // Materialize implements GlobalList.
-func (g *TreeGlobalList) Materialize(_ int, h Handle) *match.Match {
+func (g *TreeGlobalList) Materialize(lvl int, h Handle) *match.Match {
 	m := match.New(g.q)
-	g.fill(m, h.(*mstree.Node), nil)
+	g.fill(m, lvl, h, nil)
 	return m
 }
 
-// fill rebuilds the combined match for global node n: walk global parents
-// down to item 2, whose parent is a leaf of the first sub-list's tree,
-// binding each referenced submatch's path along the way.
-func (g *TreeGlobalList) fill(m *match.Match, n *mstree.Node, ebuf []graph.Edge) []graph.Edge {
+// fill rebuilds the combined match for the global node at slot s of
+// item lvl: walk global parents down to item 2, whose parent is a leaf
+// of the first sub-list's tree, binding each referenced submatch's path
+// along the way.
+func (g *TreeGlobalList) fill(m *match.Match, lvl int, s mstree.Slot, ebuf []graph.Edge) []graph.Edge {
 	m.Reset()
-	cur := n
-	for lvl := n.Level; lvl >= 2; lvl-- {
-		ebuf = g.bindSub(m, lvl, cur.Sub, ebuf)
-		if lvl == 2 {
-			ebuf = g.bindSub(m, 1, cur.Parent, ebuf)
-		}
-		cur = cur.Parent
+	for ; lvl >= 2; lvl-- {
+		sl := g.subs[lvl-1]
+		ebuf = sl.bindPath(m, sl.Depth(), g.tree.Sub(lvl, s), ebuf)
+		s = g.tree.Parent(lvl, s)
 	}
-	return ebuf
-}
-
-// bindSub binds into m the submatch of the subIdx-th (1-based)
-// TC-subquery represented by leaf.
-func (g *TreeGlobalList) bindSub(m *match.Match, subIdx int, leaf *mstree.Node, ebuf []graph.Edge) []graph.Edge {
-	sub := g.dec.Subqueries[subIdx-1]
-	ebuf = leaf.PathEdges(ebuf)
-	for pos, d := range ebuf {
-		m.Bind(g.q, sub.Seq[pos], d)
-	}
-	return ebuf
+	sl := g.subs[0]
+	return sl.bindPath(m, sl.Depth(), s, ebuf)
 }
 
 // Insert implements GlobalList.
 func (g *TreeGlobalList) Insert(lvl int, parent, sub Handle) Handle {
-	p, _ := parent.(*mstree.Node)
-	s, _ := sub.(*mstree.Node)
-	return g.tree.InsertSub(lvl, p, s)
+	return g.tree.InsertSub(lvl, parent, sub)
 }
 
 // DeleteLevel implements GlobalList.
 func (g *TreeGlobalList) DeleteLevel(lvl int, deadSubs, parentCasualties []Handle, _ graph.EdgeID, dst []Handle) []Handle {
-	return mstree.DeleteLevel(g.tree, lvl, parentCasualties, deadSubs, dst)
+	return g.tree.DeleteLevel(lvl, parentCasualties, deadSubs, dst)
 }
 
 // DeleteExpired implements GlobalList: a global match expires exactly
 // when a submatch it references does, so the slide's casualties are
 // those DeleteLevel reaches from the expired submatches.
 func (g *TreeGlobalList) DeleteExpired(lvl int, _ graph.Timestamp, deadSubs, parentCasualties, dst []Handle) []Handle {
-	return mstree.DeleteLevel(g.tree, lvl, parentCasualties, deadSubs, dst)
+	return g.tree.DeleteLevel(lvl, parentCasualties, deadSubs, dst)
 }
 
 // SpaceBytes implements GlobalList.

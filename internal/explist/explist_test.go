@@ -1,7 +1,7 @@
 package explist
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 
 	"timingsubg/internal/graph"
@@ -54,13 +54,13 @@ func TestSubListInsertEachDelete(t *testing.T) {
 			d1 := graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1}
 			d2 := graph.Edge{ID: 2, From: 20, To: 30, FromLabel: ls[1], ToLabel: ls[2], Time: 2}
 			d3 := graph.Edge{ID: 3, From: 30, To: 40, FromLabel: ls[2], ToLabel: ls[3], Time: 3}
-			h1 := l.Insert(1, nil, d1)
-			if h1 == nil {
+			h1 := l.Insert(1, NoHandle, d1)
+			if h1 == NoHandle {
 				t.Fatal("level-1 insert failed")
 			}
 			h2 := l.Insert(2, h1, d2)
 			h3 := l.Insert(3, h2, d3)
-			if h3 == nil {
+			if h3 == NoHandle {
 				t.Fatal("level-3 insert failed")
 			}
 			if l.Count(1) != 1 || l.Count(2) != 1 || l.Count(3) != 1 {
@@ -106,7 +106,7 @@ func TestSubListSharedPrefixSpace(t *testing.T) {
 	tree := NewTreeSubList(q, sub)
 	flat := NewFlatSubList(q, sub)
 	for _, l := range []SubList{tree, flat} {
-		h1 := l.Insert(1, nil, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
+		h1 := l.Insert(1, NoHandle, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
 		h2 := l.Insert(2, h1, graph.Edge{ID: 2, From: 20, To: 30, FromLabel: ls[1], ToLabel: ls[2], Time: 2})
 		// Fan out 20 level-3 matches sharing the same prefix.
 		for i := int64(0); i < 20; i++ {
@@ -143,14 +143,17 @@ func globalSetup(t *testing.T) (*query.Query, *query.Decomposition, []graph.Labe
 
 func TestGlobalListJoinAndDelete(t *testing.T) {
 	q, dec, ls := globalSetup(t)
-	backends := []struct {
+	type backend struct {
 		name string
 		sub1 SubList
 		sub2 SubList
 		g    GlobalList
-	}{
-		{"tree", NewTreeSubList(q, dec.Subqueries[0]), NewTreeSubList(q, dec.Subqueries[1]), NewTreeGlobalList(q, dec)},
-		{"flat", NewFlatSubList(q, dec.Subqueries[0]), NewFlatSubList(q, dec.Subqueries[1]), NewFlatGlobalList(q, dec)},
+	}
+	ts := []*TreeSubList{NewTreeSubList(q, dec.Subqueries[0]), NewTreeSubList(q, dec.Subqueries[1])}
+	fs := []*FlatSubList{NewFlatSubList(q, dec.Subqueries[0]), NewFlatSubList(q, dec.Subqueries[1])}
+	backends := []backend{
+		{"tree", ts[0], ts[1], NewTreeGlobalList(q, dec, ts)},
+		{"flat", fs[0], fs[1], NewFlatGlobalList(q, dec, fs)},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
@@ -169,10 +172,10 @@ func TestGlobalListJoinAndDelete(t *testing.T) {
 			_ = ls
 			d1 := mkFor(qe1, 1, 1)
 			d2 := mkFor(qe2, 2, 2)
-			h1 := be.sub1.Insert(1, nil, d1)
-			h2 := be.sub2.Insert(1, nil, d2)
+			h1 := be.sub1.Insert(1, NoHandle, d1)
+			h2 := be.sub2.Insert(1, NoHandle, d2)
 			gh := be.g.Insert(2, h1, h2)
-			if gh == nil {
+			if gh == NoHandle {
 				t.Fatal("global insert failed")
 			}
 			if be.g.Count(2) != 1 {
@@ -211,7 +214,7 @@ func TestGlobalParentSideExpiry(t *testing.T) {
 	q, dec, _ := globalSetup(t)
 	sub1 := NewTreeSubList(q, dec.Subqueries[0])
 	sub2 := NewTreeSubList(q, dec.Subqueries[1])
-	g := NewTreeGlobalList(q, dec)
+	g := NewTreeGlobalList(q, dec, []*TreeSubList{sub1, sub2})
 	qe1 := dec.Subqueries[0].Seq[0]
 	qe2 := dec.Subqueries[1].Seq[0]
 	mkFor := func(qe query.EdgeID, id int64, tm int64) graph.Edge {
@@ -222,9 +225,9 @@ func TestGlobalParentSideExpiry(t *testing.T) {
 	}
 	d1 := mkFor(qe1, 1, 1)
 	d2 := mkFor(qe2, 2, 2)
-	h1 := sub1.Insert(1, nil, d1)
-	h2 := sub2.Insert(1, nil, d2)
-	if g.Insert(2, h1, h2) == nil {
+	h1 := sub1.Insert(1, NoHandle, d1)
+	h2 := sub2.Insert(1, NoHandle, d2)
+	if g.Insert(2, h1, h2) == NoHandle {
 		t.Fatal("global insert failed")
 	}
 	// Expire d1 (the parent side, which is the aliased L₀¹).
@@ -238,8 +241,8 @@ func TestGlobalParentSideExpiry(t *testing.T) {
 func TestEachScratchIsolation(t *testing.T) {
 	q, sub, ls := pathSetup(t)
 	l := NewTreeSubList(q, sub)
-	h1 := l.Insert(1, nil, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
-	l.Insert(1, nil, graph.Edge{ID: 2, From: 11, To: 21, FromLabel: ls[0], ToLabel: ls[1], Time: 2})
+	h1 := l.Insert(1, NoHandle, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
+	l.Insert(1, NoHandle, graph.Edge{ID: 2, From: 11, To: 21, FromLabel: ls[0], ToLabel: ls[1], Time: 2})
 	_ = h1
 	// The scratch match is reused across iterations: retaining requires
 	// Clone. Verify the documented contract.
@@ -265,15 +268,27 @@ func TestEachScratchIsolation(t *testing.T) {
 	}
 }
 
+// TestHandleTypesAreOpaque checks that both backends hand out handles
+// of the one integer Handle type: distinct, never NoHandle, and each
+// resolving to its own match, also past the 256 small integers an
+// interface could hold without allocating.
 func TestHandleTypesAreOpaque(t *testing.T) {
+	if k := reflect.TypeOf(NoHandle).Kind(); k != reflect.Uint32 {
+		t.Fatalf("Handle is a %v, want a uint32 slot", k)
+	}
 	q, sub, ls := pathSetup(t)
 	for name, l := range subLists(q, sub) {
-		h := l.Insert(1, nil, graph.Edge{ID: 1, From: 10, To: 20, FromLabel: ls[0], ToLabel: ls[1], Time: 1})
-		if h == nil {
-			t.Fatalf("%s: insert failed", name)
-		}
-		if fmt.Sprintf("%T", h) == "" {
-			t.Fatal("unreachable")
+		seen := map[Handle]bool{}
+		for i := int64(1); i <= 300; i++ {
+			h := l.Insert(1, NoHandle, graph.Edge{ID: graph.EdgeID(i), From: graph.VertexID(i), To: 20,
+				FromLabel: ls[0], ToLabel: ls[1], Time: graph.Timestamp(i)})
+			if h == NoHandle || seen[h] {
+				t.Fatalf("%s: insert %d returned handle %d (NoHandle or reused while live)", name, i, h)
+			}
+			seen[h] = true
+			if m := l.Materialize(1, h); m.Edges[sub.Seq[0]].ID != graph.EdgeID(i) {
+				t.Fatalf("%s: handle %d resolves to %s, want edge %d", name, h, m, i)
+			}
 		}
 	}
 }

@@ -32,10 +32,10 @@ func TestTreeSubListCandidateIndex(t *testing.T) {
 	if !ok || !useFrom || cv != 1 {
 		t.Fatalf("position 2 must connect via b (From of b→c): got cv=%d useFrom=%v ok=%v", cv, useFrom, ok)
 	}
-	h1 := l.Insert(1, nil, pathEdge(ls, 1, 10, 20, 1))
-	l.Insert(1, nil, pathEdge(ls, 1, 11, 21, 2))
-	l.Insert(1, nil, pathEdge(ls, 1, 12, 20, 3))
-	if h1 == nil {
+	h1 := l.Insert(1, NoHandle, pathEdge(ls, 1, 10, 20, 1))
+	l.Insert(1, NoHandle, pathEdge(ls, 1, 11, 21, 2))
+	l.Insert(1, NoHandle, pathEdge(ls, 1, 12, 20, 3))
+	if h1 == NoHandle {
 		t.Fatal("insert failed")
 	}
 
@@ -81,10 +81,10 @@ func TestTreeJoinFingerprintAgreement(t *testing.T) {
 	shared := []query.VertexID{1, 3}
 	l.SetJoinKey(shared)
 
-	h1 := l.Insert(1, nil, pathEdge(ls, 1, 10, 20, 1))
+	h1 := l.Insert(1, NoHandle, pathEdge(ls, 1, 10, 20, 1))
 	h2 := l.Insert(2, h1, pathEdge(ls, 2, 20, 30, 2))
 	h3 := l.Insert(3, h2, pathEdge(ls, 3, 30, 40, 3))
-	if h3 == nil {
+	if h3 == NoHandle {
 		t.Fatal("insert failed")
 	}
 	full := l.Materialize(3, h3)

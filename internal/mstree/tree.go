@@ -1,6 +1,7 @@
 package mstree
 
 import (
+	"math"
 	"unsafe"
 
 	"timingsubg/internal/graph"
@@ -8,19 +9,28 @@ import (
 
 // Tree is a match-store tree over a fixed number of levels. A Tree backs
 // one expansion list: level j stores the partial matches of the list's
-// j-th item. The same structure backs both sub-trees (nodes carry data
-// edges) and global L₀ trees (nodes carry Sub pointers into sub-trees).
+// j-th item. A sub-tree's nodes carry data edges (InsertEdge); a global
+// L₀ tree's nodes carry submatch leaves of the sub-trees (InsertSub).
 type Tree struct {
 	levels []level
+	// first is sub-list 1's tree when t is a global tree: its last
+	// level is L₀¹, the level of t's level-2 parents. Nil in sub-trees.
+	first *Tree
 }
 
 type level struct {
-	head, tail *Node
-	count      int
-	// depIdx maps a foreign submatch leaf to this level's live nodes
-	// whose Sub points at it (global trees only). Every death path
-	// unlinks the node from its bucket, so it stays live-only.
-	depIdx index[*Node]
+	// nodes is the slab; edges (sub-trees) or subs (global trees) is the
+	// payload slab beside it, the same length. Slot 0 of each is unused.
+	nodes []node
+	edges []edgeSlot
+	subs  []subSlot
+	// head and tail end the level list; free heads the free list.
+	head, tail, free Slot
+	count            int
+	// depIdx maps a submatch leaf's slot to this level's live nodes
+	// that reference it (global trees only). Every death path unlinks
+	// the node from its bucket, so it stays live-only.
+	depIdx index[Slot]
 	// joinIdx buckets this level's live nodes by join key — the binding
 	// of the level's connecting query vertex (sub-trees) or the
 	// shared-binding fingerprint of the level's join (last items and
@@ -28,70 +38,71 @@ type level struct {
 	// O(level). Unused until SetLevelKey installs keyOf; cleaned as
 	// nodes die.
 	joinIdx index[uint64]
-	// keyOf computes a node's join key from its immutable payload
-	// (parent/sub chains); set once before any insert.
-	keyOf func(*Node) uint64
+	// keyOf computes a node's join key from its payload and its
+	// ancestors' (parent/sub chains); set once before any insert.
+	keyOf func(Slot) uint64
 }
 
-// Slots of Node.links: which link pair chains an index's buckets.
+// Which link of a slot chains an index's buckets.
 const (
-	keyLink = iota // joinIdx
-	depLink        // depIdx
+	keyLink = iota // node.key: joinIdx
+	depLink        // subSlot.dep: depIdx
 )
 
-// link is one intrusive doubly linked list position.
-type link struct{ next, prev *Node }
+// link returns slot s's link for index links (keyLink or depLink).
+func (lv *level) link(links int, s Slot) *link {
+	if links == keyLink {
+		return &lv.nodes[s].key
+	}
+	return &lv.subs[s].dep
+}
 
 // bucket is one index key's node list, threaded through the nodes' own
 // links and appended at the tail, so iteration is insertion order.
-type bucket struct{ head, tail *Node }
+type bucket struct{ head, tail Slot }
 
 // index maps each key to the intrusive list of the level's live nodes
 // under it. Adding or removing a node allocates nothing beyond the map
 // entry of a new key.
 type index[K comparable] struct {
 	buckets map[K]bucket
-	slot    int // keyLink or depLink
+	links   int // keyLink or depLink
 }
 
-func newIndex[K comparable](slot int) index[K] {
-	return index[K]{buckets: make(map[K]bucket), slot: slot}
-}
-
-// add appends n to k's bucket.
-func (ix *index[K]) add(k K, n *Node) {
+// add appends s to k's bucket.
+func (ix *index[K]) add(lv *level, k K, s Slot) {
 	b, ok := ix.buckets[k]
 	if !ok {
-		ix.buckets[k] = bucket{n, n}
+		ix.buckets[k] = bucket{s, s}
 		return
 	}
-	b.tail.links[ix.slot].next = n
-	n.links[ix.slot].prev = b.tail
-	b.tail = n
+	lv.link(ix.links, b.tail).next = s
+	lv.link(ix.links, s).prev = b.tail
+	b.tail = s
 	ix.buckets[k] = b
 }
 
-// remove unlinks n from k's bucket, deleting the key when the bucket
+// remove unlinks s from k's bucket, deleting the key when the bucket
 // empties. An interior node leaves the bucket's ends unchanged, so only
 // a node at either end touches the map.
-func (ix *index[K]) remove(k K, n *Node) {
-	l := &n.links[ix.slot]
-	if l.prev != nil && l.next != nil {
-		l.prev.links[ix.slot].next = l.next
-		l.next.links[ix.slot].prev = l.prev
+func (ix *index[K]) remove(lv *level, k K, s Slot) {
+	l := lv.link(ix.links, s)
+	if l.prev != NoSlot && l.next != NoSlot {
+		lv.link(ix.links, l.prev).next = l.next
+		lv.link(ix.links, l.next).prev = l.prev
 	} else {
 		b := ix.buckets[k]
-		if l.prev != nil {
-			l.prev.links[ix.slot].next = l.next
+		if l.prev != NoSlot {
+			lv.link(ix.links, l.prev).next = l.next
 		} else {
 			b.head = l.next
 		}
-		if l.next != nil {
-			l.next.links[ix.slot].prev = l.prev
+		if l.next != NoSlot {
+			lv.link(ix.links, l.next).prev = l.prev
 		} else {
 			b.tail = l.prev
 		}
-		if b.head == nil {
+		if b.head == NoSlot {
 			delete(ix.buckets, k)
 		} else {
 			ix.buckets[k] = b
@@ -100,11 +111,18 @@ func (ix *index[K]) remove(k K, n *Node) {
 	*l = link{}
 }
 
-// New returns a tree with the given number of levels (≥ 1).
+// New returns a sub-tree with the given number of levels (≥ 1).
 func New(depth int) *Tree {
-	t := &Tree{levels: make([]level, depth)}
+	return &Tree{levels: make([]level, depth)}
+}
+
+// NewGlobal returns a global L₀ tree with the given number of levels
+// (≥ 2) over sub-list 1's tree first. Its level 1 stays empty: L₀¹ is
+// first's last level.
+func NewGlobal(depth int, first *Tree) *Tree {
+	t := &Tree{levels: make([]level, depth), first: first}
 	for i := range t.levels {
-		t.levels[i].depIdx = newIndex[*Node](depLink)
+		t.levels[i].depIdx = index[Slot]{buckets: make(map[Slot]bucket), links: depLink}
 	}
 	return t
 }
@@ -114,12 +132,13 @@ func (t *Tree) Depth() int { return len(t.levels) }
 
 // SetLevelKey installs the join-key function for level lvl and enables
 // its join index. It must be called before any insert reaches the level
-// (expansion lists configure their trees at construction). keyOf may
-// only read the node's immutable payload (Parent/Edge/Sub/Level chains).
-func (t *Tree) SetLevelKey(lvl int, keyOf func(*Node) uint64) {
+// (expansion lists configure their trees at construction). keyOf is
+// handed the new node's slot once its payload and parent are set; it
+// may read them and its ancestors' through Parent, Edge and Sub.
+func (t *Tree) SetLevelKey(lvl int, keyOf func(Slot) uint64) {
 	lv := &t.levels[lvl-1]
 	lv.keyOf = keyOf
-	lv.joinIdx = newIndex[uint64](keyLink)
+	lv.joinIdx = index[uint64]{buckets: make(map[uint64]bucket), links: keyLink}
 }
 
 // Count returns the number of live nodes (= partial matches) at level
@@ -135,55 +154,145 @@ func (t *Tree) Nodes() int64 {
 	return n
 }
 
-// InsertEdge adds a node carrying data edge e at level lvl under parent
-// (nil for level 1), which must be live.
-func (t *Tree) InsertEdge(lvl int, parent *Node, e graph.Edge) *Node {
-	n := &Node{Parent: parent, Edge: e, Level: lvl}
-	t.attach(n, parent)
-	return n
+// Parent returns the parent of slot s at level lvl: a slot of level
+// lvl−1, or of sub-list 1's last level for a global level-2 node; NoSlot
+// at level 1.
+func (t *Tree) Parent(lvl int, s Slot) Slot { return t.levels[lvl-1].nodes[s].parent }
+
+// Edge returns the data edge of sub-tree slot s at level lvl. Its
+// FromLabel and ToLabel are NoLabel: the tree does not store them.
+func (t *Tree) Edge(lvl int, s Slot) graph.Edge {
+	e := &t.levels[lvl-1].edges[s]
+	return graph.Edge{ID: e.id, From: e.from, To: e.to, EdgeLabel: e.label, Time: e.time}
 }
 
-// InsertSub adds a global-tree node at level lvl pointing at submatch
-// leaf sub, under parent (which belongs to another tree when lvl == 2,
-// because the first global item aliases the first sub-list's last item).
-// Both must be live.
-func (t *Tree) InsertSub(lvl int, parent, sub *Node) *Node {
-	n := &Node{Parent: parent, Sub: sub, Level: lvl}
-	lv := t.attach(n, parent)
-	lv.depIdx.add(sub, n)
-	return n
-}
+// Sub returns the submatch leaf of global slot s at level lvl: a slot of
+// sub-list lvl's last level.
+func (t *Tree) Sub(lvl int, s Slot) Slot { return t.levels[lvl-1].subs[s].sub }
 
-// attach links n at the tail of its level list, at the head of parent's
-// child list and into its level's join index, returning the level.
-func (t *Tree) attach(n *Node, parent *Node) *level {
-	lv := &t.levels[n.Level-1]
-	if lv.tail == nil {
-		lv.head, lv.tail = n, n
-	} else {
-		lv.tail.nextLvl = n
-		n.prevLvl = lv.tail
-		lv.tail = n
+// PathEdges fills buf (reallocating if needed) with the data edges along
+// the path from the root to sub-tree slot s at level lvl, index 0 being
+// the level-1 edge, and returns the slice. Endpoint labels are NoLabel,
+// as in Edge.
+func (t *Tree) PathEdges(lvl int, s Slot, buf []graph.Edge) []graph.Edge {
+	if cap(buf) < lvl {
+		buf = make([]graph.Edge, lvl)
 	}
+	buf = buf[:lvl]
+	for ; lvl >= 1; lvl-- {
+		buf[lvl-1] = t.Edge(lvl, s)
+		s = t.Parent(lvl, s)
+	}
+	return buf
+}
+
+// firstSlots is a slab's first capacity, slot 0 included.
+const firstSlots = 8
+
+// alloc returns a zeroed node slot for a new node at lv, growing the
+// slab only when no slot is free. The caller stores the payload with
+// put before anything reads it.
+func (lv *level) alloc() Slot {
+	if lv.count == 0 && len(lv.nodes) > 1 {
+		// Release policy: an emptied level restarts in slot order.
+		lv.nodes, lv.edges, lv.subs = lv.nodes[:1], lv.edges[:min(len(lv.edges), 1)], lv.subs[:min(len(lv.subs), 1)]
+		lv.free = NoSlot
+	}
+	if s := lv.free; s != NoSlot {
+		lv.free = lv.nodes[s].nextLvl
+		lv.nodes[s] = node{}
+		return s
+	}
+	if len(lv.nodes) == 0 {
+		lv.nodes = make([]node, 1, firstSlots)
+	}
+	if uint64(len(lv.nodes)) > math.MaxUint32 {
+		panic("mstree: level holds 2³² slots")
+	}
+	lv.nodes = append(lv.nodes, node{})
+	return Slot(len(lv.nodes) - 1)
+}
+
+// put stores v at slot s of a payload slab kept the same length as its
+// level's nodes slab: s is either a reused slot or the one alloc just
+// appended.
+func put[T any](slab []T, s Slot, v T) []T {
+	if int(s) < len(slab) {
+		slab[s] = v
+		return slab
+	}
+	if len(slab) == 0 {
+		slab = make([]T, 1, firstSlots)
+	}
+	return append(slab, v)
+}
+
+// InsertEdge adds a node carrying data edge e at level lvl under parent
+// (NoSlot for level 1), which must be live, and returns its slot. e's
+// endpoint labels are not stored.
+func (t *Tree) InsertEdge(lvl int, parent Slot, e graph.Edge) Slot {
+	lv := &t.levels[lvl-1]
+	s := lv.alloc()
+	lv.edges = put(lv.edges, s, edgeSlot{id: e.ID, from: e.From, to: e.To, time: e.Time, label: e.EdgeLabel})
+	t.attach(lvl, s, parent)
+	return s
+}
+
+// InsertSub adds a global-tree node at level lvl (≥ 2) referencing
+// submatch leaf sub of sub-list lvl, under parent (a leaf of sub-list 1
+// when lvl == 2, because the first global item aliases the first
+// sub-list's last item). Both must be live.
+func (t *Tree) InsertSub(lvl int, parent, sub Slot) Slot {
+	lv := &t.levels[lvl-1]
+	s := lv.alloc()
+	lv.subs = put(lv.subs, s, subSlot{sub: sub})
+	t.attach(lvl, s, parent)
+	lv.depIdx.add(lv, sub, s)
+	return s
+}
+
+// parentLevel returns the level holding the parents of level lvl's
+// nodes (lvl ≥ 2).
+func (t *Tree) parentLevel(lvl int) *level {
+	if lvl == 2 && t.first != nil {
+		return &t.first.levels[len(t.first.levels)-1]
+	}
+	return &t.levels[lvl-2]
+}
+
+// attach links slot s of level lvl at the tail of its level list, at
+// the head of parent's child list and into its level's join index.
+func (t *Tree) attach(lvl int, s, parent Slot) {
+	lv := &t.levels[lvl-1]
+	lv.nodes[s].parent = parent
+	if lv.tail == NoSlot {
+		lv.head = s
+	} else {
+		lv.nodes[lv.tail].nextLvl = s
+		lv.nodes[s].prevLvl = lv.tail
+	}
+	lv.tail = s
 	lv.count++
 	if lv.keyOf != nil {
-		n.joinKey = lv.keyOf(n)
-		lv.joinIdx.add(n.joinKey, n)
+		k := lv.keyOf(s)
+		lv.nodes[s].joinKey = k
+		lv.joinIdx.add(lv, k, s)
 	}
-	if parent != nil {
-		n.nextSib = parent.firstChild
-		if parent.firstChild != nil {
-			parent.firstChild.prevSib = n
+	if parent != NoSlot {
+		p := &t.parentLevel(lvl).nodes[parent]
+		if p.firstChild != NoSlot {
+			lv.nodes[p.firstChild].prevSib = s
 		}
-		parent.firstChild = n
+		lv.nodes[s].nextSib = p.firstChild
+		p.firstChild = s
 	}
-	return lv
 }
 
 // Each calls fn for every live node at level lvl until fn returns false.
-func (t *Tree) Each(lvl int, fn func(*Node) bool) {
-	for n := t.levels[lvl-1].head; n != nil; n = n.nextLvl {
-		if !fn(n) {
+func (t *Tree) Each(lvl int, fn func(Slot) bool) {
+	lv := &t.levels[lvl-1]
+	for s := lv.head; s != NoSlot; s = lv.nodes[s].nextLvl {
+		if !fn(s) {
 			return
 		}
 	}
@@ -193,7 +302,7 @@ func (t *Tree) Each(lvl int, fn func(*Node) bool) {
 // equals key, until fn returns false. On a level without a join index it
 // degrades to Each — the caller's filter still sees every node, just
 // without the index narrowing.
-func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
+func (t *Tree) EachCandidate(lvl int, key uint64, fn func(Slot) bool) {
 	lv := &t.levels[lvl-1]
 	if lv.keyOf == nil {
 		t.Each(lvl, fn)
@@ -206,151 +315,177 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(*Node) bool) {
 	// crossover this pins (BenchmarkInsertIngest had indexed at 0.95×
 	// scan on NetworkFlow before this path).
 	if len(lv.joinIdx.buckets) == 1 {
-		if lv.head != nil && lv.head.joinKey != key {
+		if lv.head != NoSlot && lv.nodes[lv.head].joinKey != key {
 			return // the one key present is not the probe's key
 		}
 		t.Each(lvl, fn)
 		return
 	}
-	for n := lv.joinIdx.buckets[key].head; n != nil; n = n.links[keyLink].next {
-		if !fn(n) {
+	for s := lv.joinIdx.buckets[key].head; s != NoSlot; s = lv.nodes[s].key.next {
+		if !fn(s) {
 			return
 		}
 	}
 }
 
-// nodeOf returns the node a casualty-buffer element holds.
-func nodeOf[H any](h H) *Node { return any(h).(*Node) }
-
-// DeleteLevel removes, at level lvl of t, every child of the nodes in
-// parents and every node whose Sub is in deadSubs. It appends the
-// removed nodes to dst and returns it, so the caller can cascade to the
-// next level. This mirrors Algorithm 2's level-by-level scan. parents
-// must be the previous level's casualties, each listed once: a removed
-// node's child list then holds only live nodes, because every other
-// removal path unlinks the node from it.
-//
-// The casualty buffers hold any element type H that carries a *Node —
-// *Node itself, or an interface such as explist's Handle — so callers
-// thread their own buffers level to level without converting them.
-func DeleteLevel[H any](t *Tree, lvl int, parents, deadSubs, dst []H) []H {
+// DeleteLevel removes, at level lvl (≥ 2) of t, every child of the
+// slots in parents and every node whose submatch leaf is in deadSubs. It
+// appends the removed slots to dst and returns it, so the caller can
+// cascade to the next level. This mirrors Algorithm 2's level-by-level
+// scan. parents must be the previous level's casualties from the same
+// sweep, each listed once: a removed node's child list then holds only
+// live nodes, because every other removal path unlinks the node from
+// it.
+func (t *Tree) DeleteLevel(lvl int, parents, deadSubs, dst []Slot) []Slot {
 	lv := &t.levels[lvl-1]
-	for _, h := range parents {
-		for c := nodeOf(h).firstChild; c != nil; c = c.nextSib {
-			lv.kill(c)
-			if c.Sub != nil {
-				lv.depIdx.remove(c.Sub, c)
+	if len(parents) > 0 {
+		pl := t.parentLevel(lvl)
+		for _, p := range parents {
+			for c := pl.nodes[p].firstChild; c != NoSlot; c = lv.nodes[c].nextSib {
+				lv.kill(c)
+				if t.first != nil {
+					lv.depIdx.remove(lv, lv.subs[c].sub, c)
+				}
+				dst = append(dst, c)
 			}
-			dst = append(dst, any(c).(H))
 		}
 	}
-	for _, h := range deadSubs {
-		dst = killBucket(lv, nodeOf(h), dst)
+	for _, sub := range deadSubs {
+		dst = t.killBucket(lvl, sub, dst)
 	}
 	return dst
 }
 
-// killBucket detaches sub's whole depIdx bucket and removes every node
-// on it, appending each to dst.
-func killBucket[H any](lv *level, sub *Node, dst []H) []H {
-	n := lv.depIdx.buckets[sub].head
-	if n == nil {
+// killBucket detaches sub's whole dependency bucket at level lvl and
+// removes every node on it, appending each to dst.
+func (t *Tree) killBucket(lvl int, sub Slot, dst []Slot) []Slot {
+	lv := &t.levels[lvl-1]
+	b, ok := lv.depIdx.buckets[sub]
+	if !ok {
 		return dst
 	}
 	delete(lv.depIdx.buckets, sub)
-	for n != nil {
-		next := n.links[depLink].next
-		n.links[depLink] = link{}
-		unlinkSiblings(n)
-		lv.kill(n)
-		dst = append(dst, any(n).(H))
-		n = next
+	for s := b.head; s != NoSlot; {
+		next := lv.subs[s].dep.next
+		lv.subs[s].dep = link{}
+		t.unlinkSiblings(lvl, s)
+		lv.kill(s)
+		dst = append(dst, s)
+		s = next
 	}
 	return dst
 }
 
-// ExpireEdge removes the level-1 node of t that carries data edge id,
-// appending it to dst; the caller cascades it to the deeper levels with
-// DeleteLevel. It serves edge-at-a-time expiry, which hands over the
-// window's oldest edge: every older edge has already gone, and with it
-// every path it started, so id's level-1 node, if any, is level 1's
-// head (level 1 is in arrival order). No deeper node carries id: a
-// timing sequence binds its edges in time order, so such a node's
-// level-1 ancestor carries an older edge and was removed with it.
-func ExpireEdge[H any](t *Tree, id graph.EdgeID, dst []H) []H {
+// ExpirePrefix removes every level-1 node of sub-tree t whose edge is
+// older than cut, appending their slots to dst. Level 1 is in arrival
+// order (attach appends at the tail, and edges arrive in timestamp
+// order), so the expired nodes are a prefix of its list; the caller
+// cascades them to the deeper levels with DeleteLevel.
+func (t *Tree) ExpirePrefix(cut graph.Timestamp, dst []Slot) []Slot {
 	lv := &t.levels[0]
-	for n := lv.head; n != nil && n.Edge.ID == id; n = lv.head {
-		lv.kill(n) // a level-1 node has no parent, hence no siblings
-		dst = append(dst, any(n).(H))
+	for s := lv.head; s != NoSlot && lv.edges[s].time < cut; s = lv.head {
+		lv.kill(s) // a level-1 node has no parent, hence no siblings
+		dst = append(dst, s)
 	}
 	return dst
 }
 
-// ExpirePrefix removes every level-1 node of t whose edge is older than
-// cut, appending them to dst. Level 1 is in arrival order
-// (attach appends at the tail, and edges arrive in timestamp order), so
-// the expired nodes are a prefix of its list; the caller cascades them
-// to the deeper levels with DeleteLevel. Buffers are as in DeleteLevel.
-func ExpirePrefix[H any](t *Tree, cut graph.Timestamp, dst []H) []H {
+// ExpireEdge removes the level-1 node of sub-tree t that carries data
+// edge id, appending its slot to dst; the caller cascades it to the
+// deeper levels with DeleteLevel. It serves edge-at-a-time expiry, which
+// hands over the window's oldest edge: every older edge has already
+// gone, and with it every path it started, so id's level-1 node, if
+// any, is level 1's head (level 1 is in arrival order). No deeper node
+// carries id: a timing sequence binds its edges in time order, so such
+// a node's level-1 ancestor carries an older edge and was removed with
+// it.
+func (t *Tree) ExpireEdge(id graph.EdgeID, dst []Slot) []Slot {
 	lv := &t.levels[0]
-	for n := lv.head; n != nil && n.Edge.Time < cut; n = lv.head {
-		lv.kill(n) // a level-1 node has no parent, hence no siblings
-		dst = append(dst, any(n).(H))
+	for s := lv.head; s != NoSlot && lv.edges[s].id == id; s = lv.head {
+		lv.kill(s)
+		dst = append(dst, s)
 	}
 	return dst
 }
 
-// kill removes n from its level list and join-index bucket, leaving its
-// sibling links and its dep bucket to the caller: a removed
+// kill removes slot s from its level list and join-index bucket and
+// puts it on the free list, leaving its parent, sibling and child links,
+// its payload and its dependency bucket to the caller: a removed
 // parent's child list must stay traversable while it is being consumed,
 // and it is consumed exactly once, so the stale sibling links are never
 // observed again.
-func (lv *level) kill(n *Node) {
-	if n.prevLvl != nil {
-		n.prevLvl.nextLvl = n.nextLvl
+func (lv *level) kill(s Slot) {
+	n := &lv.nodes[s]
+	if n.prevLvl != NoSlot {
+		lv.nodes[n.prevLvl].nextLvl = n.nextLvl
 	} else {
 		lv.head = n.nextLvl
 	}
-	if n.nextLvl != nil {
-		n.nextLvl.prevLvl = n.prevLvl
+	if n.nextLvl != NoSlot {
+		lv.nodes[n.nextLvl].prevLvl = n.prevLvl
 	} else {
 		lv.tail = n.prevLvl
 	}
-	n.nextLvl, n.prevLvl = nil, nil
 	if lv.keyOf != nil {
-		lv.joinIdx.remove(n.joinKey, n)
+		lv.joinIdx.remove(lv, n.joinKey, s)
 	}
+	n.nextLvl, n.prevLvl = lv.free, NoSlot
+	lv.free = s
 	lv.count--
 }
 
-// unlinkSiblings detaches n from its parent's child list.
-func unlinkSiblings(n *Node) {
-	if n.prevSib != nil {
-		n.prevSib.nextSib = n.nextSib
-	} else if n.Parent != nil && n.Parent.firstChild == n {
-		n.Parent.firstChild = n.nextSib
+// unlinkSiblings detaches slot s of level lvl from its parent's child
+// list.
+func (t *Tree) unlinkSiblings(lvl int, s Slot) {
+	lv := &t.levels[lvl-1]
+	n := &lv.nodes[s]
+	if n.prevSib != NoSlot {
+		lv.nodes[n.prevSib].nextSib = n.nextSib
+	} else if n.parent != NoSlot {
+		if p := &t.parentLevel(lvl).nodes[n.parent]; p.firstChild == s {
+			p.firstChild = n.nextSib
+		}
 	}
-	if n.nextSib != nil {
-		n.nextSib.prevSib = n.prevSib
+	if n.nextSib != NoSlot {
+		lv.nodes[n.nextSib].prevSib = n.prevSib
 	}
 }
 
-// nodeBytes and indexEntryBytes are SpaceBytes' per-node and per-key
-// costs: a Node, and one index map entry (an 8-byte key — join key or
-// pointer — plus its bucket).
+// The sizes SpaceBytes and ReservedBytes count: a node, the two
+// payloads, and one index map entry of each index (a key plus its
+// bucket).
 const (
-	nodeBytes       = int64(unsafe.Sizeof(Node{}))
-	indexEntryBytes = int64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(bucket{}))
+	nodeBytes  = int64(unsafe.Sizeof(node{}))
+	edgeBytes  = int64(unsafe.Sizeof(edgeSlot{}))
+	subBytes   = int64(unsafe.Sizeof(subSlot{}))
+	joinEntryB = int64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(bucket{}))
+	depEntryB  = int64(unsafe.Sizeof(Slot(0)) + unsafe.Sizeof(bucket{}))
 )
 
-// SpaceBytes estimates resident size: nodes plus index map entries.
+// SpaceBytes estimates resident size: live slots plus index map
+// entries.
 func (t *Tree) SpaceBytes() int64 {
+	slot := nodeBytes + edgeBytes
+	if t.first != nil {
+		slot = nodeBytes + subBytes
+	}
 	var b int64
 	for i := range t.levels {
 		lv := &t.levels[i]
-		b += int64(lv.count) * nodeBytes
-		keys := len(lv.depIdx.buckets) + len(lv.joinIdx.buckets)
-		b += int64(keys) * indexEntryBytes
+		b += int64(lv.count)*slot +
+			int64(len(lv.joinIdx.buckets))*joinEntryB +
+			int64(len(lv.depIdx.buckets))*depEntryB
+	}
+	return b
+}
+
+// ReservedBytes returns the capacity of t's slabs in bytes, live slots
+// or not: what the release policy keeps.
+func (t *Tree) ReservedBytes() int64 {
+	var b int64
+	for i := range t.levels {
+		lv := &t.levels[i]
+		b += int64(cap(lv.nodes))*nodeBytes + int64(cap(lv.edges))*edgeBytes + int64(cap(lv.subs))*subBytes
 	}
 	return b
 }

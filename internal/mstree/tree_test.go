@@ -1,9 +1,8 @@
 package mstree
 
 import (
-	"math/rand"
+	"reflect"
 	"testing"
-	"unsafe"
 
 	"timingsubg/internal/graph"
 )
@@ -12,22 +11,21 @@ func edge(id int64) graph.Edge {
 	return graph.Edge{ID: graph.EdgeID(id), Time: graph.Timestamp(id)}
 }
 
-// deleteLevel runs DeleteLevel on *Node buffers, appending to a fresh
-// casualty slice.
-func deleteLevel(t *Tree, lvl int, parents, deadSubs []*Node) []*Node {
-	return DeleteLevel(t, lvl, parents, deadSubs, nil)
+// deleteLevel runs DeleteLevel into a fresh casualty slice.
+func deleteLevel(t *Tree, lvl int, parents, deadSubs []Slot) []Slot {
+	return t.DeleteLevel(lvl, parents, deadSubs, nil)
 }
 
 // expireEdge runs ExpireEdge into a fresh casualty slice.
-func expireEdge(t *Tree, id int64) []*Node {
-	return ExpireEdge(t, graph.EdgeID(id), []*Node(nil))
+func expireEdge(t *Tree, id int64) []Slot {
+	return t.ExpireEdge(graph.EdgeID(id), nil)
 }
 
 // collect returns the edge IDs of live nodes at a level.
 func collect(t *Tree, lvl int) []int64 {
 	var out []int64
-	t.Each(lvl, func(n *Node) bool {
-		out = append(out, int64(n.Edge.ID))
+	t.Each(lvl, func(s Slot) bool {
+		out = append(out, int64(t.Edge(lvl, s).ID))
 		return true
 	})
 	return out
@@ -38,10 +36,10 @@ func collect(t *Tree, lvl int) []int64 {
 // whole tree.
 func TestFig10(t *testing.T) {
 	tr := New(3)
-	n1 := tr.InsertEdge(1, nil, edge(1)) // σ1
-	n3 := tr.InsertEdge(2, n1, edge(3))  // σ1→σ3
-	n4 := tr.InsertEdge(3, n3, edge(4))  // σ1→σ3→σ4
-	n9 := tr.InsertEdge(3, n3, edge(9))  // σ1→σ3→σ9 shares the prefix
+	n1 := tr.InsertEdge(1, NoSlot, edge(1)) // σ1
+	n3 := tr.InsertEdge(2, n1, edge(3))     // σ1→σ3
+	n4 := tr.InsertEdge(3, n3, edge(4))     // σ1→σ3→σ4
+	n9 := tr.InsertEdge(3, n3, edge(9))     // σ1→σ3→σ9 shares the prefix
 	if tr.Count(1) != 1 || tr.Count(2) != 1 || tr.Count(3) != 2 {
 		t.Fatalf("level counts: want 1/1/2, got %d/%d/%d", tr.Count(1), tr.Count(2), tr.Count(3))
 	}
@@ -49,11 +47,11 @@ func TestFig10(t *testing.T) {
 		t.Errorf("4 nodes store 4 partial matches with shared prefixes, got %d", tr.Nodes())
 	}
 	// Path reconstruction.
-	p := n4.PathEdges(nil)
+	p := tr.PathEdges(3, n4, nil)
 	if len(p) != 3 || p[0].ID != 1 || p[1].ID != 3 || p[2].ID != 4 {
 		t.Errorf("path of σ4 node: got %v", p)
 	}
-	p = n9.PathEdges(p)
+	p = tr.PathEdges(3, n9, p)
 	if p[2].ID != 9 || p[0].ID != 1 {
 		t.Errorf("path of σ9 node: got %v", p)
 	}
@@ -81,9 +79,9 @@ func TestFig10(t *testing.T) {
 // both neighbours in order.
 func TestDeleteMidLevel(t *testing.T) {
 	tr := New(2)
-	a := tr.InsertEdge(1, nil, edge(1))
-	b := tr.InsertEdge(1, nil, edge(2))
-	c := tr.InsertEdge(1, nil, edge(3))
+	a := tr.InsertEdge(1, NoSlot, edge(1))
+	b := tr.InsertEdge(1, NoSlot, edge(2))
+	c := tr.InsertEdge(1, NoSlot, edge(3))
 	tr.InsertEdge(2, b, edge(10))
 	tr.InsertEdge(2, a, edge(11))
 	tr.InsertEdge(2, c, edge(12))
@@ -96,7 +94,8 @@ func TestDeleteMidLevel(t *testing.T) {
 		t.Errorf("level list after head expiry: %v", got)
 	}
 	dead2 := deleteLevel(tr, 2, dead, nil)
-	if len(dead2) != 1 || dead2[0].Edge.ID != 11 {
+	// A casualty keeps its payload until its slot is reused.
+	if len(dead2) != 1 || tr.Edge(2, dead2[0]).ID != 11 {
 		t.Fatalf("cascade: want σ11 child, got %v", dead2)
 	}
 	if got := collect(tr, 2); len(got) != 2 || got[0] != 10 || got[1] != 12 {
@@ -112,12 +111,14 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 	// Sub-tree with two complete matches (leaves), global tree referencing
 	// them.
 	sub := New(1)
-	leafA := sub.InsertEdge(1, nil, edge(1))
-	leafB := sub.InsertEdge(1, nil, edge(2))
+	leafA := sub.InsertEdge(1, NoSlot, edge(1))
+	leafB := sub.InsertEdge(1, NoSlot, edge(2))
 
-	g := New(2)
+	// The sub-tree doubles as the first sub-list and the one level 2
+	// joins.
+	g := NewGlobal(2, sub)
 	gA := g.InsertSub(2, leafB, leafA) // parent from "first sub list", sub = leafA
-	if gA == nil {
+	if gA == NoSlot {
 		t.Fatal("InsertSub failed")
 	}
 	if g.Count(2) != 1 {
@@ -137,7 +138,7 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 	// Killing leafB (the parent) removes global children via the child
 	// list.
 	gB := g.InsertSub(2, leafB, leafB)
-	if gB == nil {
+	if gB == NoSlot {
 		t.Fatal("InsertSub failed")
 	}
 	deadB := expireEdge(sub, 2)
@@ -147,158 +148,71 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 	}
 }
 
-// TestRandomizedIntegrity cross-checks the tree against a naive mirror
-// over thousands of random operations: inserts, per-edge expiry of the
-// oldest edge (ExpireEdge plus the cascade), and watermark expiry
-// (ExpirePrefix plus the cascade).
-// Edge IDs double as timestamps and grow along every path, so a
-// watermark kills exactly the matches whose first edge is below it.
-// It also checks the invariant that lets removed nodes go unmarked: no
-// join-index probe and no cascade's child-list walk ever reaches a node
-// the mirror has seen removed.
-func TestRandomizedIntegrity(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const depth = 3
-	const keys = 4 // join keys per level: several buckets, so probes use the index
-	tr := New(depth)
-	for lvl := 1; lvl <= depth; lvl++ {
-		tr.SetLevelKey(lvl, func(n *Node) uint64 { return uint64(n.Edge.ID) % keys })
+// TestSpaceBytesTracksNodes pins the slot layout the package doc
+// states and SpaceBytes to it: live slots plus index entries.
+func TestSpaceBytesTracksNodes(t *testing.T) {
+	if nodeBytes != 40 || edgeBytes != 40 || subBytes != 12 {
+		t.Fatalf("node/edge/sub payloads are %d/%d/%d B, want 40/40/12", nodeBytes, edgeBytes, subBytes)
 	}
-	removed := map[*Node]bool{}
-	// cascade runs DeleteLevel after checking that the child lists it
-	// is about to walk hold no removed node.
-	cascade := func(op, lvl int, parents []*Node) []*Node {
-		for _, p := range parents {
-			for c := p.firstChild; c != nil; c = c.nextSib {
-				if removed[c] {
-					t.Fatalf("op %d: level %d: child list of a casualty holds removed node %d", op, lvl, c.Edge.ID)
-				}
-			}
-		}
-		return deleteLevel(tr, lvl, parents, nil)
+	tr := New(2)
+	if tr.SpaceBytes() != 0 || tr.ReservedBytes() != 0 {
+		t.Error("an empty tree should cost and reserve 0")
 	}
-
-	type mirrorMatch struct {
-		ids  [depth]int64
-		node *Node
+	a := tr.InsertEdge(1, NoSlot, edge(1))
+	tr.InsertEdge(2, a, edge(2))
+	// Two 80 B sub-tree slots and no index: neither level has a key
+	// function.
+	if got, want := tr.SpaceBytes(), int64(2*80); got != want {
+		t.Errorf("SpaceBytes = %d, want %d", got, want)
 	}
-	var mirror [depth][]mirrorMatch
-	// prune drops every mirror match that dies reports dead.
-	prune := func(dies func(mirrorMatch, int) bool) {
-		for lvl := 1; lvl <= depth; lvl++ {
-			keep := mirror[lvl-1][:0]
-			for _, mm := range mirror[lvl-1] {
-				if dies(mm, lvl) {
-					removed[mm.node] = true
-				} else {
-					keep = append(keep, mm)
-				}
-			}
-			mirror[lvl-1] = keep
-		}
+	g := NewGlobal(2, tr)
+	g.SetLevelKey(2, func(Slot) uint64 { return 7 })
+	g.InsertSub(2, tr.InsertEdge(2, a, edge(3)), a)
+	// One 52 B global slot, one join-index and one dependency-index
+	// entry.
+	if got, want := g.SpaceBytes(), int64(52+joinEntryB+depEntryB); got != want {
+		t.Errorf("global SpaceBytes = %d, want %d", got, want)
 	}
-	nextID := int64(1)
-	watermark := int64(1)
-
-	for op := 0; op < 4000; op++ {
-		if rng.Intn(4) != 0 { // insert
-			id := nextID
-			nextID++
-			lvl := 1 + rng.Intn(depth)
-			if lvl == 1 {
-				n := tr.InsertEdge(1, nil, edge(id))
-				mirror[0] = append(mirror[0], mirrorMatch{ids: [depth]int64{id}, node: n})
-			} else if len(mirror[lvl-2]) > 0 {
-				parent := mirror[lvl-2][rng.Intn(len(mirror[lvl-2]))]
-				n := tr.InsertEdge(lvl, parent.node, edge(id))
-				mm := mirrorMatch{ids: parent.ids, node: n}
-				mm.ids[lvl-1] = id
-				mirror[lvl-1] = append(mirror[lvl-1], mm)
-			}
-		} else if rng.Intn(3) == 0 { // slide the watermark
-			watermark = min(watermark+1+rng.Int63n(8), nextID)
-			casualties := ExpirePrefix(tr, graph.Timestamp(watermark), []*Node(nil))
-			for lvl := 2; lvl <= depth; lvl++ {
-				casualties = cascade(op, lvl, casualties)
-			}
-			prune(func(mm mirrorMatch, _ int) bool { return mm.ids[0] < watermark })
-		} else if watermark < nextID { // expire the oldest edge
-			victim := watermark
-			watermark++
-			casualties := expireEdge(tr, victim)
-			for lvl := 2; lvl <= depth; lvl++ {
-				casualties = cascade(op, lvl, casualties)
-			}
-			prune(func(mm mirrorMatch, lvl int) bool {
-				for l := 0; l < lvl; l++ {
-					if mm.ids[l] == victim {
-						return true
-					}
-				}
-				return false
-			})
-		}
-		for lvl := 1; lvl <= depth; lvl++ {
-			if tr.Count(lvl) != len(mirror[lvl-1]) {
-				t.Fatalf("op %d: level %d count drifted: tree %d, mirror %d",
-					op, lvl, tr.Count(lvl), len(mirror[lvl-1]))
-			}
-			seen := 0
-			for key := uint64(0); key < keys; key++ {
-				tr.EachCandidate(lvl, key, func(n *Node) bool {
-					if removed[n] {
-						t.Fatalf("op %d: level %d: probe of key %d reached removed node %d", op, lvl, key, n.Edge.ID)
-					}
-					seen++
-					return true
-				})
-			}
-			if seen != tr.Count(lvl) {
-				t.Fatalf("op %d: level %d: probes over every key saw %d nodes, level holds %d", op, lvl, seen, tr.Count(lvl))
-			}
-		}
+	dead := expireEdge(tr, 1)
+	leaves := deleteLevel(tr, 2, dead, nil)
+	deleteLevel(g, 2, leaves, nil)
+	if got := tr.SpaceBytes() + g.SpaceBytes(); got != 0 {
+		t.Errorf("SpaceBytes after expiry = %d, want 0", got)
 	}
-	// Every surviving path must match the mirror.
-	for lvl := 1; lvl <= depth; lvl++ {
-		want := map[[depth]int64]bool{}
-		for _, mm := range mirror[lvl-1] {
-			want[mm.ids] = true
-		}
-		tr.Each(lvl, func(n *Node) bool {
-			var ids [depth]int64
-			for i, e := range n.PathEdges(nil) {
-				ids[i] = int64(e.ID)
-			}
-			if !want[ids] {
-				t.Errorf("level %d: unexpected surviving path %v", lvl, ids)
-			}
-			return true
-		})
+	if tr.ReservedBytes() == 0 || g.ReservedBytes() == 0 {
+		t.Error("expiry released the slabs: the release policy keeps them")
 	}
 }
 
-// TestSpaceBytesTracksNodes pins SpaceBytes to the real node size and
-// the index entries, and the node size to its allocation size class.
-func TestSpaceBytesTracksNodes(t *testing.T) {
-	// A Node is 152 B and allocates from the 160 B size class; a Node
-	// over 160 B would cost the next class (176 B) per stored partial
-	// match.
-	if sz := unsafe.Sizeof(Node{}); sz != 152 || nodeBytes != int64(sz) {
-		t.Fatalf("Node is %d B (SpaceBytes counts %d), want 152", sz, nodeBytes)
+// TestSlabsHoldNoPointers walks the slab and index types with reflect:
+// a pointer, slice, map, string, interface, func or chan in any of them
+// would make the GC scan tree state again.
+func TestSlabsHoldNoPointers(t *testing.T) {
+	var lv level
+	types := []reflect.Type{
+		reflect.TypeOf(lv.nodes).Elem(),
+		reflect.TypeOf(lv.edges).Elem(),
+		reflect.TypeOf(lv.subs).Elem(),
+		reflect.TypeOf(lv.joinIdx.buckets).Key(),
+		reflect.TypeOf(lv.joinIdx.buckets).Elem(),
+		reflect.TypeOf(lv.depIdx.buckets).Key(),
+		reflect.TypeOf(lv.depIdx.buckets).Elem(),
 	}
-	tr := New(2)
-	if tr.SpaceBytes() != 0 {
-		t.Error("empty tree should cost 0")
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %v: the GC would scan it", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		}
 	}
-	a := tr.InsertEdge(1, nil, edge(1))
-	tr.InsertEdge(2, a, edge(2))
-	// Two nodes and no index: neither level has a key function.
-	if got, want := tr.SpaceBytes(), 2*nodeBytes; got != want {
-		t.Errorf("SpaceBytes = %d, want %d", got, want)
-	}
-	dead := expireEdge(tr, 1)
-	deleteLevel(tr, 2, dead, nil)
-	if got := tr.SpaceBytes(); got != 0 {
-		t.Errorf("SpaceBytes after expiry = %d, want 0", got)
+	for _, typ := range types {
+		check(typ.String(), typ)
 	}
 }
