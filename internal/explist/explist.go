@@ -290,10 +290,8 @@ func (l *TreeSubList) Count(lvl int) int { return l.tree.Count(lvl) }
 func (l *TreeSubList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 	var sc Scratch
 	l.tree.Each(lvl, func(s mstree.Slot) bool {
-		m := sc.match(l.q)
-		m.Reset()
-		sc.ebuf = l.bindPath(m, lvl, s, sc.ebuf)
-		return fn(s, m)
+		sc.ebuf = l.fill(sc.match(l.q), lvl, s, sc.ebuf)
+		return fn(s, sc.m)
 	})
 }
 
@@ -312,18 +310,23 @@ func (l *TreeSubList) EachJoinCandidate(fp uint64, sc *Scratch, fn func(Handle, 
 
 func (l *TreeSubList) eachCandidateKey(lvl int, key uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
 	l.tree.EachCandidate(lvl, key, func(s mstree.Slot) bool {
-		m := sc.match(l.q)
-		m.Reset()
-		sc.ebuf = l.bindPath(m, lvl, s, sc.ebuf)
-		return fn(s, m)
+		sc.ebuf = l.fill(sc.match(l.q), lvl, s, sc.ebuf)
+		return fn(s, sc.m)
 	})
 }
 
 // Materialize implements SubList.
 func (l *TreeSubList) Materialize(lvl int, h Handle) *match.Match {
 	m := match.New(l.q)
-	l.bindPath(m, lvl, h, nil)
+	l.fill(m, lvl, h, nil)
 	return m
+}
+
+// fill rebuilds into m the partial match stored at slot s of item lvl,
+// reusing ebuf; it returns the (possibly grown) buffer.
+func (l *TreeSubList) fill(m *match.Match, lvl int, s mstree.Slot, ebuf []graph.Edge) []graph.Edge {
+	m.Reset()
+	return l.bindPath(m, lvl, s, ebuf)
 }
 
 // bindPath binds into m the partial match stored at slot s of item lvl

@@ -337,17 +337,14 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(Slot) bool) {
 // live nodes, because every other removal path unlinks the node from
 // it.
 func (t *Tree) DeleteLevel(lvl int, parents, deadSubs, dst []Slot) []Slot {
-	lv := &t.levels[lvl-1]
-	if len(parents) > 0 {
-		pl := t.parentLevel(lvl)
-		for _, p := range parents {
-			for c := pl.nodes[p].firstChild; c != NoSlot; c = lv.nodes[c].nextSib {
-				lv.kill(c)
-				if t.first != nil {
-					lv.depIdx.remove(lv, lv.subs[c].sub, c)
-				}
-				dst = append(dst, c)
+	lv, pl := &t.levels[lvl-1], t.parentLevel(lvl)
+	for _, p := range parents {
+		for c := pl.nodes[p].firstChild; c != NoSlot; c = lv.nodes[c].nextSib {
+			lv.kill(c)
+			if t.first != nil {
+				lv.depIdx.remove(lv, lv.subs[c].sub, c)
 			}
+			dst = append(dst, c)
 		}
 	}
 	for _, sub := range deadSubs {
