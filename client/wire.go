@@ -182,6 +182,22 @@ type ServerStats struct {
 	DroppedEvents int64 `json:"server.dropped_events"`
 	// Tenants is each tenant's usage, keyed by name (tenancy only).
 	Tenants map[string]TenantUsage `json:"server.tenants,omitempty"`
+	ReplayStats
+}
+
+// ReplayStats is the server's resume log (-replay-buffer): the match
+// events it retains for Last-Event-ID resumption, which also serve each
+// live SSE event's bytes. GET /stats carries it inside ServerStats and
+// GET /metrics renders the same three fields.
+type ReplayStats struct {
+	// ReplayEvents is the number of retained events.
+	ReplayEvents int64 `json:"server.replay_events"`
+	// ReplayBytes is the serialized size of the retained events.
+	ReplayBytes int64 `json:"server.replay_bytes"`
+	// ReplayMisses counts live SSE events the log no longer held (a
+	// stream lagging by more than the log, or a retired query's event),
+	// each of which was serialized again.
+	ReplayMisses int64 `json:"server.replay_misses"`
 }
 
 // TenantStats is the response of GET /stats to a tenant's key: that

@@ -50,8 +50,8 @@
 // Each SSE event carries the engine's per-query delivery sequence
 // number and an id line that is a complete resume token: a client that
 // reconnects with Last-Event-ID resumes where it left off — events
-// still inside the per-query replay ring (-replay-buffer) are re-sent,
-// already-seen ones are skipped. A subscriber that falls behind its
+// still inside the server-wide replay log (the last -replay-buffer
+// events of all queries) are re-sent, already-seen ones are skipped. A subscriber that falls behind its
 // buffer loses its oldest events rather than stalling ingest.
 //
 // With -wal, every ingested edge is journaled through the write-ahead
@@ -111,7 +111,7 @@ func main() {
 	syncInterval := flag.Duration("wal-sync-interval", 0, "durable mode: background WAL group commit at this period — appends become durable within one interval without blocking feeders (0 disables)")
 	segBytes := flag.Int64("segment-bytes", 0, "durable mode: WAL segment rotation size (0 = 4 MiB)")
 	subBuffer := flag.Int("subscriber-buffer", 256, "per-subscriber SSE event buffer before load shedding")
-	replayBuffer := flag.Int("replay-buffer", 0, "per-query resume ring: events retained for Last-Event-ID resumption (0 = subscriber-buffer)")
+	replayBuffer := flag.Int("replay-buffer", 0, "resume log: match events retained across all queries for Last-Event-ID resumption (0 = subscriber-buffer)")
 	queueDepth := flag.Int("queue-depth", 128, "bounded work queue: max outstanding serialized operations")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU, heap, goroutine profiles)")

@@ -28,6 +28,7 @@
 package dispatch
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,8 +88,11 @@ type Options struct {
 // Dispatcher fans match deliveries out to subscriptions. One per
 // engine; safe for concurrent Publish across distinct queries.
 type Dispatcher struct {
-	mu     sync.Mutex
-	subs   map[*Sub]struct{}
+	mu sync.Mutex
+	// subs is the live channel subscriptions, copy-on-write: replaced
+	// under mu, never modified in place, so Publish reads it without a
+	// lock or an allocation.
+	subs   atomic.Pointer[[]*Sub]
 	fns    []func(Delivery) // synchronous subscribers, fixed at open
 	seq    map[string]int64
 	closed bool
@@ -129,11 +133,13 @@ func (d *Dispatcher) QueryCounts(query string) (delivered, dropped int64) {
 
 // New returns an empty dispatcher.
 func New() *Dispatcher {
-	return &Dispatcher{
-		subs: make(map[*Sub]struct{}),
-		seq:  make(map[string]int64),
-	}
+	d := &Dispatcher{seq: make(map[string]int64)}
+	d.subs.Store(&[]*Sub{})
+	return d
 }
+
+// setSubs publishes a new subscription snapshot. Caller holds d.mu.
+func (d *Dispatcher) setSubs(subs []*Sub) { d.subs.Store(&subs) }
 
 // SubscribeFunc attaches a synchronous subscriber invoked inline on
 // the publishing goroutine for every query — the OnMatch/OnDelivery
@@ -201,7 +207,7 @@ func (d *Dispatcher) Subscribe(o Options) *Sub {
 	if d.closed {
 		return nil
 	}
-	d.subs[s] = struct{}{}
+	d.setSubs(append(slices.Clip(*d.subs.Load()), s))
 	return s
 }
 
@@ -223,28 +229,21 @@ func (d *Dispatcher) Publish(query string, m *match.Match) {
 	d.mu.Unlock()
 
 	// Synchronous subscribers run BEFORE the channel-subscriber
-	// snapshot. This ordering is what makes snapshot-then-replay
-	// consumers (the server's resume ring, fed by an fn-subscriber)
-	// race-free: a subscription attached before the snapshot receives
-	// the event live; one attached after it was created after the fn
-	// ran, so a ring read performed after Subscribe returns is
-	// guaranteed to see the event. Either way, nothing falls between.
+	// snapshot is loaded. This ordering is what makes
+	// snapshot-then-replay consumers (the server's resume log, fed by an
+	// fn-subscriber) race-free: a subscription attached before the
+	// snapshot receives the event live; one attached after it was
+	// created after the fn ran, so a log read performed after Subscribe
+	// returns is guaranteed to see the event. Either way, nothing falls
+	// between.
 	dv := Delivery{Query: query, Seq: seq, Match: m}
 	for _, fn := range fns {
 		fn(dv)
 	}
 
-	d.mu.Lock()
-	var targets []*Sub
-	for s := range d.subs {
-		if s.wants(query) {
-			targets = append(targets, s)
-		}
-	}
-	d.mu.Unlock()
-	for _, s := range targets {
-		if seq <= s.after[query] {
-			continue // resume cursor: already seen, don't even clone
+	for _, s := range *d.subs.Load() {
+		if !s.wants(query) || seq <= s.after[query] {
+			continue // filtered, or already seen: don't even clone
 		}
 		s.deliver(Delivery{Query: query, Seq: seq, Match: m.Clone()})
 	}
@@ -259,7 +258,7 @@ func (d *Dispatcher) Retire(name string, live func(string) bool) {
 	delete(d.seq, name)
 	d.perQuery.Delete(name)
 	var ended []*Sub
-	for s := range d.subs {
+	for _, s := range *d.subs.Load() {
 		if s.filter == nil {
 			continue
 		}
@@ -292,10 +291,8 @@ func (d *Dispatcher) Close() {
 		return
 	}
 	d.closed = true
-	subs := make([]*Sub, 0, len(d.subs))
-	for s := range d.subs {
-		subs = append(subs, s)
-	}
+	subs := *d.subs.Load()
+	d.setSubs(nil)
 	d.mu.Unlock()
 	for _, s := range subs {
 		s.Cancel()
@@ -304,9 +301,7 @@ func (d *Dispatcher) Close() {
 
 // Subscribers returns the number of live channel subscriptions.
 func (d *Dispatcher) Subscribers() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.subs)
+	return len(*d.subs.Load())
 }
 
 // Delivered returns the total deliveries buffered to channel
@@ -321,7 +316,10 @@ func (d *Dispatcher) Dropped() int64 { return d.dropped.Load() }
 func (d *Dispatcher) remove(s *Sub) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.subs, s)
+	subs := *d.subs.Load()
+	if i := slices.Index(subs, s); i >= 0 {
+		d.setSubs(slices.Delete(slices.Clone(subs), i, i+1))
+	}
 }
 
 // Stats is one subscription's delivery accounting.
@@ -376,8 +374,8 @@ func (s *Sub) Cancel() {
 	})
 }
 
-// wants reports whether the subscription's filter admits query.
-// Caller holds d.mu (the filter itself is immutable).
+// wants reports whether the subscription's filter admits query. The
+// filter is immutable, so no lock is needed.
 func (s *Sub) wants(query string) bool {
 	if s.prefix != "" && !strings.HasPrefix(query, s.prefix) {
 		return false

@@ -171,3 +171,26 @@ func TestConcurrentPublishDistinctQueries(t *testing.T) {
 		}
 	}
 }
+
+var cloneSink *match.Match
+
+// TestPublishAllocs pins Publish's own cost: with no channel
+// subscriber it allocates nothing, and with one DropOldest subscriber
+// exactly what that subscriber's clone of the match allocates.
+func TestPublishAllocs(t *testing.T) {
+	d := New()
+	d.SubscribeFunc(func(Delivery) {})
+	m := &match.Match{Vtx: []graph.VertexID{1, 2}, Edges: []graph.Edge{{ID: 1}, {ID: 2}}}
+	d.Publish("q", m) // the query's sequence counter exists from here on
+	if allocs := testing.AllocsPerRun(1000, func() { d.Publish("q", m) }); allocs != 0 {
+		t.Fatalf("publish with no channel subscriber allocates %.1f times, want 0", allocs)
+	}
+
+	sub := d.Subscribe(Options{Buffer: 1, Policy: DropOldest})
+	defer sub.Cancel()
+	d.Publish("q", m)
+	clone := testing.AllocsPerRun(1000, func() { cloneSink = m.Clone() })
+	if allocs := testing.AllocsPerRun(1000, func() { d.Publish("q", m) }); allocs != clone {
+		t.Fatalf("publish to one DropOldest subscriber allocates %.1f times, want %.1f (one match clone)", allocs, clone)
+	}
+}

@@ -71,6 +71,10 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("timingsubg_ingested_edges_total", nil, float64(s.ingested.Load()))
 	pw.Gauge("timingsubg_queries", nil, float64(len(st.Queries)))
 	pw.Gauge("timingsubg_queue_depth", nil, float64(s.sched.Len()))
+	rs := s.replay.stats()
+	pw.Gauge("timingsubg_replay_events", nil, float64(rs.ReplayEvents))
+	pw.Gauge("timingsubg_replay_bytes", nil, float64(rs.ReplayBytes))
+	pw.Counter("timingsubg_replay_misses_total", nil, float64(rs.ReplayMisses))
 	if st.WatermarkLagNs != 0 {
 		pw.Gauge("timingsubg_watermark_lag_seconds", nil, float64(st.WatermarkLagNs)/1e9)
 	}

@@ -26,7 +26,7 @@
 // fleet. Every event carries the engine's per-query delivery sequence
 // number; the SSE id line encodes the subscriber's per-query cursors,
 // and a reconnecting client presents it as Last-Event-ID to resume —
-// events still inside the server's replay ring are re-sent, newer ones
+// events still inside the server's replay log are re-sent, newer ones
 // flow from the live subscription, duplicates are skipped by sequence
 // number. Because durable engines re-assign the same sequence numbers
 // during recovery replay, resumption composes with server restarts.
@@ -95,10 +95,12 @@ type Config struct {
 	// 256). A subscriber that falls further behind than this loses its
 	// oldest buffered events (counted in server.dropped_events).
 	SubscriberBuffer int
-	// ReplayBuffer is the per-query resume ring: how many recent match
-	// events are retained for Last-Event-ID resumption (default:
-	// SubscriberBuffer). A reconnect older than the ring loses the
-	// overwritten events.
+	// ReplayBuffer is the resume log: how many recent match events,
+	// across all queries, are retained for Last-Event-ID resumption
+	// (default: SubscriberBuffer). A reconnect older than the log loses
+	// the overwritten events. With the default, an unfiltered stream
+	// never lags past the log: its buffer holds as many events as the
+	// log does.
 	ReplayBuffer int
 	// QueueDepth bounds the serialized work queue (default 128
 	// outstanding operations). Producers beyond the bound block — the
@@ -274,8 +276,8 @@ func NewDurable(cfg Config, opts timingsubg.Durability) (*Server, error) {
 		}
 		// The internal roster name is derived from the recorded owner,
 		// never from the current tenancy mode: checkpoint directories and
-		// replay rings are keyed by it, so it must be identical across
-		// restarts even if tenancy was toggled in between.
+		// the replay log's index are keyed by it, so it must be identical
+		// across restarts even if tenancy was toggled in between.
 		internal := req.Name
 		if req.Tenant != "" {
 			internal = req.Tenant + ":" + req.Name
@@ -325,7 +327,7 @@ func NewDurable(cfg Config, opts timingsubg.Durability) (*Server, error) {
 		OnSlowOp:        s.slowOp(),
 		Durable:         &opts,
 		// OnDelivery is installed before recovery, so WAL replay rebuilds
-		// the resume rings with the pre-crash sequence numbers.
+		// the resume log with the pre-crash sequence numbers.
 		OnDelivery: s.record,
 	})
 	if err != nil {
@@ -524,9 +526,9 @@ func (s *Server) persistLabels() error {
 }
 
 // record is the engine's synchronous delivery hook: serialize the
-// match event once and retain it in the per-query resume ring. Live
-// fan-out happens on the engine side (each SSE handler holds its own
-// subscription). The ring serves Last-Event-ID resumption after a
+// match event once and retain it in the resume log. Live fan-out
+// happens on the engine side (each SSE handler holds its own
+// subscription). The log serves Last-Event-ID resumption after a
 // reconnect or a durable restart, and it is where live streams read
 // each event's bytes: the dispatcher runs this hook before it hands
 // the event to any channel subscriber, so the bytes are always there
@@ -536,7 +538,7 @@ func (s *Server) record(dv timingsubg.Delivery) {
 	if err != nil {
 		return // unreachable: MatchEvent is marshal-safe by construction
 	}
-	s.replay.add(dv.Query, completedAt(dv.Match), ringEvent{seq: dv.Seq, data: data})
+	s.replay.add(dv.Query, completedAt(dv.Match), dv.Seq, data)
 }
 
 // matchEvent converts one engine delivery to its wire form. The
@@ -687,8 +689,8 @@ func (s *Server) handleRemoveQuery(w http.ResponseWriter, r *http.Request) {
 		delete(s.queries, internal)
 		s.qmu.Unlock()
 		// The engine already ended the subscriptions filtered to this
-		// name and reset its delivery sequence; drop the resume ring so
-		// stale events cannot resurface under a reused name.
+		// name and reset its delivery sequence; drop its events from the
+		// resume log so they cannot resurface under a reused name.
 		s.replay.drop(internal)
 	})
 	if err != nil {
@@ -989,7 +991,7 @@ func (c *cursorSet) appendEvent(b []byte, query string, seq int64, data []byte) 
 
 // completedAt is the timestamp of m's newest edge: the arrival that
 // completed the match. A query reports its matches in feed order, so
-// this never decreases along its sequence (see replayRing.born).
+// this never decreases along its sequence (see queryLog.born).
 func completedAt(m *timingsubg.Match) int64 {
 	var at timingsubg.Timestamp
 	for _, e := range m.Edges {
@@ -1000,7 +1002,7 @@ func completedAt(m *timingsubg.Match) int64 {
 
 // handleSubscribe is one SSE consumer: an Engine.Subscribe
 // subscription (query-name filter, DropOldest overflow) bridged onto
-// the HTTP response, preceded by a replay of ring events the
+// the HTTP response, preceded by a replay of logged events the
 // Last-Event-ID cursor proves the client has not seen.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.authTenant(w, r, tenant.RoleRead)
@@ -1042,10 +1044,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.ReleaseSubscription()
-	// The live subscription attaches before the ring is read, with the
+	// The live subscription attaches before the log is read, with the
 	// client's cursors as AfterSeq: an event published in between lands
 	// in both and is emitted once (the replay-duplicate check below), an
-	// event published before sits only in the ring, an event after only
+	// event published before sits only in the log, an event after only
 	// in the subscription. DropOldest keeps one stalled consumer from
 	// ever blocking ingest.
 	sub, err := s.fl.Subscribe(timingsubg.SubscribeOptions{
@@ -1095,35 +1097,24 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return werr == nil
 	}
 
-	// Replay: ring events newer than the client's cursors. Only on
-	// resume — a request with no Last-Event-ID starts from now, per SSE
-	// convention (a client that wants retained history can present
-	// explicit zero cursors, e.g. "pp=0"). replayed keeps, per query,
-	// the highest seq the replay sent: the live subscription attached
-	// first, so it may deliver those events again, and that is the only
-	// way a duplicate can arise.
+	// Replay: logged events newer than the client's cursors, in
+	// delivery order. Only on resume — a request with no Last-Event-ID
+	// starts from now, per SSE convention (a client that wants retained
+	// history can present explicit zero cursors, e.g. "pp=0"). replayed
+	// keeps, per query, the highest seq the replay sent: the live
+	// subscription attached first, so it may deliver those events
+	// again, and that is the only way a duplicate can arise.
 	replayed := make(map[string]int64)
 	if after != nil {
-		replayNames := names
-		if len(replayNames) == 0 {
-			replayNames = s.replay.queries()
-			if prefix != "" {
-				kept := replayNames[:0]
-				for _, name := range replayNames {
-					if strings.HasPrefix(name, prefix) {
-						kept = append(kept, name)
-					}
-				}
-				replayNames = kept
-			}
+		admit := func(name string) bool { return strings.HasPrefix(name, prefix) }
+		if len(names) > 0 {
+			admit = func(name string) bool { return slices.Contains(names, name) }
 		}
-		for _, name := range replayNames {
-			for _, ev := range s.replay.since(name, after[name]) {
-				if !emit(name, ev.seq, ev.data) {
-					return
-				}
-				replayed[name] = ev.seq
+		for _, ev := range s.replay.resume(after, admit) {
+			if !emit(ev.q.name, ev.seq, ev.data) {
+				return
 			}
+			replayed[ev.q.name] = ev.seq
 		}
 	}
 	flusher.Flush()
@@ -1149,10 +1140,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			if !dup {
 				data, ok := s.replay.lookup(dv.Query, dv.Seq, completedAt(dv.Match))
 				if !ok {
-					// Not in the ring: evicted (the stream lags by more
-					// than ReplayBuffer events of this query), or an event
-					// of a retired query whose name was reused. Serialize
-					// again.
+					// Not in the log: evicted (the stream lags by more
+					// than ReplayBuffer events of all queries), or an
+					// event of a retired query whose name was reused.
+					// Serialize again.
 					var err error
 					if data, err = json.Marshal(s.matchEvent(dv)); err != nil {
 						return // unreachable: MatchEvent is marshal-safe
@@ -1204,6 +1195,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			QueueDepth:    s.sched.Len(),
 			DroppedEvents: st.SubscriptionDropped,
 			Tenants:       s.usageByTenant(),
+			ReplayStats:   s.replay.stats(),
 		}
 	})
 	if err != nil {

@@ -69,12 +69,12 @@ func FuzzResumeToken(f *testing.F) {
 	})
 }
 
-// TestSSEEmitAllocs guards the live path's per-event step — the ring
+// TestSSEEmitAllocs guards the live path's per-event step — the log
 // lookup of the serialized match, the cursor update, the id line and
 // the frame append — at zero allocations with 33 cursors (the
 // wiki_fleet roster plus one).
 func TestSSEEmitAllocs(t *testing.T) {
-	store := newReplayStore(64)
+	store := newReplayStore(33 * 64)
 	c := newCursorSet(nil)
 	names := make([]string, 33)
 	data := []byte(`{"query":"q","seq":1,"edges":[{"id":1,"from":1,"to":2,"time":1,"label":"ping"},{"id":2,"from":2,"to":1,"time":2,"label":"pong"}]}`)
@@ -82,7 +82,7 @@ func TestSSEEmitAllocs(t *testing.T) {
 		names[i] = fmt.Sprintf("acme:query %d", i)
 		c.set(names[i], 1)
 		for seq := int64(1); seq <= 64; seq++ {
-			store.add(names[i], seq, ringEvent{seq: seq, data: data})
+			store.add(names[i], seq, seq, data)
 		}
 	}
 	frame := make([]byte, 0, 4096)
@@ -92,46 +92,12 @@ func TestSSEEmitAllocs(t *testing.T) {
 		i++
 		d, ok := store.lookup(name, seq, seq)
 		if !ok {
-			panic("ring miss")
+			panic("log miss")
 		}
 		frame = c.appendEvent(frame[:0], name, seq, d)
 	})
 	if allocs != 0 {
 		t.Fatalf("per-event SSE step allocates %.1f times, want 0", allocs)
-	}
-}
-
-// TestReplayRingGet checks the O(1) (query, seq) lookup across
-// wrap-around and eviction, and that an event of an earlier incarnation
-// of the name (completed before the ring's first event) misses.
-func TestReplayRingGet(t *testing.T) {
-	s := newReplayStore(4)
-	for seq := int64(1); seq <= 7; seq++ {
-		s.add("q", 10+seq, ringEvent{seq: seq, data: []byte{byte(seq)}})
-	}
-	for seq := int64(0); seq <= 8; seq++ {
-		d, ok := s.lookup("q", seq, 10+seq)
-		if want := seq >= 4 && seq <= 7; ok != want {
-			t.Fatalf("lookup seq %d: ok=%v, want %v", seq, ok, want)
-		}
-		if ok && d[0] != byte(seq) {
-			t.Fatalf("lookup seq %d returned event %d", seq, d[0])
-		}
-	}
-	// Retire and re-register: the new incarnation numbers from 1 again.
-	// A lagging stream still holding the old seq 2 (completed at 12)
-	// must miss rather than be served the new seq 2.
-	s.drop("q")
-	s.add("q", 20, ringEvent{seq: 1, data: []byte{21}})
-	s.add("q", 21, ringEvent{seq: 2, data: []byte{22}})
-	if _, ok := s.lookup("q", 2, 12); ok {
-		t.Fatal("lookup served an earlier incarnation's event from the new ring")
-	}
-	if d, ok := s.lookup("q", 2, 21); !ok || d[0] != 22 {
-		t.Fatalf("lookup of the new incarnation's seq 2 = %v, %v", d, ok)
-	}
-	if _, ok := s.lookup("other", 5, 50); ok {
-		t.Fatal("lookup of an unknown query hit")
 	}
 }
 
@@ -181,15 +147,16 @@ func readFrame(t *testing.T, r *bufio.Reader) sseFrame {
 // one ingest. Every id line must be the reference encoding of the
 // running cursor map, every data line the bytes json.Marshal(matchEvent)
 // gives for that delivery, and each query's seqs dense and in order.
-// ReplayBuffer 1 evicts nearly every event before the stream reads it,
-// so that run covers the marshal fallback.
+// A replay log of three events (one per query) evicts nearly every
+// event of the burst before the stream reads it, so that run covers the
+// marshal fallback.
 func TestSSEWireBytes(t *testing.T) {
 	t.Run("default-ring", func(t *testing.T) { testSSEWireBytes(t, 0) })
-	t.Run("ring-of-one", func(t *testing.T) { testSSEWireBytes(t, 1) })
+	t.Run("ring-of-one", func(t *testing.T) { testSSEWireBytes(t, 3) })
 }
 
-func testSSEWireBytes(t *testing.T, ring int) {
-	srv := New(Config{SubscriberBuffer: 1024, ReplayBuffer: ring})
+func testSSEWireBytes(t *testing.T, replay int) {
+	srv := New(Config{SubscriberBuffer: 1024, ReplayBuffer: replay})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -287,8 +254,8 @@ func testSSEWireBytes(t *testing.T, ring int) {
 	token := check(r1, len(queries))
 	body1.Close()
 
-	// One match per query while disconnected (a ring of one still holds
-	// it), replayed on resume; then the live burst: a ping answered by
+	// One match per query while disconnected (a log of three still
+	// holds them), replayed on resume; then the live burst: a ping answered by
 	// 100 pongs is 100 matches per query from one ingest.
 	ingest(pair(3, 4))
 	r2, body2 := open(token)
@@ -307,5 +274,10 @@ func testSSEWireBytes(t *testing.T, ring int) {
 	}
 	if len(want) != 102*len(queries) {
 		t.Fatalf("reference saw %d deliveries, want %d", len(want), 102*len(queries))
+	}
+	// The default log holds every event of the run, so the live stream
+	// never falls back to marshalling.
+	if misses := srv.replay.stats().ReplayMisses; replay == 0 && misses != 0 {
+		t.Fatalf("default replay log: %d live misses, want 0", misses)
 	}
 }
