@@ -235,7 +235,9 @@ type Config struct {
 	// that matched ("" in single-query mode); it may be nil when only
 	// counters are needed. The callback is serialized per query engine
 	// and, in durable mode, sees matches re-reported by recovery
-	// replay (at-least-once).
+	// replay (at-least-once). The match is borrowed for the duration of
+	// the callback: the engine reuses it once the callback returns, so
+	// Clone to retain it.
 	//
 	// OnMatch is a thin shim over the subscription results plane —
 	// an internal synchronous subscription installed at Open. Runtime
@@ -248,8 +250,9 @@ type Config struct {
 	// durable recovery replay. It is the hook for consumers that
 	// persist their own per-query delivery cursor and need to observe
 	// replayed sequence numbers (runtime consumers should prefer
-	// Subscribe with AfterSeq). The Match is scratch — Clone to
-	// retain. May be combined with OnMatch.
+	// Subscribe with AfterSeq). Like OnMatch's, the Match is borrowed
+	// for the duration of the call — Clone to retain. May be combined
+	// with OnMatch.
 	OnDelivery func(d Delivery)
 }
 

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"timingsubg/internal/graph"
+	"timingsubg/internal/match"
 )
 
 // TestInsertAllocs pins the serial slide's allocation budget at zero
 // once warm: the per-call probe state, counters, callbacks and recycled
-// matches live in the engine's owned scratch, the expiry sweeps'
+// matches (those lent to OnMatch too) live in the engine's owned scratch, the expiry sweeps'
 // casualty buffers are engine-owned too, and the MS-tree stores nodes in
 // per-level slabs with free lists, its indexes threaded through the
 // slots themselves. So neither a discarded edge, nor an edge that
@@ -38,8 +39,11 @@ func TestInsertAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("join", func(t *testing.T) {
-		eng := New(q, Config{Decomposition: dec})
+	// The join cells run without and with a callback: an emitted match is
+	// lent to OnMatch and returns to the free-list when it returns, so a
+	// reported match costs nothing either.
+	joinCell := func(t *testing.T, onMatch func(*match.Match)) {
+		eng := New(q, Config{Decomposition: dec, OnMatch: onMatch})
 		// Three stored a→b→c prefixes through c = 30; every c→d then
 		// completes one join per prefix.
 		var d graph.Edge
@@ -67,6 +71,14 @@ func TestInsertAllocs(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Fatalf("join-completing ProcessBatch: %v allocs storing %v partial matches, want 0", allocs, stored)
+		}
+	}
+	t.Run("join", func(t *testing.T) { joinCell(t, nil) })
+	t.Run("join-OnMatch", func(t *testing.T) {
+		var seen graph.VertexID
+		joinCell(t, func(m *match.Match) { seen += m.Vtx[0] })
+		if seen == 0 {
+			t.Fatal("OnMatch saw no match")
 		}
 	})
 

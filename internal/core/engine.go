@@ -40,8 +40,9 @@ type Config struct {
 	// nil computes query.Decompose(q).
 	Decomposition *query.Decomposition
 	// OnMatch, if non-nil, receives every complete match as it forms,
-	// on the goroutine driving the engine. The match is owned by the
-	// callback.
+	// on the goroutine driving the engine. The match is borrowed for the
+	// duration of the callback: the engine reuses it once the callback
+	// returns, so Clone to retain it.
 	OnMatch func(*match.Match)
 	// JoinHist, when non-nil, observes the insert-side join work;
 	// ExpiryHist observes the window-expiry sweep (the batch of deletes
@@ -217,8 +218,8 @@ type insertScratch struct {
 	gbuf    [2][]pair // the cascade's ping-pong level outputs
 
 	// free recycles the matches an insert takes and gives back. It is
-	// uncapped: every match an insert takes returns except those handed
-	// to OnMatch, so it never outgrows one insert's peak.
+	// uncapped: every match an insert takes returns, those lent to
+	// OnMatch included, so it never outgrows one insert's peak.
 	free []*match.Match
 	ex   explist.Scratch // materialization buffer for the enumerators
 
@@ -263,8 +264,8 @@ func truncate[T any](s []T) []T {
 }
 
 // takeMatch pops a recycled match, or allocates one; its bindings are
-// stale. The vacated slot is cleared, so a match handed to OnMatch is
-// never pinned by the free-list's backing array.
+// stale. The vacated slot is cleared, so a match that leaves the list
+// is never pinned by its backing array.
 func (sc *insertScratch) takeMatch() *match.Match {
 	n := len(sc.free)
 	if n == 0 {
@@ -290,8 +291,7 @@ func (sc *insertScratch) cloneMatch(src *match.Match) *match.Match {
 	return m
 }
 
-// putMatch recycles a match the insert still owns. Matches handed
-// to the OnMatch callback are owned by the callback and never recycled.
+// putMatch recycles a match the insert still owns.
 func (sc *insertScratch) putMatch(m *match.Match) { sc.free = append(sc.free, m) }
 
 // Query returns the engine's query.
@@ -623,21 +623,18 @@ func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, ex *explist.Scratch, fn
 	e.global.EachCandidate(lvl, fp, ex, fn)
 }
 
-// emit reports complete matches; reported matches are owned by the
-// callback. Without a callback the matches return to sc's free-list.
+// emit reports complete matches. Each is lent to the callback and
+// returns to sc's free-list once the callback does.
 func (e *Engine) emit(results []pair, sc *insertScratch) {
 	if len(results) == 0 {
 		return
 	}
 	e.stats.Matches.Add(int64(len(results)))
-	if e.onMatch == nil {
-		for _, r := range results {
-			sc.putMatch(r.m)
-		}
-		return
-	}
 	for _, r := range results {
-		e.onMatch(r.m)
+		if e.onMatch != nil {
+			e.onMatch(r.m)
+		}
+		sc.putMatch(r.m)
 	}
 }
 

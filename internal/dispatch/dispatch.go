@@ -19,12 +19,22 @@
 // bounded-capacity deduper.
 //
 // Synchronous subscribers (SubscribeFunc — the OnMatch/OnDelivery
-// shims) receive the engine's scratch match inline on the reporting
-// goroutine, exactly like the old callback. Channel subscribers each
-// receive their own clone (the consumer owns it) and are each
+// shims) borrow the publisher's match inline on the reporting
+// goroutine: it is valid for the duration of the call, and a
+// subscriber that retains it must Clone it. Channel subscribers each
+// receive their own copy (the consumer owns it) and are each
 // delivered under their own lock, so fan-out from concurrent fleet
 // shards is serialized per subscription while distinct subscriptions
 // proceed in parallel.
+//
+// # Match reuse
+//
+// A channel consumer done with a delivery may hand its match back with
+// Sub.Release; so does the dispatcher with every copy an overflow
+// policy drops. Each query keeps the matches handed back in a free list
+// of at most freeCap, and Publish overwrites one of them (CopyFrom)
+// before it clones. A consumer that releases every delivery after use
+// therefore costs no allocation per match in the steady state.
 package dispatch
 
 import (
@@ -58,9 +68,10 @@ type Delivery struct {
 	// Seq is the per-query delivery sequence number, from 1. Stable
 	// across durable recovery replay (see package comment).
 	Seq int64
-	// Match is the complete match. Channel subscribers own it (it is a
-	// clone); SubscribeFunc subscribers get the engine's scratch match
-	// and must Clone to retain it, exactly like the old OnMatch.
+	// Match is the complete match. Channel subscribers own it (it is
+	// their own copy) until they hand it back with Sub.Release.
+	// SubscribeFunc subscribers borrow the publisher's match for the
+	// duration of the call and must Clone to retain it.
 	Match *match.Match
 }
 
@@ -106,10 +117,23 @@ type Dispatcher struct {
 	perQuery sync.Map // string → *queryCounts
 }
 
-// queryCounts is one query's delivery accounting cell.
+// freeCap bounds each query's free list of handed-back matches. One
+// ingest batch publishes its burst of matches faster than a consumer
+// hands them back, so the list holds about a burst: on tsbench's
+// wiki_fleet, 16 reused too few and 256 little more than 64. At most
+// freeCap matches per query stay idle; the rest are left to the
+// garbage collector.
+const freeCap = 64
+
+// queryCounts is one query's delivery cell: its accounting and its
+// free list of matches for Publish to overwrite.
 type queryCounts struct {
 	delivered atomic.Int64
 	dropped   atomic.Int64
+	// free holds at most freeCap matches handed back by consumers
+	// (Sub.Release) or dropped by an overflow policy. Both ends are
+	// non-blocking.
+	free chan *match.Match
 }
 
 // qc returns query's counter cell, creating it on first use.
@@ -117,8 +141,33 @@ func (d *Dispatcher) qc(query string) *queryCounts {
 	if v, ok := d.perQuery.Load(query); ok {
 		return v.(*queryCounts)
 	}
-	v, _ := d.perQuery.LoadOrStore(query, &queryCounts{})
+	v, _ := d.perQuery.LoadOrStore(query, &queryCounts{free: make(chan *match.Match, freeCap)})
 	return v.(*queryCounts)
+}
+
+// copyOf returns a copy of m for one channel subscriber: a free match
+// overwritten with m, or a clone when the free list is empty. A free
+// match of another shape (left by a retired query whose name was
+// reused) is dropped, never overwritten.
+func (c *queryCounts) copyOf(m *match.Match) *match.Match {
+	select {
+	case r := <-c.free:
+		if len(r.Vtx) == len(m.Vtx) && len(r.Edges) == len(m.Edges) {
+			r.CopyFrom(m)
+			return r
+		}
+	default:
+	}
+	return m.Clone()
+}
+
+// put adds m to the free list, or leaves it to the garbage collector
+// when the list is full.
+func (c *queryCounts) put(m *match.Match) {
+	select {
+	case c.free <- m:
+	default:
+	}
 }
 
 // QueryCounts returns deliveries buffered and dropped for one query
@@ -213,10 +262,10 @@ func (d *Dispatcher) Subscribe(o Options) *Sub {
 
 // Publish assigns the next sequence number for query and fans m out.
 // Must be serialized per query (the engine's match reporting already
-// is); distinct queries may publish concurrently. m is the engine's
-// scratch match: synchronous subscribers see it directly, channel
-// subscribers each get their own clone (the delivered match is owned
-// by its consumer).
+// is); distinct queries may publish concurrently. m is borrowed:
+// synchronous subscribers see it directly, channel subscribers each get
+// their own copy (the delivered match is owned by its consumer), and
+// Publish keeps no reference to it once it returns.
 func (d *Dispatcher) Publish(query string, m *match.Match) {
 	d.mu.Lock()
 	if d.closed {
@@ -241,11 +290,15 @@ func (d *Dispatcher) Publish(query string, m *match.Match) {
 		fn(dv)
 	}
 
+	var c *queryCounts
 	for _, s := range *d.subs.Load() {
 		if !s.wants(query) || seq <= s.after[query] {
-			continue // filtered, or already seen: don't even clone
+			continue // filtered, or already seen: don't even copy
 		}
-		s.deliver(Delivery{Query: query, Seq: seq, Match: m.Clone()})
+		if c == nil {
+			c = d.qc(query)
+		}
+		s.deliver(Delivery{Query: query, Seq: seq, Match: c.copyOf(m)}, c)
 	}
 }
 
@@ -355,6 +408,21 @@ type Sub struct {
 // buffered deliveries remain readable after that.
 func (s *Sub) C() <-chan Delivery { return s.ch }
 
+// Release hands back the match of a delivery received from C, once the
+// consumer no longer uses it, for a later Publish of the same query to
+// overwrite instead of cloning. The consumer must not touch dv.Match
+// afterwards, and must release it at most once. A delivery of a query
+// retired since is left to the garbage collector: Release never
+// creates a query's cell.
+func (s *Sub) Release(dv Delivery) {
+	if dv.Match == nil {
+		return
+	}
+	if v, ok := s.d.perQuery.Load(dv.Query); ok {
+		v.(*queryCounts).put(dv.Match)
+	}
+}
+
 // Stats returns the subscription's delivery accounting.
 func (s *Sub) Stats() Stats {
 	return Stats{Delivered: s.delivered.Load(), Dropped: s.dropped.Load()}
@@ -389,29 +457,30 @@ func (s *Sub) wants(query string) bool {
 
 // deliver applies the overflow policy to one delivery (already past
 // the subscription's resume cursor; dv.Match is this subscription's
-// own clone). Per-sub serialization (s.mu) keeps a subscription's
-// stream in publish order even when fleet shards publish different
-// queries concurrently.
-func (s *Sub) deliver(dv Delivery) {
+// own copy, and c is dv.Query's cell). A dropped delivery's match
+// returns to its query's free list. Per-sub serialization (s.mu) keeps
+// a subscription's stream in publish order even when fleet shards
+// publish different queries concurrently.
+func (s *Sub) deliver(dv Delivery, c *queryCounts) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.drop(dv.Query)
+		s.drop(c, dv.Match)
 		return
 	}
 	switch s.policy {
 	case DropNewest:
 		select {
 		case s.ch <- dv:
-			s.count(dv.Query)
+			s.count(c)
 		default:
-			s.drop(dv.Query)
+			s.drop(c, dv.Match)
 		}
 	case DropOldest:
 		for {
 			select {
 			case s.ch <- dv:
-				s.count(dv.Query)
+				s.count(c)
 				return
 			default:
 			}
@@ -423,7 +492,7 @@ func (s *Sub) deliver(dv Delivery) {
 			// which may differ from dv's on a multi-query subscription.
 			select {
 			case old := <-s.ch:
-				s.drop(old.Query)
+				s.drop(s.d.qc(old.Query), old.Match)
 			default:
 			}
 		}
@@ -436,21 +505,24 @@ func (s *Sub) deliver(dv Delivery) {
 		//tsvet:allow lockhold — per-subscription Block backpressure holds only s.mu
 		select {
 		case s.ch <- dv:
-			s.count(dv.Query)
+			s.count(c)
 		case <-s.done:
-			s.drop(dv.Query)
+			s.drop(c, dv.Match)
 		}
 	}
 }
 
-func (s *Sub) count(query string) {
+func (s *Sub) count(c *queryCounts) {
 	s.delivered.Add(1)
 	s.d.delivered.Add(1)
-	s.d.qc(query).delivered.Add(1)
+	c.delivered.Add(1)
 }
 
-func (s *Sub) drop(query string) {
+// drop counts a lost delivery against its query's cell c and returns
+// its match, which no consumer saw, to c's free list.
+func (s *Sub) drop(c *queryCounts, m *match.Match) {
 	s.dropped.Add(1)
 	s.d.dropped.Add(1)
-	s.d.qc(query).dropped.Add(1)
+	c.dropped.Add(1)
+	c.put(m)
 }

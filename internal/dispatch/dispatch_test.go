@@ -172,11 +172,13 @@ func TestConcurrentPublishDistinctQueries(t *testing.T) {
 	}
 }
 
-var cloneSink *match.Match
-
 // TestPublishAllocs pins Publish's own cost: with no channel
-// subscriber it allocates nothing, and with one DropOldest subscriber
-// exactly what that subscriber's clone of the match allocates.
+// subscriber it allocates nothing; with one DropOldest subscriber whose
+// consumer releases each delivery, nothing either, since every publish
+// overwrites the match released before it; and when that subscriber
+// overflows instead, the evicted delivery's match is the one reused.
+// The free list is a channel, not a sync.Pool, so the counts hold under
+// -race too.
 func TestPublishAllocs(t *testing.T) {
 	d := New()
 	d.SubscribeFunc(func(Delivery) {})
@@ -186,11 +188,107 @@ func TestPublishAllocs(t *testing.T) {
 		t.Fatalf("publish with no channel subscriber allocates %.1f times, want 0", allocs)
 	}
 
-	sub := d.Subscribe(Options{Buffer: 1, Policy: DropOldest})
+	sub := d.Subscribe(Options{Buffer: 4, Policy: DropOldest})
 	defer sub.Cancel()
-	d.Publish("q", m)
-	clone := testing.AllocsPerRun(1000, func() { cloneSink = m.Clone() })
-	if allocs := testing.AllocsPerRun(1000, func() { d.Publish("q", m) }); allocs != clone {
-		t.Fatalf("publish to one DropOldest subscriber allocates %.1f times, want %.1f (one match clone)", allocs, clone)
+	allocs := testing.AllocsPerRun(1000, func() {
+		d.Publish("q", m)
+		dv := <-sub.C()
+		if dv.Match == m || dv.Match.Edges[1].ID != 2 {
+			t.Fatal("the delivered match is not a copy of the published one")
+		}
+		sub.Release(dv)
+	})
+	if allocs != 0 {
+		t.Fatalf("publish to one releasing DropOldest subscriber allocates %.1f times, want 0", allocs)
+	}
+
+	for range 4 {
+		d.Publish("q", m) // fill the buffer: each later publish evicts one
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { d.Publish("q", m) }); allocs != 0 {
+		t.Fatalf("publish to one overflowing DropOldest subscriber allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestReleaseNeverCrossesIncarnations hands matches back around a
+// query's retirement and the reuse of its name by a query of another
+// shape: a match released after ResetSeq is dropped with the cell it
+// would have joined, and one released into the new cell is never
+// handed out in place of a copy of the new shape.
+func TestReleaseNeverCrossesIncarnations(t *testing.T) {
+	d := New()
+	sub := d.Subscribe(Options{Buffer: 4})
+	defer sub.Cancel()
+	small := &match.Match{Vtx: []graph.VertexID{1, 2}, Edges: []graph.Edge{{ID: 1}}}
+	big := &match.Match{Vtx: []graph.VertexID{3, 4, 5}, Edges: []graph.Edge{{ID: 7}, {ID: 8}}}
+
+	d.Publish("q", small)
+	d.Publish("q", small)
+	first, second := <-sub.C(), <-sub.C()
+	d.ResetSeq("q")
+	sub.Release(first) // q's cell is gone: dropped, no cell created
+	if _, ok := d.perQuery.Load("q"); ok {
+		t.Fatal("Release created a cell for a retired query")
+	}
+
+	d.Publish("q", big) // the new incarnation's cell
+	third := <-sub.C()
+	sub.Release(second) // lands in the new cell, with the old shape
+	d.Publish("q", big)
+	fourth := <-sub.C()
+	for _, dv := range []Delivery{third, fourth} {
+		if dv.Match == first.Match || dv.Match == second.Match {
+			t.Fatalf("seq %d reuses a match of the retired incarnation", dv.Seq)
+		}
+		if len(dv.Match.Vtx) != 3 || len(dv.Match.Edges) != 2 || dv.Match.Edges[1].ID != 8 {
+			t.Fatalf("seq %d delivered %+v, want a copy of %+v", dv.Seq, dv.Match, big)
+		}
+	}
+
+	sub.Release(third) // same shape: this one is reused
+	d.Publish("q", big)
+	if fifth := <-sub.C(); fifth.Match != third.Match || fifth.Match.Edges[0].ID != 7 {
+		t.Fatalf("a released match of the live shape was not reused: %+v", fifth.Match)
+	}
+}
+
+// TestReleaseConcurrent publishes two queries from two goroutines to
+// two subscribers that check and release every delivery: a match
+// reused while a consumer still read it, or handed to two consumers at
+// once, shows as a wrong edge ID (and as a race under -race).
+func TestReleaseConcurrent(t *testing.T) {
+	d := New()
+	const n = 2000
+	var wg sync.WaitGroup
+	for range 2 {
+		sub := d.Subscribe(Options{Buffer: 8})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for dv := range sub.C() {
+				if got := int64(dv.Match.Edges[0].ID); got != dv.Seq {
+					t.Errorf("query %s seq %d carries edge %d", dv.Query, dv.Seq, got)
+				}
+				sub.Release(dv)
+			}
+		}()
+	}
+	var pubs sync.WaitGroup
+	for _, q := range []string{"a", "b"} {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			m := mkMatch(0)
+			for i := int64(1); i <= n; i++ {
+				m.Edges[0].ID = graph.EdgeID(i)
+				d.Publish(q, m)
+			}
+		}()
+	}
+	pubs.Wait()
+	d.Close()
+	wg.Wait()
+	if got := d.Delivered(); got != 2*2*n {
+		t.Fatalf("delivered %d, want %d", got, 2*2*n)
 	}
 }

@@ -26,7 +26,7 @@ import (
 func FindAllStatic(g []graph.Edge, q *query.Query) []*match.Match {
 	var out []*match.Match
 	eng := core.New(q, core.Config{OnMatch: func(m *match.Match) {
-		out = append(out, m)
+		out = append(out, m.Clone()) // m is lent to the callback
 	}})
 	// Window large enough that nothing expires: t_m − t_1 + 1.
 	window := graph.Timestamp(len(g) + 1)

@@ -50,6 +50,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -175,6 +176,13 @@ type queryMeta struct {
 	tenant string // owning tenant; "" when tenancy is off or unowned
 	wire   string // tenant-facing name (= internal name when unowned)
 	window int64  // window in wire units
+	events *queryEvents
+}
+
+// newQueryMeta is the roster entry of a query, with its event encoder.
+func newQueryMeta(owner, wire string, window int64) queryMeta {
+	return queryMeta{tenant: owner, wire: wire, window: window,
+		events: &queryEvents{head: eventHead(wire, owner)}}
 }
 
 // Server hosts one query fleet behind the HTTP API. Create with New or
@@ -182,6 +190,7 @@ type queryMeta struct {
 type Server struct {
 	cfg      Config
 	labels   *timingsubg.Labels
+	labelEnc *labelJSON // the labels' JSON literals, for match events
 	fl       timingsubg.Fleet
 	replay   *replayStore
 	tenants  *tenant.Registry // nil = tenancy disabled
@@ -282,11 +291,11 @@ func NewDurable(cfg Config, opts timingsubg.Durability) (*Server, error) {
 		if req.Tenant != "" {
 			internal = req.Tenant + ":" + req.Name
 		}
-		meta := queryMeta{tenant: req.Tenant, wire: req.Name, window: req.Window}
+		meta := newQueryMeta(req.Tenant, req.Name, req.Window)
 		if s.tenants == nil {
 			// Tenancy off: the roster is addressed verbatim, so a scoped
 			// name IS the wire name and nobody owns it.
-			meta.tenant, meta.wire = "", internal
+			meta = newQueryMeta("", internal, req.Window)
 		} else if req.Tenant != "" {
 			owner, ok := s.tenants.Get(req.Tenant)
 			if !ok {
@@ -345,6 +354,7 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		labels:   cfg.Labels,
+		labelEnc: newLabelJSON(cfg.Labels),
 		replay:   newReplayStore(cfg.ReplayBuffer),
 		tenants:  cfg.Tenants,
 		adminKey: cfg.AdminKey,
@@ -532,40 +542,27 @@ func (s *Server) persistLabels() error {
 // reconnect or a durable restart, and it is where live streams read
 // each event's bytes: the dispatcher runs this hook before it hands
 // the event to any channel subscriber, so the bytes are always there
-// first.
+// first. The event is encoded into the query's scratch, and its one
+// exact-size copy is the retained body: record's only allocation.
 func (s *Server) record(dv timingsubg.Delivery) {
-	data, err := json.Marshal(s.matchEvent(dv))
-	if err != nil {
-		return // unreachable: MatchEvent is marshal-safe by construction
-	}
-	s.replay.add(dv.Query, completedAt(dv.Match), dv.Seq, data)
+	ev := s.eventsOf(dv.Query)
+	ev.buf = s.labelEnc.appendMatchEvent(ev.buf[:0], ev.head, dv.Seq, dv.Match)
+	s.replay.add(dv.Query, completedAt(dv.Match), dv.Seq, bytes.Clone(ev.buf))
 }
 
-// matchEvent converts one engine delivery to its wire form. The
-// query's internal roster name is translated back to the owner's wire
-// name (plus the owning tenant, so an admin firehose stream stays
-// unambiguous when two tenants use the same wire name).
-func (s *Server) matchEvent(dv timingsubg.Delivery) client.MatchEvent {
-	m := dv.Match
-	wire, owner := dv.Query, ""
+// eventsOf returns query's event encoder. The internal roster name
+// is translated back to the owner's wire name, plus the owning tenant,
+// so an admin firehose stream stays unambiguous when two tenants use
+// the same wire name. A name the server does not know is its own wire
+// name, unowned, and gets a fresh encoder.
+func (s *Server) eventsOf(query string) *queryEvents {
 	s.qmu.RLock()
-	if meta, ok := s.queries[dv.Query]; ok {
-		wire, owner = meta.wire, meta.tenant
-	}
+	meta, ok := s.queries[query]
 	s.qmu.RUnlock()
-	ev := client.MatchEvent{Query: wire, Tenant: owner, Seq: dv.Seq, Edges: make([]client.MatchEdge, len(m.Edges))}
-	for i, e := range m.Edges {
-		ev.Edges[i] = client.MatchEdge{
-			ID:   int64(e.ID),
-			From: int64(e.From),
-			To:   int64(e.To),
-			Time: int64(e.Time),
-		}
-		if e.EdgeLabel != timingsubg.NoLabel {
-			ev.Edges[i].Label = s.labels.String(e.EdgeLabel)
-		}
+	if ok {
+		return meta.events
 	}
-	return ev
+	return &queryEvents{head: eventHead(query, "")}
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -637,7 +634,7 @@ func (s *Server) handleAddQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.qmu.Lock()
-		s.queries[internal] = queryMeta{tenant: t.Name(), wire: req.Name, window: req.Window}
+		s.queries[internal] = newQueryMeta(t.Name(), req.Name, req.Window)
 		s.qmu.Unlock()
 	})
 	if err != nil {
@@ -1000,6 +997,35 @@ func completedAt(m *timingsubg.Match) int64 {
 	return int64(at)
 }
 
+// sseFrames builds one SSE connection's frames, each appended into one
+// reused buffer.
+type sseFrames struct {
+	cursors *cursorSet
+	buf     []byte // the frame being built
+	miss    []byte // a log miss's event, encoded again
+}
+
+// frame records seq as query's cursor and returns the event's frame
+// around data. It is valid until the next call.
+func (f *sseFrames) frame(query string, seq int64, data []byte) []byte {
+	f.buf = f.cursors.appendEvent(f.buf[:0], query, seq, data)
+	return f.buf
+}
+
+// live returns a live delivery's event bytes: the ones record put in
+// the resume log, or, when the log no longer holds them, the event
+// encoded again. A miss is an event evicted because the stream lags by
+// more than ReplayBuffer events of all queries, or an event of a
+// retired query whose name was reused. The bytes are valid until the
+// next call.
+func (f *sseFrames) live(s *Server, dv timingsubg.Delivery) []byte {
+	if data, ok := s.replay.lookup(dv.Query, dv.Seq, completedAt(dv.Match)); ok {
+		return data
+	}
+	f.miss = s.labelEnc.appendMatchEvent(f.miss[:0], s.eventsOf(dv.Query).head, dv.Seq, dv.Match)
+	return f.miss
+}
+
 // handleSubscribe is one SSE consumer: an Engine.Subscribe
 // subscription (query-name filter, DropOldest overflow) bridged onto
 // the HTTP response, preceded by a replay of logged events the
@@ -1089,11 +1115,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	// One frame buffer per connection: each event is appended into it
 	// and goes out in a single Write.
-	cursors := newCursorSet(after)
-	var frame []byte
+	sse := sseFrames{cursors: newCursorSet(after)}
 	emit := func(query string, seq int64, data []byte) bool {
-		frame = cursors.appendEvent(frame[:0], query, seq, data)
-		_, werr := w.Write(frame)
+		_, werr := w.Write(sse.frame(query, seq, data))
 		return werr == nil
 	}
 
@@ -1126,6 +1150,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// a used name restarts at seq 1 and its events flow (the cursor goes
 	// down with them). The flush waits until the channel is empty, so a
 	// burst goes out as one chunk while a lone event is flushed at once.
+	// Every delivery's match goes back to the dispatcher once its frame
+	// is built, so the next publish overwrites it instead of cloning.
 	for {
 		select {
 		case dv, ok := <-sub.C():
@@ -1137,21 +1163,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				delete(replayed, dv.Query) // live has passed the replay
 				dup = false
 			}
-			if !dup {
-				data, ok := s.replay.lookup(dv.Query, dv.Seq, completedAt(dv.Match))
-				if !ok {
-					// Not in the log: evicted (the stream lags by more
-					// than ReplayBuffer events of all queries), or an
-					// event of a retired query whose name was reused.
-					// Serialize again.
-					var err error
-					if data, err = json.Marshal(s.matchEvent(dv)); err != nil {
-						return // unreachable: MatchEvent is marshal-safe
-					}
-				}
-				if !emit(dv.Query, dv.Seq, data) {
-					return
-				}
+			sent := dup || emit(dv.Query, dv.Seq, sse.live(s, dv))
+			sub.Release(dv)
+			if !sent {
+				return
 			}
 			if len(sub.C()) == 0 {
 				flusher.Flush()

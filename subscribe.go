@@ -83,8 +83,19 @@ type Subscription struct {
 
 // C is the delivery channel. It closes when the subscription ends;
 // deliveries buffered before that remain readable. Matches received
-// from C are owned by the consumer (they are clones, never scratch).
+// from C are owned by the consumer (they are copies, never the
+// engine's scratch) until it hands them back with Release.
 func (s *Subscription) C() <-chan Delivery { return s.sub.C() }
+
+// Release hands back the match of a delivery received from C once the
+// consumer is done with it, so the engine overwrites it for a later
+// match of the same query instead of allocating a copy. Afterwards the
+// consumer must not touch dv.Match; release each delivery at most once.
+// Releasing is optional: a match never released is garbage collected
+// as usual, and the engine keeps at most 64 released matches per
+// query. Matches yielded by Matches and Deliveries are the consumer's
+// to keep, and the iterators never release them.
+func (s *Subscription) Release(dv Delivery) { s.sub.Release(dv) }
 
 // Matches ranges over the subscription as (query, match) pairs — the
 // iterator form of C for Go 1.23+ range-over-func consumers:
