@@ -186,18 +186,15 @@ type ServerStats struct {
 }
 
 // ReplayStats is the server's resume log (-replay-buffer): the match
-// events it retains for Last-Event-ID resumption, which also serve each
-// live SSE event's bytes. GET /stats carries it inside ServerStats and
-// GET /metrics renders the same three fields.
+// events it retains for Last-Event-ID resumption. GET /stats carries it
+// inside ServerStats and GET /metrics renders the same two fields.
 type ReplayStats struct {
 	// ReplayEvents is the number of retained events.
 	ReplayEvents int64 `json:"server.replay_events"`
-	// ReplayBytes is the serialized size of the retained events.
+	// ReplayBytes is the size of the retained events' records: the
+	// compact form the log keeps them in, not their JSON, which is
+	// written only when an event is sent.
 	ReplayBytes int64 `json:"server.replay_bytes"`
-	// ReplayMisses counts live SSE events the log no longer held (a
-	// stream lagging by more than the log, or a retired query's event),
-	// each of which was serialized again.
-	ReplayMisses int64 `json:"server.replay_misses"`
 }
 
 // TenantStats is the response of GET /stats to a tenant's key: that

@@ -74,7 +74,6 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	rs := s.replay.stats()
 	pw.Gauge("timingsubg_replay_events", nil, float64(rs.ReplayEvents))
 	pw.Gauge("timingsubg_replay_bytes", nil, float64(rs.ReplayBytes))
-	pw.Counter("timingsubg_replay_misses_total", nil, float64(rs.ReplayMisses))
 	if st.WatermarkLagNs != 0 {
 		pw.Gauge("timingsubg_watermark_lag_seconds", nil, float64(st.WatermarkLagNs)/1e9)
 	}

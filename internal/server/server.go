@@ -50,7 +50,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -207,6 +206,12 @@ type Server struct {
 
 	qmu     sync.RWMutex
 	queries map[string]queryMeta // internal query name → meta
+	// retired holds the encoder of each deleted query until its name is
+	// registered again, so deliveries still queued on a stream when the
+	// DELETE lands render under the wire name and owner they were
+	// published with. It is bounded by the number of distinct deleted
+	// names.
+	retired map[string]*queryEvents
 
 	queryDir string // query registration directory; "" when not durable
 	stateDir string // durability root (label table home); "" when not durable
@@ -362,6 +367,7 @@ func newServer(cfg Config) *Server {
 		stopped:  make(chan struct{}),
 		loopDone: make(chan struct{}),
 		queries:  make(map[string]queryMeta),
+		retired:  make(map[string]*queryEvents),
 	}
 	if s.tenants != nil {
 		for _, name := range s.tenants.Names() {
@@ -535,32 +541,36 @@ func (s *Server) persistLabels() error {
 	return nil
 }
 
-// record is the engine's synchronous delivery hook: serialize the
-// match event once and retain it in the resume log. Live fan-out
-// happens on the engine side (each SSE handler holds its own
-// subscription). The log serves Last-Event-ID resumption after a
-// reconnect or a durable restart, and it is where live streams read
-// each event's bytes: the dispatcher runs this hook before it hands
-// the event to any channel subscriber, so the bytes are always there
-// first. The event is encoded into the query's scratch, and its one
-// exact-size copy is the retained body: record's only allocation.
+// record is the engine's synchronous delivery hook: retain the match
+// event in the resume log, which serves Last-Event-ID resumption after
+// a reconnect or a durable restart. Live fan-out happens on the engine
+// side (each SSE handler holds its own subscription and encodes its
+// frames from the deliveries). The event is kept as its compact record
+// (see appendRecord), encoded outside the log's lock into the query's
+// scratch, which the log copies into its arena: record allocates
+// nothing.
 func (s *Server) record(dv timingsubg.Delivery) {
 	ev := s.eventsOf(dv.Query)
-	ev.buf = s.labelEnc.appendMatchEvent(ev.buf[:0], ev.head, dv.Seq, dv.Match)
-	s.replay.add(dv.Query, completedAt(dv.Match), dv.Seq, bytes.Clone(ev.buf))
+	ev.buf = appendRecord(ev.buf[:0], dv.Match)
+	s.replay.add(dv.Query, ev.head, dv.Seq, ev.buf)
 }
 
 // eventsOf returns query's event encoder. The internal roster name
 // is translated back to the owner's wire name, plus the owning tenant,
 // so an admin firehose stream stays unambiguous when two tenants use
-// the same wire name. A name the server does not know is its own wire
+// the same wire name. A deleted query keeps its encoder until the name
+// is registered again. A name the server does not know is its own wire
 // name, unowned, and gets a fresh encoder.
 func (s *Server) eventsOf(query string) *queryEvents {
 	s.qmu.RLock()
 	meta, ok := s.queries[query]
+	ev := s.retired[query]
 	s.qmu.RUnlock()
 	if ok {
 		return meta.events
+	}
+	if ev != nil {
+		return ev
 	}
 	return &queryEvents{head: eventHead(query, "")}
 }
@@ -635,6 +645,7 @@ func (s *Server) handleAddQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.qmu.Lock()
 		s.queries[internal] = newQueryMeta(t.Name(), req.Name, req.Window)
+		delete(s.retired, internal)
 		s.qmu.Unlock()
 	})
 	if err != nil {
@@ -682,8 +693,13 @@ func (s *Server) handleRemoveQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.qmu.Lock()
-		owner = s.queries[internal].tenant
+		meta := s.queries[internal]
+		owner = meta.tenant
 		delete(s.queries, internal)
+		if meta.events != nil {
+			meta.events.retired.Store(true)
+			s.retired[internal] = meta.events
+		}
 		s.qmu.Unlock()
 		// The engine already ended the subscriptions filtered to this
 		// name and reset its delivery sequence; drop its events from the
@@ -974,56 +990,58 @@ func (c *cursorSet) appendToken(b []byte) []byte {
 	return b
 }
 
-// appendEvent records seq as query's cursor and appends the event's SSE
-// frame — the id line carrying every cursor, then the serialized match —
-// to b.
-func (c *cursorSet) appendEvent(b []byte, query string, seq int64, data []byte) []byte {
+// appendEventStart records seq as query's cursor and appends the start
+// of the event's SSE frame to b: the id line carrying every cursor, the
+// event line and the data field's name. The match event and the
+// frame's end ("\n\n") follow.
+func (c *cursorSet) appendEventStart(b []byte, query string, seq int64) []byte {
 	c.set(query, seq)
 	b = append(b, "id: "...)
 	b = c.appendToken(b)
-	b = append(b, "\nevent: match\ndata: "...)
-	b = append(b, data...)
-	return append(b, "\n\n"...)
-}
-
-// completedAt is the timestamp of m's newest edge: the arrival that
-// completed the match. A query reports its matches in feed order, so
-// this never decreases along its sequence (see queryLog.born).
-func completedAt(m *timingsubg.Match) int64 {
-	var at timingsubg.Timestamp
-	for _, e := range m.Edges {
-		at = max(at, e.Time)
-	}
-	return int64(at)
+	return append(b, "\nevent: match\ndata: "...)
 }
 
 // sseFrames builds one SSE connection's frames, each appended into one
-// reused buffer.
+// reused buffer. Live frames are encoded from the delivery, so a live
+// event takes neither the resume log's lock nor, once its query's head
+// is cached here, the roster's.
 type sseFrames struct {
+	s       *Server
 	cursors *cursorSet
-	buf     []byte // the frame being built
-	miss    []byte // a log miss's event, encoded again
+	events  map[string]*queryEvents // the head of each query seen
+	buf     []byte                  // the frame being built
 }
 
-// frame records seq as query's cursor and returns the event's frame
-// around data. It is valid until the next call.
-func (f *sseFrames) frame(query string, seq int64, data []byte) []byte {
-	f.buf = f.cursors.appendEvent(f.buf[:0], query, seq, data)
+func newSSEFrames(s *Server, after map[string]int64) *sseFrames {
+	return &sseFrames{s: s, cursors: newCursorSet(after), events: make(map[string]*queryEvents)}
+}
+
+// head returns query's event head. A cached head of a retired query is
+// looked up again: the name may have been registered since by another
+// owner.
+func (f *sseFrames) head(query string) []byte {
+	ev := f.events[query]
+	if ev == nil || ev.retired.Load() {
+		ev = f.s.eventsOf(query)
+		f.events[query] = ev
+	}
+	return ev.head
+}
+
+// live returns a live delivery's frame, valid until the next call.
+func (f *sseFrames) live(dv timingsubg.Delivery) []byte {
+	f.buf = f.cursors.appendEventStart(f.buf[:0], dv.Query, dv.Seq)
+	f.buf = f.s.labelEnc.appendMatchEvent(f.buf, f.head(dv.Query), dv.Seq, dv.Match)
+	f.buf = append(f.buf, "\n\n"...)
 	return f.buf
 }
 
-// live returns a live delivery's event bytes: the ones record put in
-// the resume log, or, when the log no longer holds them, the event
-// encoded again. A miss is an event evicted because the stream lags by
-// more than ReplayBuffer events of all queries, or an event of a
-// retired query whose name was reused. The bytes are valid until the
-// next call.
-func (f *sseFrames) live(s *Server, dv timingsubg.Delivery) []byte {
-	if data, ok := s.replay.lookup(dv.Query, dv.Seq, completedAt(dv.Match)); ok {
-		return data
-	}
-	f.miss = s.labelEnc.appendMatchEvent(f.miss[:0], s.eventsOf(dv.Query).head, dv.Seq, dv.Match)
-	return f.miss
+// resumed returns a replayed event's frame, valid until the next call.
+func (f *sseFrames) resumed(ev resumeEvent) []byte {
+	f.buf = f.cursors.appendEventStart(f.buf[:0], ev.query, ev.seq)
+	f.buf = f.s.labelEnc.appendRecordEvent(f.buf, ev.head, ev.seq, ev.rec)
+	f.buf = append(f.buf, "\n\n"...)
+	return f.buf
 }
 
 // handleSubscribe is one SSE consumer: an Engine.Subscribe
@@ -1115,9 +1133,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	// One frame buffer per connection: each event is appended into it
 	// and goes out in a single Write.
-	sse := sseFrames{cursors: newCursorSet(after)}
-	emit := func(query string, seq int64, data []byte) bool {
-		_, werr := w.Write(sse.frame(query, seq, data))
+	sse := newSSEFrames(s, after)
+	emit := func(frame []byte) bool {
+		_, werr := w.Write(frame)
 		return werr == nil
 	}
 
@@ -1135,10 +1153,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			admit = func(name string) bool { return slices.Contains(names, name) }
 		}
 		for _, ev := range s.replay.resume(after, admit) {
-			if !emit(ev.q.name, ev.seq, ev.data) {
+			if !emit(sse.resumed(ev)) {
 				return
 			}
-			replayed[ev.q.name] = ev.seq
+			replayed[ev.query] = ev.seq
 		}
 	}
 	flusher.Flush()
@@ -1163,7 +1181,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				delete(replayed, dv.Query) // live has passed the replay
 				dup = false
 			}
-			sent := dup || emit(dv.Query, dv.Seq, sse.live(s, dv))
+			sent := dup || emit(sse.live(dv))
 			sub.Release(dv)
 			if !sent {
 				return

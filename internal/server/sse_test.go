@@ -69,32 +69,33 @@ func FuzzResumeToken(f *testing.F) {
 	})
 }
 
-// TestSSEEmitAllocs guards the live path's per-event step — the log
-// lookup of the serialized match, the cursor update, the id line and
-// the frame append — at zero allocations with 33 cursors (the
-// wiki_fleet roster plus one).
+// TestSSEEmitAllocs guards the live path's per-event step — the
+// cursor update, the id line and the match event encoded from the
+// delivery into the frame — at zero allocations with 33 cursors (the
+// wiki_fleet roster plus one), once each query's head is cached.
 func TestSSEEmitAllocs(t *testing.T) {
-	store := newReplayStore(33 * 64)
-	c := newCursorSet(nil)
+	srv := New(Config{})
+	defer srv.Close()
+	n, ping, pong := srv.labels.Intern("N"), srv.labels.Intern("ping"), srv.labels.Intern("pong")
+	m := &timingsubg.Match{Edges: []timingsubg.Edge{
+		{ID: 1, From: 1, To: 2, FromLabel: n, ToLabel: n, EdgeLabel: ping, Time: 1},
+		{ID: 2, From: 2, To: 1, FromLabel: n, ToLabel: n, EdgeLabel: pong, Time: 2},
+	}}
 	names := make([]string, 33)
-	data := []byte(`{"query":"q","seq":1,"edges":[{"id":1,"from":1,"to":2,"time":1,"label":"ping"},{"id":2,"from":2,"to":1,"time":2,"label":"pong"}]}`)
 	for i := range names {
 		names[i] = fmt.Sprintf("acme:query %d", i)
-		c.set(names[i], 1)
-		for seq := int64(1); seq <= 64; seq++ {
-			store.add(names[i], seq, seq, data)
-		}
+		srv.qmu.Lock()
+		srv.queries[names[i]] = newQueryMeta("acme", names[i][len("acme:"):], 1000)
+		srv.qmu.Unlock()
 	}
-	frame := make([]byte, 0, 4096)
+	sse := newSSEFrames(srv, nil)
+	for _, name := range names {
+		sse.live(timingsubg.Delivery{Query: name, Seq: 1, Match: m})
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		name, seq := names[i%len(names)], int64(1+i%64)
+		sse.live(timingsubg.Delivery{Query: names[i%len(names)], Seq: int64(2 + i/len(names)), Match: m})
 		i++
-		d, ok := store.lookup(name, seq, seq)
-		if !ok {
-			panic("log miss")
-		}
-		frame = c.appendEvent(frame[:0], name, seq, d)
 	})
 	if allocs != 0 {
 		t.Fatalf("per-event SSE step allocates %.1f times, want 0", allocs)
@@ -147,9 +148,10 @@ func readFrame(t *testing.T, r *bufio.Reader) sseFrame {
 // one ingest. Every id line must be the reference encoding of the
 // running cursor map, every data line the bytes json.Marshal(matchEvent)
 // gives for that delivery, and each query's seqs dense and in order.
-// A replay log of three events (one per query) evicts nearly every
-// event of the burst before the stream reads it, so that run covers the
-// marshal fallback.
+// Live frames are encoded from the deliveries, so a replay log of
+// three events (one per query), which evicts nearly every event of the
+// burst before the stream reads it, must leave the live bytes as they
+// are.
 func TestSSEWireBytes(t *testing.T) {
 	t.Run("default-ring", func(t *testing.T) { testSSEWireBytes(t, 0) })
 	t.Run("ring-of-one", func(t *testing.T) { testSSEWireBytes(t, 3) })
@@ -275,9 +277,8 @@ func testSSEWireBytes(t *testing.T, replay int) {
 	if len(want) != 102*len(queries) {
 		t.Fatalf("reference saw %d deliveries, want %d", len(want), 102*len(queries))
 	}
-	// The default log holds every event of the run, so the live stream
-	// never falls back to marshalling.
-	if misses := srv.replay.stats().ReplayMisses; replay == 0 && misses != 0 {
-		t.Fatalf("default replay log: %d live misses, want 0", misses)
+	// The log retains the run's last events, as many as it holds.
+	if held, want := srv.replay.stats().ReplayEvents, int64(min(srv.replay.capacity, len(want))); held != want {
+		t.Fatalf("replay log holds %d events, want %d", held, want)
 	}
 }
