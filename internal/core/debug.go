@@ -42,9 +42,9 @@ func (e *Engine) WriteState(w io.Writer) {
 		name := fmt.Sprintf("L%d^%d", ic.List, ic.Level)
 		fmt.Fprintf(w, "  %-8s %d\n", name, ic.Count)
 	}
-	fmt.Fprintf(w, "edges in=%d out=%d discarded=%d, joins scanned=%d candidates=%d, partials +%d -%d, matches=%d\n",
+	fmt.Fprintf(w, "edges in=%d out=%d discarded=%d, joins scanned=%d candidates=%d materialized=%d, partials +%d -%d, matches=%d\n",
 		e.stats.EdgesIn.Load(), e.stats.EdgesOut.Load(), e.stats.Discarded.Load(),
-		e.stats.JoinScanned.Load(), e.stats.JoinCandidates.Load(),
+		e.stats.JoinScanned.Load(), e.stats.JoinCandidates.Load(), e.stats.JoinMaterialized.Load(),
 		e.stats.PartialIns.Load(), e.stats.PartialDel.Load(),
 		e.stats.Matches.Load())
 }

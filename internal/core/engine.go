@@ -81,6 +81,11 @@ type Stats struct {
 	// the two is exactly the work the index saves.
 	JoinScanned    atomic.Int64
 	JoinCandidates atomic.Int64
+	// JoinMaterialized counts the global cascade's candidates built into
+	// a match. The cascade checks each candidate on its stored raw path
+	// and builds only a pair that joins, so this equals the pairs the
+	// cascade stores.
+	JoinMaterialized atomic.Int64
 
 	// Batch-expiry plane: ExpiryBatches counts window slides processed
 	// through the batched delete path (one sweep over every expired
@@ -221,26 +226,31 @@ type insertScratch struct {
 	// uncapped: every match an insert takes returns, those lent to
 	// OnMatch included, so it never outgrows one insert's peak.
 	free []*match.Match
-	ex   explist.Scratch // materialization buffer for the enumerators
+	ex   explist.Scratch // the enumerators' path and match buffer
 
 	// Probe state: the incoming edge d bound to query edge qe, whose
-	// stored prefixes must bind cv to key; the join level j and the
-	// delta row dp it is probing with.
-	qe  query.EdgeID
-	d   graph.Edge
-	cv  query.VertexID
-	key graph.VertexID
-	j   *levelJoin
-	dp  pair
+	// stored prefixes must bind cv to key; the compiled join pj of the
+	// level being probed, whose stored side is the left one when
+	// storedLeft, and the delta row dp it is probing with, loaded into
+	// row.
+	qe         query.EdgeID
+	d          graph.Edge
+	cv         query.VertexID
+	key        graph.VertexID
+	pj         *pathJoin
+	storedLeft bool
+	dp         pair
+	row        deltaRow
 
-	scanned, candidates int64
+	scanned, candidates, materialized int64
 
-	probe, joinLeft, joinRight func(explist.Handle, *match.Match) bool
+	probe func(explist.Handle, *match.Match) bool
+	join  func(explist.Handle, []graph.Edge) bool
 }
 
 func newInsertScratch(e *Engine) *insertScratch {
 	sc := &insertScratch{e: e}
-	sc.probe, sc.joinLeft, sc.joinRight = sc.probeParent, sc.joinStoredLeft, sc.joinStoredRight
+	sc.probe, sc.join = sc.probeParent, sc.joinStored
 	return sc
 }
 
@@ -250,8 +260,8 @@ func newInsertScratch(e *Engine) *insertScratch {
 func (sc *insertScratch) reset() {
 	sc.parents, sc.delta, sc.pairs = truncate(sc.parents), truncate(sc.delta), truncate(sc.pairs)
 	sc.gbuf[0], sc.gbuf[1] = truncate(sc.gbuf[0]), truncate(sc.gbuf[1])
-	sc.j, sc.dp = nil, pair{}
-	sc.scanned, sc.candidates = 0, 0
+	sc.pj, sc.dp = nil, pair{}
+	sc.scanned, sc.candidates, sc.materialized = 0, 0, 0
 }
 
 // truncate empties a scratch buffer, clearing the elements it held.
@@ -502,6 +512,9 @@ func (e *Engine) runInsert(d graph.Edge, sc *insertScratch) {
 	if sc.candidates > 0 {
 		e.stats.JoinCandidates.Add(sc.candidates)
 	}
+	if sc.materialized > 0 {
+		e.stats.JoinMaterialized.Add(sc.materialized)
+	}
 }
 
 // probeParent is the INSERT probe: a stored prefix m of sc.qe's
@@ -519,35 +532,28 @@ func (sc *insertScratch) probeParent(h explist.Handle, m *match.Match) bool {
 	return true
 }
 
-// joinStoredLeft joins the stored LEFT side of level sc.j with the
-// delta row sc.dp, collecting compatible merges in sc.pairs.
-func (sc *insertScratch) joinStoredLeft(lh explist.Handle, left *match.Match) bool {
+// joinStored joins the delta row sc.dp with a stored candidate of
+// level sc.pj, given by its raw path: the compiled checks read the path
+// where it is stored, and only a pair that joins is built into a match,
+// the delta row's bindings with the path's bound on top, and collected
+// in sc.pairs.
+func (sc *insertScratch) joinStored(h explist.Handle, path []graph.Edge) bool {
 	sc.scanned++
-	if !sc.j.sharedEqual(left, sc.dp.m) {
+	if !sc.pj.sharedOK(path, &sc.row) {
 		return true
 	}
 	sc.candidates++
-	if sc.j.compatibleTail(left, sc.dp.m) {
-		nm := sc.cloneMatch(left)
-		nm.MergeInPlace(sc.dp.m)
-		sc.pairs = append(sc.pairs, joined{lh: lh, rh: sc.dp.h, m: nm})
-	}
-	return true
-}
-
-// joinStoredRight joins the delta row sc.dp with the stored RIGHT side
-// of level sc.j, collecting compatible merges in sc.pairs.
-func (sc *insertScratch) joinStoredRight(rh explist.Handle, right *match.Match) bool {
-	sc.scanned++
-	if !sc.j.sharedEqual(sc.dp.m, right) {
+	if !sc.pj.tailOK(path, &sc.row) {
 		return true
 	}
-	sc.candidates++
-	if sc.j.compatibleTail(sc.dp.m, right) {
-		nm := sc.cloneMatch(sc.dp.m)
-		nm.MergeInPlace(right)
-		sc.pairs = append(sc.pairs, joined{lh: sc.dp.h, rh: rh, m: nm})
+	sc.materialized++
+	nm := sc.cloneMatch(sc.dp.m)
+	sc.pj.order.Bind(sc.e.q, nm, path)
+	p := joined{lh: sc.dp.h, rh: h, m: nm}
+	if sc.storedLeft {
+		p.lh, p.rh = h, sc.dp.h
 	}
+	sc.pairs = append(sc.pairs, p)
 	return true
 }
 
@@ -562,14 +568,13 @@ type joined struct {
 // cascade joins fresh complete matches of subquery s into the global
 // list and onward through Q^{s+1}..Q^k (Algorithm 1 lines 11-24),
 // stopping at the first level that yields nothing. Each delta row
-// probes the stored side by its shared-binding fingerprint, so only
-// stored matches agreeing on the join's shared vertices are ever
-// materialized; compatibility's remaining checks run per candidate with
-// the precomputed per-level join metadata. Each level's output lands in
-// the scratch ping-pong buffer the previous level did not use. The
-// caller retains ownership of delta's matches; every intermediate match
-// cascade allocates is recycled, and the final results are handed to
-// emit.
+// probes the stored side by its shared-binding fingerprint, and every
+// candidate is checked on its raw path with the level's join compiled
+// for that side, so only a pair that joins is built into a match. Each
+// level's output lands in the scratch ping-pong buffer the previous
+// level did not use. The caller retains ownership of delta's matches;
+// every intermediate match cascade allocates is recycled, and the
+// final results are handed to emit.
 func (e *Engine) cascade(s int, delta []pair, sc *insertScratch) {
 	deltaG := delta
 	// For s > 1 the first level is join s, where the new Q^s matches
@@ -578,16 +583,21 @@ func (e *Engine) cascade(s int, delta []pair, sc *insertScratch) {
 	// deltaG with stored Ω(Q^x) — the stored side is the RIGHT side.
 	first := max(s, 2)
 	for x := first; x <= e.K() && len(deltaG) > 0; x++ {
-		left := x == s
-		sc.j = &e.joins[x]
+		j := &e.joins[x]
+		sc.storedLeft = x == s
+		sc.pj = &j.storedRight
+		if sc.storedLeft {
+			sc.pj = &j.storedLeft
+		}
 		sc.pairs = truncate(sc.pairs)
 		for _, d := range deltaG {
 			sc.dp = d
-			fp := explist.JoinFingerprint(d.m, sc.j.shared)
-			if left {
-				e.eachGlobalCandidate(s-1, fp, &sc.ex, sc.joinLeft)
+			sc.pj.load(&sc.row, d.m)
+			fp := explist.JoinFingerprint(d.m, j.shared)
+			if sc.storedLeft {
+				e.eachGlobalCandidate(s-1, fp, &sc.ex, sc.join)
 			} else {
-				e.subs[x-1].EachJoinCandidate(fp, &sc.ex, sc.joinRight)
+				e.subs[x-1].EachJoinCandidate(fp, &sc.ex, sc.join)
 			}
 		}
 
@@ -613,9 +623,10 @@ func (e *Engine) insertJoined(lvl int, pairs []joined, out []pair) []pair {
 	return out
 }
 
-// eachGlobalCandidate iterates the stored matches of global item lvl
-// whose shared-binding fingerprint equals fp, resolving the L₀¹ alias.
-func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, ex *explist.Scratch, fn func(explist.Handle, *match.Match) bool) {
+// eachGlobalCandidate iterates the raw paths of the stored matches of
+// global item lvl whose shared-binding fingerprint equals fp, resolving
+// the L₀¹ alias.
+func (e *Engine) eachGlobalCandidate(lvl int, fp uint64, ex *explist.Scratch, fn func(explist.Handle, []graph.Edge) bool) {
 	if lvl == 1 {
 		e.subs[0].EachJoinCandidate(fp, ex, fn)
 		return

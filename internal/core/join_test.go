@@ -9,6 +9,57 @@ import (
 	"timingsubg/internal/query"
 )
 
+// compatible is the reference the compiled pathJoin checks are tested
+// against: levelJoin's metadata applied to two materialized matches. It
+// is equivalent to left.Compatible(q, right) for matches with the
+// expected bound-edge masks (TestLevelJoinMatchesGeneric).
+func (j *levelJoin) compatible(left, right *match.Match) bool {
+	return j.sharedEqual(left, right) && j.compatibleTail(left, right)
+}
+
+// sharedEqual checks only the shared-vertex binding agreement.
+func (j *levelJoin) sharedEqual(left, right *match.Match) bool {
+	for _, v := range j.shared {
+		if left.Vtx[v] != right.Vtx[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// compatibleTail applies the remaining checks after sharedEqual:
+// injectivity of newly bound vertices, cross timing constraints and
+// (when structurally possible) data-edge reuse.
+func (j *levelJoin) compatibleTail(left, right *match.Match) bool {
+	for _, v := range j.newV {
+		rv := right.Vtx[v]
+		for _, lv := range j.leftV {
+			if left.Vtx[lv] == rv {
+				return false
+			}
+		}
+	}
+	for _, c := range j.cross {
+		lt := left.Edges[c.l].Time
+		rt := right.Edges[c.r].Time
+		if c.leftFirst {
+			if lt >= rt {
+				return false
+			}
+		} else if rt >= lt {
+			return false
+		}
+	}
+	if j.dupCheck {
+		for e := range right.Edges {
+			if right.Edges[e].ID != match.NoEdge && left.HasDataEdge(right.Edges[e].ID) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // runningExample builds the paper's running-example query (Fig. 5),
 // which decomposes into three TC-subqueries.
 func runningExample(t *testing.T) *query.Query {

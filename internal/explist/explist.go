@@ -54,11 +54,15 @@ type SubList interface {
 	// (callers re-check the binding either way). Scratch semantics
 	// match Each.
 	EachCandidate(lvl int, v graph.VertexID, sc *Scratch, fn func(h Handle, m *match.Match) bool)
-	// EachJoinCandidate calls fn with each stored match of the LAST item
-	// whose shared-binding fingerprint (JoinFingerprint over the shared
-	// vertex set installed by SetJoinKey) equals fp. Backend semantics
-	// and scratch rules are as in EachCandidate.
-	EachJoinCandidate(fp uint64, sc *Scratch, fn func(h Handle, m *match.Match) bool)
+	// EachJoinCandidate calls fn with the raw path of each stored match
+	// of the LAST item whose shared-binding fingerprint (JoinFingerprint
+	// over the shared vertex set installed by SetJoinKey) equals fp: its
+	// data edges in sequence order, endpoint labels unspecified (see
+	// PathOrder). The MS-tree backend reads each path into sc in one
+	// walk up the tree and binds no match; the independent backend scans
+	// the item and reads each path from its stored copy. The path is
+	// scratch reused across iterations.
+	EachJoinCandidate(fp uint64, sc *Scratch, fn func(h Handle, path []graph.Edge) bool)
 	// SetJoinKey installs the shared query-vertex set of the global join
 	// this sub-list's complete matches feed, enabling the last item's
 	// fingerprint index. Must be called before any insert; the
@@ -104,12 +108,13 @@ type GlobalList interface {
 	// Each calls fn with each stored match of item lvl (≥ 2). The match
 	// is scratch reused across iterations; Clone to retain.
 	Each(lvl int, fn func(h Handle, m *match.Match) bool)
-	// EachCandidate calls fn with each stored match of item lvl whose
-	// shared-binding fingerprint for join level lvl+1 (the shared sets
-	// installed by SetJoinKeys) equals fp. The MS-tree backend indexes
-	// and materializes into sc; the independent backend scans and
-	// ignores sc. Scratch semantics match Each.
-	EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(h Handle, m *match.Match) bool)
+	// EachCandidate calls fn with the raw path of each stored match of
+	// item lvl whose shared-binding fingerprint for join level lvl+1 (the
+	// shared sets installed by SetJoinKeys) equals fp: the sub-paths of
+	// Q¹..Q^lvl concatenated in decomposition order (GlobalPath), endpoint
+	// labels unspecified. Backend semantics and scratch rules are as in
+	// SubList.EachJoinCandidate.
+	EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(h Handle, path []graph.Edge) bool)
 	// SetJoinKeys installs the per-join shared query-vertex sets:
 	// sharedByJoin[x] is the shared set of global join level x (2..k).
 	// Item lvl (2 ≤ lvl < k) is then indexed by the fingerprint of
@@ -184,10 +189,11 @@ func JoinFingerprint(m *match.Match, shared []query.VertexID) uint64 {
 // MS-tree backend
 // ---------------------------------------------------------------------
 
-// Scratch is the materialization buffer a candidate enumeration
-// rebuilds each visited match into. The caller owns it: one scratch
-// serves a whole insert, so steady-state probes allocate nothing. The
-// zero value is ready to use; its match is allocated on first use.
+// Scratch is the buffer a candidate enumeration reads each visited
+// match into: a raw path for the join enumerators, a materialized match
+// for EachCandidate. The caller owns it: one scratch serves a whole
+// insert, so steady-state probes allocate nothing. The zero value is
+// ready to use; its match is allocated on first use.
 type Scratch struct {
 	m    *match.Match
 	ebuf []graph.Edge
@@ -201,15 +207,80 @@ func (sc *Scratch) match(q *query.Query) *match.Match {
 	return sc.m
 }
 
+// path returns sc's edge buffer at length n.
+func (sc *Scratch) path(n int) []graph.Edge {
+	if cap(sc.ebuf) < n {
+		sc.ebuf = make([]graph.Edge, n)
+	}
+	return sc.ebuf[:n]
+}
+
+// ---------------------------------------------------------------------
+// Raw paths
+// ---------------------------------------------------------------------
+
+// PathOrder names the query edge that each position of a raw path is
+// bound to. A raw path is a stored match as the MS-tree keeps it: its
+// data edges in storage order, without endpoint labels (the tree does
+// not store them, because the query edge fixes them). A sub-list's
+// paths follow its timing sequence and a global item's follow
+// GlobalPath; a shorter path (an interior item) binds a prefix of the
+// order.
+type PathOrder struct {
+	// Edges[i] is the query edge bound by path position i.
+	Edges []query.EdgeID
+	// labels[i] is the endpoint labels of Edges[i].
+	labels [][2]graph.Label
+}
+
+// NewPathOrder returns the path order binding position i to edges[i].
+func NewPathOrder(q *query.Query, edges []query.EdgeID) PathOrder {
+	o := PathOrder{Edges: edges, labels: make([][2]graph.Label, len(edges))}
+	for i, qe := range edges {
+		e := q.Edge(qe)
+		o.labels[i] = [2]graph.Label{q.VertexLabel(e.From), q.VertexLabel(e.To)}
+	}
+	return o
+}
+
+// Bind binds every edge of path into m at its position's query edge,
+// restoring the endpoint labels from the query.
+func (o *PathOrder) Bind(q *query.Query, m *match.Match, path []graph.Edge) {
+	for i, d := range path {
+		d.FromLabel, d.ToLabel = o.labels[i][0], o.labels[i][1]
+		m.Bind(q, o.Edges[i], d)
+	}
+}
+
+// GlobalPath returns the path order of global item lvl's raw paths: the
+// timing sequences of Q¹..Q^lvl concatenated in decomposition order.
+// Item 1 is L₀¹, sub-list 1's last item.
+func GlobalPath(dec *query.Decomposition, lvl int) []query.EdgeID {
+	var edges []query.EdgeID
+	for _, sub := range dec.Subqueries[:lvl] {
+		edges = append(edges, sub.Seq...)
+	}
+	return edges
+}
+
+// pathEnds returns, for each global item lvl (0..k), the length of its
+// raw path: the offset at which Q^(lvl+1)'s sub-path starts.
+func pathEnds(dec *query.Decomposition) []int {
+	ends := make([]int, dec.K()+1)
+	for x, sub := range dec.Subqueries {
+		ends[x+1] = ends[x] + sub.Len()
+	}
+	return ends
+}
+
 // TreeSubList is the MS-tree backed SubList.
 type TreeSubList struct {
 	q    *query.Query
 	sub  *query.TCSubquery
 	tree *mstree.Tree
-	// labels[pos] holds the endpoint labels of sequence position pos+1's
-	// query edge: the labels of every data edge stored at level pos+1,
-	// which the tree does not store.
-	labels [][2]graph.Label
+	// order binds the tree's paths, restoring the endpoint labels the
+	// tree does not store.
+	order PathOrder
 }
 
 // NewTreeSubList returns an MS-tree backed expansion list for sub, with
@@ -217,11 +288,7 @@ type TreeSubList struct {
 // vertex: item ℓ < |Qi| is only ever probed by an insert at position
 // ℓ+1, whose data edge pins that binding to one of its endpoints.
 func NewTreeSubList(q *query.Query, sub *query.TCSubquery) *TreeSubList {
-	l := &TreeSubList{q: q, sub: sub, tree: mstree.New(sub.Len())}
-	for _, qe := range sub.Seq {
-		e := q.Edge(qe)
-		l.labels = append(l.labels, [2]graph.Label{q.VertexLabel(e.From), q.VertexLabel(e.To)})
-	}
+	l := &TreeSubList{q: q, sub: sub, tree: mstree.New(sub.Len()), order: NewPathOrder(q, sub.Seq)}
 	for lvl := 1; lvl < sub.Len(); lvl++ {
 		cv, _, ok := sub.ConnectingVertex(q, lvl+1)
 		if !ok {
@@ -290,7 +357,7 @@ func (l *TreeSubList) Count(lvl int) int { return l.tree.Count(lvl) }
 func (l *TreeSubList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 	var sc Scratch
 	l.tree.Each(lvl, func(s mstree.Slot) bool {
-		sc.ebuf = l.fill(sc.match(l.q), lvl, s, sc.ebuf)
+		l.fill(sc.match(l.q), lvl, s, &sc)
 		return fn(s, sc.m)
 	})
 }
@@ -299,47 +366,36 @@ func (l *TreeSubList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 // item's connecting-vertex buckets; only genuine candidates are
 // materialized.
 func (l *TreeSubList) EachCandidate(lvl int, v graph.VertexID, sc *Scratch, fn func(Handle, *match.Match) bool) {
-	l.eachCandidateKey(lvl, uint64(v), sc, fn)
+	l.tree.EachCandidate(lvl, uint64(v), func(s mstree.Slot) bool {
+		l.fill(sc.match(l.q), lvl, s, sc)
+		return fn(s, sc.m)
+	})
 }
 
 // EachJoinCandidate implements SubList: a fingerprint lookup on the
-// last item.
-func (l *TreeSubList) EachJoinCandidate(fp uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
-	l.eachCandidateKey(l.sub.Len(), fp, sc, fn)
-}
-
-func (l *TreeSubList) eachCandidateKey(lvl int, key uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
-	l.tree.EachCandidate(lvl, key, func(s mstree.Slot) bool {
-		sc.ebuf = l.fill(sc.match(l.q), lvl, s, sc.ebuf)
-		return fn(s, sc.m)
+// last item, each candidate's path read up the tree.
+func (l *TreeSubList) EachJoinCandidate(fp uint64, sc *Scratch, fn func(Handle, []graph.Edge) bool) {
+	last := l.sub.Len()
+	path := sc.path(last)
+	l.tree.EachCandidate(last, fp, func(s mstree.Slot) bool {
+		l.tree.PathEdges(last, s, path)
+		return fn(s, path)
 	})
 }
 
 // Materialize implements SubList.
 func (l *TreeSubList) Materialize(lvl int, h Handle) *match.Match {
 	m := match.New(l.q)
-	l.fill(m, lvl, h, nil)
+	l.fill(m, lvl, h, new(Scratch))
 	return m
 }
 
-// fill rebuilds into m the partial match stored at slot s of item lvl,
-// reusing ebuf; it returns the (possibly grown) buffer.
-func (l *TreeSubList) fill(m *match.Match, lvl int, s mstree.Slot, ebuf []graph.Edge) []graph.Edge {
+// fill rebuilds into m the partial match stored at slot s of item lvl
+// by backtracking its path into sc.
+func (l *TreeSubList) fill(m *match.Match, lvl int, s mstree.Slot, sc *Scratch) {
+	path := l.tree.PathEdges(lvl, s, sc.path(lvl))
 	m.Reset()
-	return l.bindPath(m, lvl, s, ebuf)
-}
-
-// bindPath binds into m the partial match stored at slot s of item lvl
-// by backtracking its path, restoring each edge's endpoint labels from
-// its query edge. It reuses ebuf and returns the (possibly grown)
-// buffer.
-func (l *TreeSubList) bindPath(m *match.Match, lvl int, s mstree.Slot, ebuf []graph.Edge) []graph.Edge {
-	ebuf = l.tree.PathEdges(lvl, s, ebuf)
-	for pos, d := range ebuf {
-		d.FromLabel, d.ToLabel = l.labels[pos][0], l.labels[pos][1]
-		m.Bind(l.q, l.sub.Seq[pos], d)
-	}
-	return ebuf
+	l.order.Bind(l.q, m, path)
 }
 
 // Insert implements SubList.
@@ -376,12 +432,17 @@ type TreeGlobalList struct {
 	dec  *query.Decomposition
 	subs []*TreeSubList
 	tree *mstree.Tree
+	// order binds item k's raw paths, and a prefix of it item lvl's;
+	// ends[lvl] is item lvl's path length.
+	order PathOrder
+	ends  []int
 }
 
 // NewTreeGlobalList returns an MS-tree backed L₀ for the decomposition
 // over its sub-lists, subs[x-1] storing Q^x.
 func NewTreeGlobalList(q *query.Query, dec *query.Decomposition, subs []*TreeSubList) *TreeGlobalList {
-	return &TreeGlobalList{q: q, dec: dec, subs: subs, tree: mstree.NewGlobal(dec.K(), subs[0].tree)}
+	return &TreeGlobalList{q: q, dec: dec, subs: subs, tree: mstree.NewGlobal(dec.K(), subs[0].tree),
+		order: NewPathOrder(q, GlobalPath(dec, dec.K())), ends: pathEnds(dec)}
 }
 
 // SetJoinKeys implements GlobalList: item lvl (2 ≤ lvl < k) is indexed
@@ -456,40 +517,49 @@ func (g *TreeGlobalList) Count(lvl int) int { return g.tree.Count(lvl) }
 func (g *TreeGlobalList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 	var sc Scratch
 	g.tree.Each(lvl, func(s mstree.Slot) bool {
-		sc.ebuf = g.fill(sc.match(g.q), lvl, s, sc.ebuf)
+		g.fill(sc.match(g.q), lvl, s, &sc)
 		return fn(s, sc.m)
 	})
 }
 
 // EachCandidate implements GlobalList: a fingerprint lookup on item
-// lvl's shared-binding buckets.
-func (g *TreeGlobalList) EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(Handle, *match.Match) bool) {
+// lvl's shared-binding buckets, each candidate's path read through the
+// sub-trees it references.
+func (g *TreeGlobalList) EachCandidate(lvl int, fp uint64, sc *Scratch, fn func(Handle, []graph.Edge) bool) {
+	path := sc.path(g.ends[lvl])
 	g.tree.EachCandidate(lvl, fp, func(s mstree.Slot) bool {
-		sc.ebuf = g.fill(sc.match(g.q), lvl, s, sc.ebuf)
-		return fn(s, sc.m)
+		g.readPath(lvl, s, path)
+		return fn(s, path)
 	})
 }
 
 // Materialize implements GlobalList.
 func (g *TreeGlobalList) Materialize(lvl int, h Handle) *match.Match {
 	m := match.New(g.q)
-	g.fill(m, lvl, h, nil)
+	g.fill(m, lvl, h, new(Scratch))
 	return m
 }
 
-// fill rebuilds the combined match for the global node at slot s of
-// item lvl: walk global parents down to item 2, whose parent is a leaf
-// of the first sub-list's tree, binding each referenced submatch's path
-// along the way.
-func (g *TreeGlobalList) fill(m *match.Match, lvl int, s mstree.Slot, ebuf []graph.Edge) []graph.Edge {
+// fill rebuilds into m the combined match for the global node at slot s
+// of item lvl, reading its path into sc.
+func (g *TreeGlobalList) fill(m *match.Match, lvl int, s mstree.Slot, sc *Scratch) {
+	path := sc.path(g.ends[lvl])
+	g.readPath(lvl, s, path)
 	m.Reset()
+	g.order.Bind(g.q, m, path)
+}
+
+// readPath reads the raw path of the global node at slot s of item lvl
+// into path (of length ends[lvl]): walk global parents down to item 2,
+// whose parent is a leaf of the first sub-list's tree, reading each
+// referenced submatch's path into its place along the way.
+func (g *TreeGlobalList) readPath(lvl int, s mstree.Slot, path []graph.Edge) {
 	for ; lvl >= 2; lvl-- {
 		sl := g.subs[lvl-1]
-		ebuf = sl.bindPath(m, sl.Depth(), g.tree.Sub(lvl, s), ebuf)
+		sl.tree.PathEdges(sl.Depth(), g.tree.Sub(lvl, s), path[g.ends[lvl-1]:g.ends[lvl]])
 		s = g.tree.Parent(lvl, s)
 	}
-	sl := g.subs[0]
-	return sl.bindPath(m, sl.Depth(), s, ebuf)
+	g.subs[0].tree.PathEdges(g.subs[0].Depth(), s, path[:g.ends[1]])
 }
 
 // Insert implements GlobalList.

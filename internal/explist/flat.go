@@ -82,6 +82,21 @@ func (t *flatTable) each(it *flatItem, fn func(h Handle, m *match.Match) bool) {
 	}
 }
 
+// eachPath calls fn with the raw path of every entry of it: its data
+// edges bound to the query edges of order, position by position.
+func (t *flatTable) eachPath(it *flatItem, order []query.EdgeID, sc *Scratch, fn func(h Handle, path []graph.Edge) bool) {
+	path := sc.path(len(order))
+	for h := it.head; h != NoHandle; h = t.entries[h].next {
+		m := t.entries[h].m
+		for i, qe := range order {
+			path[i] = m.Edges[qe]
+		}
+		if !fn(h, path) {
+			return
+		}
+	}
+}
+
 // deleteWhere removes every entry of it that dies reports dead,
 // appending the casualties to dst.
 func (t *flatTable) deleteWhere(it *flatItem, dies func(*flatEntry) bool, dst []Handle) []Handle {
@@ -155,9 +170,10 @@ func (l *FlatSubList) EachCandidate(lvl int, _ graph.VertexID, _ *Scratch, fn fu
 	l.table.each(&l.items[lvl-1], fn)
 }
 
-// EachJoinCandidate implements SubList: a scan of the last item.
-func (l *FlatSubList) EachJoinCandidate(_ uint64, _ *Scratch, fn func(Handle, *match.Match) bool) {
-	l.table.each(&l.items[len(l.items)-1], fn)
+// EachJoinCandidate implements SubList: a scan of the last item, each
+// path read from its stored copy.
+func (l *FlatSubList) EachJoinCandidate(_ uint64, sc *Scratch, fn func(Handle, []graph.Edge) bool) {
+	l.table.eachPath(&l.items[len(l.items)-1], l.sub.Seq, sc, fn)
 }
 
 // SetJoinKey implements SubList as a no-op: the scan backend has no
@@ -206,12 +222,17 @@ type FlatGlobalList struct {
 	subs  []*FlatSubList
 	table flatTable
 	items []flatItem // index 0 unused; items 2..k at [1..k-1]
+	// order is item k's path order, and a prefix of it item lvl's;
+	// ends[lvl] is item lvl's path length.
+	order []query.EdgeID
+	ends  []int
 }
 
 // NewFlatGlobalList returns an independent-storage L₀ over the
 // decomposition's sub-lists, subs[x-1] storing Q^x.
 func NewFlatGlobalList(q *query.Query, dec *query.Decomposition, subs []*FlatSubList) *FlatGlobalList {
-	return &FlatGlobalList{q: q, dec: dec, subs: subs, items: make([]flatItem, dec.K())}
+	return &FlatGlobalList{q: q, dec: dec, subs: subs, items: make([]flatItem, dec.K()),
+		order: GlobalPath(dec, dec.K()), ends: pathEnds(dec)}
 }
 
 // K implements GlobalList.
@@ -225,9 +246,10 @@ func (g *FlatGlobalList) Each(lvl int, fn func(Handle, *match.Match) bool) {
 	g.table.each(&g.items[lvl-1], fn)
 }
 
-// EachCandidate implements GlobalList: a scan (Timing-IND semantics).
-func (g *FlatGlobalList) EachCandidate(lvl int, _ uint64, _ *Scratch, fn func(Handle, *match.Match) bool) {
-	g.table.each(&g.items[lvl-1], fn)
+// EachCandidate implements GlobalList: a scan (Timing-IND semantics),
+// each path read from its stored copy.
+func (g *FlatGlobalList) EachCandidate(lvl int, _ uint64, sc *Scratch, fn func(Handle, []graph.Edge) bool) {
+	g.table.eachPath(&g.items[lvl-1], g.order[:g.ends[lvl]], sc, fn)
 }
 
 // SetJoinKeys implements GlobalList as a no-op.

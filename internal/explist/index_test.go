@@ -90,9 +90,15 @@ func TestTreeJoinFingerprintAgreement(t *testing.T) {
 	full := l.Materialize(3, h3)
 	fp := JoinFingerprint(full, shared)
 	found := 0
-	l.EachJoinCandidate(fp, new(Scratch), func(h Handle, m *match.Match) bool {
+	l.EachJoinCandidate(fp, new(Scratch), func(h Handle, path []graph.Edge) bool {
 		if h == h3 {
 			found++
+			// The raw path is the stored edges in sequence order.
+			for i, d := range path {
+				if d.ID != graph.EdgeID(i+1) || d.From != graph.VertexID(10*(i+1)) {
+					t.Errorf("path position %d holds edge %d from %d", i, d.ID, d.From)
+				}
+			}
 		}
 		return true
 	})
@@ -103,7 +109,7 @@ func TestTreeJoinFingerprintAgreement(t *testing.T) {
 	// omits checking: an unrelated fingerprint returns nothing.
 	if fp2 := JoinFingerprint(full, []query.VertexID{0, 2}); fp2 != fp {
 		none := 0
-		l.EachJoinCandidate(fp2, new(Scratch), func(Handle, *match.Match) bool { none++; return true })
+		l.EachJoinCandidate(fp2, new(Scratch), func(Handle, []graph.Edge) bool { none++; return true })
 		if none != 0 {
 			t.Fatalf("unrelated fingerprint matched %d stored entries", none)
 		}

@@ -12,7 +12,7 @@
 // Each level stores its nodes in a slab of fixed-size, pointer-free
 // structs, and a node is named by its Slot, an index into its level's
 // slab; slot 0 is NoSlot. Every link is a Slot, so the garbage collector
-// never scans tree state: slabs and index maps hold no pointer.
+// never scans tree state: slabs and index tables hold no pointer.
 //
 //   - Every slot has a 40 B node: its parent; its level-list, child-list
 //     and sibling links; its join-bucket links and join key. Its level
@@ -22,6 +22,9 @@
 //     are not stored: the query edge at the node's level fixes them.
 //   - A global slot adds a 12 B sub payload: the slot of its submatch
 //     leaf and its dependency-bucket links, 52 B in all.
+//   - A level's join index is an open-addressed table of 16 B entries,
+//     a key and its bucket's ends; a global level's dependency index is
+//     a slice of 8 B buckets indexed by the submatch leaf's slot.
 //
 // Cross-tree references resolve by level. A global node at level x
 // references a leaf of sub-list x's tree, and a global level-2 node's

@@ -27,88 +27,20 @@ type level struct {
 	// head and tail end the level list; free heads the free list.
 	head, tail, free Slot
 	count            int
-	// depIdx maps a submatch leaf's slot to this level's live nodes
-	// that reference it (global trees only). Every death path unlinks
-	// the node from its bucket, so it stays live-only.
-	depIdx index[Slot]
+	// depIdx buckets this level's live nodes by the submatch leaf they
+	// reference (global trees only). Every death path unlinks the node
+	// from its bucket, so it stays live-only.
+	depIdx depIndex
 	// joinIdx buckets this level's live nodes by join key — the binding
 	// of the level's connecting query vertex (sub-trees) or the
 	// shared-binding fingerprint of the level's join (last items and
 	// global levels). It makes the INSERT probe O(candidates) instead of
 	// O(level). Unused until SetLevelKey installs keyOf; cleaned as
 	// nodes die.
-	joinIdx index[uint64]
+	joinIdx joinTable
 	// keyOf computes a node's join key from its payload and its
 	// ancestors' (parent/sub chains); set once before any insert.
 	keyOf func(Slot) uint64
-}
-
-// Which link of a slot chains an index's buckets.
-const (
-	keyLink = iota // node.key: joinIdx
-	depLink        // subSlot.dep: depIdx
-)
-
-// link returns slot s's link for index links (keyLink or depLink).
-func (lv *level) link(links int, s Slot) *link {
-	if links == keyLink {
-		return &lv.nodes[s].key
-	}
-	return &lv.subs[s].dep
-}
-
-// bucket is one index key's node list, threaded through the nodes' own
-// links and appended at the tail, so iteration is insertion order.
-type bucket struct{ head, tail Slot }
-
-// index maps each key to the intrusive list of the level's live nodes
-// under it. Adding or removing a node allocates nothing beyond the map
-// entry of a new key.
-type index[K comparable] struct {
-	buckets map[K]bucket
-	links   int // keyLink or depLink
-}
-
-// add appends s to k's bucket.
-func (ix *index[K]) add(lv *level, k K, s Slot) {
-	b, ok := ix.buckets[k]
-	if !ok {
-		ix.buckets[k] = bucket{s, s}
-		return
-	}
-	lv.link(ix.links, b.tail).next = s
-	lv.link(ix.links, s).prev = b.tail
-	b.tail = s
-	ix.buckets[k] = b
-}
-
-// remove unlinks s from k's bucket, deleting the key when the bucket
-// empties. An interior node leaves the bucket's ends unchanged, so only
-// a node at either end touches the map.
-func (ix *index[K]) remove(lv *level, k K, s Slot) {
-	l := lv.link(ix.links, s)
-	if l.prev != NoSlot && l.next != NoSlot {
-		lv.link(ix.links, l.prev).next = l.next
-		lv.link(ix.links, l.next).prev = l.prev
-	} else {
-		b := ix.buckets[k]
-		if l.prev != NoSlot {
-			lv.link(ix.links, l.prev).next = l.next
-		} else {
-			b.head = l.next
-		}
-		if l.next != NoSlot {
-			lv.link(ix.links, l.next).prev = l.prev
-		} else {
-			b.tail = l.prev
-		}
-		if b.head == NoSlot {
-			delete(ix.buckets, k)
-		} else {
-			ix.buckets[k] = b
-		}
-	}
-	*l = link{}
 }
 
 // New returns a sub-tree with the given number of levels (≥ 1).
@@ -120,11 +52,7 @@ func New(depth int) *Tree {
 // (≥ 2) over sub-list 1's tree first. Its level 1 stays empty: L₀¹ is
 // first's last level.
 func NewGlobal(depth int, first *Tree) *Tree {
-	t := &Tree{levels: make([]level, depth), first: first}
-	for i := range t.levels {
-		t.levels[i].depIdx = index[Slot]{buckets: make(map[Slot]bucket), links: depLink}
-	}
-	return t
+	return &Tree{levels: make([]level, depth), first: first}
 }
 
 // Depth returns the number of levels.
@@ -136,9 +64,7 @@ func (t *Tree) Depth() int { return len(t.levels) }
 // handed the new node's slot once its payload and parent are set; it
 // may read them and its ancestors' through Parent, Edge and Sub.
 func (t *Tree) SetLevelKey(lvl int, keyOf func(Slot) uint64) {
-	lv := &t.levels[lvl-1]
-	lv.keyOf = keyOf
-	lv.joinIdx = index[uint64]{buckets: make(map[uint64]bucket), links: keyLink}
+	t.levels[lvl-1].keyOf = keyOf
 }
 
 // Count returns the number of live nodes (= partial matches) at level
@@ -179,9 +105,11 @@ func (t *Tree) PathEdges(lvl int, s Slot, buf []graph.Edge) []graph.Edge {
 		buf = make([]graph.Edge, lvl)
 	}
 	buf = buf[:lvl]
-	for ; lvl >= 1; lvl-- {
-		buf[lvl-1] = t.Edge(lvl, s)
-		s = t.Parent(lvl, s)
+	for i := lvl - 1; i >= 0; i-- {
+		lv := &t.levels[i]
+		e := &lv.edges[s]
+		buf[i] = graph.Edge{ID: e.id, From: e.from, To: e.to, EdgeLabel: e.label, Time: e.time}
+		s = lv.nodes[s].parent
 	}
 	return buf
 }
@@ -247,7 +175,7 @@ func (t *Tree) InsertSub(lvl int, parent, sub Slot) Slot {
 	s := lv.alloc()
 	lv.subs = put(lv.subs, s, subSlot{sub: sub})
 	t.attach(lvl, s, parent)
-	lv.depIdx.add(lv, sub, s)
+	lv.addDep(sub, s)
 	return s
 }
 
@@ -276,7 +204,7 @@ func (t *Tree) attach(lvl int, s, parent Slot) {
 	if lv.keyOf != nil {
 		k := lv.keyOf(s)
 		lv.nodes[s].joinKey = k
-		lv.joinIdx.add(lv, k, s)
+		lv.addKey(k, s)
 	}
 	if parent != NoSlot {
 		p := &t.parentLevel(lvl).nodes[parent]
@@ -310,18 +238,18 @@ func (t *Tree) EachCandidate(lvl int, key uint64, fn func(Slot) bool) {
 	}
 	// Single-bucket fast path: when every live node shares one join key
 	// (selectivity ≈ 1, NetworkFlow-shaped bindings) the lone bucket IS
-	// the level, and the map probe's hashing is pure overhead — serve
-	// the contiguous level list instead. See DESIGN.md §15 for the
+	// the level, and the table probe is pure overhead — serve the
+	// contiguous level list instead. See DESIGN.md §15 for the
 	// crossover this pins (BenchmarkInsertIngest had indexed at 0.95×
 	// scan on NetworkFlow before this path).
-	if len(lv.joinIdx.buckets) == 1 {
+	if lv.joinIdx.live == 1 {
 		if lv.head != NoSlot && lv.nodes[lv.head].joinKey != key {
 			return // the one key present is not the probe's key
 		}
 		t.Each(lvl, fn)
 		return
 	}
-	for s := lv.joinIdx.buckets[key].head; s != NoSlot; s = lv.nodes[s].key.next {
+	for s := lv.joinIdx.lookup(key); s != NoSlot; s = lv.nodes[s].key.next {
 		if !fn(s) {
 			return
 		}
@@ -342,7 +270,7 @@ func (t *Tree) DeleteLevel(lvl int, parents, deadSubs, dst []Slot) []Slot {
 		for c := pl.nodes[p].firstChild; c != NoSlot; c = lv.nodes[c].nextSib {
 			lv.kill(c)
 			if t.first != nil {
-				lv.depIdx.remove(lv, lv.subs[c].sub, c)
+				lv.removeDep(lv.subs[c].sub, c)
 			}
 			dst = append(dst, c)
 		}
@@ -357,12 +285,7 @@ func (t *Tree) DeleteLevel(lvl int, parents, deadSubs, dst []Slot) []Slot {
 // removes every node on it, appending each to dst.
 func (t *Tree) killBucket(lvl int, sub Slot, dst []Slot) []Slot {
 	lv := &t.levels[lvl-1]
-	b, ok := lv.depIdx.buckets[sub]
-	if !ok {
-		return dst
-	}
-	delete(lv.depIdx.buckets, sub)
-	for s := b.head; s != NoSlot; {
+	for s := lv.takeDep(sub).head; s != NoSlot; {
 		next := lv.subs[s].dep.next
 		lv.subs[s].dep = link{}
 		t.unlinkSiblings(lvl, s)
@@ -424,7 +347,7 @@ func (lv *level) kill(s Slot) {
 		lv.tail = n.prevLvl
 	}
 	if lv.keyOf != nil {
-		lv.joinIdx.remove(lv, n.joinKey, s)
+		lv.removeKey(n.joinKey, s)
 	}
 	n.nextLvl, n.prevLvl = lv.free, NoSlot
 	lv.free = s
@@ -449,18 +372,17 @@ func (t *Tree) unlinkSiblings(lvl int, s Slot) {
 }
 
 // The sizes SpaceBytes and ReservedBytes count: a node, the two
-// payloads, and one index map entry of each index (a key plus its
-// bucket).
+// payloads, a join-table entry and a dependency bucket.
 const (
 	nodeBytes  = int64(unsafe.Sizeof(node{}))
 	edgeBytes  = int64(unsafe.Sizeof(edgeSlot{}))
 	subBytes   = int64(unsafe.Sizeof(subSlot{}))
-	joinEntryB = int64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(bucket{}))
-	depEntryB  = int64(unsafe.Sizeof(Slot(0)) + unsafe.Sizeof(bucket{}))
+	joinEntryB = int64(unsafe.Sizeof(joinEntry{}))
+	depEntryB  = int64(unsafe.Sizeof(bucket{}))
 )
 
-// SpaceBytes estimates resident size: live slots plus index map
-// entries.
+// SpaceBytes returns the resident size of t's live state: live slots,
+// live join-table entries and live dependency buckets.
 func (t *Tree) SpaceBytes() int64 {
 	slot := nodeBytes + edgeBytes
 	if t.first != nil {
@@ -469,20 +391,19 @@ func (t *Tree) SpaceBytes() int64 {
 	var b int64
 	for i := range t.levels {
 		lv := &t.levels[i]
-		b += int64(lv.count)*slot +
-			int64(len(lv.joinIdx.buckets))*joinEntryB +
-			int64(len(lv.depIdx.buckets))*depEntryB
+		b += int64(lv.count)*slot + int64(lv.joinIdx.live)*joinEntryB + int64(lv.depIdx.live)*depEntryB
 	}
 	return b
 }
 
-// ReservedBytes returns the capacity of t's slabs in bytes, live slots
-// or not: what the release policy keeps.
+// ReservedBytes returns the capacity of t's slabs and index tables in
+// bytes, live or not: what the release policy keeps.
 func (t *Tree) ReservedBytes() int64 {
 	var b int64
 	for i := range t.levels {
 		lv := &t.levels[i]
-		b += int64(cap(lv.nodes))*nodeBytes + int64(cap(lv.edges))*edgeBytes + int64(cap(lv.subs))*subBytes
+		b += int64(cap(lv.nodes))*nodeBytes + int64(cap(lv.edges))*edgeBytes + int64(cap(lv.subs))*subBytes +
+			int64(cap(lv.joinIdx.entries))*joinEntryB + int64(cap(lv.depIdx.buckets))*depEntryB
 	}
 	return b
 }

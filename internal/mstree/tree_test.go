@@ -151,8 +151,9 @@ func TestGlobalTreeSubIndex(t *testing.T) {
 // TestSpaceBytesTracksNodes pins the slot layout the package doc
 // states and SpaceBytes to it: live slots plus index entries.
 func TestSpaceBytesTracksNodes(t *testing.T) {
-	if nodeBytes != 40 || edgeBytes != 40 || subBytes != 12 {
-		t.Fatalf("node/edge/sub payloads are %d/%d/%d B, want 40/40/12", nodeBytes, edgeBytes, subBytes)
+	if nodeBytes != 40 || edgeBytes != 40 || subBytes != 12 || joinEntryB != 16 || depEntryB != 8 {
+		t.Fatalf("node/edge/sub payloads and join/dep entries are %d/%d/%d/%d/%d B, want 40/40/12/16/8",
+			nodeBytes, edgeBytes, subBytes, joinEntryB, depEntryB)
 	}
 	tr := New(2)
 	if tr.SpaceBytes() != 0 || tr.ReservedBytes() != 0 {
@@ -168,8 +169,8 @@ func TestSpaceBytesTracksNodes(t *testing.T) {
 	g := NewGlobal(2, tr)
 	g.SetLevelKey(2, func(Slot) uint64 { return 7 })
 	g.InsertSub(2, tr.InsertEdge(2, a, edge(3)), a)
-	// One 52 B global slot, one join-index and one dependency-index
-	// entry.
+	// One 52 B global slot, one 16 B join-table entry and one 8 B
+	// dependency bucket.
 	if got, want := g.SpaceBytes(), int64(52+joinEntryB+depEntryB); got != want {
 		t.Errorf("global SpaceBytes = %d, want %d", got, want)
 	}
@@ -193,9 +194,7 @@ func TestSlabsHoldNoPointers(t *testing.T) {
 		reflect.TypeOf(lv.nodes).Elem(),
 		reflect.TypeOf(lv.edges).Elem(),
 		reflect.TypeOf(lv.subs).Elem(),
-		reflect.TypeOf(lv.joinIdx.buckets).Key(),
-		reflect.TypeOf(lv.joinIdx.buckets).Elem(),
-		reflect.TypeOf(lv.depIdx.buckets).Key(),
+		reflect.TypeOf(lv.joinIdx.entries).Elem(),
 		reflect.TypeOf(lv.depIdx.buckets).Elem(),
 	}
 	var check func(path string, typ reflect.Type)

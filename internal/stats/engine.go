@@ -50,6 +50,11 @@ type Stats struct {
 	// restores, which do real work).
 	JoinScanned    int64 `json:"join_scanned,omitempty"`
 	JoinCandidates int64 `json:"join_candidates,omitempty"`
+	// JoinMaterialized counts the global cascade's join candidates built
+	// into a match: the cascade checks each candidate where it is stored
+	// and builds only the pairs that join. Process-local and
+	// accumulated like the two above.
+	JoinMaterialized int64 `json:"join_materialized,omitempty"`
 
 	// ExpiryBatches counts window slides processed through the batched
 	// expiry path — one delete transaction sweeping the slide's whole
@@ -181,6 +186,7 @@ var Counters = []Counter{
 	{Field: "LastTime"},
 	{Field: "JoinScanned", Prom: "join_scanned_total", Scopes: Query, Sum: true},
 	{Field: "JoinCandidates", Prom: "join_candidates_total", Scopes: Query, Sum: true},
+	{Field: "JoinMaterialized", Prom: "join_materialized_total", Scopes: Query, Sum: true},
 	{Field: "ExpiryBatches", Prom: "expiry_batches_total", Scopes: Query, Sum: true},
 	{Field: "ExpiryEvicted", Prom: "expiry_evicted_total", Scopes: Query, Sum: true},
 	{Field: "K"},

@@ -62,8 +62,9 @@ type single struct {
 	// Join-probe counter baselines: unlike matches, the joins an
 	// adaptive rebuild re-performs while re-feeding the window are real
 	// work, so totals are base + engine with no engine0 subtraction.
-	baseJoinScanned    atomic.Int64
-	baseJoinCandidates atomic.Int64
+	baseJoinScanned      atomic.Int64
+	baseJoinCandidates   atomic.Int64
+	baseJoinMaterialized atomic.Int64
 
 	// Expiry-plane baselines, accumulated like the join-probe ones
 	// (rebuild re-feeds never slide the window, so the fresh engine
@@ -263,6 +264,7 @@ func (en *single) rebuild(dec *Decomposition) {
 	en.baseDiscarded.Store(en.discarded())
 	en.baseJoinScanned.Add(en.eng.Stats().JoinScanned.Load())
 	en.baseJoinCandidates.Add(en.eng.Stats().JoinCandidates.Load())
+	en.baseJoinMaterialized.Add(en.eng.Stats().JoinMaterialized.Load())
 	en.baseExpiryBatches.Add(en.eng.Stats().ExpiryBatches.Load())
 	en.baseExpiryEvicted.Add(en.eng.Stats().ExpiryEvicted.Load())
 	en.eng = en.newCoreEngine(dec)
@@ -303,19 +305,20 @@ func sinceStart(t Timestamp) Timestamp {
 // WAL, replay, delivery and stage accounting.
 func (en *single) statsFast() Stats {
 	st := Stats{
-		Matches:         en.matches(),
-		Discarded:       en.discarded(),
-		Fed:             en.fed.Load(),
-		InWindow:        en.stream.Len(),
-		LastTime:        sinceStart(en.stream.LastTime()),
-		JoinScanned:     en.baseJoinScanned.Load() + en.eng.Stats().JoinScanned.Load(),
-		JoinCandidates:  en.baseJoinCandidates.Load() + en.eng.Stats().JoinCandidates.Load(),
-		ExpiryBatches:   en.baseExpiryBatches.Load() + en.eng.Stats().ExpiryBatches.Load(),
-		ExpiryEvicted:   en.baseExpiryEvicted.Load() + en.eng.Stats().ExpiryEvicted.Load(),
-		K:               en.eng.K(),
-		Reoptimizations: int(en.rebuilds.Load()),
-		RoutedFraction:  1,
-		Adaptive:        en.adapt != nil,
+		Matches:          en.matches(),
+		Discarded:        en.discarded(),
+		Fed:              en.fed.Load(),
+		InWindow:         en.stream.Len(),
+		LastTime:         sinceStart(en.stream.LastTime()),
+		JoinScanned:      en.baseJoinScanned.Load() + en.eng.Stats().JoinScanned.Load(),
+		JoinCandidates:   en.baseJoinCandidates.Load() + en.eng.Stats().JoinCandidates.Load(),
+		JoinMaterialized: en.baseJoinMaterialized.Load() + en.eng.Stats().JoinMaterialized.Load(),
+		ExpiryBatches:    en.baseExpiryBatches.Load() + en.eng.Stats().ExpiryBatches.Load(),
+		ExpiryEvicted:    en.baseExpiryEvicted.Load() + en.eng.Stats().ExpiryEvicted.Load(),
+		K:                en.eng.K(),
+		Reoptimizations:  int(en.rebuilds.Load()),
+		RoutedFraction:   1,
+		Adaptive:         en.adapt != nil,
 	}
 	if o := en.obs; o != nil {
 		det := o.det.Snapshot()
